@@ -1,13 +1,7 @@
 package openspace
 
-// One benchmark per paper artifact and extension experiment (DESIGN.md's
-// per-experiment index). Each benchmark regenerates its figure/table with a
-// reduced-but-representative configuration so `go test -bench=.` reproduces
-// every result's shape; cmd/openspace-bench runs the full-size sweeps.
-
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"testing"
 
@@ -20,266 +14,21 @@ import (
 	"github.com/openspace-project/openspace/internal/traffic"
 )
 
-// BenchmarkFig2aConstellation regenerates Figure 2(a): the reference
-// constellation with its coverage and ISL geometry.
-func BenchmarkFig2aConstellation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig2a(4000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.CoverageExact < 0.97 {
-			b.Fatalf("coverage regressed: %v", r.CoverageExact)
-		}
-	}
-}
-
-// BenchmarkFig2bLatency regenerates Figure 2(b): propagation latency vs
-// constellation size (steep drop, ~tens of ms floor).
-func BenchmarkFig2bLatency(b *testing.B) {
-	cfg := experiments.DefaultFig2b()
-	cfg.MaxSats, cfg.Step, cfg.Trials = 60, 10, 6
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig2b(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(r.Latency.Points) == 0 {
-			b.Fatal("no latency points")
-		}
-	}
-}
-
-// BenchmarkFig2bWorkers measures the parallel harness's speedup on the
-// Fig2b sweep. Sub-benchmark names carry the worker count, so
+// BenchmarkExperiments regenerates every registered experiment at its
+// -quick size, one sub-benchmark per experiments.Registry entry:
 //
-//	go test -bench 'Fig2bWorkers' -cpu 4
+//	go test -bench 'Experiments/fig2b' -benchmem
 //
-// shows serial vs parallel wall time on the same workload; on a machine
-// with ≥4 cores the workers=4 run completes the sweep ≥2× faster than
-// workers=1 while producing byte-identical output (the determinism tests
-// in internal/experiments pin that equivalence).
-func BenchmarkFig2bWorkers(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			cfg := experiments.DefaultFig2b()
-			cfg.MaxSats, cfg.Step, cfg.Trials = 60, 10, 6
-			cfg.Workers = workers
+// cmd/openspace-bench runs the full-size sweeps.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.Registry {
+		b.Run(e.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := experiments.Fig2b(cfg); err != nil {
+				if _, err := e.Run(true, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkFig2cWorkers is the same worker sweep over the Fig2c coverage
-// computation, whose per-trial grid scans are the repo's heaviest
-// embarrassingly-parallel load.
-func BenchmarkFig2cWorkers(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			cfg := experiments.DefaultFig2c()
-			cfg.MaxSats, cfg.Step, cfg.Trials, cfg.GridSize = 60, 10, 6, 2000
-			cfg.Workers = workers
-			for i := 0; i < b.N; i++ {
-				if _, err := experiments.Fig2c(cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFig2cCoverage regenerates Figure 2(c): coverage vs constellation
-// size under the worst-case overlap rule.
-func BenchmarkFig2cCoverage(b *testing.B) {
-	cfg := experiments.DefaultFig2c()
-	cfg.MaxSats, cfg.Step, cfg.Trials, cfg.GridSize = 60, 10, 6, 2000
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig2c(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(r.WorstCase.Points) == 0 {
-			b.Fatal("no coverage points")
-		}
-	}
-}
-
-// BenchmarkFederationGain regenerates E4: solo vs federated coverage.
-func BenchmarkFederationGain(b *testing.B) {
-	cfg := experiments.DefaultFederation()
-	cfg.MaxPerFleet, cfg.Step, cfg.GridSize = 12, 4, 2000
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Federation(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkHandover regenerates E5: predictive vs re-auth handover.
-func BenchmarkHandover(b *testing.B) {
-	cfg := experiments.DefaultHandover()
-	cfg.HorizonS = 1800
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.HandoverExperiment(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.SpeedupFactor() < 10 {
-			b.Fatalf("handover speedup regressed: %v", r.SpeedupFactor())
-		}
-	}
-}
-
-// BenchmarkMAC regenerates E6: CSMA/CA vs TDMA.
-func BenchmarkMAC(b *testing.B) {
-	cfg := experiments.DefaultMAC()
-	cfg.MaxStations = 16
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.MACExperiment(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLedger regenerates E7: ledgers, settlement, peering.
-func BenchmarkLedger(b *testing.B) {
-	cfg := experiments.DefaultEcon()
-	cfg.Transfers = 40
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.EconExperiment(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.Discrepancies != 0 {
-			b.Fatalf("ledger discrepancies: %d", r.Discrepancies)
-		}
-	}
-}
-
-// BenchmarkLinkBudget regenerates E8: the RF/laser trade table.
-func BenchmarkLinkBudget(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.LinksExperiment(experiments.DefaultLinkDistances())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := r.CSV(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRoutingAblation regenerates the proactive-vs-on-demand routing
-// comparison called out in DESIGN.md's ablation list.
-func BenchmarkRoutingAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RoutingAblation(experiments.DefaultRoutingAblation())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.OnDemandMaxUtilization > 1 {
-			b.Fatal("on-demand oversubscribed a link")
-		}
-	}
-}
-
-// BenchmarkSpectrum regenerates E13: channel coordination demand.
-func BenchmarkSpectrum(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.SpectrumExperiment(experiments.DefaultSpectrum()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkResilience regenerates E12: connectivity under satellite
-// failures.
-func BenchmarkResilience(b *testing.B) {
-	cfg := experiments.DefaultResilience()
-	cfg.MaxFailures, cfg.Step, cfg.Trials = 24, 12, 2
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Resilience(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAvailability regenerates E15: per-flow availability, recovery
-// latency and fast-reroute share under swept fault intensity.
-func BenchmarkAvailability(b *testing.B) {
-	cfg := experiments.DefaultAvailability()
-	cfg.Intensities = []float64{0, 2}
-	cfg.Trials, cfg.HorizonS = 2, 1800
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Availability(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.Rows[0].Availability != 1 {
-			b.Fatalf("fault-free availability regressed: %v", r.Rows[0].Availability)
-		}
-	}
-}
-
-// BenchmarkDTN regenerates E11: store-and-forward vs instant connectivity
-// for sparse fleets.
-func BenchmarkDTN(b *testing.B) {
-	cfg := experiments.DefaultDTN()
-	cfg.FleetSizes = []int{4, 12}
-	cfg.Trials, cfg.HorizonS, cfg.IntervalS = 2, 3*3600, 300
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.DTNExperiment(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkIncentives regenerates E10: the §5(4) membership case.
-func BenchmarkIncentives(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.IncentivesExperiment(experiments.DefaultIncentives())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.FederatedAvail < r.SoloAvail {
-			b.Fatal("federation lost availability")
-		}
-	}
-}
-
-// BenchmarkCriticalMass regenerates E9: connectivity vs fleet size.
-func BenchmarkCriticalMass(b *testing.B) {
-	cfg := experiments.DefaultCriticalMass()
-	cfg.ProviderCounts = []int{3}
-	cfg.MaxSats, cfg.Step, cfg.Trials = 36, 16, 2
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.CriticalMass(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFluidScenario regenerates a reduced E18 cell: one million
-// effective users evolved as (city-pair × class) aggregates over a +Grid
-// shell. The wall time here is what the per-flow engine would spend on
-// roughly 10⁴ users — the subsystem's whole point.
-func BenchmarkFluidScenario(b *testing.B) {
-	cfg := experiments.DefaultUsersScale()
-	cfg.Sats = 100
-	cfg.UserCounts = []int{1_000_000}
-	cfg.DurationS = 300
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.UsersScale(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(r.Carried.Points) == 0 {
-			b.Fatal("no carried-capacity points")
-		}
 	}
 }
 

@@ -11,22 +11,14 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
-	"github.com/openspace-project/openspace/internal/campaign"
 	"github.com/openspace-project/openspace/internal/experiments"
-	"github.com/openspace-project/openspace/internal/geo"
 )
-
-// renderer is the common shape of experiment results.
-type renderer interface {
-	Render(io.Writer) error
-	CSV(io.Writer) error
-}
 
 func main() {
 	experiment := flag.String("experiment", "all",
@@ -38,8 +30,8 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, name := range experimentNames() {
-			fmt.Println(name)
+		for _, e := range experiments.Registry {
+			fmt.Println(e.Name)
 		}
 		return
 	}
@@ -49,205 +41,32 @@ func main() {
 	}
 }
 
-// entry is one registered experiment.
-type entry struct {
-	name string
-	fn   func(quick bool, workers int) (renderer, error)
-}
-
-// experimentNames lists the registry in run order, for -list and the
-// unknown-experiment error.
-func experimentNames() []string {
-	names := make([]string, len(experimentTable))
-	for i, e := range experimentTable {
-		names[i] = e.name
-	}
-	return names
-}
-
-// experimentTable registers every experiment by name.
-var experimentTable = []entry{
-	{"fig2a", func(quick bool, workers int) (renderer, error) { return experiments.Fig2a(gridSize(quick)) }},
-	{"fig2b", func(quick bool, workers int) (renderer, error) {
-		cfg := experiments.DefaultFig2b()
-		if quick {
-			cfg.MaxSats, cfg.Step, cfg.Trials = 40, 6, 8
-		}
-		cfg.Workers = workers
-		return experiments.Fig2b(cfg)
-	}},
-	{"fig2c", func(quick bool, workers int) (renderer, error) {
-		cfg := experiments.DefaultFig2c()
-		if quick {
-			cfg.MaxSats, cfg.Step, cfg.Trials, cfg.GridSize = 60, 6, 8, 2000
-		}
-		cfg.Workers = workers
-		return experiments.Fig2c(cfg)
-	}},
-	{"capacity", func(quick bool, workers int) (renderer, error) {
-		cfg := experiments.DefaultCapacity()
-		if quick {
-			cfg.MaxSats, cfg.Step, cfg.Trials, cfg.Users = 40, 8, 3, 120
-		}
-		cfg.Workers = workers
-		return experiments.Capacity(cfg)
-	}},
-	{"federation", func(quick bool, workers int) (renderer, error) {
-		cfg := experiments.DefaultFederation()
-		if quick {
-			cfg.MaxPerFleet, cfg.Step, cfg.GridSize = 12, 4, 2000
-		}
-		cfg.Workers = workers
-		return experiments.Federation(cfg)
-	}},
-	{"handover", func(quick bool, workers int) (renderer, error) {
-		cfg := experiments.DefaultHandover()
-		if quick {
-			cfg.HorizonS = 1200
-		}
-		cfg.Workers = workers
-		return experiments.HandoverExperiment(cfg)
-	}},
-	{"mac", func(quick bool, workers int) (renderer, error) {
-		cfg := experiments.DefaultMAC()
-		if quick {
-			cfg.MaxStations = 12
-		}
-		cfg.Workers = workers
-		return experiments.MACExperiment(cfg)
-	}},
-	{"economics", func(quick bool, workers int) (renderer, error) {
-		cfg := experiments.DefaultEcon()
-		if quick {
-			cfg.Transfers = 40
-		}
-		cfg.Workers = workers
-		return experiments.EconExperiment(cfg)
-	}},
-	{"links", func(quick bool, workers int) (renderer, error) {
-		return experiments.LinksExperiment(experiments.DefaultLinkDistances())
-	}},
-	{"routingablation", func(quick bool, workers int) (renderer, error) {
-		cfg := experiments.DefaultRoutingAblation()
-		cfg.Workers = workers
-		return experiments.RoutingAblation(cfg)
-	}},
-	{"spectrum", func(quick bool, workers int) (renderer, error) {
-		cfg := experiments.DefaultSpectrum()
-		cfg.Workers = workers
-		return experiments.SpectrumExperiment(cfg)
-	}},
-	{"resilience", func(quick bool, workers int) (renderer, error) {
-		cfg := experiments.DefaultResilience()
-		if quick {
-			cfg.MaxFailures, cfg.Step, cfg.Trials = 24, 8, 4
-		}
-		cfg.Workers = workers
-		return experiments.Resilience(cfg)
-	}},
-	{"dtn", func(quick bool, workers int) (renderer, error) {
-		cfg := experiments.DefaultDTN()
-		if quick {
-			cfg.FleetSizes = []int{4, 12}
-			cfg.Trials, cfg.HorizonS, cfg.IntervalS = 3, 3*3600, 300
-		}
-		cfg.Workers = workers
-		return experiments.DTNExperiment(cfg)
-	}},
-	{"incentives", func(quick bool, workers int) (renderer, error) {
-		cfg := experiments.DefaultIncentives()
-		cfg.Workers = workers
-		return experiments.IncentivesExperiment(cfg)
-	}},
-	{"criticalmass", func(quick bool, workers int) (renderer, error) {
-		cfg := experiments.DefaultCriticalMass()
-		if quick {
-			cfg.MaxSats, cfg.Step, cfg.Trials = 40, 8, 3
-		}
-		cfg.Workers = workers
-		return experiments.CriticalMass(cfg)
-	}},
-	{"availability", func(quick bool, workers int) (renderer, error) {
-		cfg := experiments.DefaultAvailability()
-		if quick {
-			cfg.Intensities = []float64{0, 1, 4}
-			cfg.Trials, cfg.HorizonS = 2, 3600
-		}
-		cfg.Workers = workers
-		return experiments.Availability(cfg)
-	}},
-	{"capacity-scale", func(quick bool, workers int) (renderer, error) {
-		cfg := experiments.DefaultCapacityScale()
-		if quick {
-			// One N=1000 +Grid cell — the CI determinism/smoke workload.
-			cfg.MinSats, cfg.MaxSats, cfg.Trials = 1000, 1000, 2
-		}
-		cfg.Workers = workers
-		return experiments.Capacity(cfg)
-	}},
-	{"users-scale", func(quick bool, workers int) (renderer, error) {
-		cfg := experiments.DefaultUsersScale()
-		if quick {
-			// Two cells on a smaller +Grid — the CI determinism workload.
-			cfg.Sats = 128
-			cfg.UserCounts = []int{10_000, 1_000_000}
-			cfg.DurationS = 300
-		}
-		cfg.Workers = workers
-		return experiments.UsersScale(cfg)
-	}},
-	{"disruption-campaign", func(quick bool, workers int) (renderer, error) {
-		cfg := experiments.DefaultDisruption()
-		if quick {
-			// The 8-cell CI determinism matrix.
-			cfg.Spec = campaign.QuickSpec()
-		}
-		cfg.Workers = workers
-		return experiments.Disruption(cfg)
-	}},
-	{"availability-scale", func(quick bool, workers int) (renderer, error) {
-		cfg := experiments.DefaultAvailabilityScale()
-		if quick {
-			// One N=1000 +Grid cell — the CI determinism/smoke workload.
-			cfg.GridSats = 1000
-			cfg.Intensities = []float64{0, 1}
-			cfg.Trials, cfg.HorizonS = 1, 1800
-		}
-		cfg.Workers = workers
-		return experiments.Availability(cfg)
-	}},
-}
-
 func run(which, csvDir string, quick bool, workers int) error {
 	ran := 0
-	for _, e := range experimentTable {
-		if which != "all" && which != e.name {
+	for _, e := range experiments.Registry {
+		if which != "all" && which != e.Name {
 			continue
 		}
 		ran++
-		fmt.Printf("=== %s ===\n", e.name)
-		res, err := e.fn(quick, workers)
+		fmt.Printf("=== %s ===\n", e.Name)
+		res, err := e.Run(quick, workers)
 		if err != nil {
-			return fmt.Errorf("%s: %w", e.name, err)
+			return fmt.Errorf("%s: %w", e.Name, err)
 		}
 		if err := res.Render(os.Stdout); err != nil {
-			return fmt.Errorf("%s: render: %w", e.name, err)
+			return fmt.Errorf("%s: render: %w", e.Name, err)
 		}
 		fmt.Println()
 		if csvDir != "" {
+			var csv bytes.Buffer
+			if err := res.CSV(&csv); err != nil {
+				return fmt.Errorf("%s: csv: %w", e.Name, err)
+			}
 			if err := os.MkdirAll(csvDir, 0o755); err != nil {
 				return err
 			}
-			path := filepath.Join(csvDir, e.name+".csv")
-			f, err := os.Create(path)
-			if err != nil {
-				return err
-			}
-			if err := res.CSV(f); err != nil {
-				f.Close() //lint:allow errdrop the CSV write error above is the primary failure
-				return fmt.Errorf("%s: csv: %w", e.name, err)
-			}
-			if err := f.Close(); err != nil {
+			path := filepath.Join(csvDir, e.Name+".csv")
+			if err := os.WriteFile(path, csv.Bytes(), 0o644); err != nil {
 				return err
 			}
 			fmt.Printf("wrote %s\n\n", path)
@@ -256,25 +75,5 @@ func run(which, csvDir string, quick bool, workers int) error {
 	if ran == 0 {
 		return fmt.Errorf("unknown experiment %q (try -list)", which)
 	}
-	// Hotspot availability is a scalar pair rather than a renderer; print
-	// it alongside federation output.
-	if which == "all" || which == "federation" {
-		hcfg := experiments.DefaultFederation()
-		hcfg.Workers = workers
-		solo, fed, err := experiments.HotspotScenario(
-			hcfg, geo.LatLon{Lat: 7.1, Lon: 125.6}, 500)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("hotspot availability (disaster-zone user): best solo %.1f%%, federated %.1f%%\n",
-			solo*100, fed*100)
-	}
 	return nil
-}
-
-func gridSize(quick bool) int {
-	if quick {
-		return 2000
-	}
-	return 10000
 }

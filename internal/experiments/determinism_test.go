@@ -2,22 +2,54 @@ package experiments
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// The harness guarantee: every experiment's output is bitwise identical at
+// TestRegistry is the worker-invariance test for every registered
+// experiment. The harness guarantee is that output is bitwise identical at
 // any worker count, because each task's RNG is derived from its logical
-// coordinates rather than threaded through a shared stream. These tests
-// pin that guarantee at the CSV byte level, the same comparison the CI
-// determinism job performs on the full binaries.
+// coordinates rather than threaded through a shared stream; this pins it
+// at the CSV byte level on each entry's quick sweep. The full-size CSVs are
+// pinned separately against results/ by CI's golden job.
+func TestRegistry(t *testing.T) {
+	seen := map[string]bool{}
+	for _, e := range Registry {
+		if seen[e.Name] {
+			t.Errorf("experiment %q registered twice", e.Name)
+		}
+		seen[e.Name] = true
+		t.Run(e.Name, func(t *testing.T) {
+			serial := quickCSV(t, e, 1)
+			if parallel := quickCSV(t, e, 4); parallel != serial {
+				t.Errorf("CSV differs between workers=1 and workers=4:\n--- serial ---\n%s--- parallel ---\n%s",
+					serial, parallel)
+			}
+			lines := strings.Split(strings.TrimRight(serial, "\n"), "\n")
+			if len(lines) < 2 {
+				t.Fatalf("CSV has no data rows:\n%s", serial)
+			}
+			if e.Name == "users-scale" {
+				// The fluid sweep must carry real traffic, or the comparison
+				// above is vacuously between zeros.
+				col := slices.Index(strings.Split(lines[0], ","), "transfers_delivered")
+				if col < 0 {
+					t.Fatalf("header %q has no transfers_delivered column", lines[0])
+				}
+				for _, line := range lines[1:] {
+					if strings.Split(line, ",")[col] == "0" {
+						t.Errorf("row %q delivered nothing", line)
+					}
+				}
+			}
+		})
+	}
+}
 
-func fig2bCSV(t *testing.T, workers int) string {
+func quickCSV(t *testing.T, e Experiment, workers int) string {
 	t.Helper()
-	cfg := DefaultFig2b()
-	cfg.MaxSats, cfg.Step, cfg.Trials = 25, 3, 10
-	cfg.Workers = workers
-	r, err := Fig2b(cfg)
+	r, err := e.Run(true, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,180 +58,6 @@ func fig2bCSV(t *testing.T, workers int) string {
 		t.Fatal(err)
 	}
 	return buf.String()
-}
-
-func TestFig2bDeterministicAcrossWorkers(t *testing.T) {
-	serial := fig2bCSV(t, 1)
-	for _, workers := range []int{2, 4} {
-		if parallel := fig2bCSV(t, workers); parallel != serial {
-			t.Errorf("fig2b CSV differs between workers=1 and workers=%d:\n--- serial ---\n%s--- parallel ---\n%s",
-				workers, serial, parallel)
-		}
-	}
-}
-
-func fig2cCSV(t *testing.T, workers int) string {
-	t.Helper()
-	cfg := DefaultFig2c()
-	cfg.MaxSats, cfg.Step, cfg.Trials, cfg.GridSize = 30, 6, 6, 1000
-	cfg.Workers = workers
-	r, err := Fig2c(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := r.CSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.String()
-}
-
-func TestFig2cDeterministicAcrossWorkers(t *testing.T) {
-	serial := fig2cCSV(t, 1)
-	for _, workers := range []int{2, 4} {
-		if parallel := fig2cCSV(t, workers); parallel != serial {
-			t.Errorf("fig2c CSV differs between workers=1 and workers=%d", workers)
-		}
-	}
-}
-
-func TestCriticalMassDeterministicAcrossWorkers(t *testing.T) {
-	run := func(workers int) string {
-		cfg := DefaultCriticalMass()
-		cfg.ProviderCounts = []int{1, 3}
-		cfg.MaxSats, cfg.Step, cfg.Trials = 24, 8, 2
-		cfg.Workers = workers
-		r, err := CriticalMass(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := r.CSV(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
-	}
-	if run(1) != run(4) {
-		t.Error("criticalmass CSV differs between workers=1 and workers=4")
-	}
-}
-
-func TestResilienceDeterministicAcrossWorkers(t *testing.T) {
-	run := func(workers int) string {
-		cfg := DefaultResilience()
-		cfg.MaxFailures, cfg.Step, cfg.Trials = 16, 8, 2
-		cfg.Workers = workers
-		r, err := Resilience(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := r.CSV(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
-	}
-	if run(1) != run(3) {
-		t.Error("resilience CSV differs between workers=1 and workers=3")
-	}
-}
-
-func TestAvailabilityDeterministicAcrossWorkers(t *testing.T) {
-	run := func(workers int) string {
-		cfg := DefaultAvailability()
-		cfg.Intensities = []float64{0, 2, 6}
-		cfg.Trials = 2
-		cfg.HorizonS = 1800
-		cfg.Workers = workers
-		r, err := Availability(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := r.CSV(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
-	}
-	serial := run(1)
-	for _, workers := range []int{2, 4} {
-		if parallel := run(workers); parallel != serial {
-			t.Errorf("availability CSV differs between workers=1 and workers=%d:\n--- serial ---\n%s--- parallel ---\n%s",
-				workers, serial, parallel)
-		}
-	}
-}
-
-func capacityCSV(t *testing.T, workers int) string {
-	t.Helper()
-	cfg := DefaultCapacity()
-	cfg.MaxSats, cfg.Step, cfg.Trials, cfg.Users = 28, 8, 3, 80
-	cfg.Workers = workers
-	r, err := Capacity(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := r.CSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.String()
-}
-
-func TestCapacityDeterministicAcrossWorkers(t *testing.T) {
-	serial := capacityCSV(t, 1)
-	for _, workers := range []int{2, 4} {
-		if parallel := capacityCSV(t, workers); parallel != serial {
-			t.Errorf("capacity CSV differs between workers=1 and workers=%d:\n--- serial ---\n%s--- parallel ---\n%s",
-				workers, serial, parallel)
-		}
-	}
-}
-
-func usersScaleCSV(t *testing.T, workers int) string {
-	t.Helper()
-	cfg := DefaultUsersScale()
-	// Small enough for a unit test, large enough that the +Grid in-plane
-	// spacing stays inside laser ISL range and demands actually route.
-	cfg.Sats = 100
-	cfg.UserCounts = []int{10_000, 200_000}
-	cfg.DurationS, cfg.IntervalS = 180, 60
-	cfg.Workers = workers
-	r, err := UsersScale(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := r.CSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.String()
-}
-
-// TestUsersScaleDeterministicAcrossWorkers pins E18's invariance: every
-// aggregate's arrival stream is seeded from its own (seed, src, dst, class)
-// coordinates and each cell evolves sequentially, so the CSV — including
-// the streaming-sketch latency quantiles — is byte-identical at any worker
-// count. Wall time is excluded from the CSV for exactly this reason.
-func TestUsersScaleDeterministicAcrossWorkers(t *testing.T) {
-	serial := usersScaleCSV(t, 1)
-	for _, workers := range []int{2, 4} {
-		if parallel := usersScaleCSV(t, workers); parallel != serial {
-			t.Errorf("users-scale CSV differs between workers=1 and workers=%d:\n--- serial ---\n%s--- parallel ---\n%s",
-				workers, serial, parallel)
-		}
-	}
-	// The sweep must have carried real traffic, or the determinism check
-	// is vacuously comparing zeros.
-	if !strings.Contains(serial, "\n10000,") {
-		t.Fatalf("CSV missing the 10000-user row:\n%s", serial)
-	}
-	for _, line := range strings.Split(strings.TrimSpace(serial), "\n")[1:] {
-		fields := strings.Split(line, ",")
-		if fields[4] == "0" {
-			t.Errorf("row %q delivered nothing; the gate is vacuous", line)
-		}
-	}
 }
 
 // TestFig2bCSVEmitsAllSweptN pins the fix for the dropped-row bug: N

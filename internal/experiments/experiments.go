@@ -2,8 +2,8 @@
 // (§4) plus the extension experiments DESIGN.md indexes (E4–E9). Each
 // experiment is a pure function of its config (seeded randomness), returns
 // typed results, and can render itself as CSV for plotting or as ASCII for
-// terminal inspection. The cmd/openspace-bench binary and the repository's
-// bench_test.go both drive these entry points.
+// terminal inspection. Registry names every experiment and its configs;
+// cmd/openspace-bench and the repository's bench_test.go drive them by it.
 package experiments
 
 import (

@@ -108,6 +108,24 @@ func (r *FederationResult) Render(w io.Writer) error {
 		[]*sim.Series{&r.BestSolo, &r.Union}, 60, 14)
 }
 
+// federationResult is E4 plus the HotspotScenario pair, a scalar result
+// with no curve of its own: Render prints it as one line after the chart,
+// and the CSV is E4's alone.
+type federationResult struct {
+	*FederationResult
+	hotspotSolo, hotspotFederated float64
+}
+
+// Render draws E4 and appends the hotspot line.
+func (r *federationResult) Render(w io.Writer) error {
+	if err := r.FederationResult.Render(w); err != nil {
+		return err
+	}
+	_, err := fmt.Fprintf(w, "hotspot availability (disaster-zone user): best solo %.1f%%, federated %.1f%%\n",
+		r.hotspotSolo*100, r.hotspotFederated*100)
+	return err
+}
+
 // HotspotScenario quantifies the intro's motivating case: a disaster region
 // where a hotspot of users depends on whatever satellites pass overhead.
 // It returns the fraction of one day during which at least one satellite of

@@ -19,7 +19,7 @@ import "math"
 // width, scan position) is a pure function of the event set, never of
 // wall-clock or map iteration. The engine property tests in
 // calqueue_test.go pin dequeue-order equality against the retired heap
-// implementation (heapqueue.go) under random schedules.
+// implementation (heapqueue_test.go) under random schedules.
 type calQueue struct {
 	// buckets is owner-scoped storage rewritten in place by push/pop;
 	// nothing aliasing a bucket may leave the queue (scratchsafe).
