@@ -8,14 +8,21 @@
 //	openspace-bench -experiment all
 //	openspace-bench -experiment fig2b -csvdir out/
 //	openspace-bench -experiment fig2c -quick
+//	openspace-bench -experiment capacity-scale -cpuprofile cpu.out -memprofile mem.out
+//
+// The profiles are standard pprof files (go tool pprof -top cpu.out); they
+// never change stdout or a CSV byte.
 package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 
 	"github.com/openspace-project/openspace/internal/experiments"
 )
@@ -27,6 +34,8 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced sweeps for a fast smoke run")
 	workers := flag.Int("workers", 0, "parallel workers per experiment (0 = one per CPU, 1 = serial); results are identical at any setting")
 	list := flag.Bool("list", false, "list registered experiments and exit")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := flag.String("memprofile", "", "write a heap profile to this file after the run")
 	flag.Parse()
 
 	if *list {
@@ -35,7 +44,10 @@ func main() {
 		}
 		return
 	}
-	if err := run(*experiment, *csvDir, *quick, *workers); err != nil {
+	err := profiled(*cpuProfile, *memProfile, func() error {
+		return run(*experiment, *csvDir, *quick, *workers)
+	})
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "openspace-bench: %v\n", err)
 		os.Exit(1)
 	}
@@ -74,6 +86,44 @@ func run(which, csvDir string, quick bool, workers int) error {
 	}
 	if ran == 0 {
 		return fmt.Errorf("unknown experiment %q (try -list)", which)
+	}
+	return nil
+}
+
+// profiled runs fn with a CPU profile written to cpuPath and, once fn
+// succeeds, a heap profile to memPath; an empty path skips that profile.
+func profiled(cpuPath, memPath string, fn func() error) (err error) {
+	if cpuPath != "" {
+		f, err := os.Create(cpuPath)
+		if err != nil {
+			return fmt.Errorf("cpuprofile: %w", err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return errors.Join(fmt.Errorf("cpuprofile: %w", err), f.Close())
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if cerr := f.Close(); cerr != nil && err == nil {
+				err = fmt.Errorf("cpuprofile: %w", cerr)
+			}
+		}()
+	}
+	if err := fn(); err != nil {
+		return err
+	}
+	if memPath == "" {
+		return nil
+	}
+	f, err := os.Create(memPath)
+	if err != nil {
+		return fmt.Errorf("memprofile: %w", err)
+	}
+	runtime.GC() // the heap profile reports live objects as of the last GC
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		return errors.Join(fmt.Errorf("memprofile: %w", err), f.Close())
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("memprofile: %w", err)
 	}
 	return nil
 }

@@ -8,6 +8,26 @@ import (
 	"github.com/openspace-project/openspace/internal/topo"
 )
 
+// item is a priority-queue entry.
+type item struct {
+	id   string
+	cost float64
+}
+
+type pq []item
+
+func (q pq) Len() int            { return len(q) }
+func (q pq) Less(i, j int) bool  { return q[i].cost < q[j].cost }
+func (q pq) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
+func (q *pq) Push(x interface{}) { *q = append(*q, x.(item)) }
+func (q *pq) Pop() interface{} {
+	old := *q
+	n := len(old)
+	it := old[n-1]
+	*q = old[:n-1]
+	return it
+}
+
 // ScheduledHop is one leg of a store-and-forward route: the bundle departs
 // From at DepartS (possibly after waiting on board) and arrives at To at
 // ArriveS.

@@ -23,6 +23,12 @@ import (
 // CostFunc scores an edge for path selection. It returns the edge's cost
 // (must be ≥ 0) and whether the edge is usable at all. Costs are additive
 // along a path.
+//
+// A CostFunc must be a pure function of the edge for the duration of one
+// ShortestPath, Tree, KShortestPaths or DisjointPaths call: each call
+// scores an edge once, on first use, and reuses that score for every
+// search it runs. Live state such as a LoadMap may change between calls,
+// not during one.
 type CostFunc func(e topo.Edge, s *topo.Snapshot) (cost float64, usable bool)
 
 // LatencyCost scores edges by one-way propagation delay plus a fixed

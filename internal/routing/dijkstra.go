@@ -1,7 +1,6 @@
 package routing
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 
@@ -15,103 +14,42 @@ var ErrNoPath = errors.New("routing: no path")
 // ErrUnknownNode is returned when an endpoint is not in the snapshot.
 var ErrUnknownNode = errors.New("routing: unknown node")
 
-// item is a priority-queue entry.
-type item struct {
-	id   string
-	cost float64
-}
-
-type pq []item
-
-func (q pq) Len() int            { return len(q) }
-func (q pq) Less(i, j int) bool  { return q[i].cost < q[j].cost }
-func (q pq) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x interface{}) { *q = append(*q, x.(item)) }
-func (q *pq) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
-}
-
 // ShortestPath runs Dijkstra from src to dst on the snapshot under the cost
 // function.
 func ShortestPath(s *topo.Snapshot, src, dst string, cost CostFunc) (Path, error) {
-	if s.Node(src) == nil {
-		return Path{}, fmt.Errorf("%w: %q", ErrUnknownNode, src)
+	sr, si, di, err := acquire(s, src, dst, cost)
+	if err != nil {
+		return Path{}, err
 	}
-	if s.Node(dst) == nil {
-		return Path{}, fmt.Errorf("%w: %q", ErrUnknownNode, dst)
-	}
-	dist, prev := dijkstra(s, src, cost, dst)
-	if _, ok := dist[dst]; !ok {
+	defer sr.release()
+	sr.next()
+	if !sr.find(si, di) {
 		return Path{}, fmt.Errorf("%w: %s → %s", ErrNoPath, src, dst)
 	}
-	return buildPath(s, src, dst, dist[dst], prev), nil
+	return sr.materialize(sr.path, sr.dist[di]), nil
 }
 
 // Tree computes the full shortest-path tree from src: cost and predecessor
 // for every reachable node. It is the building block of proactive route
 // tables, where one Dijkstra run yields routes to all destinations.
 func Tree(s *topo.Snapshot, src string, cost CostFunc) (map[string]float64, map[string]string, error) {
-	if s.Node(src) == nil {
-		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownNode, src)
+	sr, si, _, err := acquire(s, src, src, cost)
+	if err != nil {
+		return nil, nil, err
 	}
-	dist, prev := dijkstra(s, src, cost, "")
-	return dist, prev, nil
-}
-
-// dijkstra runs the search; if stopAt is non-empty the search terminates
-// once that node is settled.
-func dijkstra(s *topo.Snapshot, src string, cost CostFunc, stopAt string) (map[string]float64, map[string]string) {
-	dist := map[string]float64{src: 0}
+	defer sr.release()
+	sr.next()
+	sr.search(si, -1)
+	dist := map[string]float64{}
 	prev := map[string]string{}
-	done := map[string]bool{}
-	q := &pq{{id: src, cost: 0}}
-	for q.Len() > 0 {
-		cur := heap.Pop(q).(item)
-		if done[cur.id] {
+	for v, id := range sr.ix.IDs {
+		if !sr.reached(int32(v)) {
 			continue
 		}
-		done[cur.id] = true
-		if stopAt != "" && cur.id == stopAt {
-			break
-		}
-		for _, e := range s.Neighbors(cur.id) {
-			w, usable := cost(e, s)
-			if !usable || w < 0 {
-				continue
-			}
-			nd := cur.cost + w
-			if old, ok := dist[e.To]; !ok || nd < old {
-				dist[e.To] = nd
-				prev[e.To] = cur.id
-				heap.Push(q, item{id: e.To, cost: nd})
-			}
+		dist[id] = sr.dist[v]
+		if int32(v) != si {
+			prev[id] = sr.ix.IDs[sr.prev[v]]
 		}
 	}
-	return dist, prev
-}
-
-// buildPath reconstructs the node sequence and edge stats from prev links.
-func buildPath(s *topo.Snapshot, src, dst string, cost float64, prev map[string]string) Path {
-	var rev []string
-	for at := dst; ; {
-		rev = append(rev, at)
-		if at == src {
-			break
-		}
-		at = prev[at]
-	}
-	nodes := make([]string, len(rev))
-	for i := range rev {
-		nodes[i] = rev[len(rev)-1-i]
-	}
-	edges := make([]topo.Edge, 0, len(nodes)-1)
-	for i := 0; i+1 < len(nodes); i++ {
-		e, _ := s.Edge(nodes[i], nodes[i+1])
-		edges = append(edges, e)
-	}
-	return statsFromEdges(nodes, cost, edges)
+	return dist, prev, nil
 }

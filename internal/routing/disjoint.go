@@ -1,6 +1,8 @@
 package routing
 
 import (
+	"fmt"
+
 	"github.com/openspace-project/openspace/internal/topo"
 )
 
@@ -19,28 +21,29 @@ func DisjointPaths(s *topo.Snapshot, src, dst string, cost CostFunc, k int) ([]P
 	if k <= 0 {
 		return nil, nil
 	}
-	banned := map[[2]string]bool{}
-	restricted := func(e topo.Edge, snap *topo.Snapshot) (float64, bool) {
-		if banned[[2]string{e.From, e.To}] || banned[[2]string{e.To, e.From}] {
-			return 0, false
-		}
-		return cost(e, snap)
+	sr, si, di, err := acquire(s, src, dst, cost)
+	if err != nil {
+		return nil, err
 	}
+	defer sr.release()
 	var paths []Path
 	for len(paths) < k {
-		p, err := ShortestPath(s, src, dst, restricted)
-		if err != nil {
+		sr.next()
+		if !sr.find(si, di) {
 			if len(paths) == 0 {
-				return nil, err
+				return nil, fmt.Errorf("%w: %s → %s", ErrNoPath, src, dst)
 			}
 			break // no more disjoint capacity
 		}
-		paths = append(paths, p)
-		if len(p.Nodes) < 2 {
+		paths = append(paths, sr.materialize(sr.path, sr.dist[di]))
+		if len(sr.path) < 2 {
 			break // src == dst: the zero-hop path uses no edges; one copy suffices
 		}
-		for i := 0; i+1 < len(p.Nodes); i++ {
-			banned[[2]string{p.Nodes[i], p.Nodes[i+1]}] = true
+		// A used link is banned in both directions for the rest of the call.
+		for i := 0; i+1 < len(sr.path); i++ {
+			a, b := sr.path[i], sr.path[i+1]
+			sr.banEdges(a, b, sr.call)
+			sr.banEdges(b, a, sr.call)
 		}
 	}
 	return paths, nil

@@ -86,11 +86,7 @@ func (r *ProactiveRouter) buildTable(snap *topo.Snapshot, dst string) (*table, e
 	if err != nil {
 		return nil, err
 	}
-	next := make(map[string]string, len(prev))
-	for node, p := range prev {
-		next[node] = p
-	}
-	return &table{next: next, dist: dist}, nil
+	return &table{next: prev, dist: dist}, nil
 }
 
 func (r *ProactiveRouter) snapIndex(snap *topo.Snapshot) int {

@@ -1,6 +1,8 @@
 package routing
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/openspace-project/openspace/internal/topo"
@@ -11,135 +13,105 @@ import (
 // OpenSpace because the preferred path may cross a provider whose tariff or
 // load makes a slightly longer same-provider path preferable — the economics
 // layer compares alternatives produced here.
+//
+// Equal-cost candidates are ordered by their node-ID sequences. Because
+// dense indices follow sorted ID order, comparing index sequences is the
+// same comparison.
 func KShortestPaths(s *topo.Snapshot, src, dst string, cost CostFunc, k int) ([]Path, error) {
 	if k <= 0 {
 		return nil, nil
 	}
-	first, err := ShortestPath(s, src, dst, cost)
+	sr, si, di, err := acquire(s, src, dst, cost)
 	if err != nil {
 		return nil, err
 	}
-	paths := []Path{first}
-	var candidates []Path
+	defer sr.release()
+	sr.next()
+	if !sr.find(si, di) {
+		return nil, fmt.Errorf("%w: %s → %s", ErrNoPath, src, dst)
+	}
+	paths := []densePath{{nodes: slices.Clone(sr.path), cost: sr.dist[di]}}
+	var candidates []densePath
 
 	for len(paths) < k {
-		prevPath := paths[len(paths)-1].Nodes
+		prevPath := paths[len(paths)-1].nodes
 		// For each spur node in the previous path, search for a deviation.
 		for i := 0; i < len(prevPath)-1; i++ {
 			spur := prevPath[i]
-			rootNodes := prevPath[:i+1]
-
+			root := prevPath[:i+1]
+			sr.next()
 			// Edges to exclude: the next hop of every accepted path that
-			// shares this root.
-			banEdge := map[[2]string]bool{}
+			// shares this root. They all leave the spur.
 			for _, p := range paths {
-				if len(p.Nodes) > i && equalPrefix(p.Nodes, rootNodes) {
-					banEdge[[2]string{p.Nodes[i], p.Nodes[i+1]}] = true
+				if hasPrefix(p.nodes, root) {
+					sr.banEdges(p.nodes[i], p.nodes[i+1], sr.cur)
 				}
 			}
 			// Nodes of the root (except the spur) are excluded to keep
 			// paths loopless.
-			banNode := map[string]bool{}
-			for _, n := range rootNodes[:len(rootNodes)-1] {
-				banNode[n] = true
+			for _, n := range root[:i] {
+				sr.banned[n] = sr.cur
 			}
-			restricted := func(e topo.Edge, snap *topo.Snapshot) (float64, bool) {
-				if banNode[e.To] || banNode[e.From] || banEdge[[2]string{e.From, e.To}] {
-					return 0, false
-				}
-				return cost(e, snap)
-			}
-			spurPath, err := ShortestPath(s, spur, dst, restricted)
-			if err != nil {
+			if !sr.find(spur, di) {
 				continue
 			}
-			total := joinPaths(s, rootNodes, spurPath.Nodes, cost)
-			if total != nil && !containsPath(paths, total.Nodes) && !containsPath(candidates, total.Nodes) {
-				candidates = append(candidates, *total)
+			total := sr.join(root, sr.path)
+			if !containsNodes(paths, total.nodes) && !containsNodes(candidates, total.nodes) {
+				candidates = append(candidates, total)
 			}
 		}
 		if len(candidates) == 0 {
 			break
 		}
 		sort.Slice(candidates, func(a, b int) bool {
-			if candidates[a].Cost != candidates[b].Cost { //lint:allow floateq exact sort tie-break keeps k-path order deterministic
-				return candidates[a].Cost < candidates[b].Cost
+			if candidates[a].cost != candidates[b].cost { //lint:allow floateq exact sort tie-break keeps k-path order deterministic
+				return candidates[a].cost < candidates[b].cost
 			}
-			return lessNodes(candidates[a].Nodes, candidates[b].Nodes)
+			return slices.Compare(candidates[a].nodes, candidates[b].nodes) < 0
 		})
 		paths = append(paths, candidates[0])
 		candidates = candidates[1:]
 	}
-	return paths, nil
+	out := make([]Path, len(paths))
+	for i, p := range paths {
+		out[i] = sr.materialize(p.nodes, p.cost)
+	}
+	return out, nil
 }
 
-func equalPrefix(nodes, prefix []string) bool {
-	if len(nodes) < len(prefix) {
-		return false
-	}
-	for i := range prefix {
-		if nodes[i] != prefix[i] {
-			return false
-		}
-	}
-	return true
+// densePath is a Yen path or candidate in dense node indices.
+type densePath struct {
+	nodes []int32
+	cost  float64
 }
 
-func containsPath(paths []Path, nodes []string) bool {
+// join concatenates root (ending at the spur) with spurPath (starting at
+// the spur) and sums the cost hop by hop from the source, as a fresh
+// evaluation of the whole path would. The join is always a loopless path
+// of usable edges: the spur search banned every root node but the spur,
+// and both halves were found by searches that skip unusable edges.
+func (sr *searcher) join(root, spurPath []int32) densePath {
+	nodes := make([]int32, 0, len(root)+len(spurPath)-1)
+	nodes = append(nodes, root...)
+	nodes = append(nodes, spurPath[1:]...)
+	var total float64
+	for i := 0; i+1 < len(nodes); i++ {
+		j := sr.edgeTo(nodes[i], nodes[i+1])
+		w, _ := sr.weight(nodes[i], j)
+		total += w
+	}
+	return densePath{nodes: nodes, cost: total}
+}
+
+func hasPrefix(nodes, prefix []int32) bool {
+	return len(nodes) >= len(prefix) && slices.Equal(nodes[:len(prefix)], prefix)
+}
+
+func containsNodes(paths []densePath, nodes []int32) bool {
 	for _, p := range paths {
-		if len(p.Nodes) != len(nodes) {
-			continue
-		}
-		same := true
-		for i := range nodes {
-			if p.Nodes[i] != nodes[i] {
-				same = false
-				break
-			}
-		}
-		if same {
+		if slices.Equal(p.nodes, nodes) {
 			return true
 		}
 	}
 	return false
-}
-
-func lessNodes(a, b []string) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
-}
-
-// joinPaths concatenates root (ending at the spur) with spurPath (starting
-// at the spur) and recomputes stats; returns nil if the join would loop.
-func joinPaths(s *topo.Snapshot, root, spurPath []string, cost CostFunc) *Path {
-	nodes := make([]string, 0, len(root)+len(spurPath)-1)
-	nodes = append(nodes, root...)
-	nodes = append(nodes, spurPath[1:]...)
-	seen := map[string]bool{}
-	for _, n := range nodes {
-		if seen[n] {
-			return nil
-		}
-		seen[n] = true
-	}
-	var edges []topo.Edge
-	var total float64
-	for i := 0; i+1 < len(nodes); i++ {
-		e, ok := s.Edge(nodes[i], nodes[i+1])
-		if !ok {
-			return nil
-		}
-		w, usable := cost(e, s)
-		if !usable {
-			return nil
-		}
-		total += w
-		edges = append(edges, e)
-	}
-	p := statsFromEdges(nodes, total, edges)
-	return &p
 }

@@ -14,6 +14,7 @@ package topo
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"github.com/openspace-project/openspace/internal/geo"
 	"github.com/openspace-project/openspace/internal/orbit"
@@ -92,12 +93,17 @@ type Edge struct {
 	CrossOwner  bool // endpoints belong to different providers
 }
 
-// Snapshot is the network graph at one instant.
+// Snapshot is the network graph at one instant. It is immutable once
+// Build, NewSnapshot or Overlay returns it, which is what lets concurrent
+// readers share it and its lazily built Index.
 type Snapshot struct {
 	TimeS float64
 	nodes map[string]*Node
 	adj   map[string][]Edge
 	edges int // directed edge count
+
+	indexOnce sync.Once
+	index     *Index
 }
 
 // Node returns the node with the given ID, or nil.

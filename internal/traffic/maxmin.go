@@ -320,8 +320,8 @@ func prepareFill(n *Network, demands []Demand, cfg AllocConfig) (*Allocation, *f
 // k shortest).
 //
 // The computation is deterministic: demands are processed in input order,
-// links in sorted order, and path selection breaks ties toward the lower
-// Yen rank.
+// links in the order they are first seen along the demands' paths, and
+// path selection breaks ties toward the lower Yen rank.
 func MaxMinFair(n *Network, demands []Demand, cfg AllocConfig) (*Allocation, error) {
 	alloc, st, err := prepareFill(n, demands, cfg)
 	if err != nil {
