@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/openspace-project/openspace/internal/experiments"
+	"github.com/openspace-project/openspace/internal/faults"
 	"github.com/openspace-project/openspace/internal/geo"
 	"github.com/openspace-project/openspace/internal/orbit"
 	"github.com/openspace-project/openspace/internal/routing"
@@ -154,6 +155,34 @@ func BenchmarkTimeExpandedIncremental(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := topo.BuildTimeExpanded(0, 30*60, 60, cfg, specs, grounds, users); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkOverlay measures one fault mask applied to every snapshot of a
+// 30-step +Grid N=500 series: the degraded views a per-flow scenario
+// builds, one per snapshot it reads after each fault transition. The mask
+// is the ×8 default fault environment sampled mid-horizon, so it downs
+// both satellites and ISLs.
+func BenchmarkOverlay(b *testing.B) {
+	cfg, specs, grounds, users := gridBuildInputs(b, 500)
+	te, err := topo.BuildTimeExpanded(0, 30*60, 60, cfg, specs, grounds, users)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tl, err := faults.Generate(faults.Default().Scale(8), 30*60, faults.InputsFromSnapshot(te.Snaps[0]))
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := tl.MaskAt(15 * 60)
+	if nodes, links := m.Down(); nodes == 0 || links == 0 {
+		b.Fatalf("mask downs %d nodes and %d links; want some of each", nodes, links)
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, s := range te.Snaps {
+			_ = s.Overlay(m)
 		}
 	}
 }

@@ -174,6 +174,17 @@ func TestAddUser(t *testing.T) {
 	if _, err := n.AddUser("bob", "ghost", geo.LatLon{}); err == nil {
 		t.Error("unknown ISP should fail")
 	}
+	// A user named like a satellite or ground station would share its
+	// topology node.
+	sat := n.Provider("orbitco").Satellites[0].ID
+	for _, id := range []string{sat, "gs-nairobi"} {
+		if _, err := n.AddUser(id, "acme", geo.LatLon{}); err == nil || !strings.Contains(err.Error(), id) {
+			t.Errorf("AddUser(%q) = %v, want an error naming the clash", id, err)
+		}
+		if n.User(id) != nil {
+			t.Errorf("clashing user %q was added", id)
+		}
+	}
 	if n.User("alice") != u || n.User("ghost") != nil {
 		t.Error("User lookup broken")
 	}

@@ -112,14 +112,14 @@ func (n *Network) RankGateways(userID string, bytes int64, t float64) ([]Gateway
 	if !ok {
 		return nil, fmt.Errorf("core: unknown user %q", userID)
 	}
-	if n.router == nil {
+	if n.te == nil {
 		return nil, errors.New("core: BuildTopology must run before RankGateways")
 	}
 	var out []GatewayChoice
 	for _, pid := range n.Providers() {
 		p := n.providers[pid]
 		for sid, st := range p.Stations {
-			path, err := n.router.Route(t, userID, sid)
+			path, err := n.route(t, userID, sid)
 			if err != nil {
 				continue
 			}

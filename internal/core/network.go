@@ -13,7 +13,6 @@ import (
 	"github.com/openspace-project/openspace/internal/frame"
 	"github.com/openspace-project/openspace/internal/geo"
 	"github.com/openspace-project/openspace/internal/ground"
-	"github.com/openspace-project/openspace/internal/routing"
 	"github.com/openspace-project/openspace/internal/topo"
 )
 
@@ -54,10 +53,10 @@ type Network struct {
 	users     map[string]*User
 	rng       *rand.Rand
 
-	te      *topo.TimeExpanded
-	baseTE  *topo.TimeExpanded // intact geometry, kept while a fault overlay is installed
-	router  *routing.ProactiveRouter
-	flowSeq uint64
+	te       *topo.TimeExpanded                // intact geometry
+	mask     topo.Mask                         // installed fault mask, nil for none
+	degraded map[*topo.Snapshot]*topo.Snapshot // te's snapshots under mask, overlaid on first use
+	flowSeq  uint64
 }
 
 // NewNetwork federates the configured providers: every provider gets an
@@ -129,6 +128,14 @@ func (n *Network) AddUser(userID, homeISP string, pos geo.LatLon) (*User, error)
 	if _, exists := n.users[userID]; exists {
 		return nil, fmt.Errorf("core: duplicate user %q", userID)
 	}
+	// Users share the topology's node namespace with satellites and ground
+	// stations, and a snapshot needs every node ID to be unique.
+	if n.satConfig(userID) != nil {
+		return nil, fmt.Errorf("core: user ID %q is already a satellite ID", userID)
+	}
+	if st, _ := n.station(userID); st != nil {
+		return nil, fmt.Errorf("core: user ID %q is already a ground-station ID", userID)
+	}
 	secret := make([]byte, 32)
 	if _, err := n.rng.Read(secret); err != nil {
 		return nil, fmt.Errorf("core: generating secret: %w", err)
@@ -198,8 +205,8 @@ func (n *Network) userSpecs() []topo.UserSpec {
 }
 
 // BuildTopology precomputes the shared public topology over
-// [startS, startS+horizonS] at the given snapshot cadence and installs the
-// proactive router. Must be called after all users are added and before
+// [startS, startS+horizonS] at the given snapshot cadence, with no fault
+// mask installed. Must be called after all users are added and before
 // Associate/Send.
 func (n *Network) BuildTopology(startS, horizonS, intervalS float64) error {
 	te, err := topo.BuildTimeExpanded(startS, horizonS, intervalS, n.cfg.Topo,
@@ -207,28 +214,29 @@ func (n *Network) BuildTopology(startS, horizonS, intervalS float64) error {
 	if err != nil {
 		return err
 	}
-	n.te = te
-	n.baseTE = te
-	n.router = routing.NewProactiveRouter(te, routing.LatencyCost(n.cfg.PerHopProcessingS))
+	n.te, n.mask, n.degraded = te, nil, nil
 	return nil
 }
 
 // ApplyFaultMask installs a degraded view of the topology: association and
-// routing see the overlay while the intact geometry is retained, so masking
-// is cheap (shared nodes and adjacency, no rebuild) and clearing the mask
-// restores the original snapshots. An empty mask is the identity — the
-// overlay provably changes nothing when no fault is active.
+// routing see each snapshot's overlay under m while the intact geometry is
+// retained, and clearing the mask restores the original snapshots. An
+// empty mask is the identity — the overlay provably changes nothing when
+// no fault is active. A snapshot is overlaid when it is first read after
+// the call, so a fault transition costs only the snapshots used before
+// the next one; m is read then, and a caller that changes m must call
+// ApplyFaultMask again, as the fault-timeline drivers do after every
+// transition.
 func (n *Network) ApplyFaultMask(m topo.Mask) error {
-	if n.baseTE == nil {
+	if n.te == nil {
 		return errors.New("core: BuildTopology must run before ApplyFaultMask")
 	}
-	n.te = n.baseTE.Overlay(m)
-	n.router = routing.NewProactiveRouter(n.te, routing.LatencyCost(n.cfg.PerHopProcessingS))
+	n.mask, n.degraded = m, map[*topo.Snapshot]*topo.Snapshot{}
 	return nil
 }
 
-// Topology returns the built time-expanded topology, nil before
-// BuildTopology.
+// Topology returns the built time-expanded topology, without any fault
+// overlay; nil before BuildTopology.
 func (n *Network) Topology() *topo.TimeExpanded { return n.te }
 
 // Associate runs the full association for a user at time t: beacon scan
@@ -248,7 +256,7 @@ func (n *Network) Associate(userID string, t float64) error {
 
 	// Beacon scan: every satellite with an access edge to the user in the
 	// current snapshot is audible.
-	snap := n.te.At(t)
+	snap := n.snapshotAt(t)
 	u.Terminal.StartScan()
 	for _, e := range snap.Neighbors(userID) {
 		sat := snap.Node(e.To)
@@ -347,8 +355,6 @@ func (n *Network) MoveUser(userID string, pos geo.LatLon) error {
 	}
 	u.Pos = pos
 	// Invalidate precomputed topology: access edges are stale.
-	n.te = nil
-	n.baseTE = nil
-	n.router = nil
+	n.te, n.mask, n.degraded = nil, nil, nil
 	return nil
 }

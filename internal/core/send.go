@@ -48,15 +48,15 @@ func (n *Network) Send(userID, stationID string, bytes int64, t float64) (*Deliv
 	if st == nil {
 		return nil, fmt.Errorf("core: unknown ground station %q", stationID)
 	}
-	if n.router == nil {
+	if n.te == nil {
 		return nil, errors.New("core: BuildTopology must run before Send")
 	}
 
-	path, err := n.router.Route(t, userID, stationID)
+	path, err := n.route(t, userID, stationID)
 	if err != nil {
 		return nil, fmt.Errorf("core: routing %s → %s: %w", userID, stationID, err)
 	}
-	snap := n.te.At(t)
+	snap := n.snapshotAt(t)
 
 	// Hop ownership: every traversed node after the user attributes its
 	// owner; that is the infrastructure that carried the traffic.
@@ -137,10 +137,10 @@ func (n *Network) PublicKeys() map[string]ed25519.PublicKey {
 // Reachable reports whether a path exists from the user to the station at
 // time t under the current topology.
 func (n *Network) Reachable(userID, stationID string, t float64) bool {
-	if n.router == nil {
+	if n.te == nil {
 		return false
 	}
-	_, err := n.router.Route(t, userID, stationID)
+	_, err := n.route(t, userID, stationID)
 	return err == nil
 }
 
@@ -148,14 +148,14 @@ func (n *Network) Reachable(userID, stationID string, t float64) bool {
 // in first-traversal order — how "meshed" a delivery is (§3's argument for
 // why BGP's provider/customer split does not map onto OpenSpace).
 func (n *Network) PathProviders(userID, stationID string, t float64) ([]string, error) {
-	if n.router == nil {
+	if n.te == nil {
 		return nil, errors.New("core: BuildTopology must run first")
 	}
-	path, err := n.router.Route(t, userID, stationID)
+	path, err := n.route(t, userID, stationID)
 	if err != nil {
 		return nil, err
 	}
-	snap := n.te.At(t)
+	snap := n.snapshotAt(t)
 	var order []string
 	seen := map[string]bool{}
 	for _, node := range path.Nodes[1:] {
@@ -171,11 +171,26 @@ func (n *Network) PathProviders(userID, stationID string, t float64) ([]string, 
 	return order, nil
 }
 
-// snapshotAt exposes the snapshot in force at t (nil before BuildTopology),
-// for analysis helpers.
+// snapshotAt returns the snapshot in force at t, degraded by the installed
+// fault mask; nil before BuildTopology.
 func (n *Network) snapshotAt(t float64) *topo.Snapshot {
 	if n.te == nil {
 		return nil
 	}
-	return n.te.At(t)
+	s := n.te.At(t)
+	if n.mask == nil {
+		return s
+	}
+	o, ok := n.degraded[s]
+	if !ok {
+		o = s.Overlay(n.mask)
+		n.degraded[s] = o
+	}
+	return o
+}
+
+// route returns the lowest-latency path from src to dst over the snapshot
+// in force at t. BuildTopology must have run.
+func (n *Network) route(t float64, src, dst string) (routing.Path, error) {
+	return routing.ShortestPath(n.snapshotAt(t), src, dst, routing.LatencyCost(n.cfg.PerHopProcessingS))
 }

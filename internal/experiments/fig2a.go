@@ -48,11 +48,9 @@ func Fig2a(gridSize int) (*Fig2aResult, error) {
 	}
 	snap := topo.Build(0, topo.DefaultConfig(), specs, nil, nil)
 	var sum float64
-	for _, id := range snap.Nodes() {
-		for _, e := range snap.Neighbors(id) {
-			res.ISLCount++
-			sum += e.DistanceKm
-		}
+	for _, e := range snap.Edges() {
+		res.ISLCount++
+		sum += e.DistanceKm
 	}
 	if res.ISLCount > 0 {
 		res.MeanISLRangeKm = sum / float64(res.ISLCount)

@@ -112,16 +112,14 @@ func RoutingAblation(cfg RoutingAblationConfig) (*RoutingAblationResult, error) 
 		proactiveLoad.Commit(out.path, cfg.FlowBps)
 	}
 	over := map[[2]string]bool{}
-	for _, id := range snap.Nodes() {
-		for _, e := range snap.Neighbors(id) {
-			u := proactiveLoad.Utilization(e.From, e.To)
-			if u > res.ProactiveMaxUtilization {
-				res.ProactiveMaxUtilization = u
-			}
-			// Utilization saturates at 1; check raw commitment instead.
-			if u >= 1 {
-				over[[2]string{e.From, e.To}] = true
-			}
+	for _, e := range snap.Edges() {
+		u := proactiveLoad.Utilization(e.From, e.To)
+		if u > res.ProactiveMaxUtilization {
+			res.ProactiveMaxUtilization = u
+		}
+		// Utilization saturates at 1; check raw commitment instead.
+		if u >= 1 {
+			over[[2]string{e.From, e.To}] = true
 		}
 	}
 	res.ProactiveOverloadedEdges = len(over)
@@ -139,11 +137,9 @@ func RoutingAblation(cfg RoutingAblationConfig) (*RoutingAblationResult, error) 
 		res.OnDemandAdmitted++
 		odDelay.Add(p.DelayS * 1000)
 	}
-	for _, id := range snap.Nodes() {
-		for _, e := range snap.Neighbors(id) {
-			if u := router.Load().Utilization(e.From, e.To); u > res.OnDemandMaxUtilization {
-				res.OnDemandMaxUtilization = u
-			}
+	for _, e := range snap.Edges() {
+		if u := router.Load().Utilization(e.From, e.To); u > res.OnDemandMaxUtilization {
+			res.OnDemandMaxUtilization = u
 		}
 	}
 	res.OnDemandMeanDelayMs = odDelay.Mean()

@@ -186,18 +186,18 @@ func InputsFromSnapshot(s *topo.Snapshot) Inputs {
 		case topo.KindGroundStation:
 			in.Grounds = append(in.Grounds, id)
 		}
-		for _, e := range s.Neighbors(id) {
-			if e.Kind != topo.LinkISLRF && e.Kind != topo.LinkISLLaser {
-				continue
-			}
-			key := [2]string{e.From, e.To}
-			if key[0] > key[1] {
-				key[0], key[1] = key[1], key[0]
-			}
-			if !seen[key] {
-				seen[key] = true
-				in.ISLs = append(in.ISLs, key)
-			}
+	}
+	for _, e := range s.Edges() {
+		if e.Kind != topo.LinkISLRF && e.Kind != topo.LinkISLLaser {
+			continue
+		}
+		key := [2]string{e.From, e.To}
+		if key[0] > key[1] {
+			key[0], key[1] = key[1], key[0]
+		}
+		if !seen[key] {
+			seen[key] = true
+			in.ISLs = append(in.ISLs, key)
 		}
 	}
 	sort.Slice(in.ISLs, func(a, b int) bool {

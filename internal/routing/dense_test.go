@@ -295,7 +295,7 @@ func TestAllocGateDenseSearch(t *testing.T) {
 	first := append([]int32(nil), sr.path...)
 	run := func() {
 		sr.next()
-		sr.banEdges(first[0], first[1], sr.cur)
+		sr.banEdge(first[0], first[1], sr.cur)
 		if !sr.find(src, dst) {
 			t.Fatal("g1 unreachable once the first hop is banned")
 		}

@@ -42,13 +42,14 @@ func Tree(s *topo.Snapshot, src string, cost CostFunc) (map[string]float64, map[
 	sr.search(si, -1)
 	dist := map[string]float64{}
 	prev := map[string]string{}
-	for v, id := range sr.ix.IDs {
+	for v := range sr.ix.Nodes {
 		if !sr.reached(int32(v)) {
 			continue
 		}
+		id := sr.ix.Nodes[v].ID
 		dist[id] = sr.dist[v]
 		if int32(v) != si {
-			prev[id] = sr.ix.IDs[sr.prev[v]]
+			prev[id] = sr.ix.Nodes[sr.prev[v]].ID
 		}
 	}
 	return dist, prev, nil

@@ -42,8 +42,8 @@ func DisjointPaths(s *topo.Snapshot, src, dst string, cost CostFunc, k int) ([]P
 		// A used link is banned in both directions for the rest of the call.
 		for i := 0; i+1 < len(sr.path); i++ {
 			a, b := sr.path[i], sr.path[i+1]
-			sr.banEdges(a, b, sr.call)
-			sr.banEdges(b, a, sr.call)
+			sr.banEdge(a, b, sr.call)
+			sr.banEdge(b, a, sr.call)
 		}
 	}
 	return paths, nil

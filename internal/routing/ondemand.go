@@ -24,10 +24,8 @@ func NewEdgeLoad(s *topo.Snapshot) *EdgeLoad {
 		used: make(map[[2]string]float64),
 		caps: make(map[[2]string]float64),
 	}
-	for _, id := range s.Nodes() {
-		for _, e := range s.Neighbors(id) {
-			l.caps[[2]string{e.From, e.To}] = e.CapacityBps
-		}
+	for _, e := range s.Edges() {
+		l.caps[[2]string{e.From, e.To}] = e.CapacityBps
 	}
 	return l
 }

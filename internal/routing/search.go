@@ -77,7 +77,7 @@ func (sr *searcher) release() {
 // memoised and edges banned under an earlier call stamp no longer count.
 func (sr *searcher) bind(s *topo.Snapshot, ix *topo.Index, cost CostFunc) {
 	sr.snap, sr.ix, sr.cost = s, ix, cost
-	n, m := len(ix.IDs), len(ix.To)
+	n, m := len(ix.Nodes), len(ix.Edges)
 	if len(sr.dist) < n {
 		sr.dist = make([]float64, n)
 		sr.prev = make([]int32, n)
@@ -152,7 +152,7 @@ func (sr *searcher) search(src, stop int32) {
 			if sr.banned[v] == cur || sr.edgeBan[j] == call || sr.edgeBan[j] == cur {
 				continue
 			}
-			w, usable := sr.weight(u, j)
+			w, usable := sr.weight(j)
 			if !usable || w < 0 {
 				continue
 			}
@@ -165,11 +165,11 @@ func (sr *searcher) search(src, stop int32) {
 	}
 }
 
-// weight returns the memoised cost of edge j (an out-edge of u), scoring
-// it on first use in the call.
-func (sr *searcher) weight(u, j int32) (float64, bool) {
+// weight returns the memoised cost of edge j, scoring it on first use in
+// the call.
+func (sr *searcher) weight(j int32) (float64, bool) {
 	if sr.wStamp[j] != sr.call {
-		sr.w[j], sr.usable[j] = sr.cost(sr.edge(u, j), sr.snap)
+		sr.w[j], sr.usable[j] = sr.cost(sr.ix.Edges[j], sr.snap)
 		sr.wStamp[j] = sr.call
 	}
 	return sr.w[j], sr.usable[j]
@@ -230,26 +230,21 @@ func (sr *searcher) route(src, dst int32) {
 	}
 }
 
-// edgeTo returns the CSR position of the first edge u → v, as
-// Snapshot.Edge finds it. Callers pass consecutive nodes of a found path,
-// so the edge exists.
+// edgeTo returns the CSR position of edge u → v, or -1 when there is
+// none. A snapshot has at most one edge per ordered pair of nodes.
 func (sr *searcher) edgeTo(u, v int32) int32 {
-	j := sr.ix.Off[u]
-	for sr.ix.To[j] != v {
-		j++
-	}
-	return j
-}
-
-// edge returns the value of edge j, an out-edge of u.
-func (sr *searcher) edge(u, j int32) topo.Edge { return sr.ix.Adj[u][j-sr.ix.Off[u]] }
-
-// banEdges stamps every edge u → v with st.
-func (sr *searcher) banEdges(u, v int32, st uint32) {
 	for j := sr.ix.Off[u]; j < sr.ix.Off[u+1]; j++ {
 		if sr.ix.To[j] == v {
-			sr.edgeBan[j] = st
+			return j
 		}
+	}
+	return -1
+}
+
+// banEdge stamps edge u → v, if there is one, with st.
+func (sr *searcher) banEdge(u, v int32, st uint32) {
+	if j := sr.edgeTo(u, v); j >= 0 {
+		sr.edgeBan[j] = st
 	}
 }
 
@@ -258,12 +253,12 @@ func (sr *searcher) banEdges(u, v int32, st uint32) {
 func (sr *searcher) materialize(nodes []int32, cost float64) Path {
 	ids := make([]string, len(nodes))
 	for i, v := range nodes {
-		ids[i] = sr.ix.IDs[v]
+		ids[i] = sr.ix.Nodes[v].ID
 	}
 	edges := make([]topo.Edge, 0, len(nodes)-1)
 	for i := 0; i+1 < len(nodes); i++ {
 		j := sr.edgeTo(nodes[i], nodes[i+1])
-		edges = append(edges, sr.edge(nodes[i], j))
+		edges = append(edges, sr.ix.Edges[j])
 	}
 	return statsFromEdges(ids, cost, edges)
 }

@@ -44,7 +44,7 @@ func KShortestPaths(s *topo.Snapshot, src, dst string, cost CostFunc, k int) ([]
 			// shares this root. They all leave the spur.
 			for _, p := range paths {
 				if hasPrefix(p.nodes, root) {
-					sr.banEdges(p.nodes[i], p.nodes[i+1], sr.cur)
+					sr.banEdge(p.nodes[i], p.nodes[i+1], sr.cur)
 				}
 			}
 			// Nodes of the root (except the spur) are excluded to keep
@@ -97,7 +97,7 @@ func (sr *searcher) join(root, spurPath []int32) densePath {
 	var total float64
 	for i := 0; i+1 < len(nodes); i++ {
 		j := sr.edgeTo(nodes[i], nodes[i+1])
-		w, _ := sr.weight(nodes[i], j)
+		w, _ := sr.weight(j)
 		total += w
 	}
 	return densePath{nodes: nodes, cost: total}

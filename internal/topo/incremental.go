@@ -4,10 +4,10 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"strings"
 
 	"github.com/openspace-project/openspace/internal/geo"
 	"github.com/openspace-project/openspace/internal/orbit"
+	"github.com/openspace-project/openspace/internal/phy"
 )
 
 // builder constructs snapshots of one fixed deployment (satellites,
@@ -49,6 +49,14 @@ type builder struct {
 	pos      []geo.Vec3     //lint:scratch
 	feasible []feasiblePair //lint:scratch
 	degree   []int          //lint:scratch
+	links    []Edge         //lint:scratch — one direction of each link, arcs 2l and 2l+1 of asm
+	asm      assembler      //lint:scratch
+
+	// nodes is every snapshot's node list, sorted by ID, with satellite
+	// positions left for SnapshotAt; satellite i is nodes[rank[i]] and
+	// entity k is nodes[rank[len(sats)+k]].
+	nodes []Node
+	rank  []int32
 
 	// Watch lists and their validity window.
 	watchISL    [][2]int
@@ -138,6 +146,29 @@ func newBuilder(cfg Config, sats []SatSpec, grounds []GroundSpec, users []UserSp
 	// window at fine snapshot cadences; any positive value is correct.
 	b.skinISLKm = math.Max(1, 0.15*b.maxISLKm)
 	b.skinGroundKm = math.Max(1, 0.15*b.attachKm)
+
+	nodes := make([]Node, 0, len(sats)+len(b.entities))
+	for i := range sats {
+		sp := &sats[i]
+		nodes = append(nodes, Node{ID: sp.ID, Kind: KindSatellite, Provider: sp.Provider, HasLaser: sp.HasLaser})
+	}
+	for k := range b.entities {
+		e := &b.entities[k]
+		kind := KindGroundStation
+		if e.kind == LinkAccess {
+			kind = KindUser
+		}
+		nodes = append(nodes, Node{ID: e.id, Kind: kind, Provider: e.provider, Pos: e.pos})
+	}
+	slices.SortFunc(nodes, byID)
+	ix := Index{Nodes: nodes}
+	b.nodes, b.rank = nodes, make([]int32, len(nodes))
+	for i := range sats {
+		b.rank[i], _ = ix.Lookup(sats[i].ID)
+	}
+	for k := range b.entities {
+		b.rank[len(sats)+k], _ = ix.Lookup(b.entities[k].id)
+	}
 	return b
 }
 
@@ -223,25 +254,9 @@ func (b *builder) SnapshotAt(t float64) *Snapshot {
 		b.refreshWatch(t)
 	}
 
-	s := &Snapshot{
-		TimeS: t,
-		nodes: make(map[string]*Node, len(b.sats)+len(b.entities)),
-		adj:   make(map[string][]Edge),
-	}
+	nodes := slices.Clone(b.nodes)
 	for i := range b.sats {
-		sp := &b.sats[i]
-		s.nodes[sp.ID] = &Node{
-			ID: sp.ID, Kind: KindSatellite, Provider: sp.Provider,
-			Pos: b.pos[i], HasLaser: sp.HasLaser,
-		}
-	}
-	for k := range b.entities {
-		e := &b.entities[k]
-		kind := KindGroundStation
-		if e.kind == LinkAccess {
-			kind = KindUser
-		}
-		s.nodes[e.id] = &Node{ID: e.id, Kind: kind, Provider: e.provider, Pos: e.pos}
+		nodes[b.rank[i]].Pos = b.pos[i]
 	}
 
 	// Inter-satellite links: exact feasibility over the candidate pairs,
@@ -252,6 +267,11 @@ func (b *builder) SnapshotAt(t float64) *Snapshot {
 		cands = b.staticPairs
 	}
 	b.feasibleISLs(cands)
+	n := len(b.feasible) // bounds the links collected below
+	for _, w := range b.watchGround {
+		n += len(w)
+	}
+	b.links = slices.Grow(b.links[:0], n)
 	for i := range b.degree {
 		b.degree[i] = 0
 	}
@@ -265,8 +285,7 @@ func (b *builder) SnapshotAt(t float64) *Snapshot {
 		if b.sats[p.i].HasLaser && b.sats[p.j].HasLaser && p.d <= b.cfg.LaserRangeKm {
 			kind, capBps = LinkISLLaser, b.cfg.LaserISLBps
 		}
-		s.addBidirectional(b.sats[p.i].ID, b.sats[p.j].ID, kind, p.d, capBps,
-			b.sats[p.i].Provider != b.sats[p.j].Provider)
+		b.link(b.rank[p.i], b.rank[p.j], kind, p.d, capBps, b.sats[p.i].Provider != b.sats[p.j].Provider)
 	}
 
 	// Ground-station and user access links by elevation mask, over the
@@ -278,18 +297,26 @@ func (b *builder) SnapshotAt(t float64) *Snapshot {
 				continue
 			}
 			d := e.pos.DistanceKm(b.pos[i])
-			s.addBidirectional(e.id, b.sats[i].ID, e.kind, d, e.capBps,
-				e.provider != b.sats[i].Provider)
+			b.link(b.rank[len(b.sats)+k], b.rank[i], e.kind, d, e.capBps, e.provider != b.sats[i].Provider)
 		}
 	}
 
-	// Deterministic adjacency order. Edge targets are unique within one
-	// adjacency list, so the comparator is a total order and the sorted
-	// sequence is algorithm-independent.
-	for id := range s.adj {
-		slices.SortFunc(s.adj[id], func(x, y Edge) int { return strings.Compare(x.To, y.To) })
-	}
-	return s
+	return b.asm.snapshot(t, nodes, func(k int32) Edge {
+		e := b.links[k/2]
+		if k%2 == 1 {
+			e.From, e.To = e.To, e.From
+		}
+		return e
+	})
+}
+
+// link collects the link between the nodes at positions u and v as arcs
+// u → v and v → u.
+func (b *builder) link(u, v int32, kind LinkKind, distKm, capBps float64, cross bool) {
+	b.links = append(b.links, Edge{From: b.nodes[u].ID, To: b.nodes[v].ID, Kind: kind, DistanceKm: distKm,
+		DelayS: distKm / phy.SpeedOfLightKmS, CapacityBps: capBps, CrossOwner: cross})
+	b.asm.add(u, v)
+	b.asm.add(v, u)
 }
 
 // feasibleISLs refreshes the sorted feasible-pair scratch from the

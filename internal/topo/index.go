@@ -1,55 +1,98 @@
 package topo
 
-import "sort"
+import (
+	"slices"
+	"strings"
+)
 
-// Index is a dense, read-only view of a snapshot for graph kernels. Node
-// IDs are interned to int32 positions in sorted ID order, so comparing two
-// positions compares the IDs they name. Adjacency is in compressed sparse
-// row (CSR) form: node i's outgoing edges occupy positions Off[i] to
-// Off[i+1]-1 of To, in Neighbors order, and Adj[i] holds the same edges as
-// values. Adj[i] is the snapshot's own adjacency slice, shared rather than
-// copied, so edge j of node i is Adj[i][j-Off[i]].
+// Index is a snapshot's graph in compressed sparse row (CSR) form, the one
+// representation a snapshot stores. Nodes are sorted by ID, so a node's
+// position, its dense index, orders the same way as its ID. Node i's
+// outgoing edges are Edges[Off[i]:Off[i+1]], sorted by target, and To[j]
+// is the position of Edges[j].To; Edges therefore lists every directed
+// edge in (From, To) order. Graph kernels read the fields directly and
+// must not modify them.
 type Index struct {
-	IDs []string // node IDs, sorted; a node's position is its dense index
-	Off []int32  // len(IDs)+1 CSR offsets into To
-	To  []int32  // dense index of each edge's target
-	Adj [][]Edge // per-node outgoing edges, shared with the snapshot
+	Nodes []Node  // sorted by ID
+	Off   []int32 // len(Nodes)+1 row offsets into To and Edges
+	To    []int32 // position of each edge's target
+	Edges []Edge  // every directed edge, in (From, To) order
 }
 
-// Index returns the snapshot's dense index, building it on first use. It
-// is safe for concurrent use and every caller gets the same index. An
-// overlay is a snapshot of its own and builds its own index.
-func (s *Snapshot) Index() *Index {
-	s.indexOnce.Do(func() { s.index = newIndex(s) })
-	return s.index
-}
-
-func newIndex(s *Snapshot) *Index {
-	ids := s.Nodes()
-	ix := &Index{
-		IDs: ids,
-		Off: make([]int32, len(ids)+1),
-		To:  make([]int32, 0, s.edges),
-		Adj: make([][]Edge, len(ids)),
-	}
-	for i, id := range ids {
-		es := s.adj[id]
-		ix.Adj[i] = es
-		for _, e := range es {
-			j, _ := ix.Lookup(e.To) // every edge target is a node of s
-			ix.To = append(ix.To, j)
-		}
-		ix.Off[i+1] = int32(len(ix.To))
-	}
-	return ix
-}
+// Index returns the snapshot's CSR form. It is built with the snapshot,
+// so it is safe for concurrent readers; an overlay is a snapshot of its
+// own with its own index.
+func (s *Snapshot) Index() *Index { return &s.ix }
 
 // Lookup returns the dense index of id, or -1 and false when the snapshot
 // has no such node.
 func (ix *Index) Lookup(id string) (int32, bool) {
-	i := sort.SearchStrings(ix.IDs, id)
-	if i < len(ix.IDs) && ix.IDs[i] == id {
-		return int32(i), true
+	i, ok := slices.BinarySearchFunc(ix.Nodes, id, func(n Node, id string) int { return strings.Compare(n.ID, id) })
+	if !ok {
+		return -1, false
 	}
-	return -1, false
+	return int32(i), true
+}
+
+// byID orders nodes by ID, the order of a snapshot's node list.
+func byID(x, y Node) int { return strings.Compare(x.ID, y.ID) }
+
+// assembler sorts a snapshot's directed edges into CSR form. Callers add
+// each edge as an arc between the sorted positions of its endpoints and
+// supply the edge values only at assembly, so each value is written once,
+// straight into place. Build, NewSnapshot and Overlay all construct
+// snapshots through it; the incremental builder keeps one as scratch.
+type assembler struct {
+	from  []int32 //lint:scratch — source position of each arc
+	to    []int32 //lint:scratch — target position of each arc
+	order []int32 //lint:scratch — arcs sorted by target
+	next  []int32 //lint:scratch — per-node fill cursor of the counting sorts
+}
+
+// add collects an arc from the node at position u to the one at v.
+func (a *assembler) add(u, v int32) {
+	a.from = append(a.from, u)
+	a.to = append(a.to, v)
+}
+
+// snapshot returns the collected arcs over nodes, which must be sorted by
+// unique ID, as the snapshot at time t, with edge(k) the value of arc k,
+// and empties the assembler. Arcs are put in (From, To) order by two
+// stable counting sorts, by target and then by source, so the order
+// depends only on the endpoint positions, never on the order arcs were
+// added in, as long as no (From, To) pair was added twice.
+func (a *assembler) snapshot(t float64, nodes []Node, edge func(k int32) Edge) *Snapshot {
+	n, m := len(nodes), len(a.from)
+	a.order = slices.Grow(a.order[:0], m)[:m]
+	a.next = slices.Grow(a.next[:0], n+1)[:n+1]
+	rowStarts(a.next, a.to)
+	for k, v := range a.to {
+		a.order[a.next[v]] = int32(k)
+		a.next[v]++
+	}
+	ix := Index{Nodes: nodes, Off: make([]int32, n+1), To: make([]int32, m), Edges: make([]Edge, m)}
+	rowStarts(ix.Off, a.from)
+	copy(a.next, ix.Off)
+	for _, k := range a.order {
+		u := a.from[k]
+		p := a.next[u]
+		a.next[u]++
+		ix.To[p], ix.Edges[p] = a.to[k], edge(k)
+	}
+	a.from, a.to = a.from[:0], a.to[:0]
+	return &Snapshot{TimeS: t, ix: ix}
+}
+
+// rowStarts sets each off[i] to the number of keys below i, for off one
+// longer than the number of rows: with keys the rows of a list of
+// entries, off[i] is where row i starts once the entries are sorted by
+// row.
+func rowStarts(off, keys []int32) {
+	clear(off)
+	for _, k := range keys {
+		off[k+1]++
+	}
+	for i := 1; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
 }

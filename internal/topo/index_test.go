@@ -2,71 +2,67 @@ package topo
 
 import (
 	"slices"
-	"sync"
 	"testing"
 )
 
-// checkIndex verifies an index against its snapshot: IDs are the sorted
-// node set, and node i's CSR row lists Neighbors(IDs[i]) in order, both
-// as target indices and as the shared edge values.
-func checkIndex(t *testing.T, s *Snapshot, ix *Index) {
+// checkSnapshot verifies the invariants of a snapshot's CSR form: node IDs
+// sorted and unique, offsets monotone and covering every edge, each row
+// sorted by strictly increasing target so the edges run in (From, To)
+// order, To naming each edge's target, the accessors agreeing with the
+// rows, and Node and Lookup round-tripping every ID.
+func checkSnapshot(t *testing.T, s *Snapshot) {
 	t.Helper()
-	if !slices.Equal(ix.IDs, s.Nodes()) {
-		t.Fatalf("index IDs %v, snapshot nodes %v", ix.IDs, s.Nodes())
-	}
-	if len(ix.Off) != len(ix.IDs)+1 || int(ix.Off[len(ix.IDs)]) != len(ix.To) || len(ix.To) != s.EdgeCount() {
-		t.Fatalf("CSR shape: %d offsets, %d targets, %d edges", len(ix.Off), len(ix.To), s.EdgeCount())
-	}
-	for i, id := range ix.IDs {
-		nb := s.Neighbors(id)
-		if !slices.Equal(ix.Adj[i], nb) || int(ix.Off[i+1]-ix.Off[i]) != len(nb) {
-			t.Fatalf("%s: adjacency %v, want %v", id, ix.Adj[i], nb)
+	ix := s.Index()
+	n := len(ix.Nodes)
+	for i := 1; i < n; i++ {
+		if ix.Nodes[i-1].ID >= ix.Nodes[i].ID {
+			t.Fatalf("node IDs not sorted and unique at %d: %q, %q", i, ix.Nodes[i-1].ID, ix.Nodes[i].ID)
 		}
-		for k, e := range nb {
-			if got := ix.IDs[ix.To[int(ix.Off[i])+k]]; got != e.To {
-				t.Fatalf("%s edge %d: target %s, want %s", id, k, got, e.To)
+	}
+	if len(ix.Off) != n+1 || ix.Off[0] != 0 || int(ix.Off[n]) != len(ix.Edges) ||
+		len(ix.To) != len(ix.Edges) || s.EdgeCount() != len(ix.Edges) || s.NodeCount() != n {
+		t.Fatalf("CSR shape: %d nodes, %d offsets ending at %d, %d targets, %d edges, EdgeCount %d",
+			n, len(ix.Off), ix.Off[len(ix.Off)-1], len(ix.To), len(ix.Edges), s.EdgeCount())
+	}
+	ids := s.Nodes()
+	for i := range ix.Nodes {
+		id := ix.Nodes[i].ID
+		if ids[i] != id {
+			t.Fatalf("Nodes()[%d] = %q, want %q", i, ids[i], id)
+		}
+		if ix.Off[i] > ix.Off[i+1] {
+			t.Fatalf("%s: offsets decrease: %d > %d", id, ix.Off[i], ix.Off[i+1])
+		}
+		for j := ix.Off[i]; j < ix.Off[i+1]; j++ {
+			e := ix.Edges[j]
+			if e.From != id || ix.Nodes[ix.To[j]].ID != e.To {
+				t.Fatalf("edge %d %s→%s sits in row %s with target %s", j, e.From, e.To, id, ix.Nodes[ix.To[j]].ID)
 			}
+			if j > ix.Off[i] && ix.To[j-1] >= ix.To[j] {
+				t.Fatalf("%s: row not in strictly increasing target order at edge %d", id, j)
+			}
+		}
+		if nb := s.Neighbors(id); !slices.Equal(nb, ix.Edges[ix.Off[i]:ix.Off[i+1]]) {
+			t.Fatalf("%s: Neighbors %v, CSR row %v", id, nb, ix.Edges[ix.Off[i]:ix.Off[i+1]])
 		}
 		if j, ok := ix.Lookup(id); !ok || int(j) != i {
 			t.Fatalf("Lookup(%s) = %d, %v; want %d", id, j, ok, i)
 		}
-	}
-	if j, ok := ix.Lookup("no-such-node"); ok || j != -1 {
-		t.Fatalf("Lookup of a missing node = %d, %v", j, ok)
-	}
-}
-
-// TestIndexConcurrentFirstUse races eight goroutines on a snapshot's first
-// Index call, as parallel workers sharing read-only snapshots do; run it
-// under -race. All must get the one index, and it must describe the graph.
-func TestIndexConcurrentFirstUse(t *testing.T) {
-	s := lineSnapshot(t)
-	const workers = 8
-	got := make([]*Index, workers)
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			<-start
-			got[w] = s.Index()
-		}(w)
-	}
-	close(start)
-	wg.Wait()
-	for w, ix := range got {
-		if ix == nil || ix != got[0] {
-			t.Fatalf("worker %d got index %p, worker 0 got %p", w, ix, got[0])
+		if s.Node(id) != &ix.Nodes[i] {
+			t.Fatalf("Node(%s) is not node %d", id, i)
 		}
 	}
-	checkIndex(t, s, got[0])
+	if !slices.Equal(s.Edges(), ix.Edges) {
+		t.Fatal("Edges() differs from the CSR edge list")
+	}
+	if j, ok := ix.Lookup("no-such-node"); ok || j != -1 || s.Node("no-such-node") != nil || s.Neighbors("no-such-node") != nil {
+		t.Fatalf("lookups of a missing node: Lookup = %d, %v", j, ok)
+	}
 }
 
-// TestIndexOverlayBuildsItsOwn checks that a degraded view never inherits
-// the index of the snapshot it was derived from, even when the parent's
-// was built first, while an empty mask returns the same snapshot and so
-// the same index.
+// TestIndexOverlayBuildsItsOwn checks that a degraded view never shares
+// the index of the snapshot it was derived from, while an empty mask
+// returns the same snapshot and so the same index.
 func TestIndexOverlayBuildsItsOwn(t *testing.T) {
 	s := lineSnapshot(t)
 	parent := s.Index()
@@ -75,11 +71,11 @@ func TestIndexOverlayBuildsItsOwn(t *testing.T) {
 	if ix == parent {
 		t.Fatal("overlay shares its parent's index")
 	}
-	checkIndex(t, o, ix)
+	checkSnapshot(t, o)
 	if _, ok := ix.Lookup("b"); ok {
 		t.Fatal("failed node b is in the overlay's index")
 	}
-	checkIndex(t, s, parent)
+	checkSnapshot(t, s)
 	if s.Overlay(fakeMask{}).Index() != parent {
 		t.Fatal("empty overlay should keep the snapshot's index")
 	}

@@ -17,10 +17,9 @@ type Mask interface {
 
 // Overlay returns the degraded view of s under m: masked nodes disappear
 // along with their incident edges, and masked links disappear in both
-// directions. Geometry is never rebuilt — node pointers and edge values are
-// shared with the original snapshot, and adjacency slices are shared
-// whenever the mask does not touch them, so an overlay costs one filtered
-// pass over the adjacency lists rather than an O(N²) feasibility build.
+// directions. Geometry is never rebuilt: the overlay is one filtered copy
+// of the surviving nodes and edges into a CSR of its own, rather than an
+// O(N²) feasibility build.
 //
 // A nil or empty mask returns s itself: fault injection disabled is a
 // provable no-op, which is what lets every fault-free experiment regenerate
@@ -29,58 +28,26 @@ func (s *Snapshot) Overlay(m Mask) *Snapshot {
 	if m == nil || m.Empty() {
 		return s
 	}
-	out := &Snapshot{
-		TimeS: s.TimeS,
-		nodes: make(map[string]*Node, len(s.nodes)),
-		adj:   make(map[string][]Edge),
-	}
-	for id, n := range s.nodes {
-		if m.NodeDown(id) {
-			continue
+	ix := &s.ix
+	pos := make([]int32, len(ix.Nodes)) // position in the overlay, -1 when down
+	nodes := make([]Node, 0, len(ix.Nodes))
+	for i := range ix.Nodes {
+		pos[i] = -1
+		if !m.NodeDown(ix.Nodes[i].ID) {
+			pos[i] = int32(len(nodes))
+			nodes = append(nodes, ix.Nodes[i])
 		}
-		out.nodes[id] = n
 	}
-	for id := range out.nodes {
-		es := s.adj[id]
-		drop := 0
-		for _, e := range es {
-			if m.NodeDown(e.To) || m.EdgeDown(e.From, e.To) {
-				drop++
+	var a assembler
+	kept := make([]int32, 0, len(ix.Edges)) // the parent edge behind each arc
+	for u := range ix.Nodes {
+		for j := ix.Off[u]; j < ix.Off[u+1]; j++ {
+			e := &ix.Edges[j]
+			if pu, pv := pos[u], pos[ix.To[j]]; pu >= 0 && pv >= 0 && !m.EdgeDown(e.From, e.To) {
+				a.add(pu, pv)
+				kept = append(kept, j)
 			}
 		}
-		if drop == 0 {
-			if len(es) > 0 {
-				out.adj[id] = es // untouched list: share, don't copy
-			}
-			out.edges += len(es)
-			continue
-		}
-		if drop == len(es) {
-			continue
-		}
-		kept := make([]Edge, 0, len(es)-drop)
-		for _, e := range es {
-			if m.NodeDown(e.To) || m.EdgeDown(e.From, e.To) {
-				continue
-			}
-			kept = append(kept, e)
-		}
-		out.adj[id] = kept
-		out.edges += len(kept)
 	}
-	return out
-}
-
-// Overlay returns the series with every snapshot degraded under the mask's
-// state at call time. Snapshots the mask does not touch are shared with the
-// original series; an empty mask returns the series itself.
-func (te *TimeExpanded) Overlay(m Mask) *TimeExpanded {
-	if m == nil || m.Empty() {
-		return te
-	}
-	snaps := make([]*Snapshot, len(te.Snaps))
-	for i, s := range te.Snaps {
-		snaps[i] = s.Overlay(m)
-	}
-	return &TimeExpanded{StartS: te.StartS, IntervalS: te.IntervalS, Snaps: snaps}
+	return a.snapshot(s.TimeS, nodes, func(k int32) Edge { return ix.Edges[kept[k]] })
 }

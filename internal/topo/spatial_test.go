@@ -8,6 +8,7 @@ import (
 
 	"github.com/openspace-project/openspace/internal/geo"
 	"github.com/openspace-project/openspace/internal/orbit"
+	"github.com/openspace-project/openspace/internal/phy"
 )
 
 // bruteFeasibleISLs is the reference O(N²) feasibility scan the spatial
@@ -146,25 +147,36 @@ func TestBuildMatchesBruteForceSnapshot(t *testing.T) {
 		}
 		cfg := DefaultConfig()
 		got := Build(300, cfg, specs, grounds, users)
-		want := bruteForceBuild(300, cfg, specs, grounds, users)
+		checkSnapshot(t, got)
+		want := bruteForceBuild(t, 300, cfg, specs, grounds, users)
 		assertSnapshotsEqual(t, fmt.Sprintf("n=%d", n), got, want)
 	}
 }
 
 // bruteForceBuild reimplements snapshot assembly with the original
 // quadratic scans, as the oracle for TestBuildMatchesBruteForceSnapshot.
-func bruteForceBuild(t float64, cfg Config, sats []SatSpec, grounds []GroundSpec, users []UserSpec) *Snapshot {
-	s := &Snapshot{TimeS: t, nodes: make(map[string]*Node), adj: make(map[string][]Edge)}
+// It hands the result to NewSnapshot, so the oracle never depends on how a
+// snapshot stores its graph.
+func bruteForceBuild(tb testing.TB, at float64, cfg Config, sats []SatSpec, grounds []GroundSpec, users []UserSpec) *Snapshot {
+	tb.Helper()
+	var nodes []Node
+	var edges []Edge
+	addBidirectional := func(a, b string, kind LinkKind, distKm, capBps float64, cross bool) {
+		delay := distKm / phy.SpeedOfLightKmS
+		edges = append(edges,
+			Edge{From: a, To: b, Kind: kind, DistanceKm: distKm, DelayS: delay, CapacityBps: capBps, CrossOwner: cross},
+			Edge{From: b, To: a, Kind: kind, DistanceKm: distKm, DelayS: delay, CapacityBps: capBps, CrossOwner: cross})
+	}
 	pos := make([]geo.Vec3, len(sats))
 	for i, sp := range sats {
-		pos[i] = sp.Elements.PositionECEF(t)
-		s.nodes[sp.ID] = &Node{ID: sp.ID, Kind: KindSatellite, Provider: sp.Provider, Pos: pos[i], HasLaser: sp.HasLaser}
+		pos[i] = sp.Elements.PositionECEF(at)
+		nodes = append(nodes, Node{ID: sp.ID, Kind: KindSatellite, Provider: sp.Provider, Pos: pos[i], HasLaser: sp.HasLaser})
 	}
 	for _, g := range grounds {
-		s.nodes[g.ID] = &Node{ID: g.ID, Kind: KindGroundStation, Provider: g.Provider, Pos: g.Pos.Vec3(0)}
+		nodes = append(nodes, Node{ID: g.ID, Kind: KindGroundStation, Provider: g.Provider, Pos: g.Pos.Vec3(0)})
 	}
 	for _, u := range users {
-		s.nodes[u.ID] = &Node{ID: u.ID, Kind: KindUser, Provider: u.Provider, Pos: u.Pos.Vec3(0)}
+		nodes = append(nodes, Node{ID: u.ID, Kind: KindUser, Provider: u.Provider, Pos: u.Pos.Vec3(0)})
 	}
 	type pair struct {
 		i, j int
@@ -200,7 +212,7 @@ func bruteForceBuild(t float64, cfg Config, sats []SatSpec, grounds []GroundSpec
 		if sats[p.i].HasLaser && sats[p.j].HasLaser && p.d <= cfg.LaserRangeKm {
 			kind, capBps = LinkISLLaser, cfg.LaserISLBps
 		}
-		s.addBidirectional(sats[p.i].ID, sats[p.j].ID, kind, p.d, capBps,
+		addBidirectional(sats[p.i].ID, sats[p.j].ID, kind, p.d, capBps,
 			sats[p.i].Provider != sats[p.j].Provider)
 	}
 	attach := func(id, provider string, ll geo.LatLon, kind LinkKind, capBps float64) {
@@ -209,7 +221,7 @@ func bruteForceBuild(t float64, cfg Config, sats []SatSpec, grounds []GroundSpec
 			if geo.ElevationDeg(ll, pos[i]) < cfg.MinElevationDeg {
 				continue
 			}
-			s.addBidirectional(id, sat.ID, kind, gp.DistanceKm(pos[i]), capBps, provider != sat.Provider)
+			addBidirectional(id, sat.ID, kind, gp.DistanceKm(pos[i]), capBps, provider != sat.Provider)
 		}
 	}
 	for _, g := range grounds {
@@ -218,9 +230,9 @@ func bruteForceBuild(t float64, cfg Config, sats []SatSpec, grounds []GroundSpec
 	for _, u := range users {
 		attach(u.ID, u.Provider, u.Pos, LinkAccess, cfg.AccessBps)
 	}
-	for id := range s.adj {
-		es := s.adj[id]
-		sort.Slice(es, func(a, b int) bool { return es[a].To < es[b].To })
+	s, err := NewSnapshot(at, nodes, edges)
+	if err != nil {
+		tb.Fatal(err)
 	}
 	return s
 }

@@ -13,8 +13,7 @@ package topo
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 
 	"github.com/openspace-project/openspace/internal/geo"
 	"github.com/openspace-project/openspace/internal/orbit"
@@ -93,44 +92,55 @@ type Edge struct {
 	CrossOwner  bool // endpoints belong to different providers
 }
 
-// Snapshot is the network graph at one instant. It is immutable once
-// Build, NewSnapshot or Overlay returns it, which is what lets concurrent
-// readers share it and its lazily built Index.
+// Snapshot is the network graph at one instant, stored once, in the CSR
+// form of its Index. It is immutable once Build, NewSnapshot or Overlay
+// returns it, which is what lets concurrent readers share it.
 type Snapshot struct {
 	TimeS float64
-	nodes map[string]*Node
-	adj   map[string][]Edge
-	edges int // directed edge count
-
-	indexOnce sync.Once
-	index     *Index
+	ix    Index
 }
 
 // Node returns the node with the given ID, or nil.
-func (s *Snapshot) Node(id string) *Node { return s.nodes[id] }
+func (s *Snapshot) Node(id string) *Node {
+	i, ok := s.ix.Lookup(id)
+	if !ok {
+		return nil
+	}
+	return &s.ix.Nodes[i]
+}
 
 // Nodes returns all node IDs in deterministic (sorted) order.
 func (s *Snapshot) Nodes() []string {
-	ids := make([]string, 0, len(s.nodes))
-	for id := range s.nodes {
-		ids = append(ids, id)
+	ids := make([]string, len(s.ix.Nodes))
+	for i := range s.ix.Nodes {
+		ids[i] = s.ix.Nodes[i].ID
 	}
-	sort.Strings(ids)
 	return ids
 }
 
-// Neighbors returns the outgoing edges of id.
-func (s *Snapshot) Neighbors(id string) []Edge { return s.adj[id] }
+// Neighbors returns the outgoing edges of id, sorted by target.
+func (s *Snapshot) Neighbors(id string) []Edge {
+	i, ok := s.ix.Lookup(id)
+	if !ok {
+		return nil
+	}
+	return s.ix.Edges[s.ix.Off[i]:s.ix.Off[i+1]:s.ix.Off[i+1]]
+}
+
+// Edges returns every directed edge in (From, To) order: the Neighbors
+// lists of all nodes in sorted-ID order, concatenated. The slice is the
+// snapshot's own and must not be modified.
+func (s *Snapshot) Edges() []Edge { return slices.Clip(s.ix.Edges) }
 
 // NodeCount returns the number of nodes.
-func (s *Snapshot) NodeCount() int { return len(s.nodes) }
+func (s *Snapshot) NodeCount() int { return len(s.ix.Nodes) }
 
 // EdgeCount returns the number of directed edges.
-func (s *Snapshot) EdgeCount() int { return s.edges }
+func (s *Snapshot) EdgeCount() int { return len(s.ix.Edges) }
 
 // Edge returns the edge from → to if present.
 func (s *Snapshot) Edge(from, to string) (Edge, bool) {
-	for _, e := range s.adj[from] {
+	for _, e := range s.Neighbors(from) {
 		if e.To == to {
 			return e, true
 		}
@@ -146,40 +156,35 @@ func (s *Snapshot) Edge(from, to string) (Edge, bool) {
 // must name declared nodes, and duplicate directed edges are rejected so a
 // (from, to) pair identifies at most one link.
 func NewSnapshot(t float64, nodes []Node, edges []Edge) (*Snapshot, error) {
-	s := &Snapshot{
-		TimeS: t,
-		nodes: make(map[string]*Node, len(nodes)),
-		adj:   make(map[string][]Edge),
-	}
 	for i := range nodes {
-		n := nodes[i]
-		if n.ID == "" {
+		if nodes[i].ID == "" {
 			return nil, fmt.Errorf("topo: node %d has empty ID", i)
 		}
-		if _, dup := s.nodes[n.ID]; dup {
-			return nil, fmt.Errorf("topo: duplicate node %q", n.ID)
-		}
-		s.nodes[n.ID] = &n
 	}
-	seen := make(map[[2]string]bool, len(edges))
+	ix := Index{Nodes: slices.Clone(nodes)}
+	slices.SortFunc(ix.Nodes, byID)
+	for i := 1; i < len(ix.Nodes); i++ {
+		if ix.Nodes[i].ID == ix.Nodes[i-1].ID {
+			return nil, fmt.Errorf("topo: duplicate node %q", ix.Nodes[i].ID)
+		}
+	}
+	var a assembler
 	for _, e := range edges {
-		if s.nodes[e.From] == nil || s.nodes[e.To] == nil {
+		u, okU := ix.Lookup(e.From)
+		v, okV := ix.Lookup(e.To)
+		if !okU || !okV {
 			return nil, fmt.Errorf("topo: edge %s→%s references unknown node", e.From, e.To)
 		}
-		if e.From == e.To {
+		if u == v {
 			return nil, fmt.Errorf("topo: self-loop on %q", e.From)
 		}
-		key := [2]string{e.From, e.To}
-		if seen[key] {
-			return nil, fmt.Errorf("topo: duplicate edge %s→%s", e.From, e.To)
-		}
-		seen[key] = true
-		s.adj[e.From] = append(s.adj[e.From], e)
-		s.edges++
+		a.add(u, v)
 	}
-	for id := range s.adj {
-		es := s.adj[id]
-		sort.Slice(es, func(a, b int) bool { return es[a].To < es[b].To })
+	s := a.snapshot(t, ix.Nodes, func(k int32) Edge { return edges[k] })
+	for j := 1; j < len(s.ix.To); j++ {
+		if s.ix.To[j] == s.ix.To[j-1] && s.ix.Edges[j].From == s.ix.Edges[j-1].From {
+			return nil, fmt.Errorf("topo: duplicate edge %s→%s", s.ix.Edges[j].From, s.ix.Edges[j].To)
+		}
 	}
 	return s, nil
 }
@@ -256,7 +261,9 @@ func DefaultConfig() Config {
 	}
 }
 
-// Build constructs the snapshot at time t.
+// Build constructs the snapshot at time t. Node IDs must be unique across
+// sats, grounds and users together: the snapshot stores its nodes sorted
+// by ID and finds them by ID.
 //
 // ISLs: with no explicit plan, every satellite pair with line of sight
 // and within range gets a link — laser when both ends carry terminals and
@@ -274,11 +281,4 @@ func DefaultConfig() Config {
 // this.
 func Build(t float64, cfg Config, sats []SatSpec, grounds []GroundSpec, users []UserSpec) *Snapshot {
 	return newBuilder(cfg, sats, grounds, users).SnapshotAt(t)
-}
-
-func (s *Snapshot) addBidirectional(a, b string, kind LinkKind, distKm, capBps float64, cross bool) {
-	delay := distKm / phy.SpeedOfLightKmS
-	s.adj[a] = append(s.adj[a], Edge{From: a, To: b, Kind: kind, DistanceKm: distKm, DelayS: delay, CapacityBps: capBps, CrossOwner: cross})
-	s.adj[b] = append(s.adj[b], Edge{From: b, To: a, Kind: kind, DistanceKm: distKm, DelayS: delay, CapacityBps: capBps, CrossOwner: cross})
-	s.edges += 2
 }

@@ -21,7 +21,8 @@ func TestAllocGateDinic(t *testing.T) {
 	allocGate(t)
 	n := sharedBottleneck(t)
 	g := newDinicGraph(n)
-	s, d := g.index["a"], g.index["c"]
+	s, _ := g.ix.Lookup("a")
+	d, _ := g.ix.Lookup("c")
 	want := g.solve(s, d)
 	run := func() {
 		g.reset()

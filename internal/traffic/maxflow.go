@@ -3,7 +3,8 @@ package traffic
 import (
 	"fmt"
 	"math"
-	"sort"
+
+	"github.com/openspace-project/openspace/internal/topo"
 )
 
 // CutLink is one saturated link of a minimum cut.
@@ -41,15 +42,14 @@ type arc struct {
 	cap, orig float64
 }
 
-// dinicGraph is the indexed residual graph. Node indices follow the sorted
-// snapshot node order, and arcs are inserted in sorted adjacency order, so
-// the augmenting sequence — and with it every reported flow and cut — is
-// deterministic.
+// dinicGraph is the indexed residual graph. Node indices are the
+// snapshot's dense positions, in sorted ID order, and arcs are inserted in
+// the snapshot's (From, To) edge order, so the augmenting sequence — and
+// with it every reported flow and cut — is deterministic.
 type dinicGraph struct {
-	nodes []string
-	index map[string]int
-	adj   [][]arc
-	eps   float64
+	ix  *topo.Index
+	adj [][]arc
+	eps float64
 	// Scratch reused across phases and solves: the steady-state kernel
 	// (solve/levels/augment) must not allocate (see TestAllocGateDinic)
 	// and nothing aliasing these may leave the receiver (scratchsafe).
@@ -59,28 +59,25 @@ type dinicGraph struct {
 }
 
 func newDinicGraph(n *Network) *dinicGraph {
-	ids := n.Snap.Nodes()
+	ix := n.Snap.Index()
+	nn := len(ix.Nodes)
 	g := &dinicGraph{
-		nodes: ids,
-		index: make(map[string]int, len(ids)),
-		adj:   make([][]arc, len(ids)),
+		ix:    ix,
+		adj:   make([][]arc, nn),
 		eps:   n.eps(),
-		level: make([]int32, len(ids)),
-		queue: make([]int32, 0, len(ids)),
-		iter:  make([]int32, len(ids)),
+		level: make([]int32, nn),
+		queue: make([]int32, 0, nn),
+		iter:  make([]int32, nn),
 	}
-	for i, id := range ids {
-		g.index[id] = i
-	}
-	for _, id := range ids {
-		u := g.index[id]
-		for _, e := range n.Snap.Neighbors(id) {
+	for u := range ix.Nodes {
+		for j := ix.Off[u]; j < ix.Off[u+1]; j++ {
+			e := &ix.Edges[j]
 			c := n.CapacityBps(e.From, e.To)
 			if c <= 0 {
 				continue
 			}
-			v := g.index[e.To]
-			g.adj[u] = append(g.adj[u], arc{to: int32(v), rev: int32(len(g.adj[v])), cap: c, orig: c})
+			v := ix.To[j]
+			g.adj[u] = append(g.adj[u], arc{to: v, rev: int32(len(g.adj[v])), cap: c, orig: c})
 			g.adj[v] = append(g.adj[v], arc{to: int32(u), rev: int32(len(g.adj[u]) - 1), cap: 0, orig: 0})
 		}
 	}
@@ -91,13 +88,13 @@ func newDinicGraph(n *Network) *dinicGraph {
 // capacity into the scratch level slice; it reports whether dst is still
 // reachable. Every node enqueues at most once, so the preallocated queue
 // never grows.
-func (g *dinicGraph) levels(src, dst int) bool {
+func (g *dinicGraph) levels(src, dst int32) bool {
 	for i := range g.level {
 		g.level[i] = -1
 	}
 	g.level[src] = 0
 	q := g.queue[:0]
-	q = append(q, int32(src))
+	q = append(q, src)
 	for head := 0; head < len(q); head++ {
 		u := q[head]
 		for _, a := range g.adj[u] {
@@ -112,7 +109,7 @@ func (g *dinicGraph) levels(src, dst int) bool {
 
 // augment pushes a blocking-flow DFS step of at most limit through the
 // level graph, advancing the scratch iterators.
-func (g *dinicGraph) augment(u, dst int, limit float64) float64 {
+func (g *dinicGraph) augment(u, dst int32, limit float64) float64 {
 	if u == dst {
 		return limit
 	}
@@ -121,7 +118,7 @@ func (g *dinicGraph) augment(u, dst int, limit float64) float64 {
 		if a.cap <= g.eps || g.level[a.to] != g.level[u]+1 {
 			continue
 		}
-		pushed := g.augment(int(a.to), dst, math.Min(limit, a.cap))
+		pushed := g.augment(a.to, dst, math.Min(limit, a.cap))
 		if pushed > 0 {
 			a.cap -= pushed
 			g.adj[a.to][a.rev].cap += pushed
@@ -137,7 +134,7 @@ func (g *dinicGraph) augment(u, dst int, limit float64) float64 {
 // scratch on the receiver.
 //
 //lint:hotpath
-func (g *dinicGraph) solve(s, t int) float64 {
+func (g *dinicGraph) solve(s, t int32) float64 {
 	var value float64
 	for g.levels(s, t) {
 		for i := range g.iter {
@@ -179,50 +176,36 @@ func MaxFlow(n *Network, src, dst string) (*MaxFlowResult, error) {
 		return nil, fmt.Errorf("traffic: source and destination are both %q", src)
 	}
 	g := newDinicGraph(n)
-	s, t := g.index[src], g.index[dst]
+	s, _ := g.ix.Lookup(src)
+	t, _ := g.ix.Lookup(dst)
 	value := g.solve(s, t)
 
 	res := &MaxFlowResult{ValueBps: value, Flow: make(map[LinkID]float64)}
 	for u := range g.adj {
 		for _, a := range g.adj[u] {
 			if flow := a.orig - a.cap; a.orig > 0 && flow > g.eps {
-				res.Flow[LinkID{g.nodes[u], g.nodes[a.to]}] = flow
+				res.Flow[LinkID{g.ix.Nodes[u].ID, g.ix.Nodes[a.to].ID}] = flow
 			}
 		}
 	}
 	// Minimum cut: the saturated forward arcs crossing from the residual
-	// graph's src-reachable side to the rest.
-	reach := make([]bool, len(g.nodes))
-	reach[s] = true
-	queue := []int{s}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, a := range g.adj[u] {
-			if a.cap > g.eps && !reach[a.to] {
-				reach[a.to] = true
-				queue = append(queue, int(a.to))
-			}
-		}
-	}
+	// graph's src-reachable side, the nodes a final level pass reaches,
+	// to the rest. Nodes run in sorted ID order and each node's forward
+	// arcs in its snapshot row's target order, so the cut comes out sorted
+	// by (From, To).
+	g.levels(s, t)
 	for u := range g.adj {
-		if !reach[u] {
+		if g.level[u] < 0 {
 			continue
 		}
 		for _, a := range g.adj[u] {
-			if a.orig > 0 && !reach[a.to] {
+			if a.orig > 0 && g.level[a.to] < 0 {
 				res.MinCut = append(res.MinCut, CutLink{
-					LinkID:      LinkID{g.nodes[u], g.nodes[a.to]},
+					LinkID:      LinkID{g.ix.Nodes[u].ID, g.ix.Nodes[a.to].ID},
 					CapacityBps: a.orig,
 				})
 			}
 		}
 	}
-	sort.Slice(res.MinCut, func(a, b int) bool {
-		if res.MinCut[a].From != res.MinCut[b].From {
-			return res.MinCut[a].From < res.MinCut[b].From
-		}
-		return res.MinCut[a].To < res.MinCut[b].To
-	})
 	return res, nil
 }

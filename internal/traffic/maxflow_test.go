@@ -201,6 +201,12 @@ func TestMaxFlowInvariantsProperty(t *testing.T) {
 			t.Logf("seed %d: cut %v != value %v", seed, r.CutCapacityBps(), r.ValueBps)
 			return false
 		}
+		for i := 1; i < len(r.MinCut); i++ {
+			if a, b := r.MinCut[i-1].LinkID, r.MinCut[i].LinkID; a.From > b.From || (a.From == b.From && a.To >= b.To) {
+				t.Logf("seed %d: cut not sorted by (From, To): %v before %v", seed, a, b)
+				return false
+			}
+		}
 		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {

@@ -118,9 +118,9 @@ func (a *Allocation) JainIndex() float64 {
 func (a *Allocation) MaxUtilization() (LinkID, float64) {
 	var best LinkID
 	var bestU float64
-	for _, id := range a.net.Links() {
-		if u := a.Utilization(id.From, id.To); u > bestU {
-			best, bestU = id, u
+	for _, e := range a.net.Snap.Edges() {
+		if u := a.Utilization(e.From, e.To); u > bestU {
+			best, bestU = LinkID{e.From, e.To}, u
 		}
 	}
 	return best, bestU

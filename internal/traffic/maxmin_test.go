@@ -226,7 +226,8 @@ func TestMaxMinFairProperty(t *testing.T) {
 				return false
 			}
 		}
-		for _, l := range n.Links() {
+		for _, e := range n.Snap.Edges() {
+			l := LinkID{e.From, e.To}
 			load := alloc.linkLoad[l]
 			if load > n.CapacityBps(l.From, l.To)*(1+1e-9)+tol {
 				t.Logf("seed %d: link %v load %v above capacity %v", seed, l, load, n.CapacityBps(l.From, l.To))

@@ -27,8 +27,6 @@
 package traffic
 
 import (
-	"sort"
-
 	"github.com/openspace-project/openspace/internal/geo"
 	"github.com/openspace-project/openspace/internal/phy"
 	"github.com/openspace-project/openspace/internal/routing"
@@ -57,10 +55,8 @@ type Network struct {
 // NewNetwork wraps a snapshot, taking capacities from its edges.
 func NewNetwork(s *topo.Snapshot) *Network {
 	n := &Network{Snap: s, caps: make(map[LinkID]float64, s.EdgeCount())}
-	for _, id := range s.Nodes() {
-		for _, e := range s.Neighbors(id) {
-			n.caps[LinkID{e.From, e.To}] = e.CapacityBps
-		}
+	for _, e := range s.Edges() {
+		n.caps[LinkID{e.From, e.To}] = e.CapacityBps
 	}
 	return n
 }
@@ -69,21 +65,6 @@ func NewNetwork(s *topo.Snapshot) *Network {
 // link does not exist.
 func (n *Network) CapacityBps(from, to string) float64 {
 	return n.caps[LinkID{from, to}]
-}
-
-// Links returns every directed link in deterministic (from, to) order.
-func (n *Network) Links() []LinkID {
-	ids := make([]LinkID, 0, len(n.caps))
-	for id := range n.caps {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		if ids[a].From != ids[b].From {
-			return ids[a].From < ids[b].From
-		}
-		return ids[a].To < ids[b].To
-	})
-	return ids
 }
 
 // maxCapacityBps returns the largest link capacity, used to scale the float
@@ -161,10 +142,8 @@ func groundElevationDeg(e topo.Edge, s *topo.Snapshot) float64 {
 
 // Recapacitate replaces every link capacity with the model's evaluation.
 func (n *Network) Recapacitate(m CapacityModel) {
-	for _, id := range n.Links() {
-		if e, ok := n.Snap.Edge(id.From, id.To); ok {
-			n.caps[id] = m.EdgeCapacityBps(e, n.Snap)
-		}
+	for _, e := range n.Snap.Edges() {
+		n.caps[LinkID{e.From, e.To}] = m.EdgeCapacityBps(e, n.Snap)
 	}
 }
 

@@ -18,9 +18,8 @@ func TestNetworkCapacities(t *testing.T) {
 	if got := n.CapacityBps("b", "a"); got != 0 {
 		t.Errorf("missing reverse link capacity = %v, want 0", got)
 	}
-	links := n.Links()
-	if len(links) != 2 || links[0] != (LinkID{"a", "b"}) || links[1] != (LinkID{"b", "c"}) {
-		t.Errorf("links = %v, want sorted [a→b b→c]", links)
+	if es := n.Snap.Edges(); len(es) != 2 || es[0].From != "a" || es[0].To != "b" || es[1].From != "b" || es[1].To != "c" {
+		t.Errorf("links = %v, want sorted [a→b b→c]", es)
 	}
 }
 
