@@ -83,6 +83,34 @@ func BenchmarkPropagation(b *testing.B) {
 	}
 }
 
+// BenchmarkCoverage measures one exact-union coverage scan on a prebuilt
+// grid: fig2c is one Figure 2(c) trial (100 random satellites at 780 km,
+// 4 000 points), fig2a the Iridium constellation's 66 footprints at a
+// 10° mask on 10 000 points.
+func BenchmarkCoverage(b *testing.B) {
+	iridium, err := orbit.Iridium().Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		grid int
+		caps []geo.Cap
+	}{
+		{"fig2c", 4000, orbit.RandomCircular(100, 780, rand.New(rand.NewSource(1))).Footprints(0, 0)},
+		{"fig2a", 10000, iridium.Footprints(0, 10)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			g := geo.NewCoverageGrid(bc.grid)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = g.Fraction(bc.caps)
+			}
+		})
+	}
+}
+
 // BenchmarkSnapshotBuild measures one 66-satellite topology snapshot.
 func BenchmarkSnapshotBuild(b *testing.B) {
 	c, err := orbit.Iridium().Build()

@@ -8,23 +8,25 @@
 //	openspace-bench -experiment all
 //	openspace-bench -experiment fig2b -csvdir out/
 //	openspace-bench -experiment fig2c -quick
-//	openspace-bench -experiment capacity-scale -cpuprofile cpu.out -memprofile mem.out
+//	openspace-bench -experiment capacity-scale -cpuprofile cpu.out -memprofile mem.out -trace trace.out
 //
-// The profiles are standard pprof files (go tool pprof -top cpu.out); they
-// never change stdout or a CSV byte.
+// The profiles are standard pprof and runtime/trace files (go tool pprof
+// -top cpu.out); they never change stdout or a CSV byte. Each experiment
+// runs under the pprof label experiment=<name>, so one profile of
+// -experiment all splits by experiment (go tool pprof -tagfocus).
 package main
 
 import (
 	"bytes"
-	"errors"
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"runtime/pprof"
 
 	"github.com/openspace-project/openspace/internal/experiments"
+	"github.com/openspace-project/openspace/internal/prof"
 )
 
 func main() {
@@ -34,8 +36,7 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced sweeps for a fast smoke run")
 	workers := flag.Int("workers", 0, "parallel workers per experiment (0 = one per CPU, 1 = serial); results are identical at any setting")
 	list := flag.Bool("list", false, "list registered experiments and exit")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file after the run")
+	profiles := prof.Register(flag.CommandLine)
 	flag.Parse()
 
 	if *list {
@@ -44,7 +45,7 @@ func main() {
 		}
 		return
 	}
-	err := profiled(*cpuProfile, *memProfile, func() error {
+	err := profiles.Run(func() error {
 		return run(*experiment, *csvDir, *quick, *workers)
 	})
 	if err != nil {
@@ -60,28 +61,12 @@ func run(which, csvDir string, quick bool, workers int) error {
 			continue
 		}
 		ran++
-		fmt.Printf("=== %s ===\n", e.Name)
-		res, err := e.Run(quick, workers)
+		var err error
+		pprof.Do(context.Background(), pprof.Labels("experiment", e.Name), func(context.Context) {
+			err = runOne(e, csvDir, quick, workers)
+		})
 		if err != nil {
-			return fmt.Errorf("%s: %w", e.Name, err)
-		}
-		if err := res.Render(os.Stdout); err != nil {
-			return fmt.Errorf("%s: render: %w", e.Name, err)
-		}
-		fmt.Println()
-		if csvDir != "" {
-			var csv bytes.Buffer
-			if err := res.CSV(&csv); err != nil {
-				return fmt.Errorf("%s: csv: %w", e.Name, err)
-			}
-			if err := os.MkdirAll(csvDir, 0o755); err != nil {
-				return err
-			}
-			path := filepath.Join(csvDir, e.Name+".csv")
-			if err := os.WriteFile(path, csv.Bytes(), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n\n", path)
+			return err
 		}
 	}
 	if ran == 0 {
@@ -90,40 +75,32 @@ func run(which, csvDir string, quick bool, workers int) error {
 	return nil
 }
 
-// profiled runs fn with a CPU profile written to cpuPath and, once fn
-// succeeds, a heap profile to memPath; an empty path skips that profile.
-func profiled(cpuPath, memPath string, fn func() error) (err error) {
-	if cpuPath != "" {
-		f, err := os.Create(cpuPath)
-		if err != nil {
-			return fmt.Errorf("cpuprofile: %w", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return errors.Join(fmt.Errorf("cpuprofile: %w", err), f.Close())
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			if cerr := f.Close(); cerr != nil && err == nil {
-				err = fmt.Errorf("cpuprofile: %w", cerr)
-			}
-		}()
+// runOne runs one registered experiment, renders it to stdout and, with a
+// csvDir, writes its CSV there.
+func runOne(e experiments.Experiment, csvDir string, quick bool, workers int) error {
+	fmt.Printf("=== %s ===\n", e.Name)
+	res, err := e.Run(quick, workers)
+	if err != nil {
+		return fmt.Errorf("%s: %w", e.Name, err)
 	}
-	if err := fn(); err != nil {
-		return err
+	if err := res.Render(os.Stdout); err != nil {
+		return fmt.Errorf("%s: render: %w", e.Name, err)
 	}
-	if memPath == "" {
+	fmt.Println()
+	if csvDir == "" {
 		return nil
 	}
-	f, err := os.Create(memPath)
-	if err != nil {
-		return fmt.Errorf("memprofile: %w", err)
+	var csv bytes.Buffer
+	if err := res.CSV(&csv); err != nil {
+		return fmt.Errorf("%s: csv: %w", e.Name, err)
 	}
-	runtime.GC() // the heap profile reports live objects as of the last GC
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		return errors.Join(fmt.Errorf("memprofile: %w", err), f.Close())
+	if err := os.MkdirAll(csvDir, 0o755); err != nil {
+		return err
 	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("memprofile: %w", err)
+	path := filepath.Join(csvDir, e.Name+".csv")
+	if err := os.WriteFile(path, csv.Bytes(), 0o644); err != nil {
+		return err
 	}
+	fmt.Printf("wrote %s\n\n", path)
 	return nil
 }

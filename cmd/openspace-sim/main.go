@@ -10,6 +10,10 @@
 //	openspace-sim -aggregate -users 1000000 -duration 600
 //	openspace-sim -campaign -quick -csv out.csv -checkpoint run.ckpt
 //	openspace-sim -campaign -cell "iridium~i4~iot~dtn"
+//	openspace-sim -campaign -quick -cpuprofile cpu.out -memprofile mem.out -trace trace.out
+//
+// The profiles are standard pprof and runtime/trace files; they never
+// change stdout or a CSV byte.
 package main
 
 import (
@@ -27,6 +31,7 @@ import (
 	"github.com/openspace-project/openspace/internal/fluid"
 	"github.com/openspace-project/openspace/internal/geo"
 	"github.com/openspace-project/openspace/internal/orbit"
+	"github.com/openspace-project/openspace/internal/prof"
 	"github.com/openspace-project/openspace/internal/routing"
 	"github.com/openspace-project/openspace/internal/sim"
 	"github.com/openspace-project/openspace/internal/topo"
@@ -56,55 +61,35 @@ func main() {
 	injectPanic := flag.String("inject-panic", "", "with -campaign: cell ID whose run panics — a test hook for supervisor containment")
 	csvPath := flag.String("csv", "", "with -campaign: write the results CSV here")
 	manifestPath := flag.String("manifest", "", "with -campaign: write the failure manifest here")
+	profiles := prof.Register(flag.CommandLine)
 	flag.Parse()
 
-	if *campaignMode || *cellID != "" {
-		err := runCampaign(campaignOptions{
-			quick: *quick, workers: *workers, cellID: *cellID,
-			checkpoint: *checkpoint, resume: *resume, stopAfter: *stopAfter,
-			keepGoing: *keepGoing, injectPanic: *injectPanic,
-			csvPath: *csvPath, manifestPath: *manifestPath,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "openspace-sim: %v\n", err)
-			os.Exit(1)
+	err := profiles.Run(func() error {
+		switch {
+		case *campaignMode || *cellID != "":
+			return runCampaign(campaignOptions{
+				quick: *quick, workers: *workers, cellID: *cellID,
+				checkpoint: *checkpoint, resume: *resume, stopAfter: *stopAfter,
+				keepGoing: *keepGoing, injectPanic: *injectPanic,
+				csvPath: *csvPath, manifestPath: *manifestPath,
+			})
+		case *aggregate:
+			var fcfg faults.Config
+			if *faultsMode {
+				fcfg = faults.Default().Scale(*intensity)
+				fcfg.Seed = *seed
+			}
+			return runAggregate(*providers, *users, *duration, *seed, *workers, fcfg)
+		case *faultsMode:
+			return runFaults(*providers, *users, *duration, *intensity, *seed, *workers)
+		case *capacity:
+			return runCapacity(*providers, *users, *seed, *workers)
+		case *scenario:
+			return runScenario(*providers, *users, *duration, *seed, *workers)
 		}
-		return
-	}
-	if *aggregate {
-		var fcfg faults.Config
-		if *faultsMode {
-			fcfg = faults.Default().Scale(*intensity)
-			fcfg.Seed = *seed
-		}
-		if err := runAggregate(*providers, *users, *duration, *seed, *workers, fcfg); err != nil {
-			fmt.Fprintf(os.Stderr, "openspace-sim: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *faultsMode {
-		if err := runFaults(*providers, *users, *duration, *intensity, *seed, *workers); err != nil {
-			fmt.Fprintf(os.Stderr, "openspace-sim: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *capacity {
-		if err := runCapacity(*providers, *users, *seed, *workers); err != nil {
-			fmt.Fprintf(os.Stderr, "openspace-sim: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *scenario {
-		if err := runScenario(*providers, *users, *duration, *seed, *workers); err != nil {
-			fmt.Fprintf(os.Stderr, "openspace-sim: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := run(*providers, *users, *transfers, *bytesPer, *duration, *seed, *workers); err != nil {
+		return run(*providers, *users, *transfers, *bytesPer, *duration, *seed, *workers)
+	})
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "openspace-sim: %v\n", err)
 		os.Exit(1)
 	}

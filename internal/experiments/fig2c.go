@@ -60,6 +60,7 @@ func Fig2c(cfg Fig2cConfig) (*Fig2cResult, error) {
 	type trialOut struct {
 		wc, ex float64
 	}
+	grid := geo.NewCoverageGrid(cfg.GridSize) // read-only, shared by every trial
 	outs, err := exec.Map(cfg.Workers, len(points)*cfg.Trials, func(i int) (trialOut, error) {
 		n, trial := points[i/cfg.Trials], i%cfg.Trials
 		rng := exec.RNG(cfg.Seed, int64(n), int64(trial))
@@ -67,7 +68,7 @@ func Fig2c(cfg Fig2cConfig) (*Fig2cResult, error) {
 		caps := c.Footprints(0, cfg.MinElevationDeg)
 		return trialOut{
 			wc: geo.WorstCaseCoverageFraction(caps),
-			ex: geo.ExactCoverageFraction(caps, cfg.GridSize),
+			ex: grid.Fraction(caps),
 		}, nil
 	})
 	if err != nil {

@@ -84,23 +84,115 @@ func FibonacciGrid(n int) []LatLon {
 
 // ExactCoverageFraction estimates the fraction of the Earth's surface covered
 // by the union of the caps, by sampling gridSize points of a deterministic
-// Fibonacci lattice. Error is O(1/gridSize); 10 000 points give ~1 % error,
-// enough to place the knee of the paper's Figure 2(c).
+// Fibonacci lattice. It builds a CoverageGrid for the one call; a sweep that
+// scores many cap sets at one grid size should build the grid once and call
+// Fraction. The sampling error falls about as gridSize^(−3/4): over 64
+// random hemispheres the worst error is 0.5 % at 10³ points, 0.08 % at 10⁴
+// and 0.016 % at 10⁵ (TestCoverageSamplingError), far finer than the knee
+// of the paper's Figure 2(c) needs.
 func ExactCoverageFraction(caps []Cap, gridSize int) float64 {
-	if len(caps) == 0 || gridSize <= 0 {
+	return NewCoverageGrid(gridSize).Fraction(caps)
+}
+
+// coverageMargin is the half-width, in cosine units, of the band around a
+// cap's boundary inside which CoverageGrid.Fraction defers to Cap.Contains.
+// A point p is inside a cap of radius r exactly when cos θ ≥ cos r, where θ
+// is its central angle to the centre, and cos θ is both the dot product of
+// the two unit vectors and 1 − 2h for the haversine term h. For valid
+// coordinates, rounding moves each of the computed dot product, cos r and
+// the haversine's 1 − 2h by at most about 1e-15 (a few ulps of terms
+// bounded by 1; near the antipode the asin is ill-conditioned in θ but not
+// in cos θ). A margin six orders of magnitude wider therefore makes every
+// decision taken outside the band the one Cap.Contains takes, with or
+// without fused multiply-adds.
+const coverageMargin = 1e-9
+
+// CoverageGrid is a Fibonacci lattice prepared for coverage tests: every
+// point of FibonacciGrid(n) is kept as a LatLon and as an Earth-centred unit
+// vector. A grid is immutable once built, so one grid can serve a whole
+// sweep and be shared by concurrent workers.
+type CoverageGrid struct {
+	points []LatLon
+	units  []Vec3
+}
+
+// NewCoverageGrid builds the n-point grid; n ≤ 0 gives an empty grid,
+// whose Fraction is 0.
+func NewCoverageGrid(n int) *CoverageGrid {
+	g := &CoverageGrid{points: FibonacciGrid(n)}
+	g.units = make([]Vec3, len(g.points))
+	for i, p := range g.points {
+		g.units[i] = p.unit()
+	}
+	return g
+}
+
+// capTest is a cap in vector form: a grid point whose dot product with
+// center exceeds hi is inside, one below lo is outside, and one in between
+// is decided by Cap.Contains.
+type capTest struct {
+	center Vec3
+	lo, hi float64
+}
+
+func newCapTest(c Cap) capTest {
+	if !c.Center.Valid() {
+		// The margin's error bound assumes an in-range centre; for any
+		// other, every point is decided by Cap.Contains.
+		return capTest{lo: math.Inf(-1), hi: math.Inf(1)}
+	}
+	// Clamping to [0, π] keeps cos monotone over the radius: a negative
+	// radius excludes every point but those at the centre, and a radius
+	// past π includes every point but those at the antipode; both
+	// exceptions land in the band. A NaN radius makes both bounds NaN, so
+	// every point lands in the band.
+	cosR := math.Cos(math.Max(0, math.Min(math.Pi, c.AngularRadius)))
+	return capTest{center: c.Center.unit(), lo: cosR - coverageMargin, hi: cosR + coverageMargin}
+}
+
+// coverageStackCaps is how many caps Fraction converts without allocating.
+const coverageStackCaps = 128
+
+// Fraction returns the fraction of the grid's points that lie in at least
+// one of the caps. Each point's decision for each cap is the one
+// Cap.Contains gives, so the result is bit-identical to testing every point
+// with Contains.
+func (g *CoverageGrid) Fraction(caps []Cap) float64 {
+	if len(caps) == 0 || len(g.points) == 0 {
 		return 0
 	}
-	grid := FibonacciGrid(gridSize)
-	covered := 0
-	for _, p := range grid {
-		for _, c := range caps {
-			if c.Contains(p) {
-				covered++
+	var buf [coverageStackCaps]capTest
+	tests := buf[:]
+	if len(caps) > len(buf) {
+		tests = make([]capTest, len(caps))
+	}
+	tests = tests[:len(caps)]
+	for i, c := range caps {
+		tests[i] = newCapTest(c)
+	}
+	return float64(g.covered(caps, tests)) / float64(len(g.points))
+}
+
+// covered counts the grid points inside at least one cap; tests[j] is
+// caps[j] in vector form.
+//
+//lint:hotpath
+func (g *CoverageGrid) covered(caps []Cap, tests []capTest) int {
+	n := 0
+	for i, u := range g.units {
+		for j := range tests {
+			t := &tests[j]
+			d := u.Dot(t.center)
+			if d < t.lo {
+				continue
+			}
+			if d > t.hi || caps[j].Contains(g.points[i]) {
+				n++
 				break
 			}
 		}
 	}
-	return float64(covered) / float64(len(grid))
+	return n
 }
 
 // WorstCaseCoverageFraction computes coverage under the paper's conservative

@@ -137,6 +137,15 @@ func Midpoint(a, b LatLon) LatLon {
 	return m.LatLon()
 }
 
+// unit returns the Earth-centred unit vector of p, the direction LatLon.Vec3
+// points in.
+func (p LatLon) unit() Vec3 {
+	lat, lon := p.Radians()
+	sinLat, cosLat := math.Sincos(lat)
+	sinLon, cosLon := math.Sincos(lon)
+	return Vec3{X: cosLat * cosLon, Y: cosLat * sinLon, Z: sinLat}
+}
+
 // Vec3 returns the Earth-centred, Earth-fixed Cartesian position of the point
 // at altitudeKm above the surface, in kilometres. The frame has +X through
 // (0°N, 0°E), +Y through (0°N, 90°E) and +Z through the north pole.
