@@ -29,7 +29,6 @@ import (
 	"github.com/openspace-project/openspace/internal/economics"
 	"github.com/openspace-project/openspace/internal/faults"
 	"github.com/openspace-project/openspace/internal/fluid"
-	"github.com/openspace-project/openspace/internal/geo"
 	"github.com/openspace-project/openspace/internal/orbit"
 	"github.com/openspace-project/openspace/internal/prof"
 	"github.com/openspace-project/openspace/internal/routing"
@@ -99,29 +98,16 @@ func run(providers, users, transfers int, bytesPer int64, duration float64, seed
 	if providers <= 0 || users <= 0 || transfers <= 0 {
 		return fmt.Errorf("providers, users and transfers must be positive")
 	}
-	c, err := orbit.Iridium().Build()
+	pcs, err := core.IridiumFederation(providers)
 	if err != nil {
 		return err
 	}
-	fleets := core.SplitConstellation(c, providers, 0.3)
-	sites := []geo.LatLon{
-		{Lat: 47.6, Lon: -122.3}, {Lat: -1.29, Lon: 36.82}, {Lat: 51.51, Lon: -0.13},
-		{Lat: -33.87, Lon: 151.21}, {Lat: 35.68, Lon: 139.69}, {Lat: -23.55, Lon: -46.63},
-	}
-	pcs := make([]core.ProviderConfig, providers)
 	var stationIDs []string
+	satellites := 0
 	for p := range pcs {
-		gsID := fmt.Sprintf("gs-%d", p)
-		stationIDs = append(stationIDs, gsID)
-		pcs[p] = core.ProviderConfig{
-			ID:            fmt.Sprintf("prov-%d", p),
-			Satellites:    fleets[p],
-			CarriagePerGB: 0.15 + 0.05*float64(p%3),
-			GroundStations: []core.GroundStationConfig{{
-				ID: gsID, Pos: sites[p%len(sites)], BackhaulBps: 10e9,
-				PricePerGB: 0.05, VisitorSurge: 2,
-			}},
-		}
+		pcs[p].CarriagePerGB = 0.15 + 0.05*float64(p%3)
+		stationIDs = append(stationIDs, pcs[p].GroundStations[0].ID)
+		satellites += len(pcs[p].Satellites)
 	}
 	net, err := core.NewNetwork(core.NetworkConfig{
 		Providers: pcs, Seed: seed, Topo: topo.Config{Workers: workers},
@@ -144,7 +130,7 @@ func run(providers, users, transfers int, bytesPer int64, duration float64, seed
 		return err
 	}
 	fmt.Printf("federation: %d providers, %d satellites, %d users, %d stations\n",
-		providers, c.Len(), users, len(stationIDs))
+		providers, satellites, users, len(stationIDs))
 
 	associated := 0
 	for _, id := range userIDs {
@@ -203,30 +189,23 @@ func runCapacity(providers, users int, seed int64, workers int) error {
 	if providers <= 0 || users <= 0 {
 		return fmt.Errorf("providers and users must be positive")
 	}
-	c, err := orbit.Iridium().Build()
+	pcs, err := core.IridiumFederation(providers)
 	if err != nil {
 		return err
 	}
-	fleets := core.SplitConstellation(c, providers, 0.3)
-	sites := []geo.LatLon{
-		{Lat: 47.6, Lon: -122.3}, {Lat: -1.29, Lon: 36.82}, {Lat: 51.51, Lon: -0.13},
-		{Lat: -33.87, Lon: 151.21}, {Lat: 35.68, Lon: 139.69}, {Lat: -23.55, Lon: -46.63},
-	}
-	pcs := make([]core.ProviderConfig, providers)
 	var gws []traffic.Gateway
-	for p := range pcs {
-		gw := traffic.Gateway{ID: fmt.Sprintf("gs-%d", p), Pos: sites[p%len(sites)]}
-		gws = append(gws, gw)
-		pcs[p] = core.ProviderConfig{
-			ID: fmt.Sprintf("prov-%d", p), Satellites: fleets[p], CarriagePerGB: 0.2,
-			GroundStations: []core.GroundStationConfig{{
-				ID: gw.ID, Pos: gw.Pos, BackhaulBps: 10e9, PricePerGB: 0.05, VisitorSurge: 2,
-			}},
-		}
+	for _, pc := range pcs {
+		gs := pc.GroundStations[0]
+		gws = append(gws, traffic.Gateway{ID: gs.ID, Pos: gs.Pos})
 	}
 	net, err := core.NewNetwork(core.NetworkConfig{
 		Providers: pcs, Seed: seed, Topo: topo.Config{Workers: workers},
 	})
+	if err != nil {
+		return err
+	}
+	// The demand matrix needs the constellation's satellites in orbit order.
+	c, err := orbit.Iridium().Build()
 	if err != nil {
 		return err
 	}
@@ -393,27 +372,9 @@ func runCampaign(opts campaignOptions) error {
 // buildFederation assembles the Iridium federation with one gateway per
 // provider and no users — the shared setup of the engine-driven modes.
 func buildFederation(providers int, seed int64, workers int) (*core.Network, error) {
-	if providers <= 0 {
-		return nil, fmt.Errorf("providers must be positive")
-	}
-	c, err := orbit.Iridium().Build()
+	pcs, err := core.IridiumFederation(providers)
 	if err != nil {
 		return nil, err
-	}
-	fleets := core.SplitConstellation(c, providers, 0.3)
-	sites := []geo.LatLon{
-		{Lat: 47.6, Lon: -122.3}, {Lat: -1.29, Lon: 36.82}, {Lat: 51.51, Lon: -0.13},
-		{Lat: -33.87, Lon: 151.21}, {Lat: 35.68, Lon: 139.69}, {Lat: -23.55, Lon: -46.63},
-	}
-	pcs := make([]core.ProviderConfig, providers)
-	for p := range pcs {
-		pcs[p] = core.ProviderConfig{
-			ID: fmt.Sprintf("prov-%d", p), Satellites: fleets[p], CarriagePerGB: 0.2,
-			GroundStations: []core.GroundStationConfig{{
-				ID: fmt.Sprintf("gs-%d", p), Pos: sites[p%len(sites)],
-				BackhaulBps: 10e9, PricePerGB: 0.05, VisitorSurge: 2,
-			}},
-		}
 	}
 	return core.NewNetwork(core.NetworkConfig{
 		Providers: pcs, Seed: seed, Topo: topo.Config{Workers: workers},

@@ -8,7 +8,6 @@ import (
 	"github.com/openspace-project/openspace/internal/exec"
 	"github.com/openspace-project/openspace/internal/faults"
 	"github.com/openspace-project/openspace/internal/fluid"
-	"github.com/openspace-project/openspace/internal/geo"
 	"github.com/openspace-project/openspace/internal/orbit"
 	"github.com/openspace-project/openspace/internal/sim"
 	"github.com/openspace-project/openspace/internal/topo"
@@ -105,27 +104,13 @@ func QuickSpec() Spec {
 func buildConstellation(preset string, seed int64) (*core.Network, []string, error) {
 	switch preset {
 	case ConstellationIridium:
-		c, err := orbit.Iridium().Build()
+		pcs, err := core.IridiumFederation(3)
 		if err != nil {
 			return nil, nil, err
 		}
-		const providers = 3
-		fleets := core.SplitConstellation(c, providers, 0.3)
-		sites := []geo.LatLon{
-			{Lat: 47.6, Lon: -122.3}, {Lat: -1.29, Lon: 36.82}, {Lat: 51.51, Lon: -0.13},
-			{Lat: -33.87, Lon: 151.21}, {Lat: 35.68, Lon: 139.69}, {Lat: -23.55, Lon: -46.63},
-		}
-		pcs := make([]core.ProviderConfig, providers)
-		ids := make([]string, providers)
-		for p := range pcs {
-			ids[p] = fmt.Sprintf("prov-%d", p)
-			pcs[p] = core.ProviderConfig{
-				ID: ids[p], Satellites: fleets[p], CarriagePerGB: 0.2,
-				GroundStations: []core.GroundStationConfig{{
-					ID: fmt.Sprintf("gs-%d", p), Pos: sites[p%len(sites)],
-					BackhaulBps: 10e9, PricePerGB: 0.05, VisitorSurge: 2,
-				}},
-			}
+		ids := make([]string, len(pcs))
+		for p, pc := range pcs {
+			ids[p] = pc.ID
 		}
 		net, err := core.NewNetwork(core.NetworkConfig{
 			Providers: pcs, Seed: seed, Topo: topo.Config{Workers: 1},

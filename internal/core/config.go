@@ -162,3 +162,34 @@ func SplitConstellation(c *orbit.Constellation, n int, laserFraction float64) []
 	}
 	return fleets
 }
+
+// IridiumFederation is the reference federation recipe: Iridium split
+// round-robin across n providers, 30 % of satellites laser-equipped.
+// Provider "prov-i" charges $0.20/GB carriage and owns one gateway "gs-i"
+// at the i-th of six reference sites (cycling), with 10 Gbps backhaul, a
+// $0.05/GB fee and a ×2 visitor surge. Callers may adjust the configs.
+func IridiumFederation(n int) ([]ProviderConfig, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("core: providers %d must be positive", n)
+	}
+	c, err := orbit.Iridium().Build()
+	if err != nil {
+		return nil, err
+	}
+	sites := []geo.LatLon{ // seattle, nairobi, london, sydney, tokyo, sao paulo
+		{Lat: 47.6, Lon: -122.3}, {Lat: -1.29, Lon: 36.82}, {Lat: 51.51, Lon: -0.13},
+		{Lat: -33.87, Lon: 151.21}, {Lat: 35.68, Lon: 139.69}, {Lat: -23.55, Lon: -46.63},
+	}
+	fleets := SplitConstellation(c, n, 0.3)
+	pcs := make([]ProviderConfig, n)
+	for p := range pcs {
+		pcs[p] = ProviderConfig{
+			ID: fmt.Sprintf("prov-%d", p), Satellites: fleets[p], CarriagePerGB: 0.2,
+			GroundStations: []GroundStationConfig{{
+				ID: fmt.Sprintf("gs-%d", p), Pos: sites[p%len(sites)],
+				BackhaulBps: 10e9, PricePerGB: 0.05, VisitorSurge: 2,
+			}},
+		}
+	}
+	return pcs, nil
+}

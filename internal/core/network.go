@@ -110,13 +110,16 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 func (n *Network) Provider(id string) *Provider { return n.providers[id] }
 
 // Providers returns member IDs in sorted order.
-func (n *Network) Providers() []string {
-	ids := make([]string, 0, len(n.providers))
-	for id := range n.providers {
-		ids = append(ids, id)
+func (n *Network) Providers() []string { return sortedKeys(n.providers) }
+
+// sortedKeys returns m's keys in sorted order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	sort.Strings(ids)
-	return ids
+	sort.Strings(keys)
+	return keys
 }
 
 // AddUser enrolls a subscriber with their home ISP and creates the terminal.
@@ -178,12 +181,7 @@ func (n *Network) groundSpecs() []topo.GroundSpec {
 	var specs []topo.GroundSpec
 	for _, pid := range n.Providers() {
 		p := n.providers[pid]
-		ids := make([]string, 0, len(p.Stations))
-		for id := range p.Stations {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
+		for _, id := range sortedKeys(p.Stations) {
 			specs = append(specs, topo.GroundSpec{ID: id, Provider: p.ID, Pos: p.Stations[id].Pos})
 		}
 	}
@@ -191,11 +189,7 @@ func (n *Network) groundSpecs() []topo.GroundSpec {
 }
 
 func (n *Network) userSpecs() []topo.UserSpec {
-	ids := make([]string, 0, len(n.users))
-	for id := range n.users {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
+	ids := sortedKeys(n.users)
 	specs := make([]topo.UserSpec, len(ids))
 	for i, id := range ids {
 		u := n.users[id]

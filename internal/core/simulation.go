@@ -3,13 +3,14 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math"
 
 	"github.com/openspace-project/openspace/internal/exec"
 	"github.com/openspace-project/openspace/internal/faults"
 	"github.com/openspace-project/openspace/internal/fluid"
 	"github.com/openspace-project/openspace/internal/routing"
 	"github.com/openspace-project/openspace/internal/sim"
+	"github.com/openspace-project/openspace/internal/traffic"
 )
 
 // Scenario describes a workload to drive through a federation with the
@@ -30,27 +31,23 @@ type Scenario struct {
 	Seed int64
 	// Faults optionally injects deterministic failures (satellite outages,
 	// ISL flaps, ground weather, solar storms — see internal/faults). The
-	// zero value disables injection entirely: a fault-free run takes exactly
-	// the code path it did before this field existed.
+	// zero value disables injection and schedules no fault events.
 	Faults faults.Config
 	// Retry bounds the deterministic backoff for transfers that fail while
 	// faults are active; the zero value means routing.DefaultBackoff().
 	// Ignored when Faults is disabled.
 	Retry routing.Backoff
-	// Aggregate switches the run to fluid mode: the user population in
-	// Aggregate.Users is bucketed into (city-pair × class) aggregates and
-	// evolved through the max-min allocator once per snapshot interval,
-	// instead of one engine event per transfer. The zero value keeps the
-	// per-flow path byte-identical to runs that predate this field.
-	// In fluid mode PerUserRate/MinBytes/MaxBytes and the network's users
-	// are unused (traffic originates at cities, not modelled terminals),
-	// and Aggregate.Seed falls back to Seed when zero.
+	// Aggregate selects the mode. The zero value runs per-flow: one engine
+	// event per transfer from the network's users. When enabled, fluid
+	// mode buckets Aggregate.Users into (city-pair × class) aggregates
+	// evolved through the max-min allocator once per snapshot interval; it
+	// ignores PerUserRate, MinBytes, MaxBytes, Retry and the network's
+	// users, and Aggregate.Seed falls back to Seed when zero.
 	Aggregate fluid.Config
 	// MaxEvents, when non-zero, bounds the number of engine events the run
 	// may deliver — a deterministic, wall-clock-free timeout. A run that
 	// exhausts the budget returns an error wrapping ErrEventBudget; the
-	// zero value leaves runs unbounded and byte-identical to scenarios
-	// that predate this field.
+	// zero value leaves runs unbounded.
 	MaxEvents uint64
 }
 
@@ -84,6 +81,10 @@ func (s Scenario) Validate() error {
 		if err := s.Faults.Validate(); err != nil {
 			return err
 		}
+		// !(x >= 0) also rejects NaN.
+		if r := s.Retry; !(r.BaseS >= 0) || !(r.MaxS >= 0) || math.IsInf(r.BaseS+r.MaxS, 1) || r.MaxAttempts < 0 {
+			return fmt.Errorf("core: retry backoff %+v invalid", r)
+		}
 	}
 	return nil
 }
@@ -107,10 +108,10 @@ type ScenarioResult struct {
 	RecoveredTransfers int // transfers delivered after at least one retry
 	AbandonedTransfers int // transfers that exhausted the retry budget
 
-	// Fluid carries the aggregate-mode detail (per-class counters and
-	// bounded-memory latency sketches); nil on the per-flow path. In fluid
-	// mode LatencyS stays empty (latency lives in Fluid.Latency) and the
-	// economics counters stay 0 (aggregates carry no per-delivery pricing).
+	// Fluid is set exactly when the run was in fluid mode: per-class
+	// counters and bounded-memory latency sketches. Fluid runs leave
+	// LatencyS (see Fluid.Latency), the handover and the economics
+	// counters at 0; aggregates carry neither terminals nor pricing.
 	Fluid *fluid.Result
 }
 
@@ -123,92 +124,116 @@ func (r *ScenarioResult) DeliveryRate() float64 {
 }
 
 // RunScenario drives the workload through the network on a discrete-event
-// engine: per-user Poisson transfer arrivals (sent to the
-// completion-optimal gateway), and periodic handover checks that move each
-// terminal to its planned successor when the serving satellite sets.
-// The network must have users added; topology is (re)built to cover the
-// scenario horizon.
+// engine, in either mode (see Scenario.Aggregate and scenarioMode): build
+// the topology, drive the fault timeline, schedule the workload, then tick
+// once per snapshot interval. Per-flow mode needs users added. The engine
+// breaks same-instant ties in scheduling order, so faults go before the
+// workload (failures land before the transfers that must route around
+// them), and both before the first tick.
 func (n *Network) RunScenario(sc Scenario) (*ScenarioResult, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	if sc.Aggregate.Enabled() {
-		return n.runAggregateScenario(sc)
-	}
-	if len(n.users) == 0 {
+	if !sc.Aggregate.Enabled() && len(n.users) == 0 {
 		return nil, errors.New("core: scenario needs at least one user")
 	}
 	if err := n.BuildTopology(0, sc.DurationS, sc.SnapshotIntervalS); err != nil {
 		return nil, err
 	}
-
-	// Associate everyone at t=0; users in a coverage gap at t=0 retry at
-	// each handover tick.
-	userIDs := make([]string, 0, len(n.users))
-	for id := range n.users {
-		userIDs = append(userIDs, id)
+	res := &ScenarioResult{}
+	mode := n.perFlowMode
+	if sc.Aggregate.Enabled() {
+		mode = n.fluidMode
 	}
-	sort.Strings(userIDs)
+	m, err := mode(sc, res)
+	if err != nil {
+		return nil, err
+	}
+
+	engine := sim.NewEngine()
+	engine.MaxEvents = sc.MaxEvents
+	// The fault timeline is generated over the intact t=0 snapshot; each
+	// transition installs a degraded overlay before the mode reacts.
+	if sc.Faults.Enabled() {
+		tl, err := faults.Generate(sc.Faults, sc.DurationS, faults.InputsFromSnapshot(n.te.At(0)))
+		if err != nil {
+			return nil, err
+		}
+		mask := faults.NewMask()
+		onChange := func(_ *sim.Engine, _ faults.Event, down bool) {
+			res.FaultEvents++
+			if err := n.ApplyFaultMask(mask); err != nil {
+				panic(err) // unreachable: topology was built above
+			}
+			m.onFault(mask, down)
+		}
+		if err := tl.Drive(engine, mask, onChange); err != nil {
+			return nil, err
+		}
+	}
+	if err := m.schedule(engine); err != nil {
+		return nil, err
+	}
+
+	// One tick per snapshot interval, each covering [t0, t1).
+	var tickErr error
+	var tick func(*sim.Engine)
+	tick = func(e *sim.Engine) {
+		t0 := e.Now()
+		t1 := math.Min(t0+sc.SnapshotIntervalS, sc.DurationS)
+		if tickErr = m.tick(t0, t1); tickErr != nil {
+			return
+		}
+		if t1 < sc.DurationS {
+			if err := e.Schedule(t1, tick); err != nil {
+				panic(err) // unreachable: t1 > now ≥ 0 while the engine runs
+			}
+		}
+	}
+	if err := engine.Schedule(0, tick); err != nil {
+		return nil, err
+	}
+	engine.Run(sc.DurationS)
+	if tickErr != nil {
+		return nil, fmt.Errorf("core: scenario: %w", tickErr)
+	}
+	if engine.Exhausted() {
+		return nil, fmt.Errorf("core: scenario stopped after %d events: %w", engine.Processed, ErrEventBudget)
+	}
+	res.EventsProcessed = engine.Processed
+	m.finish()
+	return res, nil
+}
+
+// scenarioMode is what per-flow and fluid runs do differently inside
+// RunScenario. Its closures write into the run's result.
+type scenarioMode struct {
+	onFault  func(mask *faults.Mask, down bool) // after each fault transition
+	schedule func(e *sim.Engine) error          // enqueue the workload's events
+	tick     func(t0, t1 float64) error         // once per interval [t0, t1)
+	finish   func()                             // complete the result after the run
+}
+
+// perFlowMode associates every user at t=0 and returns the per-flow hooks:
+// Poisson transfer arrivals per user, each sent to the completion-optimal
+// gateway and retried under faults, and a tick that re-associates users
+// in a coverage gap and hands the others over before their satellite sets.
+func (n *Network) perFlowMode(sc Scenario, res *ScenarioResult) (scenarioMode, error) {
+	userIDs := sortedKeys(n.users)
 	associated := map[string]bool{}
 	for _, id := range userIDs {
 		if err := n.Associate(id, 0); err == nil {
 			associated[id] = true
 		}
 	}
-
-	rng := exec.DomainRNG(sc.Seed, domainScenario)
-	engine := sim.NewEngine()
-	engine.MaxEvents = sc.MaxEvents
-	res := &ScenarioResult{}
-
-	// Fault injection: generate the deterministic timeline over the intact
-	// t=0 snapshot and drive it through the engine. Each transition swaps in
-	// a degraded overlay of the topology (association and routing then see
-	// only surviving elements) and drops terminals whose serving satellite
-	// died; they re-associate at the next handover tick. Fault transitions
-	// are scheduled before the workload, so at equal instants failures land
-	// before the transfers that must route around them.
 	faultsOn := sc.Faults.Enabled()
-	if faultsOn {
-		tl, err := faults.Generate(sc.Faults, sc.DurationS, faults.InputsFromSnapshot(n.te.At(0)))
-		if err != nil {
-			return nil, err
-		}
-		mask := faults.NewMask()
-		onChange := func(e *sim.Engine, _ faults.Event, down bool) {
-			res.FaultEvents++
-			if err := n.ApplyFaultMask(mask); err != nil {
-				panic(err) // unreachable: topology was built above
-			}
-			if !down {
-				return
-			}
-			for _, id := range userIDs {
-				if !associated[id] {
-					continue
-				}
-				u := n.users[id]
-				serving, _ := u.Terminal.Serving()
-				if mask.NodeDown(serving) {
-					u.Terminal.Dropped()
-					associated[id] = false
-					res.DroppedTerminals++
-				}
-			}
-		}
-		if err := tl.Drive(engine, mask, onChange); err != nil {
-			return nil, err
-		}
-	}
 	retry := sc.Retry
 	if retry == (routing.Backoff{}) {
 		retry = routing.DefaultBackoff()
 	}
 
-	// Transfer arrivals per user. With faults enabled, a failed send retries
-	// with bounded deterministic backoff — the jitter real stacks add is for
-	// breaking synchronisation, which the engine's deterministic tie-break
-	// already provides.
+	// A failed send retries with bounded deterministic backoff when faults
+	// are enabled; the engine's deterministic tie-break replaces jitter.
 	var attemptSend func(e *sim.Engine, id string, bytes int64, attempt int)
 	attemptSend = func(e *sim.Engine, id string, bytes int64, attempt int) {
 		if associated[id] {
@@ -225,7 +250,7 @@ func (n *Network) RunScenario(sc Scenario) (*ScenarioResult, error) {
 			}
 		}
 		if !faultsOn {
-			return // keep the fault-free path byte-identical to older runs
+			return // fault-free runs never retry
 		}
 		delay, ok := retry.DelayS(attempt)
 		if !ok || e.Now()+delay >= sc.DurationS {
@@ -236,66 +261,132 @@ func (n *Network) RunScenario(sc Scenario) (*ScenarioResult, error) {
 		if err := e.After(delay, func(e *sim.Engine) {
 			attemptSend(e, id, bytes, attempt+1)
 		}); err != nil {
-			panic(err) // unreachable: delay validated non-negative
-		}
-	}
-	for _, id := range userIDs {
-		arrivals, err := sim.PoissonArrivals(sc.PerUserRate, sc.DurationS, rng)
-		if err != nil {
-			return nil, err
-		}
-		for _, at := range arrivals {
-			id := id
-			bytes := sim.FlowSizeBytes(sc.MinBytes, sc.MaxBytes, 1.2, rng)
-			if err := engine.Schedule(at, func(e *sim.Engine) {
-				res.TransfersAttempted++
-				attemptSend(e, id, bytes, 0)
-			}); err != nil {
-				return nil, err
-			}
+			panic(err) // unreachable: Validate rejects a negative or NaN backoff
 		}
 	}
 
-	// Periodic handover maintenance.
-	var tick func(*sim.Engine)
-	tick = func(e *sim.Engine) {
-		now := e.Now()
-		for _, id := range userIDs {
-			if !associated[id] {
-				// Retry association for users that started in a gap.
-				if err := n.Associate(id, now); err == nil {
-					associated[id] = true
+	return scenarioMode{
+		// A failure drops the terminals whose serving satellite died; they
+		// re-associate at the next tick.
+		onFault: func(mask *faults.Mask, down bool) {
+			if !down {
+				return
+			}
+			for _, id := range userIDs {
+				if !associated[id] {
+					continue
 				}
-				continue
+				u := n.users[id]
+				serving, _ := u.Terminal.Serving()
+				if mask.NodeDown(serving) {
+					u.Terminal.Dropped()
+					associated[id] = false
+					res.DroppedTerminals++
+				}
 			}
-			plan, err := n.PlanHandover(id, now, sc.SnapshotIntervalS)
-			if err != nil {
-				continue // serving satellite outlives this interval
-			}
-			if plan.SetTimeS <= now+sc.SnapshotIntervalS {
-				if err := n.ExecuteHandover(id, plan); err == nil {
-					res.Handovers++
-					if plan.CrossProvider {
-						res.CrossProviderHandovers++
+		},
+		schedule: func(engine *sim.Engine) error {
+			rng := exec.DomainRNG(sc.Seed, domainScenario)
+			for _, id := range userIDs {
+				arrivals, err := sim.PoissonArrivals(sc.PerUserRate, sc.DurationS, rng)
+				if err != nil {
+					return err
+				}
+				for _, at := range arrivals {
+					bytes := sim.FlowSizeBytes(sc.MinBytes, sc.MaxBytes, 1.2, rng)
+					if err := engine.Schedule(at, func(e *sim.Engine) {
+						res.TransfersAttempted++
+						attemptSend(e, id, bytes, 0)
+					}); err != nil {
+						return err
 					}
 				}
 			}
-		}
-		next := now + sc.SnapshotIntervalS
-		if next < sc.DurationS {
-			if err := e.Schedule(next, tick); err != nil {
-				panic(err) // unreachable: next > now ≥ 0 while the engine runs
+			return nil
+		},
+		tick: func(now, _ float64) error {
+			for _, id := range userIDs {
+				if !associated[id] {
+					if err := n.Associate(id, now); err == nil {
+						associated[id] = true
+					}
+					continue
+				}
+				plan, err := n.PlanHandover(id, now, sc.SnapshotIntervalS)
+				if err != nil {
+					continue // serving satellite outlives this interval
+				}
+				if plan.SetTimeS <= now+sc.SnapshotIntervalS {
+					if err := n.ExecuteHandover(id, plan); err == nil {
+						res.Handovers++
+						if plan.CrossProvider {
+							res.CrossProviderHandovers++
+						}
+					}
+				}
 			}
-		}
-	}
-	if err := engine.Schedule(0, tick); err != nil {
-		return nil, err
-	}
+			return nil
+		},
+		finish: func() {},
+	}, nil
+}
 
-	engine.Run(sc.DurationS)
-	res.EventsProcessed = engine.Processed
-	if engine.Exhausted() {
-		return nil, fmt.Errorf("core: scenario stopped after %d events: %w", engine.Processed, ErrEventBudget)
+// fluidMode returns RunScenario's fluid-mode hooks: instead of one engine
+// event per transfer, each tick evolves the class matrix through the
+// max-min allocator over the snapshot current at its start (fault overlay
+// included), so the event count is O(epochs + fault transitions).
+func (n *Network) fluidMode(sc Scenario, res *ScenarioResult) (scenarioMode, error) {
+	cfg := sc.Aggregate
+	if cfg.Seed == 0 {
+		cfg.Seed = sc.Seed
 	}
-	return res, nil
+	m, err := fluid.BuildClassMatrix(cfg)
+	if err != nil {
+		return scenarioMode{}, err
+	}
+	// Every ground station doubles as a candidate gateway, the same set
+	// SendBest ranks on the per-flow path.
+	var gws []traffic.Gateway
+	for _, g := range n.groundSpecs() {
+		gws = append(gws, traffic.Gateway{ID: g.ID, Pos: g.Pos})
+	}
+	ev, err := fluid.NewEvolver(m, cfg, gws)
+	if err != nil {
+		return scenarioMode{}, err
+	}
+	epoch := 0
+	return scenarioMode{
+		schedule: func(*sim.Engine) error { return nil }, // traffic arrives per epoch
+		// Epochs while any element is masked charge gateway-remapping
+		// events to the fluid interruption counter (the aggregate-mode
+		// analogue of dropping a terminal when its satellite dies).
+		onFault: func(mask *faults.Mask, _ bool) { ev.SetFaultsActive(!mask.Empty()) },
+		tick: func(t0, t1 float64) error {
+			snap := n.snapshotAt(t0)
+			if snap == nil {
+				return errors.New("core: no topology snapshot for aggregate epoch")
+			}
+			if err := ev.Advance(snap, t0, t1, epoch); err != nil {
+				return err
+			}
+			epoch++
+			return nil
+		},
+		finish: func() {
+			fr := ev.Result()
+			res.TransfersAttempted = int(fr.TransfersAttempted)
+			res.TransfersDelivered = int(fr.TransfersDelivered)
+			res.BytesDelivered = fr.BytesDelivered
+			res.Retries = int(fr.Retries)
+			res.RecoveredTransfers = int(fr.Recovered)
+			res.AbandonedTransfers = int(fr.Abandoned)
+			// Fluid interruption events fill the per-flow DroppedTerminals
+			// slot: both count in-flight traffic whose serving
+			// infrastructure a fault yanked away, so E17 cells report
+			// comparable availability in either mode (the residual
+			// reroute-modelling difference is documented in EXPERIMENTS.md).
+			res.DroppedTerminals = int(fr.Interrupted)
+			res.Fluid = fr
+		},
+	}, nil
 }

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"errors"
+	"math"
 	"reflect"
 	"testing"
 
 	"github.com/openspace-project/openspace/internal/faults"
 	"github.com/openspace-project/openspace/internal/geo"
+	"github.com/openspace-project/openspace/internal/routing"
 )
 
 func scenarioNetwork(t *testing.T) *Network {
@@ -204,5 +207,101 @@ func TestRunScenarioErrors(t *testing.T) {
 	sc := Scenario{DurationS: 10, SnapshotIntervalS: 5, PerUserRate: 1, MinBytes: 1, MaxBytes: 2}
 	if _, err := empty.RunScenario(sc); err == nil {
 		t.Error("scenario without users should fail")
+	}
+}
+
+// TestScenarioEventAccounting pins RunScenario's event budget exactly, in
+// both modes: every processed event is a fault transition, a tick, or (per
+// flow) a transfer arrival or a retry — nothing else enters the engine.
+// Both modes draw the same fault timeline from the same network.
+func TestScenarioEventAccounting(t *testing.T) {
+	const seed = 5
+	perFlow := Scenario{
+		DurationS: 1800, SnapshotIntervalS: 60,
+		PerUserRate: 0.05, MinBytes: 1_000_000, MaxBytes: 100_000_000, Seed: seed,
+	}
+	fluidRun := perFlow.WithAggregateWorkload(50_000, nil)
+	ticks := uint64(math.Ceil(perFlow.DurationS / perFlow.SnapshotIntervalS))
+	for _, intensity := range []float64{0, 1, 4, 20} {
+		pf, err := scenarioNetwork(t).RunScenario(perFlow.WithFaults(faults.Default(), intensity, seed))
+		if err != nil {
+			t.Fatalf("per-flow ×%g: %v", intensity, err)
+		}
+		fl, err := scenarioNetwork(t).RunScenario(fluidRun.WithFaults(faults.Default(), intensity, seed))
+		if err != nil {
+			t.Fatalf("fluid ×%g: %v", intensity, err)
+		}
+		want := uint64(pf.FaultEvents) + ticks + uint64(pf.TransfersAttempted+pf.Retries)
+		if pf.EventsProcessed != want {
+			t.Errorf("per-flow ×%g: %d events, want %d faults + %d ticks + %d attempts + %d retries = %d",
+				intensity, pf.EventsProcessed, pf.FaultEvents, ticks, pf.TransfersAttempted, pf.Retries, want)
+		}
+		if want := uint64(fl.FaultEvents) + ticks; fl.EventsProcessed != want {
+			t.Errorf("fluid ×%g: %d events, want %d faults + %d ticks = %d",
+				intensity, fl.EventsProcessed, fl.FaultEvents, ticks, want)
+		}
+		if pf.FaultEvents != fl.FaultEvents {
+			t.Errorf("×%g: per-flow saw %d fault transitions, fluid %d", intensity, pf.FaultEvents, fl.FaultEvents)
+		}
+		if (intensity == 0) != (pf.FaultEvents == 0) {
+			t.Errorf("×%g: %d fault transitions", intensity, pf.FaultEvents)
+		}
+		t.Logf("×%g: per-flow %d events, fluid %d, %d fault transitions",
+			intensity, pf.EventsProcessed, fl.EventsProcessed, pf.FaultEvents)
+	}
+}
+
+// TestScenarioEventBudget checks that both modes stop on a small MaxEvents
+// budget with an error wrapping ErrEventBudget.
+func TestScenarioEventBudget(t *testing.T) {
+	perFlow := Scenario{
+		DurationS: 1800, SnapshotIntervalS: 60,
+		PerUserRate: 0.05, MinBytes: 1_000_000, MaxBytes: 100_000_000, Seed: 9,
+	}.WithFaults(faults.Default(), 4, 9).WithEventBudget(10)
+	for name, sc := range map[string]Scenario{
+		"per-flow": perFlow,
+		"fluid":    perFlow.WithAggregateWorkload(50_000, nil),
+	} {
+		res, err := scenarioNetwork(t).RunScenario(sc)
+		if !errors.Is(err, ErrEventBudget) {
+			t.Errorf("%s: err = %v, want ErrEventBudget", name, err)
+		}
+		if res != nil {
+			t.Errorf("%s: exhausted run returned a result", name)
+		}
+	}
+}
+
+// TestScenarioRejectsBadRetry pins that a faulted scenario with a NaN,
+// infinite or negative backoff is refused up front: a NaN delay would
+// otherwise slip past the horizon check and schedule retries at time NaN.
+func TestScenarioRejectsBadRetry(t *testing.T) {
+	base := Scenario{
+		DurationS: 300, SnapshotIntervalS: 60,
+		PerUserRate: 0.05, MinBytes: 1000, MaxBytes: 1_000_000, Seed: 4,
+	}
+	faulted := base.WithFaults(faults.Default(), 40, 4)
+	for _, r := range []routing.Backoff{
+		{BaseS: math.NaN(), MaxAttempts: 3},
+		{BaseS: math.Inf(1), MaxAttempts: 3},
+		{BaseS: -1, MaxAttempts: 3},
+		{BaseS: 1, MaxS: math.NaN(), MaxAttempts: 3},
+		{BaseS: 1, MaxS: -1, MaxAttempts: 3},
+		{BaseS: 1, MaxS: 8, MaxAttempts: -1},
+	} {
+		sc := faulted
+		sc.Retry = r
+		if sc.Validate() == nil {
+			t.Errorf("retry %+v accepted", r)
+		}
+		if _, err := scenarioNetwork(t).RunScenario(sc); err == nil {
+			t.Errorf("RunScenario with retry %+v returned no error", r)
+		}
+		// Without faults the retry policy is ignored, so it is not checked.
+		sc = base
+		sc.Retry = r
+		if err := sc.Validate(); err != nil {
+			t.Errorf("fault-free scenario with retry %+v rejected: %v", r, err)
+		}
 	}
 }

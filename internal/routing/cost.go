@@ -3,7 +3,8 @@
 //
 //   - Proactive routing: because orbits are public and predictable, routes
 //     between any satellite pair and fixed ground infrastructure can be
-//     precomputed per topology snapshot (ProactiveRouter).
+//     computed ahead of time on each topology snapshot (ShortestPath,
+//     KShortestPaths and DisjointPaths over the snapshot series).
 //   - On-demand, end-to-end routing: as the system scales, path costs depend
 //     on quantities that cannot be precomputed — ISL queue occupancy, ground
 //     station load, visitor tariffs — so paths must be found at request time

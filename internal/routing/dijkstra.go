@@ -30,8 +30,8 @@ func ShortestPath(s *topo.Snapshot, src, dst string, cost CostFunc) (Path, error
 }
 
 // Tree computes the full shortest-path tree from src: cost and predecessor
-// for every reachable node. It is the building block of proactive route
-// tables, where one Dijkstra run yields routes to all destinations.
+// for every reachable node: one Dijkstra run yields routes to all
+// destinations.
 func Tree(s *topo.Snapshot, src string, cost CostFunc) (map[string]float64, map[string]string, error) {
 	sr, si, _, err := acquire(s, src, src, cost)
 	if err != nil {

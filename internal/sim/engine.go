@@ -50,17 +50,17 @@ func (e *Engine) Now() float64 { return e.now }
 // no per-call error construction.
 var errNilEvent = errors.New("sim: nil event function")
 
-// Schedule enqueues fn at absolute time atS. Scheduling in the past is an
-// error — it would silently reorder causality.
+// Schedule enqueues fn at absolute time atS. Scheduling in the past or at
+// NaN is an error — either would silently reorder causality.
 //
 //lint:hotpath
 func (e *Engine) Schedule(atS float64, fn func(*Engine)) error {
 	if fn == nil {
 		return errNilEvent
 	}
-	if atS < e.now {
+	if !(atS >= e.now) { // also true for NaN
 		//lint:allow hotalloc cold causality-violation path, never taken in steady state
-		return fmt.Errorf("sim: schedule at %.3f is before now %.3f", atS, e.now)
+		return fmt.Errorf("sim: schedule at %.3f is not at or after now %.3f", atS, e.now)
 	}
 	e.events.push(event{atS: atS, seq: e.seq, fn: fn})
 	e.seq++

@@ -151,6 +151,24 @@ func TestScheduleValidation(t *testing.T) {
 	}
 }
 
+// TestScheduleRejectsNaN pins that a NaN time never enters the queue:
+// NaN compares false against everything, so a plain "before now" check
+// would accept it and the event would run at time NaN.
+func TestScheduleRejectsNaN(t *testing.T) {
+	e := NewEngine()
+	ran := false
+	if err := e.Schedule(math.NaN(), func(*Engine) { ran = true }); err == nil {
+		t.Error("Schedule(NaN) should fail")
+	}
+	if err := e.After(math.NaN(), func(*Engine) { ran = true }); err == nil {
+		t.Error("After(NaN) should fail")
+	}
+	e.Run(math.Inf(1))
+	if ran || e.Processed != 0 {
+		t.Errorf("a NaN-time event ran (processed %d)", e.Processed)
+	}
+}
+
 func TestHistogram(t *testing.T) {
 	var h Histogram
 	if h.Count() != 0 || h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 || h.Quantile(0.5) != 0 {

@@ -28,8 +28,6 @@
 package openspace
 
 import (
-	"fmt"
-
 	"github.com/openspace-project/openspace/internal/core"
 	"github.com/openspace-project/openspace/internal/economics"
 	"github.com/openspace-project/openspace/internal/experiments"
@@ -342,38 +340,12 @@ var (
 // QuickFederation builds a ready-to-use federation: the Iridium reference
 // constellation split across n providers (30 % of satellites carry laser
 // terminals), one gateway ground station per provider at spread locations,
-// and deterministic keys from seed. Ground stations are named gs-0 … gs-(n-1).
+// and deterministic keys from seed. Providers are named prov-0 … prov-(n-1)
+// and their ground stations gs-0 … gs-(n-1).
 func QuickFederation(n int, seed int64) (*Network, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("openspace: providers %d must be positive", n)
-	}
-	c, err := Iridium().Build()
+	providers, err := core.IridiumFederation(n)
 	if err != nil {
 		return nil, err
-	}
-	fleets := SplitConstellation(c, n, 0.3)
-	sites := []LatLon{
-		{Lat: 47.6, Lon: -122.3},   // seattle
-		{Lat: -1.29, Lon: 36.82},   // nairobi
-		{Lat: 51.51, Lon: -0.13},   // london
-		{Lat: -33.87, Lon: 151.21}, // sydney
-		{Lat: 35.68, Lon: 139.69},  // tokyo
-		{Lat: -23.55, Lon: -46.63}, // sao paulo
-	}
-	providers := make([]ProviderConfig, n)
-	for i := range providers {
-		providers[i] = ProviderConfig{
-			ID:            fmt.Sprintf("prov-%d", i),
-			Satellites:    fleets[i],
-			CarriagePerGB: 0.20,
-			GroundStations: []GroundStationConfig{{
-				ID:           fmt.Sprintf("gs-%d", i),
-				Pos:          sites[i%len(sites)],
-				BackhaulBps:  10e9,
-				PricePerGB:   0.05,
-				VisitorSurge: 2,
-			}},
-		}
 	}
 	return NewNetwork(NetworkConfig{Providers: providers, Seed: seed})
 }
