@@ -111,18 +111,15 @@ func RoutingAblation(cfg RoutingAblationConfig) (*RoutingAblationResult, error) 
 		proDelay.Add(out.path.DelayS * 1000)
 		proactiveLoad.Commit(out.path, cfg.FlowBps)
 	}
-	over := map[[2]string]bool{}
 	for _, e := range snap.Edges() {
 		u := proactiveLoad.Utilization(e.From, e.To)
 		if u > res.ProactiveMaxUtilization {
 			res.ProactiveMaxUtilization = u
 		}
-		// Utilization saturates at 1; check raw commitment instead.
 		if u >= 1 {
-			over[[2]string{e.From, e.To}] = true
+			res.ProactiveOverloadedEdges++
 		}
 	}
-	res.ProactiveOverloadedEdges = len(over)
 	res.ProactiveMeanDelayMs = proDelay.Mean()
 
 	// On-demand: sequential admission with live congestion.

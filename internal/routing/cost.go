@@ -26,7 +26,7 @@ import (
 // along a path.
 //
 // A CostFunc must be a pure function of the edge for the duration of one
-// ShortestPath, Tree, KShortestPaths or DisjointPaths call: each call
+// ShortestPath, KShortestPaths or DisjointPaths call: each call
 // scores an edge once, on first use, and reuses that score for every
 // search it runs. Live state such as a LoadMap may change between calls,
 // not during one.

@@ -18,7 +18,6 @@ type denseCase struct {
 	name  string
 	snap  *topo.Snapshot
 	pairs [][2]string
-	roots []string // Tree sources
 }
 
 // gridSnapshot builds an n-satellite +Grid Walker Delta with half the
@@ -136,10 +135,9 @@ func denseCases(t *testing.T) []denseCase {
 		ids := s.Nodes()
 		pairs := [][2]string{{"g0", "g1"}, {"u0", "g2"}, {"g3", "u1"}, {ids[3], ids[len(ids)/2]}, {"g2", "g2"}, {"u0", "u1"},
 			{"nope", "g0"}, {"g0", "nope"}}
-		roots := []string{"g0", ids[7]}
 		cases = append(cases,
-			denseCase{name: fmt.Sprintf("grid-%d", n), snap: s, pairs: pairs, roots: roots},
-			denseCase{name: fmt.Sprintf("grid-%d-faults", n), snap: faulted(s), pairs: pairs, roots: roots[:1]})
+			denseCase{name: fmt.Sprintf("grid-%d", n), snap: s, pairs: pairs},
+			denseCase{name: fmt.Sprintf("grid-%d-faults", n), snap: faulted(s), pairs: pairs})
 	}
 	rng := rand.New(rand.NewSource(91))
 	for trial := 0; trial < 4; trial++ {
@@ -149,7 +147,6 @@ func denseCases(t *testing.T) []denseCase {
 			name:  fmt.Sprintf("random-%d", trial),
 			snap:  s,
 			pairs: [][2]string{{"u0", "g0"}, {"g0", "g1"}, {ids[0], ids[len(ids)-1]}},
-			roots: []string{"g1", "nope"},
 		})
 	}
 	return cases
@@ -201,7 +198,7 @@ func checkPaths(t *testing.T, label string, got []Path, gotErr error, want []Pat
 
 // TestDenseMatchesOracle pins the dense searcher to the map-based
 // implementation it replaced: identical node sequences and bit-equal
-// costs from ShortestPath, Tree, KShortestPaths (k = 1…8) and
+// costs from ShortestPath, KShortestPaths (k = 1…8) and
 // DisjointPaths on +Grid shells with and without failures, dense random
 // meshes, and cost functions from all-ties hop counting to bandwidth
 // floors; errors, unknown endpoints included, must carry the same text. Yen's first k paths do not depend on k, so each dense k is
@@ -240,23 +237,6 @@ func TestDenseMatchesOracle(t *testing.T) {
 					wantD, wantDErr := oracleDisjointPaths(c.snap, src, dst, cost, k)
 					gotD, gotDErr := DisjointPaths(c.snap, src, dst, cost, k)
 					checkPaths(t, fmt.Sprintf("%s DisjointPaths k=%d", label, k), gotD, gotDErr, wantD, wantDErr)
-				}
-			}
-			for _, root := range c.roots {
-				wantDist, wantPrev, wantErr := oracleTree(c.snap, root, cost)
-				gotDist, gotPrev, err := Tree(c.snap, root, cost)
-				if !sameErr(err, wantErr) {
-					t.Fatalf("%s/%s Tree(%s): error %v, oracle %v", c.name, cname, root, err, wantErr)
-				}
-				if len(gotDist) != len(wantDist) || len(gotPrev) != len(wantPrev) {
-					t.Fatalf("%s/%s Tree(%s): %d/%d entries, oracle %d/%d", c.name, cname, root,
-						len(gotDist), len(gotPrev), len(wantDist), len(wantPrev))
-				}
-				for id, d := range wantDist {
-					if g, ok := gotDist[id]; !ok || math.Float64bits(g) != math.Float64bits(d) || gotPrev[id] != wantPrev[id] {
-						t.Fatalf("%s/%s Tree(%s) at %s: (%v, %q), oracle (%v, %q)", c.name, cname, root, id,
-							g, gotPrev[id], d, wantPrev[id])
-					}
 				}
 			}
 		}

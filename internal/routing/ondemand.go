@@ -2,6 +2,7 @@ package routing
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"github.com/openspace-project/openspace/internal/topo"
@@ -13,33 +14,30 @@ import (
 // Safe for concurrent use.
 type EdgeLoad struct {
 	mu   sync.RWMutex
-	used map[[2]string]float64 // committed bps per directed edge
-	caps map[[2]string]float64 // capacity per directed edge
+	ix   *topo.Index
+	used []float64 // committed bps per directed edge, by edge position
 }
 
-// NewEdgeLoad returns an empty load tracker primed with the snapshot's edge
-// capacities.
+// NewEdgeLoad returns an empty load tracker for the snapshot's edges,
+// measured against their capacities.
 func NewEdgeLoad(s *topo.Snapshot) *EdgeLoad {
-	l := &EdgeLoad{
-		used: make(map[[2]string]float64),
-		caps: make(map[[2]string]float64),
-	}
-	for _, e := range s.Edges() {
-		l.caps[[2]string{e.From, e.To}] = e.CapacityBps
-	}
-	return l
+	ix := s.Index()
+	return &EdgeLoad{ix: ix, used: make([]float64, len(ix.Edges))}
 }
 
 // Utilization implements LoadMap.
 func (l *EdgeLoad) Utilization(from, to string) float64 {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	key := [2]string{from, to}
-	c := l.caps[key]
+	j := l.ix.Arc(from, to)
+	if j < 0 {
+		return 0
+	}
+	c := l.ix.Edges[j].CapacityBps
 	if c <= 0 {
 		return 0
 	}
-	u := l.used[key] / c
+	l.mu.RLock()
+	u := l.used[j] / c
+	l.mu.RUnlock()
 	if u > 1 {
 		u = 1
 	}
@@ -51,7 +49,9 @@ func (l *EdgeLoad) Commit(p Path, bps float64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for i := 0; i+1 < len(p.Nodes); i++ {
-		l.used[[2]string{p.Nodes[i], p.Nodes[i+1]}] += bps
+		if j := l.ix.Arc(p.Nodes[i], p.Nodes[i+1]); j >= 0 {
+			l.used[j] += bps
+		}
 	}
 }
 
@@ -60,10 +60,8 @@ func (l *EdgeLoad) Release(p Path, bps float64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for i := 0; i+1 < len(p.Nodes); i++ {
-		key := [2]string{p.Nodes[i], p.Nodes[i+1]}
-		l.used[key] -= bps
-		if l.used[key] < 0 {
-			l.used[key] = 0
+		if j := l.ix.Arc(p.Nodes[i], p.Nodes[i+1]); j >= 0 {
+			l.used[j] = max(l.used[j]-bps, 0)
 		}
 	}
 }
@@ -94,8 +92,8 @@ func (r *OnDemandRouter) Load() *EdgeLoad { return r.load }
 // Admit finds a path for a flow of the given rate and commits its bandwidth.
 // It fails if no path can carry the flow without saturating a link.
 func (r *OnDemandRouter) Admit(src, dst string, bps float64) (Path, error) {
-	if bps <= 0 {
-		return Path{}, fmt.Errorf("routing: on-demand: rate %.0f must be positive", bps)
+	if !(bps > 0) || math.IsInf(bps, 1) {
+		return Path{}, fmt.Errorf("routing: on-demand: rate %v must be positive and finite", bps)
 	}
 	// A link is usable only if the new flow still fits.
 	base := r.policy.Cost()

@@ -2,6 +2,8 @@ package routing
 
 import (
 	"errors"
+	"math"
+	"slices"
 	"testing"
 
 	"github.com/openspace-project/openspace/internal/topo"
@@ -73,8 +75,18 @@ func TestOnDemandAdmitAndSpill(t *testing.T) {
 func TestOnDemandRejectsImpossible(t *testing.T) {
 	s := testSnapshot(t, 1, false)
 	r := NewOnDemandRouter(s, DefaultQoS())
-	if _, err := r.Admit("u-nairobi", "gs-seattle", 0); err == nil {
-		t.Error("zero rate should error")
+	// A rate that is not positive and finite is refused before it reaches
+	// the tracker: a committed NaN would poison the utilisation of every
+	// edge on its path and, through the cost function, later admissions.
+	for _, bps := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if p, err := r.Admit("u-nairobi", "gs-seattle", bps); err == nil {
+			t.Errorf("rate %v admitted on %v", bps, p.Nodes)
+		}
+	}
+	for _, e := range s.Edges() {
+		if u := r.Load().Utilization(e.From, e.To); u != 0 {
+			t.Fatalf("%s→%s utilization %v after refused admissions", e.From, e.To, u)
+		}
 	}
 	// A flow bigger than any access link cannot be admitted.
 	if _, err := r.Admit("u-nairobi", "gs-seattle", 1e15); !errors.Is(err, ErrNoPath) {
@@ -132,5 +144,63 @@ func TestQoSLoadPenaltySaturatedUnusable(t *testing.T) {
 	load.Commit(p, e.CapacityBps*2)
 	if _, usable := cost(e, s); usable {
 		t.Error("saturated edge should be unusable")
+	}
+}
+
+// TestOnDemandRouter drives admission control to saturation on the
+// diamond: each route fits two 0.4 Gbps flows and not a third, so exactly
+// four are admitted, finishing one makes room for exactly one more, and
+// the tracker reports no load where there is no edge and never drops
+// below zero.
+func TestOnDemandRouter(t *testing.T) {
+	s := diamondSnapshot(t)
+	r := NewOnDemandRouter(s, DefaultQoS())
+	var admitted []Path
+	for {
+		p, err := r.Admit("src", "dst", 4e8)
+		if err != nil {
+			if !errors.Is(err, ErrNoPath) {
+				t.Fatalf("refusal: %v, want ErrNoPath", err)
+			}
+			break
+		}
+		if admitted = append(admitted, p); len(admitted) > 4 {
+			t.Fatalf("admitted %d flows of 0.4 Gbps over two 1 Gbps routes", len(admitted))
+		}
+	}
+	if len(admitted) != 4 {
+		t.Fatalf("admitted %d flows, want 4", len(admitted))
+	}
+	for _, e := range s.Edges() {
+		if u := r.Load().Utilization(e.From, e.To); u != 0 && u != 0.8 {
+			t.Errorf("%s→%s utilization %v, want 0 or 0.8", e.From, e.To, u)
+		}
+	}
+
+	r.Finish(admitted[0], 4e8)
+	again, err := r.Admit("src", "dst", 4e8)
+	if err != nil {
+		t.Fatalf("after Finish: %v", err)
+	}
+	if !slices.Equal(again.Nodes, admitted[0].Nodes) {
+		t.Errorf("readmitted on %v, want the freed route %v", again.Nodes, admitted[0].Nodes)
+	}
+	if _, err := r.Admit("src", "dst", 4e8); !errors.Is(err, ErrNoPath) {
+		t.Errorf("admission past saturation: %v, want ErrNoPath", err)
+	}
+
+	l := r.Load()
+	for _, pair := range [][2]string{{"src", "dst"}, {"a", "b"}, {"src", "zz"}, {"zz", "src"}} {
+		if u := l.Utilization(pair[0], pair[1]); u != 0 {
+			t.Errorf("Utilization(%s, %s) = %v, want 0", pair[0], pair[1], u)
+		}
+	}
+	l.Release(again, 1e12)
+	if u := l.Utilization("src", again.Nodes[1]); u != 0 {
+		t.Errorf("over-release left utilization %v, want 0", u)
+	}
+	l.Commit(again, 1e8)
+	if u := l.Utilization("src", again.Nodes[1]); u != 0.1 {
+		t.Errorf("commit after over-release: utilization %v, want 0.1", u)
 	}
 }

@@ -27,14 +27,6 @@ func oracleShortestPath(s *topo.Snapshot, src, dst string, cost CostFunc) (Path,
 	return buildPath(s, src, dst, dist[dst], prev), nil
 }
 
-func oracleTree(s *topo.Snapshot, src string, cost CostFunc) (map[string]float64, map[string]string, error) {
-	if s.Node(src) == nil {
-		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownNode, src)
-	}
-	dist, prev := dijkstra(s, src, cost, "")
-	return dist, prev, nil
-}
-
 // dijkstra runs the search; if stopAt is non-empty the search terminates
 // once that node is settled.
 func dijkstra(s *topo.Snapshot, src string, cost CostFunc, stopAt string) (map[string]float64, map[string]string) {

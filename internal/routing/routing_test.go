@@ -106,41 +106,6 @@ func TestShortestPathOptimality(t *testing.T) {
 	}
 }
 
-func TestTreeCoversComponent(t *testing.T) {
-	s := testSnapshot(t, 1, false)
-	dist, prev, err := Tree(s, "gs-seattle", LatencyCost(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dist["gs-seattle"] != 0 {
-		t.Error("root distance must be 0")
-	}
-	// Every satellite with any ISL/ground connectivity should be reachable
-	// in a full Iridium mesh.
-	reached := 0
-	for _, id := range s.Nodes() {
-		if _, ok := dist[id]; ok {
-			reached++
-		}
-	}
-	if reached < s.NodeCount()-2 {
-		t.Errorf("tree reached %d of %d nodes", reached, s.NodeCount())
-	}
-	// prev pointers walk back to the root.
-	for id := range dist {
-		at := id
-		for steps := 0; at != "gs-seattle"; steps++ {
-			if steps > s.NodeCount() {
-				t.Fatalf("prev chain from %s does not terminate", id)
-			}
-			at = prev[at]
-		}
-	}
-	if _, _, err := Tree(s, "ghost", HopCost()); !errors.Is(err, ErrUnknownNode) {
-		t.Errorf("unknown root: %v", err)
-	}
-}
-
 func TestQoSPolicyFilters(t *testing.T) {
 	s := testSnapshot(t, 1, false)
 	cfg := topo.DefaultConfig()

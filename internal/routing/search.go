@@ -8,7 +8,7 @@ import (
 	"github.com/openspace-project/openspace/internal/topo"
 )
 
-// searcher is the working set of one ShortestPath, Tree, KShortestPaths or
+// searcher is the working set of one ShortestPath, KShortestPaths or
 // DisjointPaths call: Dijkstra over the snapshot's dense index with
 // slice scratch instead of string-keyed maps. Scratch entries are stamped
 // with the epoch that wrote them, so starting a search or a call is one

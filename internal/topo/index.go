@@ -34,6 +34,21 @@ func (ix *Index) Lookup(id string) (int32, bool) {
 	return int32(i), true
 }
 
+// Arc returns the position in Edges of the edge from → to, or -1 when the
+// snapshot has no such edge. Per-link state kept beside a snapshot is
+// indexed by this position.
+func (ix *Index) Arc(from, to string) int32 {
+	u, okFrom := ix.Lookup(from)
+	v, okTo := ix.Lookup(to)
+	if !okFrom || !okTo {
+		return -1
+	}
+	if k, ok := slices.BinarySearch(ix.To[ix.Off[u]:ix.Off[u+1]], v); ok {
+		return ix.Off[u] + int32(k)
+	}
+	return -1
+}
+
 // byID orders nodes by ID, the order of a snapshot's node list.
 func byID(x, y Node) int { return strings.Compare(x.ID, y.ID) }
 

@@ -38,6 +38,9 @@ func checkSnapshot(t *testing.T, s *Snapshot) {
 			if e.From != id || ix.Nodes[ix.To[j]].ID != e.To {
 				t.Fatalf("edge %d %s→%s sits in row %s with target %s", j, e.From, e.To, id, ix.Nodes[ix.To[j]].ID)
 			}
+			if got := ix.Arc(e.From, e.To); got != j {
+				t.Fatalf("Arc(%s, %s) = %d, want %d", e.From, e.To, got, j)
+			}
 			if j > ix.Off[i] && ix.To[j-1] >= ix.To[j] {
 				t.Fatalf("%s: row not in strictly increasing target order at edge %d", id, j)
 			}
@@ -75,7 +78,25 @@ func TestIndexOverlayBuildsItsOwn(t *testing.T) {
 	if _, ok := ix.Lookup("b"); ok {
 		t.Fatal("failed node b is in the overlay's index")
 	}
+	if j := ix.Arc("a", "b"); j != -1 {
+		t.Fatalf("overlay Arc(a, b) = %d through failed node b, want -1", j)
+	}
 	checkSnapshot(t, s)
+	for _, c := range []struct {
+		from, to string
+		want     int32
+	}{
+		{"a", "b", 0},             // present: a's only edge
+		{"c", "b", 3},             // present: c's first edge, after b's two
+		{"a", "c", -1},            // absent pair of known nodes
+		{"a", "a", -1},            // no self-loop
+		{"no-such-node", "b", -1}, // unknown from
+		{"b", "no-such-node", -1}, // unknown to
+	} {
+		if j := parent.Arc(c.from, c.to); j != c.want {
+			t.Errorf("Arc(%s, %s) = %d, want %d", c.from, c.to, j, c.want)
+		}
+	}
 	if s.Overlay(fakeMask{}).Index() != parent {
 		t.Fatal("empty overlay should keep the snapshot's index")
 	}

@@ -140,10 +140,8 @@ func (s *Snapshot) EdgeCount() int { return len(s.ix.Edges) }
 
 // Edge returns the edge from → to if present.
 func (s *Snapshot) Edge(from, to string) (Edge, bool) {
-	for _, e := range s.Neighbors(from) {
-		if e.To == to {
-			return e, true
-		}
+	if j := s.ix.Arc(from, to); j >= 0 {
+		return s.ix.Edges[j], true
 	}
 	return Edge{}, false
 }

@@ -17,9 +17,10 @@ type CutLink struct {
 type MaxFlowResult struct {
 	// ValueBps is the maximum src→dst flow.
 	ValueBps float64
-	// Flow carries the per-link flow of one maximum flow (only links with
-	// positive flow appear).
-	Flow map[LinkID]float64
+	// Flow carries the per-link flow of one maximum flow, indexed by edge
+	// position in the network snapshot's Index().Edges; links without flow
+	// hold 0.
+	Flow []float64
 	// MinCut is the bottleneck: a minimal set of saturated links whose
 	// removal disconnects dst from src, sorted by (From, To). Its total
 	// capacity equals ValueBps (max-flow/min-cut duality).
@@ -35,11 +36,12 @@ func (r *MaxFlowResult) CutCapacityBps() float64 {
 	return total
 }
 
-// arc is one residual-graph arc. Forward arcs carry orig = initial
-// capacity; residual counterparts have orig = 0.
+// arc is one residual-graph arc. Forward arcs carry the position of
+// their snapshot edge and orig = initial capacity; residual counterparts
+// have edge = -1 and orig = 0.
 type arc struct {
-	to, rev   int32
-	cap, orig float64
+	to, rev, edge int32
+	cap, orig     float64
 }
 
 // dinicGraph is the indexed residual graph. Node indices are the
@@ -71,14 +73,13 @@ func newDinicGraph(n *Network) *dinicGraph {
 	}
 	for u := range ix.Nodes {
 		for j := ix.Off[u]; j < ix.Off[u+1]; j++ {
-			e := &ix.Edges[j]
-			c := n.CapacityBps(e.From, e.To)
+			c := n.caps[j]
 			if c <= 0 {
 				continue
 			}
 			v := ix.To[j]
-			g.adj[u] = append(g.adj[u], arc{to: v, rev: int32(len(g.adj[v])), cap: c, orig: c})
-			g.adj[v] = append(g.adj[v], arc{to: int32(u), rev: int32(len(g.adj[u]) - 1), cap: 0, orig: 0})
+			g.adj[u] = append(g.adj[u], arc{to: v, rev: int32(len(g.adj[v])), edge: j, cap: c, orig: c})
+			g.adj[v] = append(g.adj[v], arc{to: int32(u), rev: int32(len(g.adj[u]) - 1), edge: -1, cap: 0, orig: 0})
 		}
 	}
 	return g
@@ -180,11 +181,11 @@ func MaxFlow(n *Network, src, dst string) (*MaxFlowResult, error) {
 	t, _ := g.ix.Lookup(dst)
 	value := g.solve(s, t)
 
-	res := &MaxFlowResult{ValueBps: value, Flow: make(map[LinkID]float64)}
+	res := &MaxFlowResult{ValueBps: value, Flow: make([]float64, len(g.ix.Edges))}
 	for u := range g.adj {
 		for _, a := range g.adj[u] {
-			if flow := a.orig - a.cap; a.orig > 0 && flow > g.eps {
-				res.Flow[LinkID{g.ix.Nodes[u].ID, g.ix.Nodes[a.to].ID}] = flow
+			if flow := a.orig - a.cap; a.edge >= 0 && flow > g.eps {
+				res.Flow[a.edge] = flow
 			}
 		}
 	}

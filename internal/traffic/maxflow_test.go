@@ -176,13 +176,19 @@ func TestMaxFlowInvariantsProperty(t *testing.T) {
 		}
 		const eps = 1e-6
 		net := map[string]float64{}
-		for id, flow := range r.Flow {
-			if flow < -eps || flow > n.CapacityBps(id.From, id.To)+eps {
-				t.Logf("seed %d: link %v flow %v exceeds capacity %v", seed, id, flow, n.CapacityBps(id.From, id.To))
+		edges := n.Snap.Edges()
+		if len(r.Flow) != len(edges) {
+			t.Logf("seed %d: %d flows for %d edges", seed, len(r.Flow), len(edges))
+			return false
+		}
+		for j, flow := range r.Flow {
+			e := edges[j]
+			if flow < -eps || flow > n.CapacityBps(e.From, e.To)+eps {
+				t.Logf("seed %d: link %s→%s flow %v exceeds capacity %v", seed, e.From, e.To, flow, n.CapacityBps(e.From, e.To))
 				return false
 			}
-			net[id.From] -= flow
-			net[id.To] += flow
+			net[e.From] -= flow
+			net[e.To] += flow
 		}
 		for _, id := range n.Snap.Nodes() {
 			if id == "a" || id == "b" {

@@ -3,15 +3,17 @@ package traffic
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/openspace-project/openspace/internal/routing"
+	"github.com/openspace-project/openspace/internal/topo"
 )
 
 // AllocConfig parameterises the max-min fair allocator.
 type AllocConfig struct {
 	// KPaths is how many loopless shortest paths (routing.KShortestPaths)
 	// are considered per demand; the widest of them — largest bottleneck
-	// capacity under this network's capacity map — carries the demand.
+	// capacity under this network's link capacities — carries the demand.
 	// ≤ 0 means 1 (pure shortest path).
 	KPaths int
 	// Cost scores candidate paths. Nil means GatewayTransitCost: latency
@@ -42,9 +44,9 @@ func (d *DemandAllocation) Satisfied() bool {
 // routing.LoadMap, so a finished allocation can feed load-aware QoS routing
 // directly.
 type Allocation struct {
-	Demands  []DemandAllocation
-	net      *Network
-	linkLoad map[LinkID]float64
+	Demands []DemandAllocation
+	net     *Network
+	load    []float64 // carried bps per edge, by edge position
 }
 
 var _ routing.LoadMap = (*Allocation)(nil)
@@ -52,11 +54,15 @@ var _ routing.LoadMap = (*Allocation)(nil)
 // Utilization implements routing.LoadMap: the carried fraction of the
 // directed link's capacity, in [0, 1].
 func (a *Allocation) Utilization(from, to string) float64 {
-	c := a.net.CapacityBps(from, to)
-	if c <= 0 {
+	return a.utilization(a.net.Snap.Index().Arc(from, to))
+}
+
+// utilization is Utilization for the edge at position j, 0 for j < 0.
+func (a *Allocation) utilization(j int32) float64 {
+	if j < 0 || a.net.caps[j] <= 0 {
 		return 0
 	}
-	u := a.linkLoad[LinkID{from, to}] / c
+	u := a.load[j] / a.net.caps[j]
 	if u > 1 {
 		return 1
 	}
@@ -118,51 +124,28 @@ func (a *Allocation) JainIndex() float64 {
 func (a *Allocation) MaxUtilization() (LinkID, float64) {
 	var best LinkID
 	var bestU float64
-	for _, e := range a.net.Snap.Edges() {
-		if u := a.Utilization(e.From, e.To); u > bestU {
+	for j, e := range a.net.Snap.Edges() {
+		if u := a.utilization(int32(j)); u > bestU {
 			best, bestU = LinkID{e.From, e.To}, u
 		}
 	}
 	return best, bestU
 }
 
-// fillState is the progressive-filling working set with links interned
-// into dense indices, so the fill loop runs over slices instead of
-// recomputing per-link membership maps every round. Everything here is
-// preallocated before run starts: the kernel itself must not allocate
-// (see TestAllocGateMaxMinFill).
+// fillState is the progressive-filling working set. Links are edge
+// positions in the network's snapshot, so the fill loop runs over slices
+// instead of recomputing per-link membership maps every round. Everything
+// here is preallocated before run starts: the kernel itself must not
+// allocate (see TestAllocGateMaxMinFill).
 type fillState struct {
 	eps       float64
-	linkIdx   map[LinkID]int32 //lint:scratch
-	linkIDs   []LinkID         //lint:scratch
-	linkCap   []float64        //lint:scratch
-	linkLoad  []float64        //lint:scratch
-	linkUsers []int32          //lint:scratch — active demands per link, decremented on freeze
-	demLinks  [][]int32        //lint:scratch — interned link indices per demand, path order
-	active    []bool           //lint:scratch
+	edges     []topo.Edge // the snapshot's edges, by position
+	linkCap   []float64   // the network's capacities, by edge position
+	linkLoad  []float64   // the allocation's load, by edge position
+	linkUsers []int32     //lint:scratch — active demands per edge, decremented on freeze
+	demLinks  [][]int32   //lint:scratch — edge positions per demand, path order
+	active    []bool      //lint:scratch
 	nActive   int
-}
-
-// intern maps one of a demand's path links to its dense index, creating
-// the link's capacity/load/user slots on first sight. Loopless paths
-// never repeat a link, but dedup keeps the per-demand user count exact
-// regardless.
-func (st *fillState) intern(dem int, l LinkID, n *Network) {
-	li, ok := st.linkIdx[l]
-	if !ok {
-		li = int32(len(st.linkIDs))
-		st.linkIdx[l] = li
-		st.linkIDs = append(st.linkIDs, l)
-		st.linkCap = append(st.linkCap, n.caps[l])
-		st.linkLoad = append(st.linkLoad, 0)
-		st.linkUsers = append(st.linkUsers, 0)
-	}
-	for _, existing := range st.demLinks[dem] {
-		if existing == li {
-			return
-		}
-	}
-	st.demLinks[dem] = append(st.demLinks[dem], li)
 }
 
 // freeze takes demand i out of the fill and releases its link shares.
@@ -178,8 +161,8 @@ func (st *fillState) freeze(i int) {
 // rises at the same pace; a demand freezes when it reaches its offered
 // load or when a link on its path saturates. Rounds, demands, and links
 // are traversed in fixed order, and each round adds one identical delta
-// per active user to each link's load, so the result is bit-identical to
-// the pre-interning map-based implementation.
+// per active user to each link's load, so the result is bit-identical
+// however the links are numbered.
 //
 //lint:hotpath
 func (st *fillState) run(dems []DemandAllocation) {
@@ -229,7 +212,7 @@ func (st *fillState) run(dems []DemandAllocation) {
 			}
 			for _, li := range st.demLinks[i] {
 				if st.linkLoad[li] >= st.linkCap[li]-st.eps {
-					d.Bottleneck = st.linkIDs[li]
+					d.Bottleneck = LinkID{st.edges[li].From, st.edges[li].To}
 					st.freeze(i)
 					froze = true
 					break
@@ -250,7 +233,7 @@ func (st *fillState) run(dems []DemandAllocation) {
 }
 
 // prepareFill routes every demand onto the widest of its k shortest
-// paths and builds the interned fill state — the allocating, cold half of
+// paths and builds the fill state — the allocating, cold half of
 // MaxMinFair.
 func prepareFill(n *Network, demands []Demand, cfg AllocConfig) (*Allocation, *fillState, error) {
 	k := cfg.KPaths
@@ -261,21 +244,25 @@ func prepareFill(n *Network, demands []Demand, cfg AllocConfig) (*Allocation, *f
 	if cost == nil {
 		cost = GatewayTransitCost()
 	}
+	ix := n.Snap.Index()
 	alloc := &Allocation{
-		Demands:  make([]DemandAllocation, len(demands)),
-		net:      n,
-		linkLoad: make(map[LinkID]float64),
+		Demands: make([]DemandAllocation, len(demands)),
+		net:     n,
+		load:    make([]float64, len(ix.Edges)),
 	}
 	st := &fillState{
-		eps:      n.eps(),
-		linkIdx:  make(map[LinkID]int32),
-		demLinks: make([][]int32, len(demands)),
-		active:   make([]bool, len(demands)),
+		eps:       n.eps(),
+		edges:     ix.Edges,
+		linkCap:   n.caps,
+		linkLoad:  alloc.load,
+		linkUsers: make([]int32, len(ix.Edges)),
+		demLinks:  make([][]int32, len(demands)),
+		active:    make([]bool, len(demands)),
 	}
 	for i, d := range demands {
 		alloc.Demands[i] = DemandAllocation{Demand: d}
-		if d.OfferedBps < 0 {
-			return nil, nil, fmt.Errorf("traffic: demand %s→%s has negative offered load", d.Src, d.Dst)
+		if !(d.OfferedBps >= 0) {
+			return nil, nil, fmt.Errorf("traffic: demand %s→%s has offered load %v, want ≥ 0", d.Src, d.Dst, d.OfferedBps)
 		}
 		if n.Snap.Node(d.Src) == nil || n.Snap.Node(d.Dst) == nil {
 			return nil, nil, fmt.Errorf("traffic: demand %s→%s references unknown node", d.Src, d.Dst)
@@ -296,7 +283,11 @@ func prepareFill(n *Network, demands []Demand, cfg AllocConfig) (*Allocation, *f
 		nodes := paths[best].Nodes
 		alloc.Demands[i].Path = nodes
 		for h := 0; h+1 < len(nodes); h++ {
-			st.intern(i, LinkID{nodes[h], nodes[h+1]}, n)
+			// Loopless paths never repeat a link, but dedup keeps the
+			// per-demand user count exact regardless.
+			if j := ix.Arc(nodes[h], nodes[h+1]); !slices.Contains(st.demLinks[i], j) {
+				st.demLinks[i] = append(st.demLinks[i], j)
+			}
 		}
 	}
 	for i := range alloc.Demands {
@@ -320,25 +311,20 @@ func prepareFill(n *Network, demands []Demand, cfg AllocConfig) (*Allocation, *f
 // k shortest).
 //
 // The computation is deterministic: demands are processed in input order,
-// links in the order they are first seen along the demands' paths, and
-// path selection breaks ties toward the lower Yen rank.
+// each demand's links in path order, and path selection breaks ties toward
+// the lower Yen rank.
 func MaxMinFair(n *Network, demands []Demand, cfg AllocConfig) (*Allocation, error) {
 	alloc, st, err := prepareFill(n, demands, cfg)
 	if err != nil {
 		return nil, err
 	}
 	st.run(alloc.Demands)
-	for j, l := range st.linkIDs {
-		if st.linkLoad[j] > 0 {
-			alloc.linkLoad[l] = st.linkLoad[j]
-		}
-	}
 	return alloc, nil
 }
 
 // pathBottleneckBps returns the smallest capacity along the node sequence
-// under the network's capacity map (which may differ from the snapshot's
-// edge capacities after Recapacitate).
+// under the network's link capacities (which may differ from the
+// snapshot's edge capacities after Recapacitate).
 func pathBottleneckBps(n *Network, nodes []string) float64 {
 	bottleneck := math.Inf(1)
 	for i := 0; i+1 < len(nodes); i++ {

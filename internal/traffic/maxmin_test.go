@@ -3,6 +3,7 @@ package traffic
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -148,8 +149,11 @@ func TestMaxMinFairErrors(t *testing.T) {
 	if _, err := MaxMinFair(n, []Demand{{Src: "a", Dst: "z", OfferedBps: 1}}, AllocConfig{}); err == nil {
 		t.Error("unknown node should fail")
 	}
-	if _, err := MaxMinFair(n, []Demand{{Src: "a", Dst: "b", OfferedBps: -1}}, AllocConfig{}); err == nil {
-		t.Error("negative offered load should fail")
+	for _, offer := range []float64{-1, math.NaN()} {
+		_, err := MaxMinFair(n, []Demand{{Src: "a", Dst: "b", OfferedBps: offer}}, AllocConfig{})
+		if err == nil || !strings.Contains(err.Error(), "a→b") {
+			t.Errorf("offered load %v: error %v, want one naming a→b", offer, err)
+		}
 	}
 }
 
@@ -226,11 +230,9 @@ func TestMaxMinFairProperty(t *testing.T) {
 				return false
 			}
 		}
-		for _, e := range n.Snap.Edges() {
-			l := LinkID{e.From, e.To}
-			load := alloc.linkLoad[l]
-			if load > n.CapacityBps(l.From, l.To)*(1+1e-9)+tol {
-				t.Logf("seed %d: link %v load %v above capacity %v", seed, l, load, n.CapacityBps(l.From, l.To))
+		for j, e := range n.Snap.Edges() {
+			if load := alloc.load[j]; load > n.CapacityBps(e.From, e.To)*(1+1e-9)+tol {
+				t.Logf("seed %d: link %s→%s load %v above capacity %v", seed, e.From, e.To, load, n.CapacityBps(e.From, e.To))
 				return false
 			}
 		}
@@ -252,5 +254,22 @@ func TestAllocationEmptyDemands(t *testing.T) {
 	}
 	if _, u := alloc.MaxUtilization(); u != 0 {
 		t.Errorf("empty allocation utilisation = %v, want 0", u)
+	}
+}
+
+// TestMaxMinFairInfiniteOfferIsElastic checks that a +Inf offered load
+// is a valid elastic demand: it takes its max-min share of the bottleneck.
+func TestMaxMinFairInfiniteOfferIsElastic(t *testing.T) {
+	alloc, err := MaxMinFair(sharedBottleneck(t), []Demand{
+		{Src: "a", Dst: "c", OfferedBps: math.Inf(1)},
+		{Src: "b", Dst: "d", OfferedBps: 8},
+	}, AllocConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range alloc.Demands {
+		if d.RateBps != 5 {
+			t.Errorf("demand %d rate = %v, want 5 (equal split of the 10-unit bottleneck)", i, d.RateBps)
+		}
 	}
 }

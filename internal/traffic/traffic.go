@@ -15,6 +15,8 @@
 //     per-directed-link capacities, either the snapshot's own or
 //     re-derived from the phy link budgets (Shannon capacity for RF,
 //     rated data rate for optical ISLs) at each link's actual length.
+//     Per-link state here (capacity, carried load, flow) is a slice
+//     indexed by the edge's position in the snapshot's Index().Edges.
 //   - Flow allocation: a deterministic Dinic max-flow with minimum cut
 //     (maxflow.go) bounds what any routing could carry between two
 //     gateways; progressive-filling max-min fairness over Yen k-shortest
@@ -43,20 +45,21 @@ type Demand struct {
 type LinkID struct{ From, To string }
 
 // Network couples a topology snapshot with per-directed-link capacities.
-// The snapshot supplies connectivity and path computation; the capacity map
-// is the commodity being allocated. Capacities start as the snapshot's
+// The snapshot supplies connectivity and path computation; the capacities,
+// one per edge at its position in the snapshot's Index().Edges, are the
+// commodity being allocated. Capacities start as the snapshot's
 // Edge.CapacityBps and can be re-derived from physical link budgets with
 // Recapacitate.
 type Network struct {
 	Snap *topo.Snapshot
-	caps map[LinkID]float64
+	caps []float64 // by edge position
 }
 
 // NewNetwork wraps a snapshot, taking capacities from its edges.
 func NewNetwork(s *topo.Snapshot) *Network {
-	n := &Network{Snap: s, caps: make(map[LinkID]float64, s.EdgeCount())}
-	for _, e := range s.Edges() {
-		n.caps[LinkID{e.From, e.To}] = e.CapacityBps
+	n := &Network{Snap: s, caps: make([]float64, s.EdgeCount())}
+	for j, e := range s.Edges() {
+		n.caps[j] = e.CapacityBps
 	}
 	return n
 }
@@ -64,7 +67,10 @@ func NewNetwork(s *topo.Snapshot) *Network {
 // CapacityBps returns the capacity of the directed link from→to, 0 if the
 // link does not exist.
 func (n *Network) CapacityBps(from, to string) float64 {
-	return n.caps[LinkID{from, to}]
+	if j := n.Snap.Index().Arc(from, to); j >= 0 {
+		return n.caps[j]
+	}
+	return 0
 }
 
 // maxCapacityBps returns the largest link capacity, used to scale the float
@@ -142,8 +148,8 @@ func groundElevationDeg(e topo.Edge, s *topo.Snapshot) float64 {
 
 // Recapacitate replaces every link capacity with the model's evaluation.
 func (n *Network) Recapacitate(m CapacityModel) {
-	for _, e := range n.Snap.Edges() {
-		n.caps[LinkID{e.From, e.To}] = m.EdgeCapacityBps(e, n.Snap)
+	for j, e := range n.Snap.Edges() {
+		n.caps[j] = m.EdgeCapacityBps(e, n.Snap)
 	}
 }
 
