@@ -239,26 +239,36 @@ func BenchmarkDijkstra(b *testing.B) {
 }
 
 // BenchmarkKShortestPaths measures one Yen k=8 query gateway to gateway
-// over a +Grid mega-constellation snapshot, the per-demand routing step of
-// traffic.MaxMinFair in the capacity-scale sweep.
+// over +Grid mega-constellation snapshots, the per-demand routing step of
+// traffic.MaxMinFair in the capacity-scale sweep. grid-2000-hop counts
+// hops, so equal-cost paths are everywhere.
 func BenchmarkKShortestPaths(b *testing.B) {
-	b.Run("grid-2000", func(b *testing.B) {
-		cfg, specs, _, _ := gridBuildInputs(b, 2000)
-		grounds := []topo.GroundSpec{
-			{ID: "gs-seattle", Provider: "p", Pos: geo.LatLon{Lat: 47.6, Lon: -122.3}},
-			{ID: "gs-nairobi", Provider: "p", Pos: geo.LatLon{Lat: -1.29, Lon: 36.82}},
-		}
-		snap := topo.Build(0, cfg, specs, grounds, nil)
-		cost := traffic.GatewayTransitCost()
-		b.ResetTimer()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			paths, err := routing.KShortestPaths(snap, "gs-seattle", "gs-nairobi", cost, 8)
-			if err != nil || len(paths) != 8 {
-				b.Fatalf("got %d paths, err %v; want 8", len(paths), err)
+	for _, bc := range []struct {
+		name string
+		n    int
+		cost routing.CostFunc
+	}{
+		{"grid-1000", 1000, traffic.GatewayTransitCost()},
+		{"grid-2000", 2000, traffic.GatewayTransitCost()},
+		{"grid-2000-hop", 2000, routing.HopCost()},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			cfg, specs, _, _ := gridBuildInputs(b, bc.n)
+			grounds := []topo.GroundSpec{
+				{ID: "gs-seattle", Provider: "p", Pos: geo.LatLon{Lat: 47.6, Lon: -122.3}},
+				{ID: "gs-nairobi", Provider: "p", Pos: geo.LatLon{Lat: -1.29, Lon: 36.82}},
 			}
-		}
-	})
+			snap := topo.Build(0, cfg, specs, grounds, nil)
+			b.ResetTimer()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				paths, err := routing.KShortestPaths(snap, "gs-seattle", "gs-nairobi", bc.cost, 8)
+				if err != nil || len(paths) != 8 {
+					b.Fatalf("got %d paths, err %v; want 8", len(paths), err)
+				}
+			}
+		})
+	}
 }
 
 // iridiumTrafficNetwork builds the Iridium snapshot with two gateways and

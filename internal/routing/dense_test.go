@@ -258,8 +258,9 @@ func allocGate(t *testing.T) {
 
 // TestAllocGateDenseSearch pins the //lint:hotpath contract on
 // searcher.search: on warmed scratch, a search with a Yen-style edge ban,
-// its tree walk and a full tree allocate nothing. Only turning a result
-// into a Path, with its []string of node IDs, allocates.
+// its tree walk, a full tree and a bounded search that its limit stops
+// short of dst allocate nothing. Only turning a result into a Path, with
+// its []string of node IDs, allocates.
 func TestAllocGateDenseSearch(t *testing.T) {
 	allocGate(t)
 	s := gridSnapshot(t, 200)
@@ -273,6 +274,7 @@ func TestAllocGateDenseSearch(t *testing.T) {
 		t.Fatal("g1 unreachable")
 	}
 	first := append([]int32(nil), sr.path...)
+	half := sr.dist[dst] / 2
 	run := func() {
 		sr.next()
 		sr.banEdge(first[0], first[1], sr.cur)
@@ -281,6 +283,13 @@ func TestAllocGateDenseSearch(t *testing.T) {
 		}
 		sr.next()
 		sr.search(src, -1)
+		sr.next()
+		sr.limit = half
+		sr.search(src, dst)
+		sr.limit = math.Inf(1)
+		if sr.reached(dst) {
+			t.Fatal("a search limited to half the shortest cost reached g1")
+		}
 	}
 	run() // warm
 	if avg := testing.AllocsPerRun(100, run); avg != 0 {

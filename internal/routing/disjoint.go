@@ -52,9 +52,11 @@ func DisjointPaths(s *topo.Snapshot, src, dst string, cost CostFunc, k int) ([]P
 // SplitFlow divides totalBps across the given paths in proportion to each
 // path's bottleneck capacity, never exceeding any bottleneck. It returns
 // the per-path allocation (aligned with paths) and the total placed, which
-// is less than totalBps when the disjoint set cannot carry it all.
+// is less than totalBps when the disjoint set cannot carry it all: a
+// demand of at least the summed bottlenecks, +Inf included, fills every
+// path. A demand that is not positive, NaN included, places nothing.
 func SplitFlow(paths []Path, totalBps float64) ([]float64, float64) {
-	if len(paths) == 0 || totalBps <= 0 {
+	if len(paths) == 0 || !(totalBps > 0) {
 		return nil, 0
 	}
 	var capSum float64
@@ -67,9 +69,9 @@ func SplitFlow(paths []Path, totalBps float64) ([]float64, float64) {
 	}
 	var placed float64
 	for i, p := range paths {
-		share := totalBps * p.MinCapacityBps / capSum
-		if share > p.MinCapacityBps {
-			share = p.MinCapacityBps
+		share := p.MinCapacityBps
+		if totalBps < capSum {
+			share = min(totalBps*p.MinCapacityBps/capSum, share)
 		}
 		alloc[i] = share
 		placed += share

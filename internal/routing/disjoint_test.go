@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"math"
 	"testing"
 
 	"github.com/openspace-project/openspace/internal/geo"
@@ -116,6 +117,15 @@ func TestSplitFlow(t *testing.T) {
 	}
 	if _, p := SplitFlow([]Path{{MinCapacityBps: 0}}, 10); p != 0 {
 		t.Error("zero-capacity path placed traffic")
+	}
+	// An unbounded demand fills every bottleneck; a zero-capacity path
+	// beside it must not turn Inf·0 into NaN.
+	alloc, placed = SplitFlow([]Path{{MinCapacityBps: 10e6}, {MinCapacityBps: 0}}, math.Inf(1))
+	if len(alloc) != 2 || alloc[0] != 10e6 || alloc[1] != 0 || placed != 10e6 {
+		t.Errorf("+Inf demand: alloc %v placed %v, want [1e7 0] and 1e7", alloc, placed)
+	}
+	if a, p := SplitFlow(paths, math.NaN()); a != nil || p != 0 {
+		t.Errorf("NaN demand: alloc %v placed %v, want nil and 0", a, p)
 	}
 }
 

@@ -28,6 +28,10 @@ type searcher struct {
 	call  uint32 // this call's stamp: weight memo and call-wide edge bans
 	cur   uint32 // the current search's stamp
 
+	// limit stops a search at its first pop costing strictly more; bind
+	// resets it to +Inf and only KShortestPaths lowers it.
+	limit float64
+
 	dist    []float64 //lint:scratch — tentative cost, valid where seen == cur
 	prev    []int32   //lint:scratch — tree predecessor, valid where seen == cur
 	seen    []uint32  //lint:scratch
@@ -101,6 +105,7 @@ func (sr *searcher) bind(s *topo.Snapshot, ix *topo.Index, cost CostFunc) {
 	}
 	sr.epoch++
 	sr.call = sr.epoch
+	sr.limit = math.Inf(1)
 }
 
 // next opens a new search within the call. Node and per-search edge bans
@@ -110,8 +115,10 @@ func (sr *searcher) next() {
 	sr.cur = sr.epoch
 }
 
-// reached reports whether the current search found a path to v.
-func (sr *searcher) reached(v int32) bool { return sr.seen[v] == sr.cur }
+// reached reports whether the current search settled v, so that the
+// tree holds a shortest path to it. A search cut short by its limit may
+// have seen v without settling it.
+func (sr *searcher) reached(v int32) bool { return sr.done[v] == sr.cur }
 
 // find runs the current search from src, stopping at dst, and reports
 // whether dst is reachable; if so the path is left in sr.path.
@@ -126,9 +133,9 @@ func (sr *searcher) find(src, dst int32) bool {
 
 // search runs Dijkstra from src under the call's cost and the current
 // search's bans, stopping once stop is settled (stop < 0 settles every
-// reachable node). An edge's weight is evaluated on its first relaxation
-// in the call and memoised, which is why CostFunc must be pure for the
-// duration of a call.
+// reachable node) or at the first pop costing more than sr.limit. An
+// edge's weight is evaluated on its first relaxation in the call and
+// memoised, which is why CostFunc must be pure for the duration of a call.
 //
 //lint:hotpath
 func (sr *searcher) search(src, stop int32) {
@@ -139,6 +146,9 @@ func (sr *searcher) search(src, stop int32) {
 	sr.push(src, 0)
 	for len(sr.heap) > 0 {
 		it := sr.pop()
+		if it.cost > sr.limit {
+			break
+		}
 		u := it.node
 		if sr.done[u] == cur {
 			continue

@@ -1,9 +1,10 @@
 package routing
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
-	"sort"
 
 	"github.com/openspace-project/openspace/internal/topo"
 )
@@ -16,7 +17,43 @@ import (
 //
 // Equal-cost candidates are ordered by their node-ID sequences. Because
 // dense indices follow sorted ID order, comparing index sequences is the
-// same comparison.
+// same comparison (cmpPath).
+//
+// Three shortcuts cut the spur searches without changing a single path,
+// ties included. A, the accepted paths, and the candidate pool are as in
+// Yen; need = k − |A| is the number of rounds left.
+//
+//   - Lawler's start index. Each accepted path records the index dev at
+//     which it deviated from the path whose spur found it (0 for the
+//     first path), and is spurred from dev onward. For i < dev the root
+//     r = nodes[:i+1] is shared with that parent, and so is the next hop,
+//     so accepting the path added no edge ban at r. The bans at a root
+//     change only when a path leaving r by a new hop is accepted; such a
+//     path deviated at or before i and is itself spurred at i right away.
+//     A spur at i < dev therefore repeats, with the same node and edge
+//     bans and the same memoised weights, a search already run, and the
+//     deterministic search returns the same path, which is already
+//     accepted or pooled (or was trimmed, see below).
+//   - Pool trimming. Each round accepts the pool's least path, so a path
+//     with need paths ahead of it in (cost, node sequence) order is never
+//     accepted: paths ahead of it leave only by being accepted, and
+//     insertions only push it back. The pool keeps its first need paths.
+//     A trimmed path that a later spur finds again still has need paths
+//     ahead of it, so dropping it again is the same decision.
+//   - Bounded spurs. Once the pool holds need paths, a spur search stops
+//     at its first pop costing strictly more than the last pooled path's
+//     cost θ, minus the root's cost, plus spurSlack·θ. Any path it misses
+//     costs strictly more than θ and would be trimmed. A path costing
+//     exactly θ may still rank ahead by node sequence, which is why the
+//     bound is strict and why spurSlack absorbs the rounding between the
+//     spur's distance and join's total: a path that would tie is always
+//     found. θ never rises once the pool is full, so a search that an
+//     earlier bound stopped has nothing for a later round either.
+//
+// The paths returned are therefore plain Yen's, whose i-th path is fixed
+// before k is consulted: k only decides when the loop stops. So the first
+// k paths still do not depend on k, even though k sets the trim and the
+// bound.
 func KShortestPaths(s *topo.Snapshot, src, dst string, cost CostFunc, k int) ([]Path, error) {
 	if k <= 0 {
 		return nil, nil
@@ -31,14 +68,23 @@ func KShortestPaths(s *topo.Snapshot, src, dst string, cost CostFunc, k int) ([]
 		return nil, fmt.Errorf("%w: %s → %s", ErrNoPath, src, dst)
 	}
 	paths := []densePath{{nodes: slices.Clone(sr.path), cost: sr.dist[di]}}
-	var candidates []densePath
+	var candidates []densePath // sorted by cmpPath, at most need long
 
 	for len(paths) < k {
-		prevPath := paths[len(paths)-1].nodes
-		// For each spur node in the previous path, search for a deviation.
-		for i := 0; i < len(prevPath)-1; i++ {
-			spur := prevPath[i]
-			root := prevPath[:i+1]
+		need := k - len(paths)
+		prev := paths[len(paths)-1]
+		var rootCost float64 // cost of prev.nodes[:i+1], summed as join sums it
+		// For each spur node from prev's deviation index on, search for a
+		// deviation.
+		for i := 0; i < len(prev.nodes)-1; i++ {
+			if i > 0 {
+				rootCost += sr.hopCost(prev.nodes[i-1], prev.nodes[i])
+			}
+			if i < prev.dev {
+				continue
+			}
+			spur := prev.nodes[i]
+			root := prev.nodes[:i+1]
 			sr.next()
 			// Edges to exclude: the next hop of every accepted path that
 			// shares this root. They all leave the spur.
@@ -52,25 +98,33 @@ func KShortestPaths(s *topo.Snapshot, src, dst string, cost CostFunc, k int) ([]
 			for _, n := range root[:i] {
 				sr.banned[n] = sr.cur
 			}
+			sr.limit = math.Inf(1)
+			if len(candidates) == need {
+				theta := candidates[need-1].cost
+				sr.limit = theta - rootCost + spurSlack*theta
+			}
 			if !sr.find(spur, di) {
 				continue
 			}
 			total := sr.join(root, sr.path)
-			if !containsNodes(paths, total.nodes) && !containsNodes(candidates, total.nodes) {
-				candidates = append(candidates, total)
+			total.dev = i
+			if containsNodes(paths, total.nodes) {
+				continue
+			}
+			at, dup := slices.BinarySearchFunc(candidates, total, cmpPath)
+			if dup || at >= need {
+				continue
+			}
+			candidates = slices.Insert(candidates, at, total)
+			if len(candidates) > need {
+				candidates = candidates[:need]
 			}
 		}
 		if len(candidates) == 0 {
 			break
 		}
-		sort.Slice(candidates, func(a, b int) bool {
-			if candidates[a].cost != candidates[b].cost { //lint:allow floateq exact sort tie-break keeps k-path order deterministic
-				return candidates[a].cost < candidates[b].cost
-			}
-			return slices.Compare(candidates[a].nodes, candidates[b].nodes) < 0
-		})
 		paths = append(paths, candidates[0])
-		candidates = candidates[1:]
+		candidates = slices.Delete(candidates, 0, 1)
 	}
 	out := make([]Path, len(paths))
 	for i, p := range paths {
@@ -79,10 +133,33 @@ func KShortestPaths(s *topo.Snapshot, src, dst string, cost CostFunc, k int) ([]
 	return out, nil
 }
 
-// densePath is a Yen path or candidate in dense node indices.
+// spurSlack is the relative margin a bounded spur search adds to its
+// limit. The search compares the spur's Dijkstra distance d, summed from
+// the spur, with θ − rootCost, while a candidate's cost is join's sum
+// from the source; the two round differently. Weights are non-negative, so
+// for a path of m hops each float sum is within about m·2⁻⁵³ of its exact
+// value relative to the whole path's cost, and a path whose total is at
+// most θ has d ≤ θ − rootCost + (2m+2)·2⁻⁵³·θ. A loopless path
+// has fewer hops than the graph has nodes, so 1e-9 covers graphs of up to
+// about 4·10⁶ nodes, three orders of magnitude past the largest sweep
+// here. A path the margin lets through costs only its insertion, where
+// cmpPath ranks it exactly.
+const spurSlack = 1e-9
+
+// densePath is a Yen path or candidate in dense node indices. dev is the
+// spur index at which it deviated from the path that found it.
 type densePath struct {
 	nodes []int32
 	cost  float64
+	dev   int
+}
+
+// cmpPath orders paths by cost, then by node sequence.
+func cmpPath(a, b densePath) int {
+	if c := cmp.Compare(a.cost, b.cost); c != 0 {
+		return c
+	}
+	return slices.Compare(a.nodes, b.nodes)
 }
 
 // join concatenates root (ending at the spur) with spurPath (starting at
@@ -96,11 +173,15 @@ func (sr *searcher) join(root, spurPath []int32) densePath {
 	nodes = append(nodes, spurPath[1:]...)
 	var total float64
 	for i := 0; i+1 < len(nodes); i++ {
-		j := sr.edgeTo(nodes[i], nodes[i+1])
-		w, _ := sr.weight(j)
-		total += w
+		total += sr.hopCost(nodes[i], nodes[i+1])
 	}
 	return densePath{nodes: nodes, cost: total}
+}
+
+// hopCost returns the memoised weight of edge u → v.
+func (sr *searcher) hopCost(u, v int32) float64 {
+	w, _ := sr.weight(sr.edgeTo(u, v))
+	return w
 }
 
 func hasPrefix(nodes, prefix []int32) bool {
