@@ -41,5 +41,5 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	os.Exit(lint.RunSelected(".", flag.Args(), *jsonOut, analyzers, os.Stdout, os.Stderr))
+	os.Exit(lint.Run(".", flag.Args(), *jsonOut, analyzers, os.Stdout, os.Stderr))
 }

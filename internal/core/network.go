@@ -10,6 +10,7 @@ import (
 	"github.com/openspace-project/openspace/internal/auth"
 	"github.com/openspace-project/openspace/internal/economics"
 	"github.com/openspace-project/openspace/internal/exec"
+	"github.com/openspace-project/openspace/internal/faults"
 	"github.com/openspace-project/openspace/internal/frame"
 	"github.com/openspace-project/openspace/internal/geo"
 	"github.com/openspace-project/openspace/internal/ground"
@@ -53,10 +54,9 @@ type Network struct {
 	users     map[string]*User
 	rng       *rand.Rand
 
-	te       *topo.TimeExpanded                // intact geometry
-	mask     topo.Mask                         // installed fault mask, nil for none
-	degraded map[*topo.Snapshot]*topo.Snapshot // te's snapshots under mask, overlaid on first use
-	flowSeq  uint64
+	te      *topo.TimeExpanded // intact geometry
+	mask    *faults.Mask       // installed fault mask, nil for none
+	flowSeq uint64
 }
 
 // NewNetwork federates the configured providers: every provider gets an
@@ -208,24 +208,7 @@ func (n *Network) BuildTopology(startS, horizonS, intervalS float64) error {
 	if err != nil {
 		return err
 	}
-	n.te, n.mask, n.degraded = te, nil, nil
-	return nil
-}
-
-// ApplyFaultMask installs a degraded view of the topology: association and
-// routing see each snapshot's overlay under m while the intact geometry is
-// retained, and clearing the mask restores the original snapshots. An
-// empty mask is the identity — the overlay provably changes nothing when
-// no fault is active. A snapshot is overlaid when it is first read after
-// the call, so a fault transition costs only the snapshots used before
-// the next one; m is read then, and a caller that changes m must call
-// ApplyFaultMask again, as the fault-timeline drivers do after every
-// transition.
-func (n *Network) ApplyFaultMask(m topo.Mask) error {
-	if n.te == nil {
-		return errors.New("core: BuildTopology must run before ApplyFaultMask")
-	}
-	n.mask, n.degraded = m, map[*topo.Snapshot]*topo.Snapshot{}
+	n.te, n.mask = te, nil
 	return nil
 }
 
@@ -349,6 +332,6 @@ func (n *Network) MoveUser(userID string, pos geo.LatLon) error {
 	}
 	u.Pos = pos
 	// Invalidate precomputed topology: access edges are stale.
-	n.te, n.mask, n.degraded = nil, nil, nil
+	n.te, n.mask = nil, nil
 	return nil
 }

@@ -177,16 +177,7 @@ func (n *Network) snapshotAt(t float64) *topo.Snapshot {
 	if n.te == nil {
 		return nil
 	}
-	s := n.te.At(t)
-	if n.mask == nil {
-		return s
-	}
-	o, ok := n.degraded[s]
-	if !ok {
-		o = s.Overlay(n.mask)
-		n.degraded[s] = o
-	}
-	return o
+	return n.mask.View(n.te.At(t))
 }
 
 // route returns the lowest-latency path from src to dst over the snapshot

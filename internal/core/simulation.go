@@ -152,19 +152,17 @@ func (n *Network) RunScenario(sc Scenario) (*ScenarioResult, error) {
 
 	engine := sim.NewEngine()
 	engine.MaxEvents = sc.MaxEvents
-	// The fault timeline is generated over the intact t=0 snapshot; each
-	// transition installs a degraded overlay before the mode reacts.
+	// The fault timeline is generated over the intact t=0 snapshot. Once
+	// the mask is installed, every snapshot read sees its current view.
 	if sc.Faults.Enabled() {
 		tl, err := faults.Generate(sc.Faults, sc.DurationS, faults.InputsFromSnapshot(n.te.At(0)))
 		if err != nil {
 			return nil, err
 		}
 		mask := faults.NewMask()
+		n.mask = mask
 		onChange := func(_ *sim.Engine, _ faults.Event, down bool) {
 			res.FaultEvents++
-			if err := n.ApplyFaultMask(mask); err != nil {
-				panic(err) // unreachable: topology was built above
-			}
 			m.onFault(mask, down)
 		}
 		if err := tl.Drive(engine, mask, onChange); err != nil {

@@ -123,7 +123,7 @@ func (c Config) Enabled() bool {
 // timeline.
 func (c Config) Validate() error {
 	check := func(name string, mtbf, mttr float64) error {
-		if mtbf < 0 || mttr < 0 {
+		if !(mtbf >= 0) || !(mttr >= 0) {
 			return fmt.Errorf("faults: %s MTBF/MTTR must be non-negative", name)
 		}
 		if mtbf > 0 && mttr <= 0 {
@@ -143,7 +143,7 @@ func (c Config) Validate() error {
 	if err := check("storm", c.StormMTBFS, c.StormMTTRS); err != nil {
 		return err
 	}
-	if c.StormMTBFS > 0 && (c.StormFraction <= 0 || c.StormFraction > 1) {
+	if c.StormMTBFS > 0 && !(c.StormFraction > 0 && c.StormFraction <= 1) {
 		return fmt.Errorf("faults: storm fraction %.2f must be in (0,1]", c.StormFraction)
 	}
 	return nil

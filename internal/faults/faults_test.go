@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -125,6 +126,9 @@ func TestConfigValidate(t *testing.T) {
 		{GroundMTBFS: 10, GroundMTTRS: -1},
 		{StormMTBFS: 10, StormMTTRS: 5, StormFraction: 0},
 		{StormMTBFS: 10, StormMTTRS: 5, StormFraction: 1.5},
+		{StormMTBFS: 10, StormMTTRS: 5, StormFraction: math.NaN()},
+		{SatMTBFS: 10, SatMTTRS: math.NaN()},
+		{ISLMTBFS: math.NaN(), ISLMTTRS: 5},
 	}
 	for i, c := range cases {
 		if err := c.Validate(); err == nil {
@@ -218,6 +222,49 @@ func TestMaskRefcounting(t *testing.T) {
 	m.Clear(flap)
 	if !m.Empty() {
 		t.Error("mask not empty after clearing everything")
+	}
+}
+
+// TestMaskView pins the memo: a mask with nothing down hands back the
+// snapshot itself, a view is shared until the next transition, and every
+// transition yields a fresh overlay of the new state.
+func TestMaskView(t *testing.T) {
+	s := recoverySnapshot(t)
+	var none *Mask
+	if none.View(s) != s {
+		t.Error("nil mask must return the snapshot itself")
+	}
+	m := NewMask()
+	if m.View(s) != s {
+		t.Error("empty mask must return the snapshot itself")
+	}
+	var prev *topo.Snapshot
+	check := func(step string) {
+		t.Helper()
+		v := m.View(s)
+		if v == s || v == prev {
+			t.Fatalf("%s: want a fresh overlay", step)
+		}
+		if m.View(s) != v {
+			t.Errorf("%s: repeated View built a second overlay", step)
+		}
+		want := s.Overlay(m).Index()
+		if !reflect.DeepEqual(v.Index().Nodes, want.Nodes) || !reflect.DeepEqual(v.Index().Edges, want.Edges) {
+			t.Errorf("%s: view differs from the overlay of the current mask", step)
+		}
+		prev = v
+	}
+	sat := Event{Kind: KindSatFailure, Node: "a"}
+	flap := Event{Kind: KindISLFlap, From: "b", To: "dst"}
+	m.Apply(sat)
+	check("apply sat")
+	m.Apply(flap)
+	check("apply flap")
+	m.Clear(sat)
+	check("clear sat")
+	m.Clear(flap)
+	if m.View(s) != s {
+		t.Error("mask emptied by repairs must return the snapshot itself")
 	}
 }
 

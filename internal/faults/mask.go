@@ -4,22 +4,44 @@ import (
 	"fmt"
 
 	"github.com/openspace-project/openspace/internal/sim"
+	"github.com/openspace-project/openspace/internal/topo"
 )
 
 // Mask is the set of currently failed elements, maintained incrementally
-// as fault events start and end. It implements topo.Mask, so a snapshot
-// degraded by the current fault state is one Overlay call away — no
-// geometry rebuild. Overlapping outages on the same element are
-// reference-counted: a satellite downed by both a storm and an independent
-// hard failure stays down until both clear.
+// as fault events start and end. It implements topo.Mask, and View hands
+// out each snapshot's degraded view under the current state — no geometry
+// rebuild. Overlapping outages on the same element are reference-counted:
+// a satellite downed by both a storm and an independent hard failure stays
+// down until both clear.
 type Mask struct {
 	nodes map[string]int
 	edges map[[2]string]int
+	views map[*topo.Snapshot]*topo.Snapshot // overlays under the current state
 }
 
 // NewMask returns an empty mask (nothing down).
 func NewMask() *Mask {
-	return &Mask{nodes: make(map[string]int), edges: make(map[[2]string]int)}
+	return &Mask{
+		nodes: make(map[string]int),
+		edges: make(map[[2]string]int),
+		views: make(map[*topo.Snapshot]*topo.Snapshot),
+	}
+}
+
+// View returns s degraded by the current fault state. A nil or empty mask
+// returns s itself; otherwise the overlay is built on first use and shared
+// until the next Apply or Clear, which drop every cached view, so a view
+// is never stale and callers never invalidate anything.
+func (m *Mask) View(s *topo.Snapshot) *topo.Snapshot {
+	if m == nil || m.Empty() {
+		return s
+	}
+	v, ok := m.views[s]
+	if !ok {
+		v = s.Overlay(m)
+		m.views[s] = v
+	}
+	return v
 }
 
 // edgeKey normalises an undirected link key.
@@ -32,6 +54,7 @@ func edgeKey(a, b string) [2]string {
 
 // Apply marks the event's target down.
 func (m *Mask) Apply(ev Event) {
+	clear(m.views)
 	if ev.Node != "" {
 		m.nodes[ev.Node]++
 		return
@@ -41,6 +64,7 @@ func (m *Mask) Apply(ev Event) {
 
 // Clear marks the event's target repaired.
 func (m *Mask) Clear(ev Event) {
+	clear(m.views)
 	if ev.Node != "" {
 		if m.nodes[ev.Node]--; m.nodes[ev.Node] <= 0 {
 			delete(m.nodes, ev.Node)

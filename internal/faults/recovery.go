@@ -37,7 +37,7 @@ func (rc RecoveryConfig) Validate() error {
 	if rc.Backups < 1 {
 		return fmt.Errorf("faults: recovery needs ≥ 1 path, got %d", rc.Backups)
 	}
-	if rc.DetectS < 0 || rc.FRRSwitchS < 0 || rc.RecomputeS < 0 {
+	if !(rc.DetectS >= 0) || !(rc.FRRSwitchS >= 0) || !(rc.RecomputeS >= 0) {
 		return errors.New("faults: recovery latencies must be non-negative")
 	}
 	return nil
@@ -138,7 +138,7 @@ func RunFlows(snap *topo.Snapshot, specs []FlowSpec, tl *Timeline, rc RecoveryCo
 			}
 			return
 		}
-		p, err := routing.ShortestPath(snap.Overlay(mask), f.spec.Src, f.spec.Dst, cost)
+		p, err := routing.ShortestPath(mask.View(snap), f.spec.Src, f.spec.Dst, cost)
 		if err != nil {
 			return // no live route; the next repair event retries
 		}

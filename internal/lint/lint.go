@@ -252,13 +252,6 @@ func RunAnalyzers(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) [
 	return diags
 }
 
-// Main is the CLI entry point: load the patterns, run the suite, print
-// file:line:col diagnostics, and return the exit code (0 clean, 1
-// findings, 2 load failure).
-func Main(dir string, patterns []string, stdout, stderr io.Writer) int {
-	return Run(dir, patterns, false, stdout, stderr)
-}
-
 // jsonDiagnostic is the machine-readable rendering of one finding: one
 // JSON object per line, stable field order, for CI artifacts and tooling.
 type jsonDiagnostic struct {
@@ -269,17 +262,11 @@ type jsonDiagnostic struct {
 	Message  string `json:"message"`
 }
 
-// Run is Main with an output selector: human-readable file:line:col text,
-// or JSON lines when jsonOut is set. Exit codes are identical either way
-// (0 clean, 1 findings, 2 load failure).
-func Run(dir string, patterns []string, jsonOut bool, stdout, stderr io.Writer) int {
-	return RunSelected(dir, patterns, jsonOut, Analyzers(), stdout, stderr)
-}
-
-// RunSelected is Run restricted to the given analyzers — the engine
-// behind the CLI's -analyzers subset flag. Exit codes are unchanged from
-// the full run (0 clean, 1 findings, 2 load failure).
-func RunSelected(dir string, patterns []string, jsonOut bool, analyzers []*Analyzer, stdout, stderr io.Writer) int {
+// Run is the CLI entry point: load the patterns (default ./...), run the
+// given analyzers, and print the findings as file:line:col text, or as
+// JSON lines when jsonOut is set. It returns the exit code: 0 clean, 1
+// findings, 2 load failure.
+func Run(dir string, patterns []string, jsonOut bool, analyzers []*Analyzer, stdout, stderr io.Writer) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}

@@ -16,10 +16,10 @@ func TestJSONOutput(t *testing.T) {
 		t.Skip("spawns the go toolchain via go list")
 	}
 	var text, jsonBuf, errb bytes.Buffer
-	if exit := Run(".", []string{"./testdata/src/floateq_bad"}, false, &text, &errb); exit != 1 {
+	if exit := Run(".", []string{"./testdata/src/floateq_bad"}, false, Analyzers(), &text, &errb); exit != 1 {
 		t.Fatalf("text exit = %d, want 1 (stderr: %s)", exit, errb.String())
 	}
-	if exit := Run(".", []string{"./testdata/src/floateq_bad"}, true, &jsonBuf, &errb); exit != 1 {
+	if exit := Run(".", []string{"./testdata/src/floateq_bad"}, true, Analyzers(), &jsonBuf, &errb); exit != 1 {
 		t.Fatalf("json exit = %d, want 1 (stderr: %s)", exit, errb.String())
 	}
 	textLines := strings.Split(strings.TrimSpace(text.String()), "\n")
@@ -180,9 +180,9 @@ func TestMainOnFixturePackages(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(strings.TrimPrefix(tc.pattern, "./testdata/src/"), func(t *testing.T) {
 			var out, errb bytes.Buffer
-			exit := Main(".", []string{tc.pattern}, &out, &errb)
+			exit := Run(".", []string{tc.pattern}, false, Analyzers(), &out, &errb)
 			if exit != tc.wantExit {
-				t.Fatalf("Main(%q) exit = %d, want %d\nstdout:\n%s\nstderr:\n%s",
+				t.Fatalf("Run(%q) exit = %d, want %d\nstdout:\n%s\nstderr:\n%s",
 					tc.pattern, exit, tc.wantExit, out.String(), errb.String())
 			}
 			for _, sub := range tc.wantSubs {
@@ -210,7 +210,7 @@ func TestDiagnosticsSorted(t *testing.T) {
 		t.Skip("spawns the go toolchain via go list")
 	}
 	var out, errb bytes.Buffer
-	if exit := Main(".", []string{"./testdata/src/nondeterm_bad", "./testdata/src/floateq_bad"}, &out, &errb); exit != 1 {
+	if exit := Run(".", []string{"./testdata/src/nondeterm_bad", "./testdata/src/floateq_bad"}, false, Analyzers(), &out, &errb); exit != 1 {
 		t.Fatalf("exit = %d, want 1 (stderr: %s)", exit, errb.String())
 	}
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
