@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -79,35 +80,39 @@ func TestCellIDsStableAndSeedsDistinct(t *testing.T) {
 }
 
 func TestSpecValidate(t *testing.T) {
-	good := testSpec()
-	if err := good.Validate(); err != nil {
-		t.Fatal(err)
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name   string
+		mutate func(s *Spec)
+	}{
+		{"separator in axis value", func(s *Spec) { s.Constellations = []string{"with~sep"} }},
+		{"whitespace in axis value", func(s *Spec) { s.Workloads = []string{"has space"} }},
+		{"unknown policy", func(s *Spec) { s.Policies = []core.Policy{"flooding"} }},
+		{"duplicate axis value", func(s *Spec) { s.Intensities = []float64{1, 1} }},
+		{"zero duration", func(s *Spec) { s.DurationS = 0 }},
+		{"NaN duration", func(s *Spec) { s.DurationS = nan }},
+		{"+Inf duration", func(s *Spec) { s.DurationS = inf }},
+		{"zero interval", func(s *Spec) { s.IntervalS = 0 }},
+		{"NaN interval", func(s *Spec) { s.IntervalS = nan }},
+		{"+Inf interval", func(s *Spec) { s.IntervalS = inf }},
+		{"NaN intensity", func(s *Spec) { s.Intensities = []float64{0, nan} }},
+		{"negative intensity", func(s *Spec) { s.Intensities = []float64{-1} }},
+		{"+Inf intensity", func(s *Spec) { s.Intensities = []float64{inf, 1} }},
 	}
-	bad := good
-	bad.Constellations = []string{"with~sep"}
-	if err := bad.Validate(); err == nil {
-		t.Error("separator in axis value should fail")
+	for _, base := range []Spec{testSpec(), QuickSpec()} {
+		if err := base.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range cases {
+			bad := base
+			tc.mutate(&bad)
+			if err := bad.Validate(); err == nil {
+				t.Errorf("%s: %s should fail", base.Name, tc.name)
+			}
+		}
 	}
-	bad = good
-	bad.Workloads = []string{"has space"}
-	if err := bad.Validate(); err == nil {
-		t.Error("whitespace in axis value should fail")
-	}
-	bad = good
-	bad.Policies = []core.Policy{"flooding"}
-	if err := bad.Validate(); err == nil {
-		t.Error("unknown policy should fail")
-	}
-	bad = good
-	bad.Intensities = []float64{1, 1}
-	if err := bad.Validate(); err == nil {
-		t.Error("duplicate axis value should fail")
-	}
-	bad = good
+	good, bad := testSpec(), testSpec()
 	bad.DurationS = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("zero duration should fail")
-	}
 	if good.Fingerprint() == bad.Fingerprint() {
 		t.Error("fingerprint must move with the spec")
 	}

@@ -11,6 +11,7 @@ package campaign
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -141,8 +142,15 @@ func (s Spec) Validate() error {
 			return err
 		}
 	}
-	if s.DurationS <= 0 || s.IntervalS <= 0 {
-		return fmt.Errorf("campaign: duration and interval must be positive")
+	// !(x > 0) also rejects NaN; a spec that cannot run must fail here,
+	// before it writes a checkpoint fingerprint or NaN cell IDs.
+	if !(s.DurationS > 0) || !(s.IntervalS > 0) || math.IsInf(s.DurationS+s.IntervalS, 1) {
+		return fmt.Errorf("campaign: duration and interval must be positive and finite")
+	}
+	for _, in := range s.Intensities {
+		if !(in >= 0) || math.IsInf(in, 1) {
+			return fmt.Errorf("campaign: intensity %v must be non-negative and finite", in)
+		}
 	}
 	seen := map[string]bool{}
 	for _, c := range s.Cells() {

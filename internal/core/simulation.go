@@ -61,17 +61,20 @@ var ErrEventBudget = errors.New("core: simulated-event budget exhausted")
 
 // Validate reports whether the scenario is runnable.
 func (s Scenario) Validate() error {
-	if s.DurationS <= 0 {
-		return errors.New("core: scenario duration must be positive")
+	// !(x > 0) also rejects NaN. A non-finite horizon or a NaN interval
+	// would only fail deep inside the topology build; a non-finite rate
+	// would silently schedule no transfers or unboundedly many.
+	if !(s.DurationS > 0) || math.IsInf(s.DurationS, 1) {
+		return errors.New("core: scenario duration must be positive and finite")
 	}
-	if s.SnapshotIntervalS <= 0 {
+	if !(s.SnapshotIntervalS > 0) {
 		return errors.New("core: snapshot interval must be positive")
 	}
 	if !s.Aggregate.Enabled() {
 		// Per-flow workload knobs; fluid mode derives its workload from
 		// the class matrix instead.
-		if s.PerUserRate <= 0 {
-			return errors.New("core: per-user rate must be positive")
+		if !(s.PerUserRate > 0) || math.IsInf(s.PerUserRate, 1) {
+			return errors.New("core: per-user rate must be positive and finite")
 		}
 		if s.MinBytes <= 0 || s.MaxBytes < s.MinBytes {
 			return fmt.Errorf("core: transfer size bounds [%d,%d] invalid", s.MinBytes, s.MaxBytes)

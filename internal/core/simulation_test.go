@@ -39,8 +39,13 @@ func TestScenarioValidate(t *testing.T) {
 	}
 	cases := []func(*Scenario){
 		func(s *Scenario) { s.DurationS = 0 },
+		func(s *Scenario) { s.DurationS = math.NaN() },
+		func(s *Scenario) { s.DurationS = math.Inf(1) },
 		func(s *Scenario) { s.SnapshotIntervalS = 0 },
+		func(s *Scenario) { s.SnapshotIntervalS = math.NaN() },
 		func(s *Scenario) { s.PerUserRate = 0 },
+		func(s *Scenario) { s.PerUserRate = math.NaN() },
+		func(s *Scenario) { s.PerUserRate = math.Inf(1) },
 		func(s *Scenario) { s.MinBytes = 0 },
 		func(s *Scenario) { s.MaxBytes = 0 },
 		func(s *Scenario) { s.Faults = faults.Config{SatMTBFS: 3600} }, // enabled but MTTR zero

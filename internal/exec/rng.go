@@ -81,15 +81,20 @@ func DomainRNG(base int64, d Domain, coords ...int64) *rand.Rand {
 // the generator produces exactly the sequence RNG(base, c...) would, but
 // without constructing a new source. Hot loops that need a fresh stream
 // per (element, epoch) hang one scratch generator off their receiver and
-// Reseed it instead of allocating two objects per draw site.
+// Reseed it instead of allocating two objects per draw site. On a
+// ScratchRNG the reseed is O(1): register slots are derived as draws
+// reach them.
 func Reseed(rng *rand.Rand, base int64, coords ...int64) {
 	rng.Seed(Seed(base, coords...)) //nolint:staticcheck // in-place reseed is the point: same stream as rand.New(rand.NewSource(seed)), zero allocations
 }
 
 // ScratchRNG returns a generator whose initial stream is meaningless: it
-// exists to be Reseed-ed before every use. Constructing it here keeps the
-// raw rand.NewSource call inside the one package the seeddomain analyzer
-// blesses.
+// exists to be Reseed-ed before every use. It draws from a lazySource,
+// which yields math/rand's exact stream for every seed but reseeds in
+// O(1). Constructing it here keeps the raw rand.New call inside the one
+// package the seeddomain analyzer blesses.
 func ScratchRNG() *rand.Rand {
-	return rand.New(rand.NewSource(0))
+	src := &lazySource{}
+	src.Seed(0)
+	return rand.New(src)
 }

@@ -46,17 +46,19 @@ func (c Class) Validate() error {
 	if c.Name == "" {
 		return fmt.Errorf("fluid: class without name")
 	}
-	if c.UserShare <= 0 {
-		return fmt.Errorf("fluid: class %q share %.3g must be positive", c.Name, c.UserShare)
+	// !(x > 0) also rejects NaN; a NaN or +Inf share or rate would reach
+	// the Poisson draw as a non-finite mean.
+	if !(c.UserShare > 0) || math.IsInf(c.UserShare, 1) {
+		return fmt.Errorf("fluid: class %q share %.3g must be positive and finite", c.Name, c.UserShare)
 	}
-	if c.RatePerUserS <= 0 {
-		return fmt.Errorf("fluid: class %q rate %.3g must be positive", c.Name, c.RatePerUserS)
+	if !(c.RatePerUserS > 0) || math.IsInf(c.RatePerUserS, 1) {
+		return fmt.Errorf("fluid: class %q rate %.3g must be positive and finite", c.Name, c.RatePerUserS)
 	}
 	if c.MinBytes <= 0 || c.MaxBytes < c.MinBytes {
 		return fmt.Errorf("fluid: class %q size bounds [%d,%d] invalid", c.Name, c.MinBytes, c.MaxBytes)
 	}
-	if c.ParetoAlpha <= 0 {
-		return fmt.Errorf("fluid: class %q Pareto shape %.3g must be positive", c.Name, c.ParetoAlpha)
+	if !(c.ParetoAlpha > 0) || math.IsInf(c.ParetoAlpha, 1) {
+		return fmt.Errorf("fluid: class %q Pareto shape %.3g must be positive and finite", c.Name, c.ParetoAlpha)
 	}
 	return nil
 }

@@ -48,6 +48,43 @@ func TestClassQuantileBytes(t *testing.T) {
 	}
 }
 
+// TestClassValidate: every class parameter must be positive and finite.
+// NaN slips past a plain <= 0 check, and a NaN or +Inf share or rate would
+// otherwise reach the Poisson draw, which turns it into MinInt64 arrivals.
+func TestClassValidate(t *testing.T) {
+	good := Class{Name: "x", UserShare: 1, RatePerUserS: 1, MinBytes: 1000, MaxBytes: 1e6, ParetoAlpha: 1.2}
+	if err := good.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name   string
+		mutate func(c *Class)
+	}{
+		{"no name", func(c *Class) { c.Name = "" }},
+		{"zero share", func(c *Class) { c.UserShare = 0 }},
+		{"NaN share", func(c *Class) { c.UserShare = nan }},
+		{"+Inf share", func(c *Class) { c.UserShare = inf }},
+		{"negative rate", func(c *Class) { c.RatePerUserS = -1 }},
+		{"NaN rate", func(c *Class) { c.RatePerUserS = nan }},
+		{"+Inf rate", func(c *Class) { c.RatePerUserS = inf }},
+		{"inverted sizes", func(c *Class) { c.MaxBytes = c.MinBytes - 1 }},
+		{"zero shape", func(c *Class) { c.ParetoAlpha = 0 }},
+		{"NaN shape", func(c *Class) { c.ParetoAlpha = nan }},
+		{"+Inf shape", func(c *Class) { c.ParetoAlpha = inf }},
+	}
+	for _, tc := range cases {
+		c := good
+		tc.mutate(&c)
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted %+v", tc.name, c)
+		}
+		if _, err := BuildClassMatrix(Config{Users: 1000, Classes: []Class{c}}); err == nil {
+			t.Errorf("%s: BuildClassMatrix accepted the class", tc.name)
+		}
+	}
+}
+
 func TestBuildClassMatrix(t *testing.T) {
 	cfg := Config{Users: 1_000_000, Seed: 5}
 	m, err := BuildClassMatrix(cfg)
