@@ -35,11 +35,9 @@ func BenchmarkExperiments(b *testing.B) {
 
 // --- Micro-benchmarks on the hot substrate paths ---
 
-// BenchmarkEngineCalendarQueue measures the event kernel on a churn-heavy
-// schedule: a pre-seeded event population plus self-rescheduling ticks, the
-// access pattern the calendar queue's O(1) amortized insert/extract exists
-// for.
-func BenchmarkEngineCalendarQueue(b *testing.B) {
+// BenchmarkEngineQueue measures the event kernel on a churn-heavy schedule:
+// a pre-seeded event population plus self-rescheduling ticks.
+func BenchmarkEngineQueue(b *testing.B) {
 	const events = 50_000
 	rng := rand.New(rand.NewSource(7))
 	times := make([]float64, events)

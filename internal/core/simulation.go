@@ -46,8 +46,9 @@ type Scenario struct {
 	Aggregate fluid.Config
 	// MaxEvents, when non-zero, bounds the number of engine events the run
 	// may deliver — a deterministic, wall-clock-free timeout. A run that
-	// exhausts the budget returns an error wrapping ErrEventBudget; the
-	// zero value leaves runs unbounded.
+	// needs more events returns an error wrapping ErrEventBudget, one that
+	// needs exactly this many completes, and the zero value leaves runs
+	// unbounded.
 	MaxEvents uint64
 }
 

@@ -277,6 +277,32 @@ func TestScenarioEventBudget(t *testing.T) {
 	}
 }
 
+// TestScenarioExactBudget checks that a budget of exactly the events a run
+// needs is not exhausted: rerunning with MaxEvents equal to an unbudgeted
+// run's EventsProcessed must succeed with an identical result.
+func TestScenarioExactBudget(t *testing.T) {
+	perFlow := Scenario{
+		DurationS: 1800, SnapshotIntervalS: 60,
+		PerUserRate: 0.05, MinBytes: 1_000_000, MaxBytes: 100_000_000, Seed: 9,
+	}.WithFaults(faults.Default(), 4, 9)
+	for name, sc := range map[string]Scenario{
+		"per-flow": perFlow,
+		"fluid":    perFlow.WithAggregateWorkload(50_000, nil),
+	} {
+		want, err := scenarioNetwork(t).RunScenario(sc)
+		if err != nil {
+			t.Fatalf("%s: unbudgeted run: %v", name, err)
+		}
+		got, err := scenarioNetwork(t).RunScenario(sc.WithEventBudget(want.EventsProcessed))
+		if err != nil {
+			t.Fatalf("%s: budget of exactly %d events: %v", name, want.EventsProcessed, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: budgeted result %+v, want %+v", name, got, want)
+		}
+	}
+}
+
 // TestScenarioRejectsBadRetry pins that a faulted scenario with a NaN,
 // infinite or negative backoff is refused up front: a NaN delay would
 // otherwise slip past the horizon check and schedule retries at time NaN.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"os"
 	"testing"
 )
@@ -16,35 +17,40 @@ func allocGate(t *testing.T) {
 }
 
 // TestAllocGateEngineStepLoop pins the //lint:hotpath contract on
-// Engine.Schedule and Engine.Run: a stationary event population — eight
-// events per instant, each delivery scheduling its successor one second
-// later — must run with zero allocations per simulated second. The
-// population never crosses a calendar resize threshold (count is pinned
-// at 8 with 8 buckets and width 1), so after one rotation through the
-// buckets every append lands in warmed capacity.
+// Engine.Schedule and Engine.Run: a stationary event population — n events
+// per instant, each delivery scheduling its successor one second later —
+// must run with zero allocations per simulated second. Once the heap's
+// backing array has grown to the population, every push lands in warmed
+// capacity. 4 096 events sits near the largest pending population any
+// registered experiment reaches.
 func TestAllocGateEngineStepLoop(t *testing.T) {
 	allocGate(t)
-	e := NewEngine()
-	var tick func(*Engine)
-	tick = func(en *Engine) {
-		if err := en.After(1, tick); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 8; i++ {
-		if err := e.Schedule(0, tick); err != nil {
-			t.Fatal(err)
-		}
-	}
-	until := 0.0
-	step := func() {
-		until++
-		e.Run(until)
-	}
-	for i := 0; i < 20; i++ {
-		step() // warm: rotate through every bucket so capacities settle
-	}
-	if avg := testing.AllocsPerRun(100, step); avg != 0 {
-		t.Fatalf("engine step loop allocates %.2f per simulated second, want 0", avg)
+	for _, n := range []int{8, 4096} {
+		t.Run(fmt.Sprintf("population=%d", n), func(t *testing.T) {
+			e := NewEngine()
+			var tick func(*Engine)
+			tick = func(en *Engine) {
+				if err := en.After(1, tick); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < n; i++ {
+				if err := e.Schedule(0, tick); err != nil {
+					t.Fatal(err)
+				}
+			}
+			until := 0.0
+			step := func() {
+				until++
+				e.Run(until)
+			}
+			step() // warm: settle the heap's capacity
+			if avg := testing.AllocsPerRun(100, step); avg != 0 {
+				t.Fatalf("engine step loop allocates %.2f per simulated second, want 0", avg)
+			}
+			if e.events.Len() != n {
+				t.Fatalf("population drifted to %d events, want %d", e.events.Len(), n)
+			}
+		})
 	}
 }

@@ -1,10 +1,10 @@
 package sim
 
-// eventHeap is the engine's original binary-heap event queue, retained as
-// the test oracle: the calendar queue (calqueue.go) must dequeue in
-// exactly this heap's (atS, seq) order, and the property tests in
-// calqueue_test.go replay random schedules through both structures and
-// require identical sequences.
+// eventHeap is the reference event queue, driven through container/heap:
+// the engine's hand-rolled heap (engine.go) must dequeue in exactly this
+// heap's (atS, seq) order, and the property tests in queue_test.go replay
+// random schedules through both structures and require identical
+// sequences.
 
 type eventHeap []event
 

@@ -70,24 +70,13 @@ func TestEngineHorizonStopsEarly(t *testing.T) {
 	if ran {
 		t.Error("event past horizon ran")
 	}
-	if e.Now() != 10 || e.Pending() != 1 {
-		t.Errorf("now=%v pending=%d", e.Now(), e.Pending())
+	if e.Now() != 10 || e.events.Len() != 1 {
+		t.Errorf("now=%v pending=%d", e.Now(), e.events.Len())
 	}
 	// Resume picks it up.
 	e.Run(100)
 	if !ran {
 		t.Error("event not delivered on resume")
-	}
-}
-
-func TestEngineStop(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	e.Schedule(1, func(en *Engine) { count++; en.Stop() })
-	e.Schedule(2, func(*Engine) { count++ })
-	e.Run(10)
-	if count != 1 {
-		t.Errorf("Stop did not halt: %d", count)
 	}
 }
 
@@ -111,14 +100,48 @@ func TestEngineEventBudget(t *testing.T) {
 	if e.Now() != 3 {
 		t.Errorf("clock = %v, want left at last delivered event", e.Now())
 	}
-	if e.Pending() != 1 {
-		t.Errorf("pending = %d, want the undelivered event still queued", e.Pending())
+	if e.events.Len() != 1 {
+		t.Errorf("pending = %d, want the undelivered event still queued", e.events.Len())
 	}
 	// Raising the budget resumes exactly where the run stopped.
 	e.MaxEvents = 5
 	e.Run(100)
 	if count != 5 || !e.Exhausted() {
 		t.Errorf("resumed run delivered %d events (exhausted=%v), want 5/true", count, e.Exhausted())
+	}
+
+	// A run that drains its queue on exactly the budget completed.
+	drained := NewEngine()
+	drained.MaxEvents = 3
+	for i := 0; i < 3; i++ {
+		drained.Schedule(float64(i), func(*Engine) {})
+	}
+	drained.Run(100)
+	if drained.Processed != 3 || drained.Exhausted() || drained.Now() != 100 {
+		t.Errorf("drained on budget: processed=%d exhausted=%v now=%v, want 3/false/100",
+			drained.Processed, drained.Exhausted(), drained.Now())
+	}
+
+	// So does one that reaches its horizon on exactly the budget: the
+	// event past the horizon was never refused, and the clock reaches it.
+	horizon := NewEngine()
+	horizon.MaxEvents = 3
+	for _, at := range []float64{0, 100, 200, 300} {
+		horizon.Schedule(at, func(*Engine) {})
+	}
+	horizon.Run(250)
+	if horizon.Processed != 3 || horizon.Exhausted() || horizon.Now() != 250 {
+		t.Errorf("horizon on budget: processed=%d exhausted=%v now=%v, want 3/false/250",
+			horizon.Processed, horizon.Exhausted(), horizon.Now())
+	}
+	if horizon.events.Len() != 1 {
+		t.Errorf("horizon on budget: pending = %d, want the event past the horizon queued", horizon.events.Len())
+	}
+	// Past the horizon the budget does refuse it.
+	horizon.Run(400)
+	if horizon.Processed != 3 || !horizon.Exhausted() || horizon.Now() != 250 {
+		t.Errorf("past horizon: processed=%d exhausted=%v now=%v, want 3/true/250",
+			horizon.Processed, horizon.Exhausted(), horizon.Now())
 	}
 }
 
