@@ -130,15 +130,12 @@ func Fig2b(cfg Fig2bConfig) (*Fig2bResult, error) {
 
 // interSatelliteDelayS sums the propagation delay of the path's
 // satellite-to-satellite hops only — the quantity Figure 2(b) plots. For
-// single-satellite (bent-pipe) paths it is zero.
+// single-satellite (bent-pipe) paths it is zero. p must have been routed
+// on snap.
 func interSatelliteDelayS(snap *topo.Snapshot, p routing.Path) float64 {
 	var total float64
-	for i := 0; i+1 < len(p.Nodes); i++ {
-		e, ok := snap.Edge(p.Nodes[i], p.Nodes[i+1])
-		if !ok {
-			continue
-		}
-		if e.Kind == topo.LinkISLRF || e.Kind == topo.LinkISLLaser {
+	for _, j := range p.Arcs {
+		if e := &snap.Index().Edges[j]; e.Kind == topo.LinkISLRF || e.Kind == topo.LinkISLLaser {
 			total += e.DelayS
 		}
 	}

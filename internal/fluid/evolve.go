@@ -220,11 +220,12 @@ func sameCommodity(a, b groupEntry) bool {
 
 // Advance evolves the matrix across one epoch [t0, t1) over the given
 // snapshot (fault overlays already applied by the caller). epoch indexes
-// the aggregate arrival streams and must be distinct per call.
+// the aggregate arrival streams and must be distinct per call. A span
+// that is not positive and finite fails before any state changes.
 func (e *Evolver) Advance(snap *topo.Snapshot, t0, t1 float64, epoch int) error {
 	dt := t1 - t0
-	if dt <= 0 {
-		return fmt.Errorf("fluid: epoch [%.3f, %.3f) has non-positive span", t0, t1)
+	if !(dt > 0) || math.IsInf(dt, 1) {
+		return fmt.Errorf("fluid: epoch [%.3f, %.3f) has span %v, want positive and finite", t0, t1, dt)
 	}
 
 	// Lit gateways: present in the snapshot with at least one live link.
@@ -292,7 +293,7 @@ func (e *Evolver) Advance(snap *topo.Snapshot, t0, t1 float64, epoch int) error 
 		if da.Path != nil && da.OfferedBps > 0 {
 			sigma = da.RateBps / da.OfferedBps
 		}
-		pd := pathDelayOf(snap, net, alloc, da.Path, dt)
+		pd := pathDelayOf(net, alloc, da.Arcs, dt)
 		for _, ge := range e.entries[e.groupStart[i]:e.groupStart[i+1]] {
 			e.served[ge.k] = sigma
 			e.delay[ge.k] = pd
@@ -387,28 +388,27 @@ type pathDelay struct {
 }
 
 // pathDelayOf extracts propagation, hop count and effective bottleneck
-// bandwidth for a routed path. The effective bandwidth deflates the
-// bottleneck capacity by the residual (1 − ρ) with ρ capped at 0.99 — the
-// standard fluid heuristic for queueing inflation near saturation.
-func pathDelayOf(snap *topo.Snapshot, net *traffic.Network, alloc *traffic.Allocation, path []string, dt float64) pathDelay {
-	if len(path) < 2 {
+// bandwidth for a path given as edge positions in net.Snap. The effective
+// bandwidth deflates the bottleneck capacity by the residual (1 − ρ) with
+// ρ capped at 0.99 — the standard fluid heuristic for queueing inflation
+// near saturation.
+func pathDelayOf(net *traffic.Network, alloc *traffic.Allocation, arcs []int32, dt float64) pathDelay {
+	if len(arcs) == 0 {
 		return pathDelay{}
 	}
-	pd := pathDelay{routed: true, capped: dt}
+	pd := pathDelay{routed: true, capped: dt, hops: len(arcs)}
 	bottleneck := math.Inf(1)
 	maxU := 0.0
-	for h := 0; h+1 < len(path); h++ {
-		if edge, ok := snap.Edge(path[h], path[h+1]); ok {
-			pd.propS += edge.DelayS
-		}
-		if c := net.CapacityBps(path[h], path[h+1]); c < bottleneck {
+	edges := net.Snap.Index().Edges
+	for _, j := range arcs {
+		pd.propS += edges[j].DelayS
+		if c := net.CapacityBps(j); c < bottleneck {
 			bottleneck = c
 		}
-		if u := alloc.Utilization(path[h], path[h+1]); u > maxU {
+		if u := alloc.Utilization(j); u > maxU {
 			maxU = u
 		}
 	}
-	pd.hops = len(path) - 1
 	if math.IsInf(bottleneck, 1) || bottleneck <= 0 {
 		pd.routed = false
 		return pd

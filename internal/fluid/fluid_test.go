@@ -3,6 +3,7 @@ package fluid
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/openspace-project/openspace/internal/orbit"
@@ -239,6 +240,49 @@ func TestEvolverDeterministicReplay(t *testing.T) {
 	}
 	if a.CarriedBps() != b.CarriedBps() {
 		t.Fatalf("carried diverged: %v vs %v", a.CarriedBps(), b.CarriedBps())
+	}
+}
+
+// TestEvolverRejectsNonFiniteSpan: an epoch span that is NaN or infinite
+// fails before Advance touches any state. A NaN span used to realise the
+// epoch's arrivals into the pools before the allocator rejected it, and an
+// infinite one was accepted with HorizonS = +Inf.
+func TestEvolverRejectsNonFiniteSpan(t *testing.T) {
+	cfg := Config{Users: 100_000, Seed: 19}
+	snap, gws := gridSnapshot(t, 64, 6, 0)
+	newEvolver := func() *Evolver {
+		m, err := BuildClassMatrix(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev, err := NewEvolver(m, cfg, gws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ev.Advance(snap, 0, 30, 0); err != nil {
+			t.Fatal(err)
+		}
+		return ev
+	}
+	bad, good := newEvolver(), newEvolver()
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, span := range [][2]float64{{30, nan}, {nan, 60}, {30, inf}, {-inf, 60}, {inf, inf}} {
+		if err := bad.Advance(snap, span[0], span[1], 1); err == nil {
+			t.Errorf("epoch [%v, %v) accepted", span[0], span[1])
+		}
+		if !reflect.DeepEqual(bad.Result(), good.Result()) {
+			t.Fatalf("epoch [%v, %v) failed after changing the result:\n%+v\n%+v", span[0], span[1], bad.Result(), good.Result())
+		}
+	}
+	// The next valid epoch must see the same pools and backlog as an
+	// evolver that never saw the bad spans.
+	for _, ev := range []*Evolver{bad, good} {
+		if err := ev.Advance(snap, 30, 60, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(bad.Result(), good.Result()) {
+		t.Fatalf("rejected epochs changed the next one:\n%+v\n%+v", bad.Result(), good.Result())
 	}
 }
 

@@ -50,7 +50,9 @@ func tleChecksum(line string) int {
 
 // ParseTLE parses the two data lines (and an optional preceding name).
 // Checksums are verified; the mean motion is converted to a semi-major
-// axis via Kepler's third law.
+// axis via Kepler's third law. A record is accepted only if FormatTLE can
+// write it back: printable ASCII, and every field in the range its
+// columns hold.
 func ParseTLE(name, line1, line2 string) (*TLE, error) {
 	line1 = strings.TrimRight(line1, "\r\n")
 	line2 = strings.TrimRight(line2, "\r\n")
@@ -64,6 +66,12 @@ func ParseTLE(name, line1, line2 string) (*TLE, error) {
 		return nil, fmt.Errorf("%w: line 2 starts with %q", ErrTLELineNumber, line2[0])
 	}
 	for i, l := range []string{line1, line2} {
+		// FormatTLE pads by rune, so only single-byte text writes back.
+		for k := 0; k < len(l); k++ {
+			if l[k] < ' ' || l[k] > '~' {
+				return nil, fmt.Errorf("%w: line %d byte %d is not printable ASCII", ErrTLEField, i+1, k+1)
+			}
+		}
 		want, err := strconv.Atoi(l[68:69])
 		if err != nil {
 			return nil, fmt.Errorf("%w: line %d checksum digit", ErrTLEField, i+1)
@@ -114,8 +122,23 @@ func ParseTLE(name, line1, line2 string) (*TLE, error) {
 	if t.MeanMotionRevDay, err = parseFloatTrim(line2[52:63]); err != nil {
 		return nil, fmt.Errorf("%w: mean motion: %v", ErrTLEField, err)
 	}
-	if t.MeanMotionRevDay <= 0 {
-		return nil, fmt.Errorf("%w: mean motion must be positive", ErrTLEField)
+	// Accept only what FormatTLE can write back into the same columns.
+	if !(t.EpochDay >= 1 && t.EpochDay < 367) {
+		return nil, fmt.Errorf("%w: epoch day %v outside [1, 367)", ErrTLEField, t.EpochDay)
+	}
+	if !(e.InclinationDeg >= 0 && e.InclinationDeg <= 180) {
+		return nil, fmt.Errorf("%w: inclination %v° outside [0, 180]", ErrTLEField, e.InclinationDeg)
+	}
+	for _, a := range []struct {
+		name string
+		deg  float64
+	}{{"raan", e.RAANDeg}, {"argument of perigee", e.ArgPerigeeDeg}, {"mean anomaly", e.MeanAnomalyDeg}} {
+		if !(a.deg >= 0 && a.deg < 360) {
+			return nil, fmt.Errorf("%w: %s %v° outside [0, 360)", ErrTLEField, a.name, a.deg)
+		}
+	}
+	if !(t.MeanMotionRevDay >= 1e-8 && t.MeanMotionRevDay < 100) {
+		return nil, fmt.Errorf("%w: mean motion %v rev/day outside [1e-8, 100)", ErrTLEField, t.MeanMotionRevDay)
 	}
 	// n [rad/s] = rev/day · 2π / 86400 ; a = (μ/n²)^(1/3).
 	n := t.MeanMotionRevDay * 2 * math.Pi / 86400
@@ -129,6 +152,8 @@ func ParseTLE(name, line1, line2 string) (*TLE, error) {
 
 // FormatTLE renders the element set as a catalogue-compatible two-line
 // set (drag and derivative terms zeroed — this propagator is two-body).
+// RAAN, argument of perigee and mean anomaly are written reduced into
+// [0, 360), the range ParseTLE accepts.
 func (t *TLE) FormatTLE() (line1, line2 string) {
 	yy := t.EpochYear % 100
 	l1 := fmt.Sprintf("1 %05dU %-8s %02d%012.8f  .00000000  00000-0  00000-0 0  999",
@@ -136,11 +161,21 @@ func (t *TLE) FormatTLE() (line1, line2 string) {
 	e := t.Elements
 	ecc := int(math.Round(e.Eccentricity * 1e7))
 	l2 := fmt.Sprintf("2 %05d %8.4f %8.4f %07d %8.4f %8.4f %11.8f    9",
-		t.CatalogNum, e.InclinationDeg, e.RAANDeg, ecc,
-		e.ArgPerigeeDeg, e.MeanAnomalyDeg, t.MeanMotionRevDay)
+		t.CatalogNum, e.InclinationDeg, tleAngle(e.RAANDeg), ecc,
+		tleAngle(e.ArgPerigeeDeg), tleAngle(e.MeanAnomalyDeg), t.MeanMotionRevDay)
 	l1 = fmt.Sprintf("%-68.68s%d", l1, tleChecksum(fmt.Sprintf("%-68.68s0", l1)))
 	l2 = fmt.Sprintf("%-68.68s%d", l2, tleChecksum(fmt.Sprintf("%-68.68s0", l2)))
 	return l1, l2
+}
+
+// tleAngle rounds an angle to the four decimals its column holds and
+// reduces it into [0, 360), so that no angle is written as 360.0000.
+func tleAngle(deg float64) float64 {
+	r := math.Mod(math.Round(deg*1e4), 360e4)
+	if r < 0 {
+		r += 360e4
+	}
+	return r / 1e4
 }
 
 // FromElements wraps an element set as a TLE record for export.

@@ -56,7 +56,9 @@ type ScheduledRoute struct {
 // costs latency instead of service.
 //
 // txS is the per-hop transmission time (bundle size / link rate) added on
-// top of propagation delay; pass 0 for small bundles.
+// top of propagation delay; pass 0 for small bundles. startS must be
+// finite and txS finite and non-negative: a NaN would otherwise flow into
+// every arrival time.
 func EarliestArrival(te *topo.TimeExpanded, src, dst string, startS, txS float64) (*ScheduledRoute, error) {
 	if len(te.Snaps) == 0 {
 		return nil, fmt.Errorf("routing: cgr: empty topology series")
@@ -68,8 +70,11 @@ func EarliestArrival(te *topo.TimeExpanded, src, dst string, startS, txS float64
 	if first.Node(dst) == nil {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownNode, dst)
 	}
-	if txS < 0 {
-		return nil, fmt.Errorf("routing: cgr: negative transmission time")
+	if math.IsNaN(startS) || math.IsInf(startS, 0) {
+		return nil, fmt.Errorf("routing: cgr: start time %v must be finite", startS)
+	}
+	if !(txS >= 0) || math.IsInf(txS, 1) {
+		return nil, fmt.Errorf("routing: cgr: transmission time %v must be finite and non-negative", txS)
 	}
 
 	// Dijkstra over arrival times. A node's label is its earliest known

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"github.com/openspace-project/openspace/internal/geo"
@@ -136,6 +137,22 @@ func TestEarliestArrivalErrors(t *testing.T) {
 	}
 	if _, err := EarliestArrival(&topo.TimeExpanded{}, "u", "g", 0, 0); err == nil {
 		t.Error("empty series should fail")
+	}
+	// On a fleet where u reaches g, NaN inputs used to come back as a route
+	// with NaN times and a -Inf start as an infinite wait, all with a nil
+	// error.
+	te = sparseSeries(t, 66/13*13, 300)
+	if _, err := EarliestArrival(te, "u", "g", 0, 0); err != nil {
+		t.Fatalf("u → g must route on this fleet: %v", err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct{ startS, txS float64 }{
+		{nan, 0}, {inf, 0}, {-inf, 0}, {0, nan}, {0, inf}, {0, -1},
+	} {
+		if r, err := EarliestArrival(te, "u", "g", c.startS, c.txS); err == nil {
+			t.Errorf("start %v, tx %v: route arriving at %v with wait %v, want an error",
+				c.startS, c.txS, r.ArrivalS, r.TotalWaitS)
+		}
 	}
 }
 

@@ -16,8 +16,6 @@
 package routing
 
 import (
-	"math"
-
 	"github.com/openspace-project/openspace/internal/topo"
 )
 
@@ -121,30 +119,17 @@ func DefaultQoS() QoSPolicy {
 
 // Path is a computed route.
 type Path struct {
-	Nodes          []string
+	Nodes []string
+	// Arcs holds the position of each hop's edge in Index().Edges of the
+	// snapshot the path was computed on, so per-link state kept by edge
+	// position is reached without a lookup. A position means nothing on
+	// any other snapshot, a fault overlay of the same snapshot included; a
+	// caller that takes the path to another snapshot must go by Nodes.
+	Arcs           []int32
 	Cost           float64
 	DelayS         float64 // total propagation delay
 	DistanceKm     float64
 	Hops           int
 	MinCapacityBps float64 // bottleneck capacity
 	CrossOwnerHops int     // §3 accounting: hops carried by other providers
-}
-
-// statsFromEdges fills the descriptive fields of a path from its edges.
-func statsFromEdges(nodes []string, cost float64, edges []topo.Edge) Path {
-	p := Path{Nodes: nodes, Cost: cost, Hops: len(edges), MinCapacityBps: math.Inf(1)}
-	for _, e := range edges {
-		p.DelayS += e.DelayS
-		p.DistanceKm += e.DistanceKm
-		if e.CapacityBps < p.MinCapacityBps {
-			p.MinCapacityBps = e.CapacityBps
-		}
-		if e.CrossOwner {
-			p.CrossOwnerHops++
-		}
-	}
-	if len(edges) == 0 {
-		p.MinCapacityBps = 0
-	}
-	return p
 }

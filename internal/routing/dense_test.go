@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"testing"
 
 	"github.com/openspace-project/openspace/internal/geo"
@@ -152,15 +153,12 @@ func denseCases(t *testing.T) []denseCase {
 	return cases
 }
 
-// samePath requires identical node sequences and bit-equal float fields.
+// samePath requires identical node and edge-position sequences and
+// bit-equal float fields.
 func samePath(got, want Path) bool {
-	if len(got.Nodes) != len(want.Nodes) || got.Hops != want.Hops || got.CrossOwnerHops != want.CrossOwnerHops {
+	if !slices.Equal(got.Nodes, want.Nodes) || !slices.Equal(got.Arcs, want.Arcs) ||
+		got.Hops != want.Hops || got.CrossOwnerHops != want.CrossOwnerHops {
 		return false
-	}
-	for i := range got.Nodes {
-		if got.Nodes[i] != want.Nodes[i] {
-			return false
-		}
 	}
 	for _, f := range [][2]float64{
 		{got.Cost, want.Cost}, {got.DelayS, want.DelayS},
@@ -197,8 +195,8 @@ func checkPaths(t *testing.T, label string, got []Path, gotErr error, want []Pat
 }
 
 // TestDenseMatchesOracle pins the dense searcher to the map-based
-// implementation it replaced: identical node sequences and bit-equal
-// costs from ShortestPath, KShortestPaths (k = 1…8) and
+// implementation it replaced: identical node sequences, edge positions
+// and bit-equal costs from ShortestPath, KShortestPaths (k = 1…8) and
 // DisjointPaths on +Grid shells with and without failures, dense random
 // meshes, and cost functions from all-ties hop counting to bandwidth
 // floors; errors, unknown endpoints included, must carry the same text. Yen's first k paths do not depend on k, so each dense k is

@@ -3,6 +3,7 @@ package routing
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"sort"
 
 	"github.com/openspace-project/openspace/internal/topo"
@@ -73,12 +74,29 @@ func buildPath(s *topo.Snapshot, src, dst string, cost float64, prev map[string]
 	for i := range rev {
 		nodes[i] = rev[len(rev)-1-i]
 	}
-	edges := make([]topo.Edge, 0, len(nodes)-1)
-	for i := 0; i+1 < len(nodes); i++ {
-		e, _ := s.Edge(nodes[i], nodes[i+1])
-		edges = append(edges, e)
+	return oraclePath(s, nodes, cost)
+}
+
+// oraclePath fills the edge positions and statistics of the path along
+// nodes by string lookups.
+func oraclePath(s *topo.Snapshot, nodes []string, cost float64) Path {
+	p := Path{Nodes: nodes, Cost: cost, Hops: len(nodes) - 1}
+	if p.Hops > 0 {
+		p.MinCapacityBps = math.Inf(1)
 	}
-	return statsFromEdges(nodes, cost, edges)
+	for i := 0; i+1 < len(nodes); i++ {
+		p.Arcs = append(p.Arcs, s.Index().Arc(nodes[i], nodes[i+1]))
+		e, _ := s.Edge(nodes[i], nodes[i+1])
+		p.DelayS += e.DelayS
+		p.DistanceKm += e.DistanceKm
+		if e.CapacityBps < p.MinCapacityBps {
+			p.MinCapacityBps = e.CapacityBps
+		}
+		if e.CrossOwner {
+			p.CrossOwnerHops++
+		}
+	}
+	return p
 }
 
 func oracleKShortestPaths(s *topo.Snapshot, src, dst string, cost CostFunc, k int) ([]Path, error) {
@@ -196,7 +214,6 @@ func joinPaths(s *topo.Snapshot, root, spurPath []string, cost CostFunc) *Path {
 		}
 		seen[n] = true
 	}
-	var edges []topo.Edge
 	var total float64
 	for i := 0; i+1 < len(nodes); i++ {
 		e, ok := s.Edge(nodes[i], nodes[i+1])
@@ -208,9 +225,8 @@ func joinPaths(s *topo.Snapshot, root, spurPath []string, cost CostFunc) *Path {
 			return nil
 		}
 		total += w
-		edges = append(edges, e)
 	}
-	p := statsFromEdges(nodes, total, edges)
+	p := oraclePath(s, nodes, total)
 	return &p
 }
 

@@ -258,17 +258,34 @@ func (sr *searcher) banEdge(u, v int32, st uint32) {
 	}
 }
 
-// materialize turns a dense node sequence into a Path with the given cost,
-// its statistics taken from the first edge between each consecutive pair.
+// materialize turns a dense node sequence into a Path with the given
+// cost: its node IDs, the position of each hop's edge, and statistics read
+// from those edges.
 func (sr *searcher) materialize(nodes []int32, cost float64) Path {
-	ids := make([]string, len(nodes))
+	p := Path{
+		Nodes: make([]string, len(nodes)),
+		Arcs:  make([]int32, len(nodes)-1),
+		Cost:  cost,
+		Hops:  len(nodes) - 1,
+	}
 	for i, v := range nodes {
-		ids[i] = sr.ix.Nodes[v].ID
+		p.Nodes[i] = sr.ix.Nodes[v].ID
 	}
-	edges := make([]topo.Edge, 0, len(nodes)-1)
-	for i := 0; i+1 < len(nodes); i++ {
+	if p.Hops > 0 {
+		p.MinCapacityBps = math.Inf(1)
+	}
+	for i := range p.Arcs {
 		j := sr.edgeTo(nodes[i], nodes[i+1])
-		edges = append(edges, sr.ix.Edges[j])
+		p.Arcs[i] = j
+		e := &sr.ix.Edges[j]
+		p.DelayS += e.DelayS
+		p.DistanceKm += e.DistanceKm
+		if e.CapacityBps < p.MinCapacityBps {
+			p.MinCapacityBps = e.CapacityBps
+		}
+		if e.CrossOwner {
+			p.CrossOwnerHops++
+		}
 	}
-	return statsFromEdges(ids, cost, edges)
+	return p
 }

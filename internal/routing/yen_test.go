@@ -192,10 +192,10 @@ func tieSnapshot(tb testing.TB, rng *rand.Rand, shape uint8, nodePct, linkPct in
 }
 
 // checkTies compares KShortestPaths for every k in 1…maxTieK with the
-// first k paths of one oracle run at maxTieK, by node sequence and cost
-// bits, for three random endpoint pairs of s under every tieCosts cost.
-// It returns how many pairs had maxTieK paths and how many accepted paths
-// tied their predecessor's cost exactly.
+// first k paths of one oracle run at maxTieK, by node sequence, edge
+// positions and cost bits, for three random endpoint pairs of s under
+// every tieCosts cost. It returns how many pairs had maxTieK paths and
+// how many accepted paths tied their predecessor's cost exactly.
 func checkTies(t *testing.T, label string, rng *rand.Rand, s *topo.Snapshot) (full, ties int) {
 	t.Helper()
 	ids := s.Nodes()

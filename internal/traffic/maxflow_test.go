@@ -183,8 +183,8 @@ func TestMaxFlowInvariantsProperty(t *testing.T) {
 		}
 		for j, flow := range r.Flow {
 			e := edges[j]
-			if flow < -eps || flow > n.CapacityBps(e.From, e.To)+eps {
-				t.Logf("seed %d: link %s→%s flow %v exceeds capacity %v", seed, e.From, e.To, flow, n.CapacityBps(e.From, e.To))
+			if flow < -eps || flow > n.CapacityBps(int32(j))+eps {
+				t.Logf("seed %d: link %s→%s flow %v exceeds capacity %v", seed, e.From, e.To, flow, n.CapacityBps(int32(j)))
 				return false
 			}
 			net[e.From] -= flow

@@ -3,7 +3,6 @@ package traffic
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"github.com/openspace-project/openspace/internal/routing"
 	"github.com/openspace-project/openspace/internal/topo"
@@ -27,6 +26,9 @@ type DemandAllocation struct {
 	// Path is the node sequence carrying the demand; nil when the network
 	// offers no route.
 	Path []string
+	// Arcs holds the position in the network snapshot's Index().Edges of
+	// each hop of Path; nil with Path.
+	Arcs []int32
 	// RateBps is the allocated rate, ≤ OfferedBps.
 	RateBps float64
 	// Bottleneck names the saturated link that froze this demand's rate.
@@ -40,26 +42,17 @@ func (d *DemandAllocation) Satisfied() bool {
 	return d.Path != nil && d.RateBps >= d.OfferedBps
 }
 
-// Allocation is a complete max-min fair assignment. It implements
-// routing.LoadMap, so a finished allocation can feed load-aware QoS routing
-// directly.
+// Allocation is a complete max-min fair assignment.
 type Allocation struct {
 	Demands []DemandAllocation
 	net     *Network
 	load    []float64 // carried bps per edge, by edge position
 }
 
-var _ routing.LoadMap = (*Allocation)(nil)
-
-// Utilization implements routing.LoadMap: the carried fraction of the
-// directed link's capacity, in [0, 1].
-func (a *Allocation) Utilization(from, to string) float64 {
-	return a.utilization(a.net.Snap.Index().Arc(from, to))
-}
-
-// utilization is Utilization for the edge at position j, 0 for j < 0.
-func (a *Allocation) utilization(j int32) float64 {
-	if j < 0 || a.net.caps[j] <= 0 {
+// Utilization returns the carried fraction, in [0, 1], of the capacity of
+// the directed link at position j in the network snapshot's Index().Edges.
+func (a *Allocation) Utilization(j int32) float64 {
+	if a.net.caps[j] <= 0 {
 		return 0
 	}
 	u := a.load[j] / a.net.caps[j]
@@ -125,7 +118,7 @@ func (a *Allocation) MaxUtilization() (LinkID, float64) {
 	var best LinkID
 	var bestU float64
 	for j, e := range a.net.Snap.Edges() {
-		if u := a.utilization(int32(j)); u > bestU {
+		if u := a.Utilization(int32(j)); u > bestU {
 			best, bestU = LinkID{e.From, e.To}, u
 		}
 	}
@@ -143,16 +136,15 @@ type fillState struct {
 	linkCap   []float64   // the network's capacities, by edge position
 	linkLoad  []float64   // the allocation's load, by edge position
 	linkUsers []int32     //lint:scratch — active demands per edge, decremented on freeze
-	demLinks  [][]int32   //lint:scratch — edge positions per demand, path order
 	active    []bool      //lint:scratch
 	nActive   int
 }
 
 // freeze takes demand i out of the fill and releases its link shares.
-func (st *fillState) freeze(i int) {
+func (st *fillState) freeze(dems []DemandAllocation, i int) {
 	st.active[i] = false
 	st.nActive--
-	for _, li := range st.demLinks[i] {
+	for _, li := range dems[i].Arcs {
 		st.linkUsers[li]--
 	}
 }
@@ -177,7 +169,7 @@ func (st *fillState) run(dems []DemandAllocation) {
 			if room := dems[i].OfferedBps - dems[i].RateBps; room < delta {
 				delta = room
 			}
-			for _, li := range st.demLinks[i] {
+			for _, li := range dems[i].Arcs {
 				if nu := st.linkUsers[li]; nu > 0 {
 					if room := (st.linkCap[li] - st.linkLoad[li]) / float64(nu); room < delta {
 						delta = room
@@ -193,7 +185,7 @@ func (st *fillState) run(dems []DemandAllocation) {
 				continue
 			}
 			dems[i].RateBps += delta
-			for _, li := range st.demLinks[i] {
+			for _, li := range dems[i].Arcs {
 				st.linkLoad[li] += delta
 			}
 		}
@@ -206,14 +198,14 @@ func (st *fillState) run(dems []DemandAllocation) {
 			d := &dems[i]
 			if d.RateBps >= d.OfferedBps-st.eps {
 				d.RateBps = d.OfferedBps
-				st.freeze(i)
+				st.freeze(dems, i)
 				froze = true
 				continue
 			}
-			for _, li := range st.demLinks[i] {
+			for _, li := range d.Arcs {
 				if st.linkLoad[li] >= st.linkCap[li]-st.eps {
 					d.Bottleneck = LinkID{st.edges[li].From, st.edges[li].To}
-					st.freeze(i)
+					st.freeze(dems, i)
 					froze = true
 					break
 				}
@@ -225,7 +217,7 @@ func (st *fillState) run(dems []DemandAllocation) {
 			// guarantee termination; the allocation stays feasible.
 			for i := range dems {
 				if st.active[i] {
-					st.freeze(i)
+					st.freeze(dems, i)
 				}
 			}
 		}
@@ -256,7 +248,6 @@ func prepareFill(n *Network, demands []Demand, cfg AllocConfig) (*Allocation, *f
 		linkCap:   n.caps,
 		linkLoad:  alloc.load,
 		linkUsers: make([]int32, len(ix.Edges)),
-		demLinks:  make([][]int32, len(demands)),
 		active:    make([]bool, len(demands)),
 	}
 	for i, d := range demands {
@@ -273,28 +264,20 @@ func prepareFill(n *Network, demands []Demand, cfg AllocConfig) (*Allocation, *f
 		}
 		best, bestCap := -1, -1.0
 		for pi, p := range paths {
-			if c := pathBottleneckBps(n, p.Nodes); c > bestCap {
+			if c := pathBottleneckBps(n, p.Arcs); c > bestCap {
 				best, bestCap = pi, c
 			}
 		}
 		if bestCap <= 0 {
 			continue // routable only over zero-capacity links
 		}
-		nodes := paths[best].Nodes
-		alloc.Demands[i].Path = nodes
-		for h := 0; h+1 < len(nodes); h++ {
-			// Loopless paths never repeat a link, but dedup keeps the
-			// per-demand user count exact regardless.
-			if j := ix.Arc(nodes[h], nodes[h+1]); !slices.Contains(st.demLinks[i], j) {
-				st.demLinks[i] = append(st.demLinks[i], j)
-			}
-		}
-	}
-	for i := range alloc.Demands {
-		if alloc.Demands[i].Path != nil && alloc.Demands[i].OfferedBps > 0 {
+		// Yen's paths are loopless, so no link repeats within Arcs and each
+		// demand counts once per link it crosses.
+		alloc.Demands[i].Path, alloc.Demands[i].Arcs = paths[best].Nodes, paths[best].Arcs
+		if d.OfferedBps > 0 {
 			st.active[i] = true
 			st.nActive++
-			for _, li := range st.demLinks[i] {
+			for _, li := range paths[best].Arcs {
 				st.linkUsers[li]++
 			}
 		}
@@ -322,14 +305,13 @@ func MaxMinFair(n *Network, demands []Demand, cfg AllocConfig) (*Allocation, err
 	return alloc, nil
 }
 
-// pathBottleneckBps returns the smallest capacity along the node sequence
+// pathBottleneckBps returns the smallest capacity over the edge positions
 // under the network's link capacities (which may differ from the
 // snapshot's edge capacities after Recapacitate).
-func pathBottleneckBps(n *Network, nodes []string) float64 {
+func pathBottleneckBps(n *Network, arcs []int32) float64 {
 	bottleneck := math.Inf(1)
-	for i := 0; i+1 < len(nodes); i++ {
-		c := n.CapacityBps(nodes[i], nodes[i+1])
-		if c < bottleneck {
+	for _, j := range arcs {
+		if c := n.caps[j]; c < bottleneck {
 			bottleneck = c
 		}
 	}

@@ -37,7 +37,7 @@ func TestMaxMinFairEqualSplit(t *testing.T) {
 			t.Errorf("demand %d bottleneck = %v, want m→n", i, d.Bottleneck)
 		}
 	}
-	if u := alloc.Utilization("m", "n"); math.Abs(u-1) > 1e-6 {
+	if u := alloc.Utilization(edgeAt(t, n, "m", "n")); math.Abs(u-1) > 1e-6 {
 		t.Errorf("bottleneck utilisation = %v, want 1", u)
 	}
 	if j := alloc.JainIndex(); math.Abs(j-1) > 1e-9 {
@@ -175,7 +175,7 @@ func checkMaxMinProperty(t *testing.T, alloc *Allocation, n *Network) bool {
 			t.Logf("demand %d (%s→%s) unsatisfied at %v with no bottleneck", i, d.Src, d.Dst, d.RateBps)
 			return false
 		}
-		if u := alloc.Utilization(l.From, l.To); u < 1-tol {
+		if u := alloc.Utilization(edgeAt(t, n, l.From, l.To)); u < 1-tol {
 			t.Logf("demand %d bottleneck %v not saturated (util %v)", i, l, u)
 			return false
 		}
@@ -201,9 +201,30 @@ func checkMaxMinProperty(t *testing.T, alloc *Allocation, n *Network) bool {
 	return true
 }
 
+// arcsNamePath reports whether d.Arcs holds the edge of each hop of
+// d.Path, in order, with no edge twice: the fill counts a demand once per
+// position in its Arcs, so a repeated edge would skew the link's shares.
+func arcsNamePath(n *Network, d *DemandAllocation) bool {
+	if d.Path == nil {
+		return d.Arcs == nil
+	}
+	if len(d.Arcs) != len(d.Path)-1 {
+		return false
+	}
+	seen := map[int32]bool{}
+	for h, j := range d.Arcs {
+		if e := n.Snap.Index().Edges[j]; seen[j] || e.From != d.Path[h] || e.To != d.Path[h+1] {
+			return false
+		}
+		seen[j] = true
+	}
+	return true
+}
+
 // TestMaxMinFairProperty drives the allocator over random networks and
 // demand sets with testing/quick, checking feasibility (no link above
-// capacity, no rate above its offer) and the max-min property.
+// capacity, no rate above its offer), that each routed demand's Arcs are
+// the distinct edges of its Path, and the max-min property.
 func TestMaxMinFairProperty(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -225,14 +246,18 @@ func TestMaxMinFairProperty(t *testing.T) {
 		const tol = 1e-6
 		for i := range alloc.Demands {
 			d := &alloc.Demands[i]
+			if !arcsNamePath(n, d) {
+				t.Logf("seed %d: demand %d arcs %v do not name the distinct hops of %v", seed, i, d.Arcs, d.Path)
+				return false
+			}
 			if d.RateBps < -tol || d.RateBps > d.OfferedBps+tol {
 				t.Logf("seed %d: demand %d rate %v outside [0, %v]", seed, i, d.RateBps, d.OfferedBps)
 				return false
 			}
 		}
 		for j, e := range n.Snap.Edges() {
-			if load := alloc.load[j]; load > n.CapacityBps(e.From, e.To)*(1+1e-9)+tol {
-				t.Logf("seed %d: link %s→%s load %v above capacity %v", seed, e.From, e.To, load, n.CapacityBps(e.From, e.To))
+			if load := alloc.load[j]; load > n.CapacityBps(int32(j))*(1+1e-9)+tol {
+				t.Logf("seed %d: link %s→%s load %v above capacity %v", seed, e.From, e.To, load, n.CapacityBps(int32(j)))
 				return false
 			}
 		}

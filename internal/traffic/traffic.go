@@ -64,14 +64,9 @@ func NewNetwork(s *topo.Snapshot) *Network {
 	return n
 }
 
-// CapacityBps returns the capacity of the directed link from→to, 0 if the
-// link does not exist.
-func (n *Network) CapacityBps(from, to string) float64 {
-	if j := n.Snap.Index().Arc(from, to); j >= 0 {
-		return n.caps[j]
-	}
-	return 0
-}
+// CapacityBps returns the capacity of the directed link at position j in
+// the snapshot's Index().Edges.
+func (n *Network) CapacityBps(j int32) float64 { return n.caps[j] }
 
 // maxCapacityBps returns the largest link capacity, used to scale the float
 // tolerances of the solvers.

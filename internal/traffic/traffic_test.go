@@ -8,15 +8,23 @@ import (
 	"github.com/openspace-project/openspace/internal/topo"
 )
 
+// edgeAt returns the position of the edge from→to in the network's snapshot,
+// failing the test when there is none.
+func edgeAt(t *testing.T, n *Network, from, to string) int32 {
+	t.Helper()
+	j := n.Snap.Index().Arc(from, to)
+	if j < 0 {
+		t.Fatalf("no edge %s→%s", from, to)
+	}
+	return j
+}
+
 func TestNetworkCapacities(t *testing.T) {
 	n := NewNetwork(grid(t,
 		[3]interface{}{"a", "b", 10}, [3]interface{}{"b", "c", 20},
 	))
-	if got := n.CapacityBps("a", "b"); got != 10 {
+	if got := n.CapacityBps(edgeAt(t, n, "a", "b")); got != 10 {
 		t.Errorf("a→b capacity = %v, want 10", got)
-	}
-	if got := n.CapacityBps("b", "a"); got != 0 {
-		t.Errorf("missing reverse link capacity = %v, want 0", got)
 	}
 	if es := n.Snap.Edges(); len(es) != 2 || es[0].From != "a" || es[0].To != "b" || es[1].From != "b" || es[1].To != "c" {
 		t.Errorf("links = %v, want sorted [a→b b→c]", es)
@@ -48,11 +56,11 @@ func TestRecapacitatePhy(t *testing.T) {
 	m := DefaultCapacityModel()
 	n.Recapacitate(m)
 
-	if got, want := n.CapacityBps("s2", "s3"), m.Laser.DataRateBps; got != want {
+	if got, want := n.CapacityBps(edgeAt(t, n, "s2", "s3")), m.Laser.DataRateBps; got != want {
 		t.Errorf("laser ISL capacity = %v, want rated %v", got, want)
 	}
 	wantRF := m.RF.Budget(satPos.DistanceKm(sat2), 0).CapacityBps
-	if got := n.CapacityBps("s1", "s2"); math.Abs(got-wantRF) > 1 {
+	if got := n.CapacityBps(edgeAt(t, n, "s1", "s2")); math.Abs(got-wantRF) > 1 {
 		t.Errorf("RF ISL capacity = %v, want Shannon %v", got, wantRF)
 	}
 	if wantRF <= 0 {
@@ -61,7 +69,7 @@ func TestRecapacitatePhy(t *testing.T) {
 	// The overhead gateway link sees ~90° elevation: near-minimal
 	// atmosphere, so the capacity should beat the same link at the 10°
 	// mask's slant range.
-	overhead := n.CapacityBps("gw", "s1")
+	overhead := n.CapacityBps(edgeAt(t, n, "gw", "s1"))
 	lowElev := m.Ground.Budget(geo.SlantRangeKm(780, 10), 10).CapacityBps
 	if overhead <= lowElev {
 		t.Errorf("overhead gateway capacity %v not above low-elevation %v", overhead, lowElev)
