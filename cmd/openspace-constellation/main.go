@@ -310,15 +310,9 @@ func renderMap(points []geo.LatLon) {
 	for _, p := range points {
 		col := int((p.Lon + 180) / 360 * float64(width-1))
 		row := int((90 - p.Lat) / 180 * float64(height-1))
-		col = clamp(col, 0, width-1)
-		row = clamp(row, 0, height-1)
-		grid[row][col] = '@'
+		grid[min(max(row, 0), height-1)][min(max(col, 0), width-1)] = '@'
 	}
 	for _, line := range grid {
 		fmt.Printf("  %s\n", line)
 	}
-}
-
-func clamp(v, lo, hi int) int {
-	return int(math.Max(float64(lo), math.Min(float64(hi), float64(v))))
 }

@@ -44,7 +44,7 @@ func (n *Network) Send(userID, stationID string, bytes int64, t float64) (*Deliv
 	if u.Terminal.State() != assoc.StateAssociated {
 		return nil, fmt.Errorf("core: user %q not associated (state %v)", userID, u.Terminal.State())
 	}
-	st, stOwner := n.station(stationID)
+	st, _ := n.station(stationID)
 	if st == nil {
 		return nil, fmt.Errorf("core: unknown ground station %q", stationID)
 	}
@@ -120,7 +120,6 @@ func (n *Network) Send(userID, stationID string, bytes int64, t float64) (*Deliv
 		}
 		d.Receipts = append(d.Receipts, r)
 	}
-	_ = stOwner
 	return d, nil
 }
 

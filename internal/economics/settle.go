@@ -83,7 +83,7 @@ func PeeringCandidates(l *Ledger, minBytes int64, minSymmetry float64) []Peering
 		if a == b {
 			continue
 		}
-		key := [2]string{min2(a, b), max2(a, b)}
+		key := [2]string{min(a, b), max(a, b)}
 		if seen[key] {
 			continue
 		}
@@ -112,20 +112,6 @@ func PeeringCandidates(l *Ledger, minBytes int64, minSymmetry float64) []Peering
 		return out[i].A < out[j].A
 	})
 	return out
-}
-
-func min2(a, b string) string {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max2(a, b string) string {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // String implements fmt.Stringer.

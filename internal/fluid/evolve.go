@@ -488,7 +488,7 @@ func (e *Evolver) deaggregate(dt float64) {
 		cls.TransfersDelivered += deliveredT
 		e.res.BytesDelivered += deliveredB
 		cls.BytesDelivered += deliveredB
-		if rec := min64(deliveredT, e.oldT[k]); rec > 0 {
+		if rec := min(deliveredT, e.oldT[k]); rec > 0 {
 			e.res.Recovered += rec
 		}
 		pd := e.delay[k]
@@ -528,13 +528,6 @@ func (e *Evolver) SetFaultsActive(active bool) { e.faultsActive = active }
 // Result returns the accumulated counters. The pointer stays live across
 // further Advance calls.
 func (e *Evolver) Result() *Result { return e.res }
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
 
 // poisson draws a Poisson variate with the given mean: Knuth's product
 // method for small means, a rounded normal approximation for large ones

@@ -41,21 +41,19 @@ func errdropAnalyzer() *Analyzer {
 			}
 			p.Report(call, "error from %s is discarded; a failed write must fail the run (assign and check it)", fn.Name())
 		}
-		for _, f := range p.Pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.ExprStmt:
-					if call, ok := n.X.(*ast.CallExpr); ok {
-						report(call, false)
-					}
-				case *ast.DeferStmt:
-					report(n.Call, true)
-				case *ast.GoStmt:
-					report(n.Call, false)
+		p.inspect(func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.ExprStmt:
+				if call, ok := n.X.(*ast.CallExpr); ok {
+					report(call, false)
 				}
-				return true
-			})
-		}
+			case *ast.DeferStmt:
+				report(n.Call, true)
+			case *ast.GoStmt:
+				report(n.Call, false)
+			}
+			return true
+		})
 	}
 	return a
 }
@@ -84,8 +82,12 @@ func calledMethod(p *Pass, call *ast.CallExpr) (*types.Func, types.Type) {
 // loses written data: Write([]byte) (int, error) — the io.Writer shape —
 // or Flush/Close returning error, on a receiver that can write.
 func isWriterErrMethod(fn *types.Func, recvT types.Type) bool {
-	if recvT == nil || isInfallibleWriter(recvT) {
+	if recvT == nil {
 		return false
+	}
+	switch qualifiedName(deref(recvT)) {
+	case "bytes.Buffer", "strings.Builder":
+		return false // the stdlib writers documented never to fail
 	}
 	sig := fn.Type().(*types.Signature)
 	switch fn.Name() {
@@ -97,27 +99,6 @@ func isWriterErrMethod(fn *types.Func, recvT types.Type) bool {
 		// Closing a pure reader is allowed to fail silently; only types
 		// that can also write hold buffered data a dropped Close can lose.
 		return returnsOnlyError(sig) && hasWriteMethod(recvT)
-	}
-	return false
-}
-
-// isInfallibleWriter exempts the stdlib writers documented to never return
-// a write error.
-func isInfallibleWriter(t types.Type) bool {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil {
-		return false
-	}
-	switch obj.Pkg().Path() + "." + obj.Name() {
-	case "bytes.Buffer", "strings.Builder":
-		return true
 	}
 	return false
 }

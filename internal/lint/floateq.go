@@ -18,22 +18,20 @@ func floateqAnalyzer() *Analyzer {
 		Doc:  "flag exact ==/!= between computed floating-point values",
 	}
 	a.Run = func(p *Pass) {
-		for _, f := range p.Pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				be, ok := n.(*ast.BinaryExpr)
-				if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
-					return true
-				}
-				if !isFloat(p.TypeOf(be.X)) || !isFloat(p.TypeOf(be.Y)) {
-					return true
-				}
-				if isConstExpr(p, be.X) || isConstExpr(p, be.Y) {
-					return true
-				}
-				p.Report(be, "exact floating-point %s comparison is representation-sensitive; compare within a tolerance, or annotate with //lint:allow floateq if exact equality is the point", be.Op)
+		p.inspect(func(n ast.Node) bool {
+			be, ok := n.(*ast.BinaryExpr)
+			if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
 				return true
-			})
-		}
+			}
+			if !isFloat(p.TypeOf(be.X)) || !isFloat(p.TypeOf(be.Y)) {
+				return true
+			}
+			if constValue(p.Pkg.Info, be.X) != nil || constValue(p.Pkg.Info, be.Y) != nil {
+				return true
+			}
+			p.Report(be, "exact floating-point %s comparison is representation-sensitive; compare within a tolerance, or annotate with //lint:allow floateq if exact equality is the point", be.Op)
+			return true
+		})
 	}
 	return a
 }
@@ -44,9 +42,4 @@ func isFloat(t types.Type) bool {
 	}
 	b, ok := t.Underlying().(*types.Basic)
 	return ok && b.Info()&types.IsFloat != 0
-}
-
-func isConstExpr(p *Pass, e ast.Expr) bool {
-	tv, ok := p.Pkg.Info.Types[e]
-	return ok && tv.Value != nil
 }

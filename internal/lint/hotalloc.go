@@ -5,7 +5,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // hotpathMarker is the annotation that opts a function into the
@@ -32,49 +31,30 @@ const hotpathMarker = "//lint:hotpath"
 // hotalloc with the amortization argument as the reason, and every fixed
 // loop is pinned by an env-gated testing.AllocsPerRun == 0 test.
 func hotallocAnalyzer() *Analyzer {
-	a := &Analyzer{
+	return &Analyzer{
 		Name: "hotalloc",
 		Doc:  "forbid allocation-inducing constructs in //lint:hotpath functions and their static callees",
-	}
-	// The hot set spans packages, so it is computed once per run from the
-	// full load and reused by every per-package pass.
-	var (
-		decls map[*types.Func]declSite
-		roots map[*types.Func]*types.Func
-	)
-	a.Run = func(p *Pass) {
-		if decls == nil {
-			decls = funcDecls(p.All)
-			roots = hotSet(decls)
-		}
-		for fn, root := range roots {
-			site := decls[fn]
-			if site.Pkg != p.Pkg {
-				continue // reported by the declaring package's own pass
+		Run: func(p *Pass) {
+			for fn, root := range p.hot {
+				if site := p.decls[fn]; site.Pkg == p.Pkg { // else the declaring package's pass reports it
+					checkHotBody(p, site.Decl, hotHow(fn, root))
+				}
 			}
-			how := "in //lint:hotpath " + fn.Name()
-			if root != fn {
-				how = "in " + fn.Name() + ", statically reachable from //lint:hotpath " + root.Name()
-			}
-			checkHotBody(p, site.Decl, how)
-		}
+		},
 	}
-	return a
+}
+
+// hotHow says how fn entered the hot set, as the tail of a finding.
+func hotHow(fn, root *types.Func) string {
+	if root == fn {
+		return "in //lint:hotpath " + fn.Name()
+	}
+	return "in " + fn.Name() + ", statically reachable from //lint:hotpath " + root.Name()
 }
 
 // isHotMarked reports whether the declaration's doc comment carries the
 // //lint:hotpath marker.
-func isHotMarked(fd *ast.FuncDecl) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		if strings.HasPrefix(strings.TrimSpace(c.Text), hotpathMarker) {
-			return true
-		}
-	}
-	return false
-}
+func isHotMarked(fd *ast.FuncDecl) bool { return hasMarker(hotpathMarker, fd.Doc) }
 
 // hotSet maps every function in the hot set to the marked root it is
 // reachable from (itself, if directly marked). Seeds are processed in
@@ -146,10 +126,8 @@ func acceptedAppendDsts(info *types.Info, fd *ast.FuncDecl) map[types.Object]boo
 		case *ast.Ident:
 			return accepted[info.Uses[e]]
 		case *ast.CallExpr:
-			if id, ok := ast.Unparen(e.Fun).(*ast.Ident); ok {
-				if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "append" && len(e.Args) > 0 {
-					return acceptedExpr(e.Args[0])
-				}
+			if builtinName(info, e) == "append" && len(e.Args) > 0 {
+				return acceptedExpr(e.Args[0])
 			}
 		}
 		return false
@@ -225,10 +203,8 @@ func reportMapWrite(p *Pass, lhs ast.Expr, how string) {
 	if !ok {
 		return
 	}
-	if t := p.TypeOf(ix.X); t != nil {
-		if _, isMap := t.Underlying().(*types.Map); isMap {
-			p.Report(lhs, "map write %s; maps rehash and allocate on insert — intern keys into slice indices", how)
-		}
+	if isMap(p.TypeOf(ix.X)) {
+		p.Report(lhs, "map write %s; maps rehash and allocate on insert — intern keys into slice indices", how)
 	}
 }
 
@@ -237,26 +213,24 @@ func reportMapWrite(p *Pass, lhs ast.Expr, how string) {
 // interface boxing of concrete arguments.
 func checkHotCall(p *Pass, call *ast.CallExpr, accepted map[types.Object]bool, how string) {
 	info := p.Pkg.Info
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := info.Uses[id].(*types.Builtin); ok {
-			switch b.Name() {
-			case "make":
-				p.Report(call, "make allocates %s; preallocate at construction time and reuse", how)
-			case "new":
-				p.Report(call, "new allocates %s; reuse a scratch value on the receiver", how)
-			case "append":
-				if len(call.Args) > 0 && !appendDstAccepted(info, call.Args[0], accepted) {
-					p.Report(call, "append into a fresh slice grows per call %s; append into preallocated scratch (x = x[:0]) instead", how)
-				}
+	if b := builtinName(info, call); b != "" {
+		switch b {
+		case "make":
+			p.Report(call, "make allocates %s; preallocate at construction time and reuse", how)
+		case "new":
+			p.Report(call, "new allocates %s; reuse a scratch value on the receiver", how)
+		case "append":
+			if len(call.Args) > 0 && !appendDstAccepted(info, call.Args[0], accepted) {
+				p.Report(call, "append into a fresh slice grows per call %s; append into preallocated scratch (x = x[:0]) instead", how)
 			}
-			return
 		}
+		return
 	}
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
 		reportConversion(p, call, tv.Type, info.TypeOf(call.Args[0]), how)
 		return
 	}
-	fn := calledFunc(p, call)
+	fn := calledFunc(info, call)
 	if fn == nil {
 		return
 	}

@@ -40,10 +40,9 @@ type Analyzer struct {
 }
 
 // Analyzers is the suite in reporting order. Each call returns fresh
-// instances: the flow-aware analyzers (hotalloc's and scratchsafe's
-// hot-function sets, seeddomain's repo-wide domain registry) accumulate
-// state across the packages of one RunAnalyzers call, so analyzer values
-// must not be shared between runs.
+// instances: seeddomain's repo-wide domain registry accumulates across the
+// packages of one RunAnalyzers call, so analyzer values must not be shared
+// between runs.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		nondetermAnalyzer(),
@@ -57,48 +56,6 @@ func Analyzers() []*Analyzer {
 	}
 }
 
-// Select resolves a comma-separated analyzer subset against the full
-// suite, preserving suite order. An empty spec selects everything; an
-// unknown name is an error so a typo in CI cannot silently skip a check.
-func Select(spec string) ([]*Analyzer, error) {
-	all := Analyzers()
-	if strings.TrimSpace(spec) == "" {
-		return all, nil
-	}
-	want := map[string]bool{}
-	for _, name := range strings.Split(spec, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		want[name] = true
-	}
-	var out []*Analyzer
-	for _, a := range all {
-		if want[a.Name] {
-			out = append(out, a)
-			delete(want, a.Name)
-		}
-	}
-	if len(want) > 0 {
-		unknown := make([]string, 0, len(want))
-		for name := range want {
-			unknown = append(unknown, name)
-		}
-		sort.Strings(unknown)
-		return nil, fmt.Errorf("lint: unknown analyzer(s) %s (known: %s)", strings.Join(unknown, ", "), strings.Join(analyzerNames(all), ", "))
-	}
-	return out, nil
-}
-
-func analyzerNames(as []*Analyzer) []string {
-	names := make([]string, len(as))
-	for i, a := range as {
-		names[i] = a.Name
-	}
-	return names
-}
-
 // A Diagnostic is one finding at a position.
 type Diagnostic struct {
 	Pos      token.Position
@@ -110,16 +67,18 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 }
 
-// A Pass carries one analyzer's run over one package. All holds every
-// loaded package — roots and module-internal dependencies — so flow-aware
-// analyzers can follow calls across package boundaries; findings are
-// still only reported against the pass's own package.
+// A Pass carries one analyzer's run over one package. Findings are only
+// reported against the pass's own package, but the flow-aware analyzers
+// follow calls across package boundaries through indexes of every loaded
+// package, built once per RunAnalyzers call.
 type Pass struct {
 	Fset     *token.FileSet
 	Pkg      *Package
-	All      []*Package
 	analyzer *Analyzer
 	diags    *[]Diagnostic
+	decls    map[*types.Func]declSite    // every function with a body
+	hot      map[*types.Func]*types.Func // hot set → its //lint:hotpath root
+	scratch  *scratchIndex               // //lint:scratch fields and owners
 }
 
 // Report records a finding at the node's position.
@@ -136,6 +95,13 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Pkg.Info.TypeOf(e) }
 
 // ObjectOf resolves an identifier to its object, or nil.
 func (p *Pass) ObjectOf(id *ast.Ident) types.Object { return p.Pkg.Info.ObjectOf(id) }
+
+// inspect walks every file of the pass's package with ast.Inspect.
+func (p *Pass) inspect(f func(ast.Node) bool) {
+	for _, file := range p.Pkg.Files {
+		ast.Inspect(file, f)
+	}
+}
 
 const directivePrefix = "//lint:allow "
 
@@ -206,6 +172,8 @@ func RunAnalyzers(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) [
 		known[a.Name] = true
 		ran[a.Name] = true
 	}
+	decls := funcDecls(pkgs)
+	hot, scratch := hotSet(decls), scratchFields(pkgs)
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		if !pkg.Root {
@@ -220,7 +188,7 @@ func RunAnalyzers(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) [
 			}
 		}
 		for _, a := range analyzers {
-			a.Run(&Pass{Fset: fset, Pkg: pkg, All: pkgs, analyzer: a, diags: &raw})
+			a.Run(&Pass{Fset: fset, Pkg: pkg, analyzer: a, diags: &raw, decls: decls, hot: hot, scratch: scratch})
 		}
 		for _, d := range raw {
 			if dir := allowed[allowKey{d.Pos.Filename, d.Pos.Line, d.Analyzer}]; dir != nil {

@@ -203,6 +203,22 @@ func TestMainOnFixturePackages(t *testing.T) {
 	}
 }
 
+// TestPatternMatchingNothingFails: a pattern that matches no package is a
+// load failure (exit 2), not a clean run. `...` skips testdata
+// directories, so this pattern matches nothing.
+func TestPatternMatchingNothingFails(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns the go toolchain via go list")
+	}
+	var out, errb bytes.Buffer
+	if exit := Run(".", []string{"./testdata/..."}, false, Analyzers(), &out, &errb); exit != 2 {
+		t.Fatalf("exit = %d, want 2\nstdout:\n%s\nstderr:\n%s", exit, out.String(), errb.String())
+	}
+	if !strings.Contains(errb.String(), `"./testdata/..." matched no packages`) {
+		t.Errorf("stderr does not name the empty pattern:\n%s", errb.String())
+	}
+}
+
 // TestDiagnosticsSorted pins the deterministic output order the CI gate
 // relies on: findings sort by file, then line, then column.
 func TestDiagnosticsSorted(t *testing.T) {

@@ -11,7 +11,7 @@ import (
 	"go/types"
 	"os/exec"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -24,181 +24,87 @@ type Package struct {
 	Types   *types.Package
 	Info    *types.Info
 	// Root marks packages named by the caller's patterns (analyzed), as
-	// opposed to module-internal dependencies loaded only for type info.
+	// opposed to non-standard dependencies loaded only for type info.
 	Root bool
 }
 
-// listedPackage is the subset of `go list -json` output the loader needs.
+// listedPackage is the subset of `go list -deps -json` output the loader
+// needs. DepOnly marks packages loaded only for type information; Match
+// lists the command-line patterns a root package satisfied.
 type listedPackage struct {
 	ImportPath string
 	Dir        string
 	GoFiles    []string
-	Imports    []string
+	Standard   bool
+	DepOnly    bool
+	Match      []string
 }
 
-// goList shells out to the go command — the one tool the stdlib-only rule
-// assumes, since it is the toolchain itself — and decodes the JSON stream.
-func goList(dir string, args ...string) ([]*listedPackage, error) {
-	cmd := exec.Command("go", append([]string{"list", "-json"}, args...)...)
-	cmd.Dir = dir
-	var out, errb bytes.Buffer
-	cmd.Stdout = &out
-	cmd.Stderr = &errb
-	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("lint: go list %s: %v\n%s", strings.Join(args, " "), err, errb.String())
-	}
-	var pkgs []*listedPackage
-	dec := json.NewDecoder(&out)
-	for dec.More() {
-		p := new(listedPackage)
-		if err := dec.Decode(p); err != nil {
-			return nil, fmt.Errorf("lint: decoding go list output: %v", err)
-		}
-		pkgs = append(pkgs, p)
-	}
-	return pkgs, nil
-}
-
-// modulePath reports the main module's path, so the loader can tell
-// module-internal imports (type-checked from source here) from standard
-// library ones (delegated to the source importer).
-func modulePath(dir string) (string, error) {
-	cmd := exec.Command("go", "list", "-m")
-	cmd.Dir = dir
-	out, err := cmd.Output()
-	if err != nil {
-		return "", fmt.Errorf("lint: go list -m: %v", err)
-	}
-	return strings.TrimSpace(string(out)), nil
-}
-
-// loaderImporter resolves module-internal imports from the loader's own
-// cache of already-checked packages and everything else (the standard
-// library) through the compiler-from-source importer.
+// loaderImporter resolves imports from the loader's own cache of
+// already-checked packages and everything else (the standard library)
+// through the compiler-from-source importer.
 type loaderImporter struct {
-	module string
-	cache  map[string]*types.Package
-	std    types.Importer
+	cache map[string]*types.Package
+	std   types.Importer
 }
 
 func (li *loaderImporter) Import(path string) (*types.Package, error) {
 	if pkg, ok := li.cache[path]; ok {
 		return pkg, nil
 	}
-	if li.module != "" && (path == li.module || strings.HasPrefix(path, li.module+"/")) {
-		return nil, fmt.Errorf("lint: module package %q not loaded before its importer", path)
-	}
 	return li.std.Import(path)
 }
 
-// LoadInto resolves the patterns with `go list`, pulls in module-internal
-// dependencies, and type-checks everything in dependency order into the
-// caller's FileSet. Test files are not loaded: the determinism contract is
-// about production code, and every analyzer exempts tests.
+// LoadInto resolves the patterns with one `go list -deps` call — the go
+// command is the one tool the stdlib-only rule assumes, since it is the
+// toolchain itself — and type-checks every root and every non-standard
+// dependency into the caller's FileSet. go list prints each dependency
+// before its importers, so its order is the type-checking order. A
+// pattern that matches no package is an error, not an empty run. Test
+// files are not loaded: the determinism contract is about production
+// code, and every analyzer exempts tests.
 func LoadInto(fset *token.FileSet, dir string, patterns []string) ([]*Package, error) {
-	mod, err := modulePath(dir)
-	if err != nil {
-		return nil, err
+	// Sorted patterns make the root order, and with it which of two
+	// cross-package duplicate seeddomain declarations is reported, the
+	// same whatever order the patterns were given in.
+	args := append([]string{"list", "-deps", "-json=ImportPath,Dir,GoFiles,Standard,DepOnly,Match"}, patterns...)
+	slices.Sort(args[3:])
+	cmd := exec.Command("go", args...)
+	cmd.Dir = dir
+	var out, errb bytes.Buffer
+	cmd.Stdout = &out
+	cmd.Stderr = &errb
+	if err := cmd.Run(); err != nil {
+		return nil, fmt.Errorf("lint: go list %s: %v\n%s", strings.Join(patterns, " "), err, errb.String())
 	}
-	roots, err := goList(dir, patterns...)
-	if err != nil {
-		return nil, err
-	}
-
-	// Transitively list module-internal dependencies of the roots.
-	metas := map[string]*listedPackage{}
-	isRoot := map[string]bool{}
-	var queue []string
-	for _, p := range roots {
-		metas[p.ImportPath] = p
-		isRoot[p.ImportPath] = true
-		queue = append(queue, p.Imports...)
-	}
-	for len(queue) > 0 {
-		imp := queue[0]
-		queue = queue[1:]
-		if _, ok := metas[imp]; ok || !(imp == mod || strings.HasPrefix(imp, mod+"/")) {
-			continue
+	li := &loaderImporter{cache: map[string]*types.Package{}, std: importer.ForCompiler(fset, "source", nil)}
+	matched := map[string]bool{}
+	var pkgs []*Package
+	for dec := json.NewDecoder(&out); dec.More(); {
+		meta := new(listedPackage)
+		if err := dec.Decode(meta); err != nil {
+			return nil, fmt.Errorf("lint: decoding go list output: %v", err)
 		}
-		deps, err := goList(dir, imp)
-		if err != nil {
-			return nil, err
+		for _, m := range meta.Match {
+			matched[m] = true
 		}
-		for _, d := range deps {
-			metas[d.ImportPath] = d
-			queue = append(queue, d.Imports...)
+		if meta.Standard && meta.DepOnly {
+			continue // the source importer type-checks these on demand
 		}
-	}
-
-	order, err := topoSort(mod, metas)
-	if err != nil {
-		return nil, err
-	}
-
-	li := &loaderImporter{
-		module: mod,
-		cache:  map[string]*types.Package{},
-		std:    importer.ForCompiler(fset, "source", nil),
-	}
-	var out []*Package
-	for _, path := range order {
-		meta := metas[path]
 		pkg, err := checkPackage(fset, li, meta)
 		if err != nil {
 			return nil, err
 		}
-		li.cache[path] = pkg.Types
-		pkg.Root = isRoot[path]
-		out = append(out, pkg)
+		li.cache[meta.ImportPath] = pkg.Types
+		pkg.Root = !meta.DepOnly
+		pkgs = append(pkgs, pkg)
 	}
-	return out, nil
-}
-
-// topoSort orders packages so every module-internal import precedes its
-// importer, ties broken by import path for deterministic runs.
-func topoSort(mod string, metas map[string]*listedPackage) ([]string, error) {
-	paths := make([]string, 0, len(metas))
-	for p := range metas {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-
-	const (
-		unvisited = iota
-		visiting
-		done
-	)
-	state := map[string]int{}
-	var order []string
-	var visit func(string) error
-	visit = func(p string) error {
-		switch state[p] {
-		case done:
-			return nil
-		case visiting:
-			return fmt.Errorf("lint: import cycle through %q", p)
-		}
-		state[p] = visiting
-		meta := metas[p]
-		deps := append([]string(nil), meta.Imports...)
-		sort.Strings(deps)
-		for _, d := range deps {
-			if _, ok := metas[d]; ok {
-				if err := visit(d); err != nil {
-					return err
-				}
-			}
-		}
-		state[p] = done
-		order = append(order, p)
-		return nil
-	}
-	for _, p := range paths {
-		if err := visit(p); err != nil {
-			return nil, err
+	for _, pat := range patterns {
+		if !matched[pat] {
+			return nil, fmt.Errorf("lint: pattern %q matched no packages", pat)
 		}
 	}
-	return order, nil
+	return pkgs, nil
 }
 
 // declSite is one function declaration with a body somewhere in the
@@ -243,14 +149,7 @@ func staticCallees(site declSite, dst []*types.Func) []*types.Func {
 		if !ok {
 			return true
 		}
-		var obj types.Object
-		switch fun := ast.Unparen(call.Fun).(type) {
-		case *ast.Ident:
-			obj = info.ObjectOf(fun)
-		case *ast.SelectorExpr:
-			obj = info.ObjectOf(fun.Sel)
-		}
-		if fn, ok := obj.(*types.Func); ok {
+		if fn := calledFunc(info, call); fn != nil {
 			dst = append(dst, fn)
 		}
 		return true
@@ -297,7 +196,7 @@ func scratchFields(pkgs []*Package) *scratchIndex {
 				}
 				owner, _ := pkg.Info.Defs[ts.Name].(*types.TypeName)
 				for _, field := range st.Fields.List {
-					if !hasScratchMarker(field) {
+					if !hasMarker(scratchMarker, field.Doc, field.Comment) {
 						continue
 					}
 					for _, name := range field.Names {
@@ -316,22 +215,6 @@ func scratchFields(pkgs []*Package) *scratchIndex {
 	return idx
 }
 
-// hasScratchMarker reports whether the field's doc or trailing comment
-// carries //lint:scratch.
-func hasScratchMarker(field *ast.Field) bool {
-	for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
-		if cg == nil {
-			continue
-		}
-		for _, c := range cg.List {
-			if strings.HasPrefix(strings.TrimSpace(c.Text), scratchMarker) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // receiverVar returns the declaration's receiver variable object, or nil
 // for plain functions and anonymous receivers.
 func receiverVar(info *types.Info, fd *ast.FuncDecl) *types.Var {
@@ -348,15 +231,7 @@ func receiverTypeName(info *types.Info, fd *ast.FuncDecl) *types.TypeName {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 {
 		return nil
 	}
-	t := info.TypeOf(fd.Recv.List[0].Type)
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return nil
-	}
-	return named.Obj()
+	return typeName(deref(info.TypeOf(fd.Recv.List[0].Type)))
 }
 
 // checkPackage parses and type-checks one package's non-test files.

@@ -1,7 +1,9 @@
 package lint
 
 import (
+	"go/token"
 	"go/types"
+	"strings"
 	"testing"
 )
 
@@ -205,4 +207,37 @@ func (k *K) helper() {
 `
 	runFixture(t, append(analyzerByName(t, "hotalloc"), analyzerByName(t, "scratchsafe")...),
 		fixturePkg{path: Module + "/callgraph", src: src})
+}
+
+// TestLoadIntoRoutingOrder pins the loader's contract on a real package:
+// go list -deps yields the standard library too, but the loader keeps
+// only module packages, marks only the named one as a root, and returns
+// every package after all of its module-internal imports (the order
+// type-checking needs).
+func TestLoadIntoRoutingOrder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns the go toolchain via go list")
+	}
+	pkgs, err := LoadInto(token.NewFileSet(), "../..", []string{"./internal/routing"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := map[string]int{}
+	for i, pkg := range pkgs {
+		if !strings.HasPrefix(pkg.PkgPath, Module+"/") {
+			t.Errorf("standard-library package %s loaded from source", pkg.PkgPath)
+		}
+		if pkg.Root != (pkg.PkgPath == Module+"/internal/routing") {
+			t.Errorf("%s: Root = %v", pkg.PkgPath, pkg.Root)
+		}
+		for _, imp := range pkg.Types.Imports() {
+			if j, ok := at[imp.Path()]; strings.HasPrefix(imp.Path(), Module+"/") && (!ok || j >= i) {
+				t.Errorf("%s precedes its import %s", pkg.PkgPath, imp.Path())
+			}
+		}
+		at[pkg.PkgPath] = i
+	}
+	if len(pkgs) < 2 {
+		t.Fatalf("loaded %d packages; routing has module-internal imports", len(pkgs))
+	}
 }

@@ -36,9 +36,7 @@ func checkFuncMapOrder(p *Pass, body *ast.BlockStmt) {
 		if !ok {
 			return true
 		}
-		if t := p.TypeOf(rs.X); t == nil {
-			return true
-		} else if _, isMap := t.Underlying().(*types.Map); !isMap {
+		if !isMap(p.TypeOf(rs.X)) {
 			return true
 		}
 		iterVars := rangeVarObjects(p, rs)
@@ -88,7 +86,7 @@ func checkRangeBody(p *Pass, fnBody *ast.BlockStmt, rs *ast.RangeStmt, iterVars 
 // fmt.Print*/Fprint* call or a Write*-family method (io.Writer, csv.Writer,
 // strings.Builder, ...).
 func isEmitCall(p *Pass, call *ast.CallExpr) bool {
-	fn := calledFunc(p, call)
+	fn := calledFunc(p.Pkg.Info, call)
 	if fn == nil {
 		return false
 	}
@@ -119,7 +117,7 @@ func appendTarget(p *Pass, as *ast.AssignStmt, iterVars map[types.Object]bool) t
 	if !ok {
 		return nil
 	}
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); !ok || id.Name != "append" || p.ObjectOf(id) != types.Universe.Lookup("append") {
+	if builtinName(p.Pkg.Info, call) != "append" {
 		return nil
 	}
 	mentions := false
@@ -153,7 +151,7 @@ func sortedAfter(p *Pass, fnBody *ast.BlockStmt, rs *ast.RangeStmt, tgt types.Ob
 		if !ok || call.Pos() < rs.End() {
 			return true
 		}
-		fn := calledFunc(p, call)
+		fn := calledFunc(p.Pkg.Info, call)
 		if fn == nil || fn.Pkg() == nil {
 			return true
 		}

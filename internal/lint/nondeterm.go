@@ -34,72 +34,34 @@ func nondetermAnalyzer() *Analyzer {
 		if !strings.HasPrefix(p.Pkg.PkgPath, Module+"/internal/") {
 			return
 		}
-		for _, f := range p.Pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				fn := calledFunc(p, call)
-				if fn == nil {
-					return true
-				}
-				switch {
-				case fn.FullName() == "time.Now":
+		p.inspect(func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			fn := calledFunc(p.Pkg.Info, call)
+			if fn == nil {
+				return true
+			}
+			switch rf := randFunc(fn); rf {
+			case "":
+				if fn.FullName() == "time.Now" {
 					p.Report(call, "time.Now makes output depend on the wall clock; take the timestamp as a parameter or config field")
-				case isGlobalRandFunc(fn):
-					p.Report(call, "global math/rand.%s draws from process-shared state whose order depends on goroutine scheduling; thread a task-owned *rand.Rand derived via exec.RNG(seed, coords...)", fn.Name())
-				case isRandSourceCtor(fn) && len(call.Args) > 0:
+				}
+			case "New", "NewZipf", "NewChaCha8":
+				// Constructors create the task-owned generators the
+				// contract requires.
+			case "NewSource", "NewPCG":
+				if len(call.Args) > 0 {
 					checkSeedExpr(p, call.Args[0])
 				}
-				return true
-			})
-		}
+			default: // every other function draws from the global source
+				p.Report(call, "global math/rand.%s draws from process-shared state whose order depends on goroutine scheduling; thread a task-owned *rand.Rand derived via exec.RNG(seed, coords...)", rf)
+			}
+			return true
+		})
 	}
 	return a
-}
-
-// calledFunc resolves a call's callee to a *types.Func, or nil for
-// conversions, builtins, and calls through function-typed variables.
-func calledFunc(p *Pass, call *ast.CallExpr) *types.Func {
-	var obj types.Object
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		obj = p.ObjectOf(fun)
-	case *ast.SelectorExpr:
-		obj = p.ObjectOf(fun.Sel)
-	}
-	fn, _ := obj.(*types.Func)
-	return fn
-}
-
-// isGlobalRandFunc reports whether fn is a package-level math/rand (or
-// math/rand/v2) function drawing from the shared global source.
-// Constructors are fine: they create the task-owned generators the
-// contract requires.
-func isGlobalRandFunc(fn *types.Func) bool {
-	pkg := fn.Pkg()
-	if pkg == nil || (pkg.Path() != "math/rand" && pkg.Path() != "math/rand/v2") {
-		return false
-	}
-	if fn.Type().(*types.Signature).Recv() != nil {
-		return false // methods on *rand.Rand are task-owned by construction
-	}
-	switch fn.Name() {
-	case "New", "NewSource", "NewZipf", "NewPCG", "NewChaCha8":
-		return false
-	}
-	return true
-}
-
-// isRandSourceCtor reports whether fn constructs a math/rand source whose
-// seed argument must be scrutinized.
-func isRandSourceCtor(fn *types.Func) bool {
-	pkg := fn.Pkg()
-	if pkg == nil || (pkg.Path() != "math/rand" && pkg.Path() != "math/rand/v2") {
-		return false
-	}
-	return fn.Type().(*types.Signature).Recv() == nil && (fn.Name() == "NewSource" || fn.Name() == "NewPCG")
 }
 
 // checkSeedExpr walks a seed expression and reports any call that could
@@ -116,12 +78,12 @@ func checkSeedExpr(p *Pass, seed ast.Expr) {
 		if tv, ok := p.Pkg.Info.Types[call.Fun]; ok && tv.IsType() {
 			return true // conversion like int64(x): keep scrutinizing x
 		}
-		fn := calledFunc(p, call)
+		fn := calledFunc(p.Pkg.Info, call)
 		if fn != nil {
 			if seedFuncs[fn.FullName()] {
 				return false // the blessed derivation
 			}
-			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && isRandRand(recv.Type()) {
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && randType(deref(recv.Type())) == "Rand" {
 				return false // child seed drawn from a task-owned generator
 			}
 		}
@@ -132,17 +94,4 @@ func checkSeedExpr(p *Pass, seed ast.Expr) {
 		p.Report(call, "seed expression calls %s; seeds must be constants, plumbed variables, or exec.Seed(base, coords...) derivations so reruns reproduce", name)
 		return false
 	})
-}
-
-// isRandRand reports whether t is math/rand.Rand (possibly via pointer).
-func isRandRand(t types.Type) bool {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && (obj.Pkg().Path() == "math/rand" || obj.Pkg().Path() == "math/rand/v2") && obj.Name() == "Rand"
 }

@@ -30,20 +30,18 @@ func poolshareAnalyzer() *Analyzer {
 		Name: "poolshare",
 		Doc:  "require closures passed to exec pool-submit APIs to write only per-task-disjoint captured state",
 		Run: func(p *Pass) {
-			for _, f := range p.Pkg.Files {
-				ast.Inspect(f, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					fn := calledFunc(p, call)
-					if !isPoolSubmit(fn) {
-						return true
-					}
-					checkPoolTask(p, fn.Name(), call)
+			p.inspect(func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
 					return true
-				})
-			}
+				}
+				fn := calledFunc(p.Pkg.Info, call)
+				if !isPoolSubmit(fn) {
+					return true
+				}
+				checkPoolTask(p, fn.Name(), call)
+				return true
+			})
 		},
 	}
 }
@@ -158,14 +156,12 @@ func (c *poolCheck) classify(e ast.Expr) (writeClass, string) {
 		}
 		return writeLocal, e.Name
 	case *ast.IndexExpr:
-		if t := c.p.TypeOf(e.X); t != nil {
-			if _, isMap := t.Underlying().(*types.Map); isMap {
-				cls, name := c.classify(e.X)
-				if cls == writeLocal {
-					return writeLocal, name
-				}
-				return writeSharedMap, name
+		if isMap(c.p.TypeOf(e.X)) {
+			cls, name := c.classify(e.X)
+			if cls == writeLocal {
+				return writeLocal, name
 			}
+			return writeSharedMap, name
 		}
 		cls, name := c.classify(e.X)
 		if cls == writeShared && c.isTaskIndex(e.Index) {
@@ -213,7 +209,7 @@ func (c *poolCheck) checkWrite(lhs, rhs ast.Expr) {
 	// Shared. An append assigned back to the same captured slice is the
 	// append bug; report it as such, once.
 	if rhs != nil {
-		if ap, ok := ast.Unparen(rhs).(*ast.CallExpr); ok && c.isAppend(ap) && len(ap.Args) > 0 {
+		if ap, ok := ast.Unparen(rhs).(*ast.CallExpr); ok && builtinName(c.p.Pkg.Info, ap) == "append" && len(ap.Args) > 0 {
 			if apCls, apName := c.classify(ap.Args[0]); apCls == writeShared && apName == name {
 				c.covered[ap] = true
 				c.p.Report(lhs, "append to captured slice %s inside an exec.%s task mutates shared backing storage and length; preallocate and write out[i], or return a value per task", name, c.api)
@@ -232,20 +228,11 @@ func (c *poolCheck) checkWrite(lhs, rhs ast.Expr) {
 // assigned back (covered above) and is the hook for the rand check on
 // call receivers.
 func (c *poolCheck) checkCall(call *ast.CallExpr) {
-	if c.isAppend(call) && !c.covered[call] && len(call.Args) > 0 {
+	if builtinName(c.p.Pkg.Info, call) == "append" && !c.covered[call] && len(call.Args) > 0 {
 		if cls, name := c.classify(call.Args[0]); cls == writeShared {
 			c.p.Report(call, "append to captured slice %s inside an exec.%s task mutates shared backing storage; preallocate and write out[i], or return a value per task", name, c.api)
 		}
 	}
-}
-
-func (c *poolCheck) isAppend(call *ast.CallExpr) bool {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	b, ok := c.p.Pkg.Info.Uses[id].(*types.Builtin)
-	return ok && b.Name() == "append"
 }
 
 // checkRandUse reports any use of a captured math/rand generator: every
@@ -267,18 +254,7 @@ func isRandGenType(t types.Type) bool {
 	if ptr, ok := t.Underlying().(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil {
-		return false
-	}
-	if path := obj.Pkg().Path(); path != "math/rand" && path != "math/rand/v2" {
-		return false
-	}
-	switch obj.Name() {
+	switch randType(t) {
 	case "Rand", "Source", "Source64", "PCG", "ChaCha8", "Zipf", "ExpFloat64":
 		return true
 	}

@@ -37,54 +37,36 @@ import (
 // trusted not to retain arguments; the analyzer polices the channels a
 // caller can actually observe.
 func scratchsafeAnalyzer() *Analyzer {
-	a := &Analyzer{
+	return &Analyzer{
 		Name: "scratchsafe",
 		Doc:  "forbid //lint:scratch-backed memory from escaping its owner in hot kernels and scratch-owning methods",
-	}
-	// The checked set and scratch index span packages: computed once per
-	// run from the full load, reused by every per-package pass.
-	var (
-		decls map[*types.Func]declSite
-		roots map[*types.Func]*types.Func
-		idx   *scratchIndex
-	)
-	a.Run = func(p *Pass) {
-		if decls == nil {
-			decls = funcDecls(p.All)
-			roots = hotSet(decls)
-			idx = scratchFields(p.All)
-		}
-		// Deterministic order: findings are globally sorted by position,
-		// but walking in name order keeps any future tie-breaks stable.
-		fns := make([]*types.Func, 0, len(decls))
-		for fn := range decls {
-			fns = append(fns, fn)
-		}
-		sort.Slice(fns, func(i, j int) bool { return fns[i].FullName() < fns[j].FullName() })
-		for _, fn := range fns {
-			site := decls[fn]
-			if site.Pkg != p.Pkg {
-				continue // reported by the declaring package's own pass
-			}
-			var how string
-			if root, hot := roots[fn]; hot {
-				how = "in //lint:hotpath " + fn.Name()
-				if root != fn {
-					how = "in " + fn.Name() + ", statically reachable from //lint:hotpath " + root.Name()
+		Run: func(p *Pass) {
+			// Deterministic order: findings are globally sorted by position,
+			// but walking in name order keeps any future tie-breaks stable.
+			var fns []*types.Func
+			for fn, site := range p.decls {
+				if site.Pkg == p.Pkg { // else the declaring package's pass reports it
+					fns = append(fns, fn)
 				}
-			} else if tn := receiverTypeName(site.Pkg.Info, site.Decl); tn != nil && idx.owners[tn] {
-				how = "in " + fn.Name() + ", a method of scratch-carrying " + tn.Name()
-			} else {
-				continue
 			}
-			(&scratchCheck{p: p, info: site.Pkg.Info, fd: site.Decl, idx: idx, how: how,
-				tainted: map[types.Object]*types.Var{},
-				results: map[types.Object]bool{},
-				covered: map[ast.Node]bool{},
-			}).check()
-		}
+			sort.Slice(fns, func(i, j int) bool { return fns[i].FullName() < fns[j].FullName() })
+			for _, fn := range fns {
+				site := p.decls[fn]
+				var how string
+				if root, hot := p.hot[fn]; hot {
+					how = hotHow(fn, root)
+				} else if tn := receiverTypeName(site.Pkg.Info, site.Decl); tn != nil && p.scratch.owners[tn] {
+					how = "in " + fn.Name() + ", a method of scratch-carrying " + tn.Name()
+				} else {
+					continue
+				}
+				(&scratchCheck{p: p, info: site.Pkg.Info, fd: site.Decl, how: how,
+					tainted: map[types.Object]*types.Var{},
+					results: map[types.Object]bool{},
+				}).check()
+			}
+		},
 	}
-	return a
 }
 
 // scratchCheck is one function's escape walk.
@@ -92,14 +74,12 @@ type scratchCheck struct {
 	p    *Pass
 	info *types.Info
 	fd   *ast.FuncDecl
-	idx  *scratchIndex
 	how  string
 	// tainted maps a local variable to the scratch field it aliases.
 	tainted map[types.Object]*types.Var
 	// results holds the named result objects — assigning scratch to one
 	// escapes exactly like returning it.
 	results map[types.Object]bool
-	covered map[ast.Node]bool
 }
 
 func (c *scratchCheck) check() {
@@ -259,7 +239,7 @@ func (c *scratchCheck) storeBase(e ast.Expr) (storeBaseKind, string) {
 	for {
 		switch t := ast.Unparen(e).(type) {
 		case *ast.SelectorExpr:
-			if v, ok := c.info.Uses[t.Sel].(*types.Var); ok && c.idx.fields[v] {
+			if v := c.scratchField(t); v != nil {
 				return storeScratch, v.Name()
 			}
 			e = t.X
@@ -290,6 +270,14 @@ func (c *scratchCheck) storeBase(e ast.Expr) (storeBaseKind, string) {
 	}
 }
 
+// scratchField returns the //lint:scratch field a selector names, or nil.
+func (c *scratchCheck) scratchField(sel *ast.SelectorExpr) *types.Var {
+	if v, ok := c.info.Uses[sel.Sel].(*types.Var); ok && c.p.scratch.fields[v] {
+		return v
+	}
+	return nil
+}
+
 // scratchRoot reports the scratch field an expression's memory aliases,
 // or nil. Aliasing flows through re-slices, reference-typed element and
 // field accesses, address-taking, derefs, append chains, tainted locals,
@@ -297,7 +285,7 @@ func (c *scratchCheck) storeBase(e ast.Expr) (storeBaseKind, string) {
 func (c *scratchCheck) scratchRoot(e ast.Expr) *types.Var {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.SelectorExpr:
-		if v, ok := c.info.Uses[e.Sel].(*types.Var); ok && c.idx.fields[v] {
+		if v := c.scratchField(e); v != nil {
 			return v
 		}
 		if t := c.info.TypeOf(e); t != nil && refLike(t) {
@@ -318,10 +306,8 @@ func (c *scratchCheck) scratchRoot(e ast.Expr) *types.Var {
 			return c.tainted[o]
 		}
 	case *ast.CallExpr:
-		if id, ok := ast.Unparen(e.Fun).(*ast.Ident); ok {
-			if b, ok := c.info.Uses[id].(*types.Builtin); ok && b.Name() == "append" && len(e.Args) > 0 {
-				return c.scratchRoot(e.Args[0])
-			}
+		if builtinName(c.info, e) == "append" && len(e.Args) > 0 {
+			return c.scratchRoot(e.Args[0])
 		}
 	case *ast.FuncLit:
 		return c.capturedScratch(e)
@@ -340,9 +326,7 @@ func (c *scratchCheck) capturedScratch(lit *ast.FuncLit) *types.Var {
 		}
 		switch n := n.(type) {
 		case *ast.SelectorExpr:
-			if v, ok := c.info.Uses[n.Sel].(*types.Var); ok && c.idx.fields[v] {
-				found = v
-			}
+			found = c.scratchField(n)
 		case *ast.Ident:
 			if o := c.info.Uses[n]; o != nil {
 				if o.Pos() >= lit.Pos() && o.Pos() <= lit.End() {

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/constant"
 	"go/token"
-	"go/types"
 	"path"
 	"strings"
 )
@@ -39,19 +38,17 @@ func seeddomainAnalyzer() *Analyzer {
 			return
 		}
 		nestedSource := map[ast.Expr]bool{}
-		for _, f := range p.Pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.CallExpr:
-					checkRawRandCall(p, n, nestedSource)
-				case *ast.CompositeLit:
-					checkDomainLit(p, n, tagSeen, idSeen)
-				case *ast.BasicLit:
-					checkSplitMixConstant(p, n)
-				}
-				return true
-			})
-		}
+		p.inspect(func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				checkRawRandCall(p, n, nestedSource)
+			case *ast.CompositeLit:
+				checkDomainLit(p, n, tagSeen, idSeen)
+			case *ast.BasicLit:
+				checkSplitMixConstant(p, n)
+			}
+			return true
+		})
 	}
 	return a
 }
@@ -60,8 +57,10 @@ func seeddomainAnalyzer() *Analyzer {
 // blessed exec wrappers. The idiomatic rand.New(rand.NewSource(seed))
 // nesting is reported once, at the outer call.
 func checkRawRandCall(p *Pass, call *ast.CallExpr, nestedSource map[ast.Expr]bool) {
-	fn := calledFunc(p, call)
-	if fn == nil || !isRandConstructor(fn) {
+	fn := calledFunc(p.Pkg.Info, call)
+	switch randFunc(fn) {
+	case "New", "NewSource", "NewPCG", "NewChaCha8":
+	default:
 		return
 	}
 	if fn.Name() == "New" && len(call.Args) == 1 {
@@ -72,28 +71,11 @@ func checkRawRandCall(p *Pass, call *ast.CallExpr, nestedSource map[ast.Expr]boo
 	p.Report(call, "raw rand.%s constructs an untagged stream; declare a package-level exec.Domain and use exec.DomainRNG(base, domain, coords...) (or exec.ScratchRNG + exec.Reseed in hot loops)", fn.Name())
 }
 
-// isRandConstructor reports whether fn creates a math/rand (or v2)
-// generator or source.
-func isRandConstructor(fn *types.Func) bool {
-	pkg := fn.Pkg()
-	if pkg == nil || (pkg.Path() != "math/rand" && pkg.Path() != "math/rand/v2") {
-		return false
-	}
-	if fn.Type().(*types.Signature).Recv() != nil {
-		return false
-	}
-	switch fn.Name() {
-	case "New", "NewSource", "NewPCG", "NewChaCha8":
-		return true
-	}
-	return false
-}
-
 // checkDomainLit validates an exec.Domain composite literal: constant
 // fields, "<package>/<stream>" tag naming, and repo-wide uniqueness of
 // both tag and ID.
 func checkDomainLit(p *Pass, lit *ast.CompositeLit, tagSeen map[string]token.Position, idSeen map[int64]token.Position) {
-	if !isExecDomainType(p.TypeOf(lit)) {
+	if qualifiedName(p.TypeOf(lit)) != execPkg+".Domain" {
 		return
 	}
 	var tagExpr, idExpr ast.Expr
@@ -120,8 +102,8 @@ func checkDomainLit(p *Pass, lit *ast.CompositeLit, tagSeen map[string]token.Pos
 		p.Report(lit, "exec.Domain literal must set both Tag and ID so the stream family is identifiable")
 		return
 	}
-	tagVal := constValue(p, tagExpr)
-	idVal := constValue(p, idExpr)
+	tagVal := constValue(p.Pkg.Info, tagExpr)
+	idVal := constValue(p.Pkg.Info, idExpr)
 	if tagVal == nil || tagVal.Kind() != constant.String || idVal == nil || idVal.Kind() != constant.Int {
 		p.Report(lit, "exec.Domain Tag and ID must be constants the analyzer can read and de-duplicate")
 		return
@@ -144,24 +126,6 @@ func checkDomainLit(p *Pass, lit *ast.CompositeLit, tagSeen map[string]token.Pos
 	}
 }
 
-// constValue resolves an expression to its constant value, or nil.
-func constValue(p *Pass, e ast.Expr) constant.Value {
-	if tv, ok := p.Pkg.Info.Types[e]; ok {
-		return tv.Value
-	}
-	return nil
-}
-
-// isExecDomainType reports whether t is exec.Domain.
-func isExecDomainType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == execPkg && obj.Name() == "Domain"
-}
-
 // splitMixGamma is SplitMix64's golden-ratio increment — the constant a
 // private reimplementation of the mix cannot avoid writing down.
 //
@@ -175,11 +139,11 @@ func checkSplitMixConstant(p *Pass, lit *ast.BasicLit) {
 	if lit.Kind != token.INT {
 		return
 	}
-	tv, ok := p.Pkg.Info.Types[lit]
-	if !ok || tv.Value == nil || tv.Value.Kind() != constant.Int {
+	v := constValue(p.Pkg.Info, lit)
+	if v == nil || v.Kind() != constant.Int {
 		return
 	}
-	if v, exact := constant.Uint64Val(tv.Value); exact && v == splitMixGamma {
+	if v, exact := constant.Uint64Val(v); exact && v == splitMixGamma {
 		p.Report(lit, "SplitMix64 constant %#x: derive seeds through exec.Seed/exec.DomainSeed instead of reimplementing the mix", uint64(splitMixGamma))
 	}
 }

@@ -104,7 +104,7 @@ func runFixture(t *testing.T, analyzers []*Analyzer, pkgs ...fixturePkg) {
 // runFixtureRoots layers analyzer execution and want-matching on top.
 func typecheckFixtures(t *testing.T, roots int, pkgs ...fixturePkg) []*Package {
 	t.Helper()
-	li := &loaderImporter{module: Module, cache: map[string]*types.Package{}, std: testStdImporter()}
+	li := &loaderImporter{cache: map[string]*types.Package{}, std: testStdImporter()}
 
 	var all []*Package
 	for i, fp := range pkgs {

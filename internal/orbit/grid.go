@@ -198,16 +198,9 @@ func SquareWalkerDelta(n int, altitudeKm, inclinationDeg float64) (WalkerConfig,
 		Name:           fmt.Sprintf("grid-%d", n),
 		TotalSats:      n,
 		Planes:         best,
-		PhasingFactor:  minInt(1, best-1),
+		PhasingFactor:  min(1, best-1),
 		AltitudeKm:     altitudeKm,
 		InclinationDeg: inclinationDeg,
 	}
 	return w, w.Validate()
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
