@@ -170,12 +170,12 @@ func BenchmarkSnapshotBuildGrid(b *testing.B) {
 	}
 }
 
-// BenchmarkTimeExpandedIncremental measures the delta-update path: a 30-step
-// time-expanded build where consecutive snapshots reuse the Verlet-style
-// watch lists instead of re-indexing all N satellites each step.
-func BenchmarkTimeExpandedIncremental(b *testing.B) {
+// BenchmarkTimeExpanded measures a 31-step +Grid N=500 time-expanded
+// build on one worker: each block of steps shares one builder's node
+// template and scratch, and every step queries a fresh spatial index.
+func BenchmarkTimeExpanded(b *testing.B) {
 	cfg, specs, grounds, users := gridBuildInputs(b, 500)
-	cfg.Workers = 1 // isolate the incremental path from fan-out speedup
+	cfg.Workers = 1 // isolate the per-step build from fan-out speedup
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -15,14 +15,14 @@ func allocGate(t *testing.T) {
 }
 
 // TestAllocGateFeasibleISLs pins the //lint:hotpath contract on
-// builder.feasibleISLs: with positions and watch lists in place, the
+// builder.feasibleISLs: with positions and candidate lists in place, the
 // range/line-of-sight filter and its deterministic sort must reuse the
 // builder's scratch and allocate nothing.
 func TestAllocGateFeasibleISLs(t *testing.T) {
 	allocGate(t)
 	b := newBuilder(DefaultConfig(), randomSpecs(128, 3), nil, nil)
-	b.SnapshotAt(0) // fills positions, builds watch lists, sizes the scratch
-	cands := b.watchISL
+	b.SnapshotAt(0) // fills positions, builds candidate lists, sizes the scratch
+	cands := b.candISL
 	if b.staticMode {
 		cands = b.staticPairs
 	}

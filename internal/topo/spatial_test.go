@@ -2,6 +2,7 @@ package topo
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -81,16 +82,27 @@ func randomSpecs(n int, seed int64) []SatSpec {
 	return specs
 }
 
+// randomPoints returns n sites spread uniformly over the Earth's surface.
+func randomPoints(n int, seed int64) []geo.LatLon {
+	rng := rand.New(rand.NewSource(seed))
+	pts := make([]geo.LatLon, n)
+	for i := range pts {
+		pts[i] = geo.LatLon{Lat: math.Asin(2*rng.Float64()-1) * 180 / math.Pi, Lon: rng.Float64()*360 - 180}
+	}
+	return pts
+}
+
 // TestIndexCandidatesMatchBruteForce is the property test of the spatial
 // index: across constellation sizes, seeds, and timestamps, filtering the
-// index-pruned candidates must yield exactly the brute-force feasible
-// set, for both the ISL pair scan and the ground attach scan.
+// builder's candidate lists, queried at its own radii and cell size, must
+// yield exactly the brute-force feasible set, for both the ISL pair scan
+// and the ground attach scan.
 func TestIndexCandidatesMatchBruteForce(t *testing.T) {
-	grounds := []geo.LatLon{
-		{Lat: 51.51, Lon: -0.13},
-		{Lat: -33.87, Lon: 151.21},
-		{Lat: 78.22, Lon: 15.63}, // high latitude stresses polar crowding
-		{Lat: 0.35, Lon: -78.52},
+	grounds := []GroundSpec{
+		{ID: "london", Pos: geo.LatLon{Lat: 51.51, Lon: -0.13}},
+		{ID: "sydney", Pos: geo.LatLon{Lat: -33.87, Lon: 151.21}},
+		{ID: "svalbard", Pos: geo.LatLon{Lat: 78.22, Lon: 15.63}}, // high latitude stresses polar crowding
+		{ID: "quito", Pos: geo.LatLon{Lat: 0.35, Lon: -78.52}},
 	}
 	for _, n := range []int{3, 25, 80, 220} {
 		for _, seed := range []int64{1, 7, 42} {
@@ -100,31 +112,29 @@ func TestIndexCandidatesMatchBruteForce(t *testing.T) {
 				if seed%2 == 1 {
 					cfg.MinElevationDeg = 25
 				}
-				b := newBuilder(cfg, specs, nil, nil)
+				b := newBuilder(cfg, specs, grounds, nil)
 				for i := range specs {
 					b.pos[i] = specs[i].Elements.PositionECEF(tS)
 				}
-				b.refreshWatch(tS)
+				b.refreshCandidates()
 
 				want := bruteFeasibleISLs(cfg, specs, b.pos)
-				got := filterFeasible(cfg, specs, b.pos, b.watchISL)
+				got := filterFeasible(cfg, specs, b.pos, b.candISL)
 				if !pairSetsEqual(got, want) {
 					t.Fatalf("n=%d seed=%d t=%v: index feasible set %d pairs, brute force %d",
 						n, seed, tS, len(got), len(want))
 				}
 
-				ix := newSatIndex(b.pos, b.maxISLKm+b.skinISLKm)
-				for _, g := range grounds {
-					cand := ix.within(g.Vec3(0), b.attachKm+b.skinGroundKm, nil)
+				for k, g := range grounds {
 					var vis []int
-					for _, i := range cand {
-						if geo.ElevationDeg(g, b.pos[i]) >= cfg.MinElevationDeg {
+					for _, i := range b.candGround[k] {
+						if geo.ElevationDeg(g.Pos, b.pos[i]) >= cfg.MinElevationDeg {
 							vis = append(vis, i)
 						}
 					}
-					if wantVis := bruteVisibleSats(cfg, g, b.pos); !intSetsEqual(vis, wantVis) {
-						t.Fatalf("n=%d seed=%d t=%v ground %v: index sees %d sats, brute force %d",
-							n, seed, tS, g, len(vis), len(wantVis))
+					if wantVis := bruteVisibleSats(cfg, g.Pos, b.pos); !intSetsEqual(vis, wantVis) {
+						t.Fatalf("n=%d seed=%d t=%v ground %s: index sees %d sats, brute force %d",
+							n, seed, tS, g.ID, len(vis), len(wantVis))
 					}
 				}
 			}
@@ -135,28 +145,68 @@ func TestIndexCandidatesMatchBruteForce(t *testing.T) {
 // TestBuildMatchesBruteForceSnapshot rebuilds full snapshots with a
 // reference implementation of the original all-pairs algorithm and
 // requires exact equality — the end-to-end form of the index property.
+// The +Grid case covers the explicit wiring plan, where the index serves
+// only ground queries and its cells are as small as they get, under many
+// ground stations and users; a ground query a tenth short of attachKm
+// misses a satellite at one of its timestamps.
 func TestBuildMatchesBruteForceSnapshot(t *testing.T) {
+	type snapCase struct {
+		name    string
+		cfg     Config
+		specs   []SatSpec
+		grounds []GroundSpec
+		users   []UserSpec
+	}
+	var cases []snapCase
 	for _, n := range []int{10, 60, 150} {
-		specs := randomSpecs(n, int64(n))
-		grounds := []GroundSpec{
-			{ID: "g0", Provider: "A", Pos: geo.LatLon{Lat: 51.51, Lon: -0.13}},
-			{ID: "g1", Provider: "B", Pos: geo.LatLon{Lat: -33.87, Lon: 151.21}},
+		cases = append(cases, snapCase{fmt.Sprintf("random n=%d", n), DefaultConfig(), randomSpecs(n, int64(n)),
+			[]GroundSpec{
+				{ID: "g0", Provider: "A", Pos: geo.LatLon{Lat: 51.51, Lon: -0.13}},
+				{ID: "g1", Provider: "B", Pos: geo.LatLon{Lat: -33.87, Lon: 151.21}},
+			},
+			[]UserSpec{{ID: "u0", Provider: "A", Pos: geo.LatLon{Lat: 40.71, Lon: -74.01}}}})
+	}
+
+	w, err := orbit.SquareWalkerDelta(500, 550, 53)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := w.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := snapCase{name: "grid n=500", cfg: DefaultConfig()}
+	if grid.cfg.StaticISLs, err = w.GridISLs(w.DefaultGrid()); err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range c.Satellites {
+		grid.specs = append(grid.specs, SatSpec{ID: s.ID, Provider: providerName(i % 2), Elements: s.Elements, HasLaser: true})
+	}
+	for i, p := range randomPoints(60, 3) {
+		if i%3 == 0 {
+			grid.users = append(grid.users, UserSpec{ID: fmt.Sprintf("u%d", i), Provider: providerName(i % 2), Pos: p})
+		} else {
+			grid.grounds = append(grid.grounds, GroundSpec{ID: fmt.Sprintf("g%d", i), Provider: providerName(i % 2), Pos: p})
 		}
-		users := []UserSpec{
-			{ID: "u0", Provider: "A", Pos: geo.LatLon{Lat: 40.71, Lon: -74.01}},
+	}
+	cases = append(cases, grid)
+
+	for _, sc := range cases {
+		for _, at := range []float64{0, 300, 1000} {
+			got := Build(at, sc.cfg, sc.specs, sc.grounds, sc.users)
+			checkSnapshot(t, got)
+			want := bruteForceBuild(t, at, sc.cfg, sc.specs, sc.grounds, sc.users)
+			assertSnapshotsEqual(t, fmt.Sprintf("%s t=%v", sc.name, at), got, want)
 		}
-		cfg := DefaultConfig()
-		got := Build(300, cfg, specs, grounds, users)
-		checkSnapshot(t, got)
-		want := bruteForceBuild(t, 300, cfg, specs, grounds, users)
-		assertSnapshotsEqual(t, fmt.Sprintf("n=%d", n), got, want)
 	}
 }
 
 // bruteForceBuild reimplements snapshot assembly with the original
 // quadratic scans, as the oracle for TestBuildMatchesBruteForceSnapshot.
-// It hands the result to NewSnapshot, so the oracle never depends on how a
-// snapshot stores its graph.
+// With cfg.StaticISLs set, the ISL candidates are the plan's pairs between
+// known, distinct satellites instead of all pairs. It hands the result to
+// NewSnapshot, so the oracle never depends on how a snapshot stores its
+// graph.
 func bruteForceBuild(tb testing.TB, at float64, cfg Config, sats []SatSpec, grounds []GroundSpec, users []UserSpec) *Snapshot {
 	tb.Helper()
 	var nodes []Node
@@ -182,8 +232,30 @@ func bruteForceBuild(tb testing.TB, at float64, cfg Config, sats []SatSpec, grou
 		i, j int
 		d    float64
 	}
+	var feasible [][2]int
+	if len(cfg.StaticISLs) == 0 {
+		feasible = bruteFeasibleISLs(cfg, sats, pos)
+	} else {
+		idx := make(map[string]int, len(sats))
+		for i, sp := range sats {
+			idx[sp.ID] = i
+		}
+		planned := map[[2]int]bool{}
+		for _, pr := range cfg.StaticISLs {
+			i, okA := idx[pr.A]
+			j, okB := idx[pr.B]
+			if okA && okB && i != j {
+				planned[[2]int{min(i, j), max(i, j)}] = true
+			}
+		}
+		plan := make([][2]int, 0, len(planned))
+		for p := range planned {
+			plan = append(plan, p)
+		}
+		feasible = filterFeasible(cfg, sats, pos, plan)
+	}
 	var pairs []pair
-	for _, p := range bruteFeasibleISLs(cfg, sats, pos) {
+	for _, p := range feasible {
 		pairs = append(pairs, pair{p[0], p[1], pos[p[0]].DistanceKm(pos[p[1]])})
 	}
 	sort.Slice(pairs, func(a, b int) bool {

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/openspace-project/openspace/internal/exec"
 )
@@ -16,27 +17,30 @@ type TimeExpanded struct {
 	Snaps     []*Snapshot
 }
 
-// timeExpandedBlock is how many consecutive snapshots share one
-// incremental builder. Within a block the builder's candidate lists carry
-// over between steps (delta updates); blocks are fixed-size and
-// independent, so the series is identical at any worker count and every
-// snapshot is byte-identical to a from-scratch Build at its timestamp.
+// timeExpandedBlock is how many consecutive snapshots share one builder.
+// A block amortises the builder's sorted node template and scratch
+// memory over its steps; no snapshot depends on another, so the series is
+// identical at any worker count and every snapshot is byte-identical to a
+// from-scratch Build at its timestamp.
 const timeExpandedBlock = 16
 
 // BuildTimeExpanded constructs snapshots at startS, startS+intervalS, …
 // covering [startS, startS+horizonS]. Steps are grouped into contiguous
 // blocks that run in parallel on cfg.Workers workers (one per CPU when
-// ≤0); within a block each snapshot is a delta update of its predecessor
-// rather than a full rebuild. Results are collected in time order and are
-// identical at any worker count.
+// ≤0). Results are collected in time order and are identical at any
+// worker count. The interval must be positive and the horizon finite and
+// non-negative; an infinite interval gives the one snapshot at startS.
 func BuildTimeExpanded(startS, horizonS, intervalS float64, cfg Config, sats []SatSpec, grounds []GroundSpec, users []UserSpec) (*TimeExpanded, error) {
-	if intervalS <= 0 {
-		return nil, fmt.Errorf("topo: interval %.1f must be positive", intervalS)
+	span := horizonS / intervalS
+	switch {
+	case !(intervalS > 0):
+		return nil, fmt.Errorf("topo: horizon %g s, interval %g s: interval must be positive", horizonS, intervalS)
+	case !(horizonS >= 0) || math.IsInf(horizonS, 1):
+		return nil, fmt.Errorf("topo: horizon %g s, interval %g s: horizon must be finite and non-negative", horizonS, intervalS)
+	case !(span < math.MaxInt):
+		return nil, fmt.Errorf("topo: horizon %g s, interval %g s: too many snapshots to count", horizonS, intervalS)
 	}
-	if horizonS < 0 {
-		return nil, fmt.Errorf("topo: horizon %.1f must be non-negative", horizonS)
-	}
-	steps := int(horizonS/intervalS) + 1
+	steps := int(span) + 1
 	blocks := (steps + timeExpandedBlock - 1) / timeExpandedBlock
 	blockSnaps, err := exec.Map(cfg.Workers, blocks, func(bi int) ([]*Snapshot, error) {
 		lo := bi * timeExpandedBlock
@@ -47,7 +51,11 @@ func BuildTimeExpanded(startS, horizonS, intervalS float64, cfg Config, sats []S
 		b := newBuilder(cfg, sats, grounds, users)
 		out := make([]*Snapshot, 0, hi-lo)
 		for i := lo; i < hi; i++ {
-			out = append(out, b.SnapshotAt(startS+float64(i)*intervalS))
+			t := startS
+			if i > 0 { // keeps an infinite interval's 0·∞ out of the first step
+				t += float64(i) * intervalS
+			}
+			out = append(out, b.SnapshotAt(t))
 		}
 		return out, nil
 	})

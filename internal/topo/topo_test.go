@@ -1,6 +1,9 @@
 package topo
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"github.com/openspace-project/openspace/internal/geo"
@@ -245,19 +248,45 @@ func TestTimeExpanded(t *testing.T) {
 	if te.Snaps[0].EdgeCount() == 0 {
 		t.Fatal("empty snapshot")
 	}
-	// Errors.
-	if _, err := BuildTimeExpanded(0, 100, 0, DefaultConfig(), sats, nil, nil); err == nil {
-		t.Error("zero interval should error")
-	}
-	if _, err := BuildTimeExpanded(0, -1, 10, DefaultConfig(), sats, nil, nil); err == nil {
-		t.Error("negative horizon should error")
-	}
 	var empty TimeExpanded
 	if empty.At(0) != nil {
 		t.Error("empty series At should be nil")
 	}
 	if empty.EndS() != 0 {
 		t.Error("empty series EndS should be StartS")
+	}
+}
+
+// TestTimeExpandedRejectsBadSpans requires every span that does not give
+// a countable series to fail with a topo error naming both the horizon
+// and the interval, and an infinite interval to give the one snapshot at
+// the start.
+func TestTimeExpandedRejectsBadSpans(t *testing.T) {
+	sats := iridiumSpecs(t, 1, false)[:6]
+	inf, nan := math.Inf(1), math.NaN()
+	for _, c := range []struct{ horizonS, intervalS float64 }{
+		{100, 0}, {100, -10}, {600, nan}, {600, -inf},
+		{nan, 60}, {-1, 10}, {inf, 60}, {inf, inf},
+		{1e30, 60}, {600, 1e-300},
+	} {
+		_, err := BuildTimeExpanded(0, c.horizonS, c.intervalS, DefaultConfig(), sats, nil, nil)
+		if err == nil {
+			t.Errorf("horizon %g, interval %g: no error", c.horizonS, c.intervalS)
+			continue
+		}
+		msg := err.Error()
+		if !strings.HasPrefix(msg, "topo: ") ||
+			!strings.Contains(msg, fmt.Sprintf("horizon %g s", c.horizonS)) ||
+			!strings.Contains(msg, fmt.Sprintf("interval %g s", c.intervalS)) {
+			t.Errorf("horizon %g, interval %g: error %q does not name the span", c.horizonS, c.intervalS, msg)
+		}
+	}
+	te, err := BuildTimeExpanded(30, 600, inf, DefaultConfig(), sats, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(te.Snaps) != 1 || te.Snaps[0].TimeS != 30 {
+		t.Fatalf("infinite interval: %d snapshots, want 1 at t=30", len(te.Snaps))
 	}
 }
 

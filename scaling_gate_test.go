@@ -26,9 +26,9 @@ import (
 // the two with headroom for constant-factor noise on shared CI runners.
 const scalingGateRatioMax = 9.0
 
-// timeSnapshots measures the best-of-3 wall time of `reps` consecutive
-// snapshot builds at distinct epochs (so the incremental watch lists see
-// realistic churn rather than a cached fast path).
+// timeSnapshots measures the best-of-3 wall time of `reps` from-scratch
+// snapshot builds at distinct epochs, so each one indexes a different
+// satellite layout.
 func timeSnapshots(tb testing.TB, n, reps int) time.Duration {
 	tb.Helper()
 	cfg, specs, grounds, users := gridBuildInputs(tb, n)
