@@ -31,7 +31,7 @@ func (n *Network) WorstCaseCoverageFraction(t float64, providerIDs []string) (fl
 
 func (n *Network) footprints(t float64, providerIDs []string) ([]geo.Cap, error) {
 	if len(providerIDs) == 0 {
-		providerIDs = n.Providers()
+		providerIDs = n.providerIDs
 	}
 	var caps []geo.Cap
 	for _, pid := range providerIDs {
@@ -64,7 +64,7 @@ type FederationGain struct {
 // FederationGain measures solo vs. federated coverage at t.
 func (n *Network) FederationGain(t float64, gridSize int) (*FederationGain, error) {
 	g := &FederationGain{Solo: map[string]float64{}}
-	for _, pid := range n.Providers() {
+	for _, pid := range n.providerIDs {
 		f, err := n.CoverageFraction(t, []string{pid}, gridSize)
 		if err != nil {
 			return nil, err
@@ -105,12 +105,10 @@ func (n *Network) Connectivity(t float64) ConnectivityStats {
 		return stats
 	}
 	for uid := range n.users {
-		for _, pid := range n.Providers() {
-			for sid := range n.providers[pid].Stations {
-				stats.Pairs++
-				if n.Reachable(uid, sid, t) {
-					stats.Reachable++
-				}
+		for _, st := range n.stations {
+			stats.Pairs++
+			if _, err := n.route(snap, uid, st.ID); err == nil {
+				stats.Reachable++
 			}
 		}
 	}

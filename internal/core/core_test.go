@@ -254,8 +254,7 @@ func TestSendEndToEnd(t *testing.T) {
 		t.Errorf("gateway fee %v, want 0.16", d.GatewayFeeUSD)
 	}
 	// The station metered acme's traffic.
-	st, _ := n.station("gs-nairobi")
-	if got := st.Usage()["acme"]; got != bytes {
+	if got := n.members["gs-nairobi"].station.Usage()["acme"]; got != bytes {
 		t.Errorf("metered %d, want %d", got, bytes)
 	}
 	// Every carrier's ledger and the home ledger agree (cross-verifiable).

@@ -7,6 +7,7 @@ import (
 
 	"github.com/openspace-project/openspace/internal/assoc"
 	"github.com/openspace-project/openspace/internal/handover"
+	"github.com/openspace-project/openspace/internal/routing"
 )
 
 // HandoverPlan is the outcome of planning a user's next handover.
@@ -31,7 +32,7 @@ func (n *Network) PlanHandover(userID string, t, horizonS float64) (*HandoverPla
 	}
 	serving, _ := u.Terminal.Serving()
 
-	pred, err := n.predictorFor(u)
+	pred, err := handover.NewPredictor(n.fleet, u.Pos, n.cfg.Topo.MinElevationDeg)
 	if err != nil {
 		return nil, err
 	}
@@ -48,7 +49,7 @@ func (n *Network) PlanHandover(userID string, t, horizonS float64) (*HandoverPla
 		SuccessorID:       succ.ID,
 		SuccessorProvider: succ.Provider,
 		SetTimeS:          setTime,
-		CrossProvider:     succ.Provider != n.providerOfSatellite(serving),
+		CrossProvider:     succ.Provider != n.members[serving].owner,
 	}, nil
 }
 
@@ -63,31 +64,6 @@ func (n *Network) ExecuteHandover(userID string, plan *HandoverPlan) error {
 		return errors.New("core: nil handover plan")
 	}
 	return u.Terminal.SwitchTo(plan.SuccessorID, plan.SuccessorProvider)
-}
-
-// predictorFor builds a handover predictor over the whole federation's
-// fleet for the user's location.
-func (n *Network) predictorFor(u *User) (*handover.Predictor, error) {
-	var sats []handover.Sat
-	for _, pid := range n.Providers() {
-		p := n.providers[pid]
-		for _, s := range p.Satellites {
-			sats = append(sats, handover.Sat{ID: s.ID, Provider: pid, Elements: s.Elements})
-		}
-	}
-	return handover.NewPredictor(sats, u.Pos, n.cfg.Topo.MinElevationDeg)
-}
-
-// providerOfSatellite returns the owner of a satellite ID, or "".
-func (n *Network) providerOfSatellite(id string) string {
-	for _, pid := range n.Providers() {
-		for _, s := range n.providers[pid].Satellites {
-			if s.ID == id {
-				return pid
-			}
-		}
-	}
-	return ""
 }
 
 // GatewayChoice scores one candidate station for a transfer.
@@ -108,6 +84,26 @@ type GatewayChoice struct {
 // trade-off between longer routing distance vs queuing and job completion
 // times is necessary at runtime".
 func (n *Network) RankGateways(userID string, bytes int64, t float64) ([]GatewayChoice, error) {
+	ranked, err := n.rankGateways(userID, bytes, t)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]GatewayChoice, len(ranked))
+	for i := range ranked {
+		out[i] = ranked[i].GatewayChoice
+	}
+	return out, nil
+}
+
+// rankedGateway is one RankGateways choice with the route it was scored on.
+type rankedGateway struct {
+	GatewayChoice
+	path routing.Path
+}
+
+// rankGateways is RankGateways keeping each choice's route, one shortest
+// path search per station.
+func (n *Network) rankGateways(userID string, bytes int64, t float64) ([]rankedGateway, error) {
 	u, ok := n.users[userID]
 	if !ok {
 		return nil, fmt.Errorf("core: unknown user %q", userID)
@@ -115,26 +111,24 @@ func (n *Network) RankGateways(userID string, bytes int64, t float64) ([]Gateway
 	if n.te == nil {
 		return nil, errors.New("core: BuildTopology must run before RankGateways")
 	}
-	var out []GatewayChoice
-	for _, pid := range n.Providers() {
-		p := n.providers[pid]
-		for sid, st := range p.Stations {
-			path, err := n.route(t, userID, sid)
-			if err != nil {
-				continue
-			}
-			offer := st.Quote(u.HomeISP, t)
-			serialise := float64(bytes*8) / st.BackhaulBps
-			lat := path.DelayS + float64(path.Hops)*n.cfg.PerHopProcessingS
-			out = append(out, GatewayChoice{
-				StationID:    sid,
-				Provider:     pid,
-				PathLatencyS: lat,
-				QueueDelayS:  offer.QueueDelayS,
-				CompletionS:  lat + offer.QueueDelayS + serialise,
-				PricePerGB:   offer.PricePerGB,
-			})
+	snap := n.snapshotAt(t)
+	var out []rankedGateway
+	for _, st := range n.stations {
+		path, err := n.route(snap, userID, st.ID)
+		if err != nil {
+			continue
 		}
+		offer := st.Quote(u.HomeISP, t)
+		serialise := float64(bytes*8) / st.BackhaulBps
+		lat := path.DelayS + float64(path.Hops)*n.cfg.PerHopProcessingS
+		out = append(out, rankedGateway{GatewayChoice: GatewayChoice{
+			StationID:    st.ID,
+			Provider:     st.Provider,
+			PathLatencyS: lat,
+			QueueDelayS:  offer.QueueDelayS,
+			CompletionS:  lat + offer.QueueDelayS + serialise,
+			PricePerGB:   offer.PricePerGB,
+		}, path: path})
 	}
 	if len(out) == 0 {
 		return nil, errors.New("core: no reachable gateway")
@@ -149,16 +143,21 @@ func (n *Network) RankGateways(userID string, bytes int64, t float64) ([]Gateway
 }
 
 // SendBest delivers to the gateway with the earliest predicted completion —
-// possibly a farther, idle station over a nearer, loaded one.
+// possibly a farther, idle station over a nearer, loaded one — over the
+// route ranking found, with Send's checks and accounting.
 func (n *Network) SendBest(userID string, bytes int64, t float64) (*Delivery, GatewayChoice, error) {
-	choices, err := n.RankGateways(userID, bytes, t)
+	ranked, err := n.rankGateways(userID, bytes, t)
 	if err != nil {
 		return nil, GatewayChoice{}, err
 	}
-	best := choices[0]
-	d, err := n.Send(userID, best.StationID, bytes, t)
+	best := ranked[0]
+	u, err := n.sender(userID, bytes)
 	if err != nil {
 		return nil, GatewayChoice{}, err
 	}
-	return d, best, nil
+	d, err := n.deliver(u, n.members[best.StationID].station, best.path, bytes, t)
+	if err != nil {
+		return nil, GatewayChoice{}, err
+	}
+	return d, best.GatewayChoice, nil
 }

@@ -1,7 +1,11 @@
 package core
 
 import (
+	"reflect"
 	"testing"
+
+	"github.com/openspace-project/openspace/internal/faults"
+	"github.com/openspace-project/openspace/internal/geo"
 )
 
 func TestPlanAndExecuteHandover(t *testing.T) {
@@ -82,8 +86,8 @@ func TestRankGatewaysPrefersIdle(t *testing.T) {
 	// Pile enormous home-class backlog onto the currently best station
 	// (home traffic delays every class); ranking must flip to the other
 	// one (the §5(2) trade-off).
-	st, owner := n.station(best.StationID)
-	if _, err := st.Admit(owner.ID, 40_000_000_000, 0); err != nil { // 320 Gb ≈ 32 s backlog
+	m := n.members[best.StationID]
+	if _, err := m.station.Admit(m.owner, 40_000_000_000, 0); err != nil { // 320 Gb ≈ 32 s backlog
 		t.Fatal(err)
 	}
 	after, err := n.RankGateways("alice", mb100, 0)
@@ -113,5 +117,99 @@ func TestSendBestDelivers(t *testing.T) {
 	}
 	if _, _, err := n.SendBest("ghost", 1, 0); err == nil {
 		t.Error("unknown user should fail")
+	}
+}
+
+// rankThenSend is SendBest's specification: rank the gateways, then Send
+// to the first.
+func rankThenSend(n *Network, userID string, bytes int64, t float64) (*Delivery, GatewayChoice, error) {
+	choices, err := n.RankGateways(userID, bytes, t)
+	if err != nil {
+		return nil, GatewayChoice{}, err
+	}
+	d, err := n.Send(userID, choices[0].StationID, bytes, t)
+	if err != nil {
+		return nil, GatewayChoice{}, err
+	}
+	return d, choices[0], nil
+}
+
+// TestSendBestMatchesRankThenSend runs one sequence of transfers through
+// SendBest on one network and through rankThenSend on its twin, built
+// from the same seed, with and without a fault timeline installed as
+// RunScenario installs it. Every delivery, choice and error, and in the
+// end every ledger and station meter, must be identical.
+func TestSendBestMatchesRankThenSend(t *testing.T) {
+	twin := func() *Network {
+		cfg := threeProviderConfig(t)
+		cfg.Providers[2].GroundStations = []GroundStationConfig{
+			{ID: "gs-london", Pos: geo.LatLon{Lat: 51.51, Lon: -0.13}, BackhaulBps: 2e9, PricePerGB: 0.06, VisitorSurge: 1},
+			{ID: "gs-santiago", Pos: geo.LatLon{Lat: -33.45, Lon: -70.67}, BackhaulBps: 1e9, PricePerGB: 0.04, VisitorSurge: 4},
+		}
+		n, err := NewNetwork(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, pos := range []geo.LatLon{{Lat: 40.44, Lon: -79.99}, {Lat: -1.29, Lon: 36.82}, {Lat: 51.51, Lon: -0.13}} {
+			if _, err := n.AddUser(userName(i), []string{"acme", "orbitco", "skynet"}[i], pos); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := n.BuildTopology(0, 900, 60); err != nil {
+			t.Fatal(err)
+		}
+		// c-user stays unassociated throughout.
+		for _, id := range []string{userName(0), userName(1)} {
+			if err := n.Associate(id, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return n
+	}
+	for _, faulty := range []bool{false, true} {
+		best, spec := twin(), twin()
+		var tl *faults.Timeline
+		if faulty {
+			var err error
+			tl, err = faults.Generate(faults.Default().Scale(100), 900, faults.InputsFromSnapshot(best.te.At(0)))
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		delivered, masked := 0, 0
+		for step := range 90 {
+			at := float64(step) * 10
+			if tl != nil {
+				best.mask, spec.mask = tl.MaskAt(at), tl.MaskAt(at)
+				if !best.mask.Empty() {
+					masked++
+				}
+			}
+			id := userName(step % 4)              // d-user is unknown
+			bytes := int64(step%7-1) * 40_000_000 // some sizes are ≤ 0
+			got, gotChoice, gotErr := best.SendBest(id, bytes, at)
+			want, wantChoice, wantErr := rankThenSend(spec, id, bytes, at)
+			if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+				t.Fatalf("faulty=%v step %d: SendBest error %v, rank-then-send %v", faulty, step, gotErr, wantErr)
+			}
+			if !reflect.DeepEqual(got, want) || gotChoice != wantChoice {
+				t.Fatalf("faulty=%v step %d: SendBest gave %+v via %+v, rank-then-send %+v via %+v",
+					faulty, step, got, gotChoice, want, wantChoice)
+			}
+			if gotErr == nil {
+				delivered++
+			}
+		}
+		if delivered == 0 || faulty && masked == 0 {
+			t.Fatalf("faulty=%v: %d deliveries, %d steps under faults; the twins were not exercised", faulty, delivered, masked)
+		}
+		for _, pid := range best.Providers() {
+			if !reflect.DeepEqual(best.Provider(pid).Ledger, spec.Provider(pid).Ledger) {
+				t.Errorf("faulty=%v: ledgers of %s differ", faulty, pid)
+			}
+		}
+		if !reflect.DeepEqual(best.stations, spec.stations) {
+			t.Errorf("faulty=%v: station meters differ", faulty)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"github.com/openspace-project/openspace/internal/assoc"
@@ -14,6 +15,8 @@ import (
 	"github.com/openspace-project/openspace/internal/frame"
 	"github.com/openspace-project/openspace/internal/geo"
 	"github.com/openspace-project/openspace/internal/ground"
+	"github.com/openspace-project/openspace/internal/handover"
+	"github.com/openspace-project/openspace/internal/routing"
 	"github.com/openspace-project/openspace/internal/topo"
 )
 
@@ -47,16 +50,32 @@ type User struct {
 	Terminal *assoc.Terminal
 }
 
-// Network is an assembled OpenSpace federation.
+// Network is an assembled OpenSpace federation. Its membership is fixed,
+// so NewNetwork resolves the directory, fleet and gateway list once.
 type Network struct {
 	cfg       NetworkConfig
 	providers map[string]*Provider
 	users     map[string]*User
 	rng       *rand.Rand
 
+	providerIDs []string          // sorted
+	members     map[string]member // every satellite and ground station, by ID
+	sats        []topo.SatSpec    // every satellite, by provider then config order
+	fleet       []handover.Sat    // sats as the handover predictor reads them
+	stations    []*ground.Station // every ground station, by provider then ID
+	latency     routing.CostFunc  // route's cost: propagation plus per-hop processing
+
 	te      *topo.TimeExpanded // intact geometry
 	mask    *faults.Mask       // installed fault mask, nil for none
 	flowSeq uint64
+}
+
+// member is one satellite or ground station of the federation's
+// directory. Exactly one of sat and station is set.
+type member struct {
+	owner   string
+	sat     *topo.SatSpec
+	station *ground.Station
 }
 
 // NewNetwork federates the configured providers: every provider gets an
@@ -73,6 +92,8 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 		providers: make(map[string]*Provider),
 		users:     make(map[string]*User),
 		rng:       exec.DomainRNG(cfg.Seed, domainNetwork),
+		members:   make(map[string]member),
+		latency:   routing.LatencyCost(cfg.PerHopProcessingS),
 	}
 	for _, pc := range cfg.Providers {
 		a, err := auth.NewAuthenticator(pc.ID, cfg.CertTTLS, n.rng)
@@ -97,6 +118,22 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 		}
 		n.providers[pc.ID] = p
 	}
+	// The directory: Validate guarantees every node ID is unique.
+	n.providerIDs = sortedKeys(n.providers)
+	for _, pid := range n.providerIDs {
+		p := n.providers[pid]
+		for _, s := range p.Satellites {
+			n.sats = append(n.sats, topo.SatSpec{ID: s.ID, Provider: pid, Elements: s.Elements, HasLaser: s.HasLaser, MaxISLs: s.MaxISLs})
+			n.fleet = append(n.fleet, handover.Sat{ID: s.ID, Provider: pid, Elements: s.Elements})
+		}
+		for _, id := range sortedKeys(p.Stations) {
+			n.stations = append(n.stations, p.Stations[id])
+			n.members[id] = member{owner: pid, station: p.Stations[id]}
+		}
+	}
+	for i := range n.sats {
+		n.members[n.sats[i].ID] = member{owner: n.sats[i].Provider, sat: &n.sats[i]}
+	}
 	// Trust anchor exchange: everyone trusts everyone's certificates.
 	for _, p := range n.providers {
 		for _, q := range n.providers {
@@ -110,7 +147,7 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 func (n *Network) Provider(id string) *Provider { return n.providers[id] }
 
 // Providers returns member IDs in sorted order.
-func (n *Network) Providers() []string { return sortedKeys(n.providers) }
+func (n *Network) Providers() []string { return slices.Clone(n.providerIDs) }
 
 // sortedKeys returns m's keys in sorted order.
 func sortedKeys[V any](m map[string]V) []string {
@@ -133,11 +170,12 @@ func (n *Network) AddUser(userID, homeISP string, pos geo.LatLon) (*User, error)
 	}
 	// Users share the topology's node namespace with satellites and ground
 	// stations, and a snapshot needs every node ID to be unique.
-	if n.satConfig(userID) != nil {
-		return nil, fmt.Errorf("core: user ID %q is already a satellite ID", userID)
-	}
-	if st, _ := n.station(userID); st != nil {
-		return nil, fmt.Errorf("core: user ID %q is already a ground-station ID", userID)
+	if m, taken := n.members[userID]; taken {
+		kind := "satellite"
+		if m.station != nil {
+			kind = "ground-station"
+		}
+		return nil, fmt.Errorf("core: user ID %q is already a %s ID", userID, kind)
 	}
 	secret := make([]byte, 32)
 	if _, err := n.rng.Read(secret); err != nil {
@@ -158,32 +196,12 @@ func (n *Network) AddUser(userID, homeISP string, pos geo.LatLon) (*User, error)
 // User returns a subscriber by ID, or nil.
 func (n *Network) User(id string) *User { return n.users[id] }
 
-// satSpecs flattens all providers' fleets into topology inputs,
-// deterministically ordered.
-func (n *Network) satSpecs() []topo.SatSpec {
-	var specs []topo.SatSpec
-	for _, pid := range n.Providers() {
-		p := n.providers[pid]
-		for _, s := range p.Satellites {
-			specs = append(specs, topo.SatSpec{
-				ID:       s.ID,
-				Provider: p.ID,
-				Elements: s.Elements,
-				HasLaser: s.HasLaser,
-				MaxISLs:  s.MaxISLs,
-			})
-		}
-	}
-	return specs
-}
-
+// groundSpecs lists every ground station as a topology input, in
+// n.stations order.
 func (n *Network) groundSpecs() []topo.GroundSpec {
-	var specs []topo.GroundSpec
-	for _, pid := range n.Providers() {
-		p := n.providers[pid]
-		for _, id := range sortedKeys(p.Stations) {
-			specs = append(specs, topo.GroundSpec{ID: id, Provider: p.ID, Pos: p.Stations[id].Pos})
-		}
+	specs := make([]topo.GroundSpec, len(n.stations))
+	for i, st := range n.stations {
+		specs[i] = topo.GroundSpec{ID: st.ID, Provider: st.Provider, Pos: st.Pos}
 	}
 	return specs
 }
@@ -204,7 +222,7 @@ func (n *Network) userSpecs() []topo.UserSpec {
 // Associate/Send.
 func (n *Network) BuildTopology(startS, horizonS, intervalS float64) error {
 	te, err := topo.BuildTimeExpanded(startS, horizonS, intervalS, n.cfg.Topo,
-		n.satSpecs(), n.groundSpecs(), n.userSpecs())
+		n.sats, n.groundSpecs(), n.userSpecs())
 	if err != nil {
 		return err
 	}
@@ -236,11 +254,7 @@ func (n *Network) Associate(userID string, t float64) error {
 	snap := n.snapshotAt(t)
 	u.Terminal.StartScan()
 	for _, e := range snap.Neighbors(userID) {
-		sat := snap.Node(e.To)
-		if sat == nil || sat.Kind != topo.KindSatellite {
-			continue
-		}
-		sc := n.satConfig(e.To)
+		sc := n.members[e.To].sat
 		if sc == nil {
 			continue
 		}
@@ -249,8 +263,8 @@ func (n *Network) Associate(userID string, t float64) error {
 			caps |= frame.CapLaser
 		}
 		u.Terminal.OnBeacon(&frame.Beacon{
-			SatelliteID: sat.ID,
-			ProviderID:  sat.Provider,
+			SatelliteID: sc.ID,
+			ProviderID:  sc.Provider,
 			Caps:        caps,
 			Orbit: frame.OrbitalState{
 				SemiMajorAxisKm: sc.Elements.SemiMajorAxisKm,
@@ -294,28 +308,6 @@ func (n *Network) Associate(userID string, t float64) error {
 		}
 	}
 	return nil
-}
-
-// satConfig finds a satellite's configuration by ID.
-func (n *Network) satConfig(id string) *SatelliteConfig {
-	for _, p := range n.providers {
-		for i := range p.Satellites {
-			if p.Satellites[i].ID == id {
-				return &p.Satellites[i]
-			}
-		}
-	}
-	return nil
-}
-
-// station finds a ground station and its owner by ID.
-func (n *Network) station(id string) (*ground.Station, *Provider) {
-	for _, p := range n.providers {
-		if st, ok := p.Stations[id]; ok {
-			return st, p
-		}
-	}
-	return nil, nil
 }
 
 // MoveUser relocates a subscriber. Per §2.2, changing physical region

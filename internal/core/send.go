@@ -7,6 +7,7 @@ import (
 
 	"github.com/openspace-project/openspace/internal/assoc"
 	"github.com/openspace-project/openspace/internal/economics"
+	"github.com/openspace-project/openspace/internal/ground"
 	"github.com/openspace-project/openspace/internal/routing"
 	"github.com/openspace-project/openspace/internal/topo"
 )
@@ -34,6 +35,27 @@ type Delivery struct {
 // across (possibly several) providers, downlink to an independently owned
 // gateway, with §3's accounting on every cross-owner hop.
 func (n *Network) Send(userID, stationID string, bytes int64, t float64) (*Delivery, error) {
+	u, err := n.sender(userID, bytes)
+	if err != nil {
+		return nil, err
+	}
+	st := n.members[stationID].station
+	if st == nil {
+		return nil, fmt.Errorf("core: unknown ground station %q", stationID)
+	}
+	if n.te == nil {
+		return nil, errors.New("core: BuildTopology must run before Send")
+	}
+	path, err := n.route(n.snapshotAt(t), userID, stationID)
+	if err != nil {
+		return nil, fmt.Errorf("core: routing %s → %s: %w", userID, stationID, err)
+	}
+	return n.deliver(u, st, path, bytes, t)
+}
+
+// sender checks that a transfer of bytes from userID can be sent: a
+// positive size from a known, associated user.
+func (n *Network) sender(userID string, bytes int64) (*User, error) {
 	if bytes <= 0 {
 		return nil, fmt.Errorf("core: bytes %d must be positive", bytes)
 	}
@@ -44,29 +66,19 @@ func (n *Network) Send(userID, stationID string, bytes int64, t float64) (*Deliv
 	if u.Terminal.State() != assoc.StateAssociated {
 		return nil, fmt.Errorf("core: user %q not associated (state %v)", userID, u.Terminal.State())
 	}
-	st, _ := n.station(stationID)
-	if st == nil {
-		return nil, fmt.Errorf("core: unknown ground station %q", stationID)
-	}
-	if n.te == nil {
-		return nil, errors.New("core: BuildTopology must run before Send")
-	}
+	return u, nil
+}
 
-	path, err := n.route(t, userID, stationID)
-	if err != nil {
-		return nil, fmt.Errorf("core: routing %s → %s: %w", userID, stationID, err)
-	}
-	snap := n.snapshotAt(t)
-
+// deliver accounts a checked transfer of bytes from u to st over path,
+// routed at time t, and returns its delivery report.
+func (n *Network) deliver(u *User, st *ground.Station, path routing.Path, bytes int64, t float64) (*Delivery, error) {
 	// Hop ownership: every traversed node after the user attributes its
-	// owner; that is the infrastructure that carried the traffic.
-	owners := make([]string, 0, len(path.Nodes)-1)
-	for _, node := range path.Nodes[1:] {
-		nd := snap.Node(node)
-		if nd == nil {
-			return nil, fmt.Errorf("core: path node %q missing from snapshot", node)
-		}
-		owners = append(owners, nd.Provider)
+	// owner; that is the infrastructure that carried the traffic. The arcs
+	// index the snapshot in force at t, which path was routed on.
+	ix := n.snapshotAt(t).Index()
+	owners := make([]string, len(path.Arcs))
+	for i, a := range path.Arcs {
+		owners[i] = ix.Nodes[ix.To[a]].Provider
 	}
 
 	// §3: "the volume of traffic along this path is tracked by all parties
@@ -139,7 +151,7 @@ func (n *Network) Reachable(userID, stationID string, t float64) bool {
 	if n.te == nil {
 		return false
 	}
-	_, err := n.route(t, userID, stationID)
+	_, err := n.route(n.snapshotAt(t), userID, stationID)
 	return err == nil
 }
 
@@ -150,21 +162,18 @@ func (n *Network) PathProviders(userID, stationID string, t float64) ([]string, 
 	if n.te == nil {
 		return nil, errors.New("core: BuildTopology must run first")
 	}
-	path, err := n.route(t, userID, stationID)
+	snap := n.snapshotAt(t)
+	path, err := n.route(snap, userID, stationID)
 	if err != nil {
 		return nil, err
 	}
-	snap := n.snapshotAt(t)
+	ix := snap.Index()
 	var order []string
 	seen := map[string]bool{}
-	for _, node := range path.Nodes[1:] {
-		nd := snap.Node(node)
-		if nd == nil {
-			continue
-		}
-		if !seen[nd.Provider] {
-			seen[nd.Provider] = true
-			order = append(order, nd.Provider)
+	for _, a := range path.Arcs {
+		if p := ix.Nodes[ix.To[a]].Provider; !seen[p] {
+			seen[p] = true
+			order = append(order, p)
 		}
 	}
 	return order, nil
@@ -179,8 +188,7 @@ func (n *Network) snapshotAt(t float64) *topo.Snapshot {
 	return n.mask.View(n.te.At(t))
 }
 
-// route returns the lowest-latency path from src to dst over the snapshot
-// in force at t. BuildTopology must have run.
-func (n *Network) route(t float64, src, dst string) (routing.Path, error) {
-	return routing.ShortestPath(n.snapshotAt(t), src, dst, routing.LatencyCost(n.cfg.PerHopProcessingS))
+// route returns the lowest-latency path from src to dst over snap.
+func (n *Network) route(snap *topo.Snapshot, src, dst string) (routing.Path, error) {
+	return routing.ShortestPath(snap, src, dst, n.latency)
 }

@@ -349,8 +349,8 @@ func (n *Network) fluidMode(sc Scenario, res *ScenarioResult) (scenarioMode, err
 	// Every ground station doubles as a candidate gateway, the same set
 	// SendBest ranks on the per-flow path.
 	var gws []traffic.Gateway
-	for _, g := range n.groundSpecs() {
-		gws = append(gws, traffic.Gateway{ID: g.ID, Pos: g.Pos})
+	for _, st := range n.stations {
+		gws = append(gws, traffic.Gateway{ID: st.ID, Pos: st.Pos})
 	}
 	ev, err := fluid.NewEvolver(m, cfg, gws)
 	if err != nil {

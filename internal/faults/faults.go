@@ -17,8 +17,11 @@
 package faults
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"github.com/openspace-project/openspace/internal/exec"
 	"github.com/openspace-project/openspace/internal/topo"
@@ -178,34 +181,24 @@ type Inputs struct {
 // undirected ISLs of a snapshot in sorted order.
 func InputsFromSnapshot(s *topo.Snapshot) Inputs {
 	var in Inputs
-	seen := make(map[[2]string]bool)
-	for _, id := range s.Nodes() { // sorted
-		switch s.Node(id).Kind {
+	ix := s.Index()
+	for i := range ix.Nodes { // sorted
+		switch ix.Nodes[i].Kind {
 		case topo.KindSatellite:
-			in.Satellites = append(in.Satellites, id)
+			in.Satellites = append(in.Satellites, ix.Nodes[i].ID)
 		case topo.KindGroundStation:
-			in.Grounds = append(in.Grounds, id)
+			in.Grounds = append(in.Grounds, ix.Nodes[i].ID)
 		}
 	}
-	for _, e := range s.Edges() {
-		if e.Kind != topo.LinkISLRF && e.Kind != topo.LinkISLLaser {
-			continue
-		}
-		key := [2]string{e.From, e.To}
-		if key[0] > key[1] {
-			key[0], key[1] = key[1], key[0]
-		}
-		if !seen[key] {
-			seen[key] = true
-			in.ISLs = append(in.ISLs, key)
+	for _, e := range ix.Edges {
+		if e.Kind == topo.LinkISLRF || e.Kind == topo.LinkISLLaser {
+			in.ISLs = append(in.ISLs, [2]string{min(e.From, e.To), max(e.From, e.To)})
 		}
 	}
-	sort.Slice(in.ISLs, func(a, b int) bool {
-		if in.ISLs[a][0] != in.ISLs[b][0] {
-			return in.ISLs[a][0] < in.ISLs[b][0]
-		}
-		return in.ISLs[a][1] < in.ISLs[b][1]
+	slices.SortFunc(in.ISLs, func(a, b [2]string) int {
+		return cmp.Or(strings.Compare(a[0], b[0]), strings.Compare(a[1], b[1]))
 	})
+	in.ISLs = slices.Compact(in.ISLs)
 	return in
 }
 

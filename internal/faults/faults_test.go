@@ -163,12 +163,15 @@ func TestInputsFromSnapshot(t *testing.T) {
 	nodes := []topo.Node{
 		{ID: "sat-b", Kind: topo.KindSatellite},
 		{ID: "sat-a", Kind: topo.KindSatellite},
+		{ID: "sat-c", Kind: topo.KindSatellite},
 		{ID: "gs-0", Kind: topo.KindGroundStation},
 		{ID: "u-0", Kind: topo.KindUser},
 	}
 	edges := []topo.Edge{
 		{From: "sat-a", To: "sat-b", Kind: topo.LinkISLLaser},
 		{From: "sat-b", To: "sat-a", Kind: topo.LinkISLLaser},
+		{From: "sat-c", To: "sat-a", Kind: topo.LinkISLRF}, // one direction only
+		{From: "sat-b", To: "sat-c", Kind: topo.LinkISLRF}, // one direction only
 		{From: "sat-a", To: "gs-0", Kind: topo.LinkGround},
 		{From: "u-0", To: "sat-a", Kind: topo.LinkAccess},
 	}
@@ -177,15 +180,16 @@ func TestInputsFromSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := InputsFromSnapshot(s)
-	if !reflect.DeepEqual(in.Satellites, []string{"sat-a", "sat-b"}) {
+	if !reflect.DeepEqual(in.Satellites, []string{"sat-a", "sat-b", "sat-c"}) {
 		t.Errorf("satellites = %v", in.Satellites)
 	}
 	if !reflect.DeepEqual(in.Grounds, []string{"gs-0"}) {
 		t.Errorf("grounds = %v", in.Grounds)
 	}
-	// The ISL is deduplicated across both directions; ground/access links
-	// are not maskable ISLs.
-	if !reflect.DeepEqual(in.ISLs, [][2]string{{"sat-a", "sat-b"}}) {
+	// An ISL is deduplicated across both directions and named From < To
+	// whichever direction exists; ground/access links are not maskable
+	// ISLs.
+	if !reflect.DeepEqual(in.ISLs, [][2]string{{"sat-a", "sat-b"}, {"sat-a", "sat-c"}, {"sat-b", "sat-c"}}) {
 		t.Errorf("ISLs = %v", in.ISLs)
 	}
 }

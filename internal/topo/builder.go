@@ -1,8 +1,8 @@
 package topo
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 
 	"github.com/openspace-project/openspace/internal/geo"
 	"github.com/openspace-project/openspace/internal/orbit"
@@ -26,6 +26,7 @@ type builder struct {
 
 	maxISLKm    float64  // longest feasible ISL, the geometric wiring's query radius
 	attachKm    float64  // ground↔satellite query radius
+	cellKm      float64  // spatial index cell: the widest query, so each reaches one cell out
 	staticPairs [][2]int // resolved Config.StaticISLs; nil = geometric rule
 	staticMode  bool
 
@@ -100,9 +101,11 @@ func newBuilder(cfg Config, sats []SatSpec, grounds []GroundSpec, users []UserSp
 		b.maxISLKm = cfg.LaserRangeKm
 	}
 
+	b.cellKm = max(b.attachKm, b.maxISLKm+1)
 	if len(cfg.StaticISLs) > 0 {
 		b.staticMode = true
 		b.staticPairs = resolveStaticISLs(cfg.StaticISLs, sats)
+		b.cellKm = b.attachKm
 	}
 
 	nodes := make([]Node, 0, len(sats)+len(b.entities))
@@ -150,37 +153,20 @@ func resolveStaticISLs(plan []orbit.ISLPair, sats []SatSpec) [][2]int {
 		}
 		pairs = append(pairs, [2]int{i, j})
 	}
-	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a][0] != pairs[b][0] {
-			return pairs[a][0] < pairs[b][0]
-		}
-		return pairs[a][1] < pairs[b][1]
-	})
-	// Deduplicate in place.
-	out := pairs[:0]
-	for k, p := range pairs {
-		if k == 0 || p != pairs[k-1] {
-			out = append(out, p)
-		}
-	}
-	return out
+	slices.SortFunc(pairs, func(a, b [2]int) int { return cmp.Or(a[0]-b[0], a[1]-b[1]) })
+	return slices.Compact(pairs)
 }
 
 // refreshCandidates rebuilds the candidate lists from a spatial index
 // over the satellite positions in b.pos. Each query runs at its exact
 // feasibility radius plus a kilometre of float margin (attachKm carries
-// its own), and the cells are as wide as the query that sizes them, so
-// that query reaches one cell out.
+// its own). The cells are as wide as the wider query the mode runs, so
+// neither query reaches more than one cell out, even with ISLs switched
+// off.
 func (b *builder) refreshCandidates() {
-	islKm := b.maxISLKm + 1
-	cell := islKm
-	if b.staticMode || cell <= 0 {
-		cell = b.attachKm
-	}
-	ix := newSatIndex(b.pos, cell)
-
+	ix := newSatIndex(b.pos, b.cellKm)
 	if !b.staticMode {
-		b.candISL = ix.pairsWithin(islKm, b.candISL[:0])
+		b.candISL = ix.pairsWithin(b.maxISLKm+1, b.candISL[:0])
 	}
 
 	if cap(b.candGround) < len(b.entities) {

@@ -55,8 +55,9 @@ func byID(x, y Node) int { return strings.Compare(x.ID, y.ID) }
 // assembler sorts a snapshot's directed edges into CSR form. Callers add
 // each edge as an arc between the sorted positions of its endpoints and
 // supply the edge values only at assembly, so each value is written once,
-// straight into place. Build, NewSnapshot and Overlay all construct
-// snapshots through it; the incremental builder keeps one as scratch.
+// straight into place. Build and NewSnapshot construct snapshots through
+// it, and the builder keeps one as scratch; Overlay needs no sort, since
+// it filters a CSR that is already in order.
 type assembler struct {
 	from  []int32 //lint:scratch — source position of each arc
 	to    []int32 //lint:scratch — target position of each arc

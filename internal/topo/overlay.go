@@ -17,9 +17,9 @@ type Mask interface {
 
 // Overlay returns the degraded view of s under m: masked nodes disappear
 // along with their incident edges, and masked links disappear in both
-// directions. Geometry is never rebuilt: the overlay is one filtered copy
-// of the surviving nodes and edges into a CSR of its own, rather than an
-// O(N²) feasibility build.
+// directions. Geometry is never rebuilt: the overlay filters the CSR of s
+// into one of its own. Survivors keep their relative order, so each kept
+// row is still in (From, To) order and is copied straight into place.
 //
 // A nil or empty mask returns s itself: fault injection disabled is a
 // provable no-op, which is what lets every fault-free experiment regenerate
@@ -38,16 +38,27 @@ func (s *Snapshot) Overlay(m Mask) *Snapshot {
 			nodes = append(nodes, ix.Nodes[i])
 		}
 	}
-	var a assembler
-	kept := make([]int32, 0, len(ix.Edges)) // the parent edge behind each arc
+	keep := make([]bool, len(ix.Edges)) // the mask is asked once per edge, and the count sizes the CSR
+	kept := 0
 	for u := range ix.Nodes {
 		for j := ix.Off[u]; j < ix.Off[u+1]; j++ {
-			e := &ix.Edges[j]
-			if pu, pv := pos[u], pos[ix.To[j]]; pu >= 0 && pv >= 0 && !m.EdgeDown(e.From, e.To) {
-				a.add(pu, pv)
-				kept = append(kept, j)
+			keep[j] = pos[u] >= 0 && pos[ix.To[j]] >= 0 && !m.EdgeDown(ix.Edges[j].From, ix.Edges[j].To)
+			if keep[j] {
+				kept++
 			}
 		}
 	}
-	return a.snapshot(s.TimeS, nodes, func(k int32) Edge { return ix.Edges[kept[k]] })
+	out := Index{Nodes: nodes, Off: make([]int32, len(nodes)+1), To: make([]int32, 0, kept), Edges: make([]Edge, 0, kept)}
+	for u, pu := range pos {
+		for j := ix.Off[u]; j < ix.Off[u+1]; j++ {
+			if keep[j] {
+				out.To = append(out.To, pos[ix.To[j]])
+				out.Edges = append(out.Edges, ix.Edges[j])
+			}
+		}
+		if pu >= 0 {
+			out.Off[pu+1] = int32(len(out.To))
+		}
+	}
+	return &Snapshot{TimeS: s.TimeS, ix: out}
 }

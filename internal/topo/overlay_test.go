@@ -1,6 +1,13 @@
 package topo
 
-import "testing"
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"github.com/openspace-project/openspace/internal/orbit"
+)
 
 // fakeMask is a test mask over explicit sets.
 type fakeMask struct {
@@ -113,4 +120,86 @@ func TestOverlayStacks(t *testing.T) {
 			d2.NodeCount(), d2.EdgeCount())
 	}
 	checkSnapshot(t, d2)
+}
+
+// TestOverlayMatchesNewSnapshot holds Overlay to its oracle: NewSnapshot
+// over exactly the nodes and edges that survive the mask. It runs random
+// masks (a node in 20, an undirected link in 8) over a +Grid N=500
+// snapshot with ground stations and users, and over Iridium with laser
+// and RF crosslinks.
+func TestOverlayMatchesNewSnapshot(t *testing.T) {
+	w, err := orbit.SquareWalkerDelta(500, 550, 53)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := w.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	if cfg.StaticISLs, err = w.GridISLs(w.DefaultGrid()); err != nil {
+		t.Fatal(err)
+	}
+	var grid []SatSpec
+	for i, s := range c.Satellites {
+		grid = append(grid, SatSpec{ID: s.ID, Provider: providerName(i % 2), Elements: s.Elements, HasLaser: true})
+	}
+	var grounds []GroundSpec
+	var users []UserSpec
+	for i, p := range randomPoints(30, 5) {
+		if i%3 == 0 {
+			users = append(users, UserSpec{ID: fmt.Sprintf("u%d", i), Provider: providerName(i % 2), Pos: p})
+		} else {
+			grounds = append(grounds, GroundSpec{ID: fmt.Sprintf("g%d", i), Provider: providerName(i % 2), Pos: p})
+		}
+	}
+	for _, c := range []struct {
+		name string
+		s    *Snapshot
+	}{
+		{"grid", Build(300, cfg, grid, grounds, users)},
+		{"iridium", Build(300, DefaultConfig(), iridiumSpecs(t, 3, true), grounds, nil)},
+	} {
+		s := c.s
+		for seed := range int64(5) {
+			rng := rand.New(rand.NewSource(seed))
+			m := fakeMask{nodes: map[string]bool{}, edges: map[[2]string]bool{}}
+			for _, id := range s.Nodes() {
+				if rng.Intn(20) == 0 {
+					m.nodes[id] = true
+				}
+			}
+			for _, e := range s.Edges() {
+				if e.From < e.To && rng.Intn(8) == 0 {
+					m.edges[[2]string{e.From, e.To}] = true
+				}
+			}
+			var nodes []Node
+			for _, id := range s.Nodes() {
+				if !m.nodes[id] {
+					nodes = append(nodes, *s.Node(id))
+				}
+			}
+			var edges []Edge
+			for _, e := range s.Edges() {
+				if !m.nodes[e.From] && !m.nodes[e.To] && !m.EdgeDown(e.From, e.To) {
+					edges = append(edges, e)
+				}
+			}
+			want, err := NewSnapshot(s.TimeS, nodes, edges)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := s.Overlay(m)
+			checkSnapshot(t, got)
+			label := fmt.Sprintf("%s seed %d", c.name, seed)
+			assertSnapshotsEqual(t, label, got, want)
+			if !reflect.DeepEqual(got.Index(), want.Index()) {
+				t.Fatalf("%s: overlay CSR differs from NewSnapshot's", label)
+			}
+			if got.EdgeCount() == s.EdgeCount() || got.NodeCount() == s.NodeCount() {
+				t.Fatalf("%s: the mask removed no node or no edge", label)
+			}
+		}
+	}
 }

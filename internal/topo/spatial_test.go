@@ -92,11 +92,28 @@ func randomPoints(n int, seed int64) []geo.LatLon {
 	return pts
 }
 
+// islRangeConfigs returns the default feasibility rules and two variants
+// whose ISL query is far narrower than a ground query: ISLs switched off
+// (both ranges 0) and a 10 km range.
+func islRangeConfigs() []namedConfig {
+	off, short := DefaultConfig(), DefaultConfig()
+	off.ISLRangeKm, off.LaserRangeKm = 0, 0
+	short.ISLRangeKm, short.LaserRangeKm = 10, 10
+	return []namedConfig{{"default", DefaultConfig()}, {"isl off", off}, {"isl 10km", short}}
+}
+
+type namedConfig struct {
+	name string
+	cfg  Config
+}
+
 // TestIndexCandidatesMatchBruteForce is the property test of the spatial
-// index: across constellation sizes, seeds, and timestamps, filtering the
-// builder's candidate lists, queried at its own radii and cell size, must
-// yield exactly the brute-force feasible set, for both the ISL pair scan
-// and the ground attach scan.
+// index: across ISL ranges, constellation sizes, seeds, and timestamps,
+// filtering the builder's candidate lists, queried at its own radii and
+// cell size, must yield exactly the brute-force feasible set, for both the
+// ISL pair scan and the ground attach scan. Neither query may reach more
+// than one cell out: 1 km cells under a 2 000 km ground query would visit
+// about 10¹⁰ cells per ground entity.
 func TestIndexCandidatesMatchBruteForce(t *testing.T) {
 	grounds := []GroundSpec{
 		{ID: "london", Pos: geo.LatLon{Lat: 51.51, Lon: -0.13}},
@@ -104,37 +121,44 @@ func TestIndexCandidatesMatchBruteForce(t *testing.T) {
 		{ID: "svalbard", Pos: geo.LatLon{Lat: 78.22, Lon: 15.63}}, // high latitude stresses polar crowding
 		{ID: "quito", Pos: geo.LatLon{Lat: 0.35, Lon: -78.52}},
 	}
-	for _, n := range []int{3, 25, 80, 220} {
-		for _, seed := range []int64{1, 7, 42} {
-			for _, tS := range []float64{0, 137.5, 4000} {
-				specs := randomSpecs(n, seed)
-				cfg := DefaultConfig()
-				if seed%2 == 1 {
-					cfg.MinElevationDeg = 25
-				}
-				b := newBuilder(cfg, specs, grounds, nil)
-				for i := range specs {
-					b.pos[i] = specs[i].Elements.PositionECEF(tS)
-				}
-				b.refreshCandidates()
-
-				want := bruteFeasibleISLs(cfg, specs, b.pos)
-				got := filterFeasible(cfg, specs, b.pos, b.candISL)
-				if !pairSetsEqual(got, want) {
-					t.Fatalf("n=%d seed=%d t=%v: index feasible set %d pairs, brute force %d",
-						n, seed, tS, len(got), len(want))
-				}
-
-				for k, g := range grounds {
-					var vis []int
-					for _, i := range b.candGround[k] {
-						if geo.ElevationDeg(g.Pos, b.pos[i]) >= cfg.MinElevationDeg {
-							vis = append(vis, i)
-						}
+	for _, nc := range islRangeConfigs() {
+		for _, n := range []int{3, 25, 80, 220} {
+			for _, seed := range []int64{1, 7, 42} {
+				for _, tS := range []float64{0, 137.5, 4000} {
+					specs := randomSpecs(n, seed)
+					cfg := nc.cfg
+					if seed%2 == 1 {
+						cfg.MinElevationDeg = 25
 					}
-					if wantVis := bruteVisibleSats(cfg, g.Pos, b.pos); !intSetsEqual(vis, wantVis) {
-						t.Fatalf("n=%d seed=%d t=%v ground %s: index sees %d sats, brute force %d",
-							n, seed, tS, g.ID, len(vis), len(wantVis))
+					b := newBuilder(cfg, specs, grounds, nil)
+					for i := range specs {
+						b.pos[i] = specs[i].Elements.PositionECEF(tS)
+					}
+					ix := newSatIndex(b.pos, b.cellKm)
+					if rg, risl := ix.reach(b.attachKm), ix.reach(b.maxISLKm+1); rg > 1 || risl > 1 {
+						t.Fatalf("%s n=%d seed=%d: %.0f km cells, ground query reaches %d cells, ISL query %d",
+							nc.name, n, seed, b.cellKm, rg, risl)
+					}
+					b.refreshCandidates()
+
+					want := bruteFeasibleISLs(cfg, specs, b.pos)
+					got := filterFeasible(cfg, specs, b.pos, b.candISL)
+					if !pairSetsEqual(got, want) {
+						t.Fatalf("%s n=%d seed=%d t=%v: index feasible set %d pairs, brute force %d",
+							nc.name, n, seed, tS, len(got), len(want))
+					}
+
+					for k, g := range grounds {
+						var vis []int
+						for _, i := range b.candGround[k] {
+							if geo.ElevationDeg(g.Pos, b.pos[i]) >= cfg.MinElevationDeg {
+								vis = append(vis, i)
+							}
+						}
+						if wantVis := bruteVisibleSats(cfg, g.Pos, b.pos); !intSetsEqual(vis, wantVis) {
+							t.Fatalf("%s n=%d seed=%d t=%v ground %s: index sees %d sats, brute force %d",
+								nc.name, n, seed, tS, g.ID, len(vis), len(wantVis))
+						}
 					}
 				}
 			}
@@ -158,13 +182,15 @@ func TestBuildMatchesBruteForceSnapshot(t *testing.T) {
 		users   []UserSpec
 	}
 	var cases []snapCase
-	for _, n := range []int{10, 60, 150} {
-		cases = append(cases, snapCase{fmt.Sprintf("random n=%d", n), DefaultConfig(), randomSpecs(n, int64(n)),
-			[]GroundSpec{
-				{ID: "g0", Provider: "A", Pos: geo.LatLon{Lat: 51.51, Lon: -0.13}},
-				{ID: "g1", Provider: "B", Pos: geo.LatLon{Lat: -33.87, Lon: 151.21}},
-			},
-			[]UserSpec{{ID: "u0", Provider: "A", Pos: geo.LatLon{Lat: 40.71, Lon: -74.01}}}})
+	for _, nc := range islRangeConfigs() {
+		for _, n := range []int{10, 60, 150} {
+			cases = append(cases, snapCase{fmt.Sprintf("random %s n=%d", nc.name, n), nc.cfg, randomSpecs(n, int64(n)),
+				[]GroundSpec{
+					{ID: "g0", Provider: "A", Pos: geo.LatLon{Lat: 51.51, Lon: -0.13}},
+					{ID: "g1", Provider: "B", Pos: geo.LatLon{Lat: -33.87, Lon: 151.21}},
+				},
+				[]UserSpec{{ID: "u0", Provider: "A", Pos: geo.LatLon{Lat: 40.71, Lon: -74.01}}}})
+		}
 	}
 
 	w, err := orbit.SquareWalkerDelta(500, 550, 53)

@@ -93,8 +93,9 @@ type Edge struct {
 }
 
 // Snapshot is the network graph at one instant, stored once, in the CSR
-// form of its Index. It is immutable once Build, NewSnapshot or Overlay
-// returns it, which is what lets concurrent readers share it.
+// form of its Index: Build and NewSnapshot sort their edges into it, and
+// Overlay filters it from the parent's. It is immutable once returned,
+// which is what lets concurrent readers share it.
 type Snapshot struct {
 	TimeS float64
 	ix    Index
