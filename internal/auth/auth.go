@@ -67,6 +67,9 @@ func NewAuthenticator(providerID string, certTTLS float64, random io.Reader) (*A
 	if providerID == "" {
 		return nil, errors.New("auth: provider ID must be non-empty")
 	}
+	if len(providerID) > maxIDLen {
+		return nil, fmt.Errorf("auth: provider ID of %d bytes is longer than the %d a certificate carries", len(providerID), maxIDLen)
+	}
 	if certTTLS <= 0 {
 		return nil, fmt.Errorf("auth: certificate TTL %.1f must be positive", certTTLS)
 	}
@@ -105,6 +108,9 @@ func (a *Authenticator) Sign(msg []byte) []byte {
 func (a *Authenticator) Enroll(userID string, secret []byte) error {
 	if userID == "" || len(secret) == 0 {
 		return errors.New("auth: enroll requires user ID and secret")
+	}
+	if len(userID) > maxIDLen {
+		return fmt.Errorf("auth: provider %q: user ID of %d bytes is longer than the %d a certificate carries", a.providerID, len(userID), maxIDLen)
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()

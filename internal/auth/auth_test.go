@@ -3,7 +3,9 @@ package auth
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -11,13 +13,28 @@ import (
 // testRand returns a deterministic byte stream for reproducible keys/nonces.
 func testRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-func newTestAuthenticator(t *testing.T, provider string) *Authenticator {
-	t.Helper()
+func newTestAuthenticator(tb testing.TB, provider string) *Authenticator {
+	tb.Helper()
 	a, err := NewAuthenticator(provider, 3600, testRand(1))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return a
+}
+
+// issue runs the challenge exchange for an enrolled user and returns the
+// certificate the home ISP issues.
+func issue(tb testing.TB, a *Authenticator, userID string, secret []byte) *Certificate {
+	tb.Helper()
+	nonce, err := a.Challenge(userID)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cert, err := a.VerifyProof(userID, 3, Proof(secret, 3, nonce), 50)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return cert
 }
 
 func TestNewAuthenticatorValidation(t *testing.T) {
@@ -29,6 +46,9 @@ func TestNewAuthenticatorValidation(t *testing.T) {
 	}
 	if _, err := NewAuthenticator("acme", -5, testRand(1)); err == nil {
 		t.Error("negative TTL should fail")
+	}
+	if _, err := NewAuthenticator(strings.Repeat("p", math.MaxUint16+1), 3600, testRand(1)); err == nil {
+		t.Error("provider ID longer than a certificate carries should fail")
 	}
 }
 
@@ -42,6 +62,20 @@ func TestEnrollValidation(t *testing.T) {
 	}
 	if err := a.Enroll("u", []byte("s")); err != nil {
 		t.Errorf("valid enroll failed: %v", err)
+	}
+	long := strings.Repeat("u", math.MaxUint16+1)
+	if err := a.Enroll(long, []byte("s")); err == nil {
+		t.Error("user ID longer than a certificate carries should fail")
+	}
+	// The longest accepted ID can still roam: its certificate survives
+	// transport.
+	edge := long[:math.MaxUint16]
+	if err := a.Enroll(edge, []byte("s")); err != nil {
+		t.Fatalf("enrolling a %d-byte ID: %v", len(edge), err)
+	}
+	cert := issue(t, a, edge, []byte("s"))
+	if got, err := UnmarshalCertificate(cert.Marshal()); err != nil || got.UserID != edge {
+		t.Errorf("certificate for a %d-byte ID does not survive transport: %v", len(edge), err)
 	}
 }
 
@@ -252,12 +286,7 @@ func TestVerifiedCertSurvivesTransport(t *testing.T) {
 	a := newTestAuthenticator(t, "acme")
 	secret := []byte("s")
 	a.Enroll("u", secret)
-	nonce, _ := a.Challenge("u")
-	cert, err := a.VerifyProof("u", 3, Proof(secret, 3, nonce), 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recovered, err := UnmarshalCertificate(cert.Marshal())
+	recovered, err := UnmarshalCertificate(issue(t, a, "u", secret).Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,6 +73,10 @@ func UnmarshalCertificate(b []byte) (*Certificate, error) {
 
 var errTruncatedCert = errors.New("auth: truncated certificate")
 
+// maxIDLen is the longest user or provider ID a certificate can carry:
+// Marshal writes each with a uint16 length prefix.
+const maxIDLen = math.MaxUint16
+
 func appendStr(b []byte, s string) []byte {
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(s)))
 	return append(b, s...)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -184,6 +185,12 @@ func TestAddUser(t *testing.T) {
 		if n.User(id) != nil {
 			t.Errorf("clashing user %q was added", id)
 		}
+	}
+	// An ID its roaming certificate cannot carry would enroll and then
+	// never roam.
+	long := strings.Repeat("u", math.MaxUint16+1)
+	if _, err := n.AddUser(long, "acme", geo.LatLon{}); err == nil || n.User(long) != nil {
+		t.Errorf("AddUser with a %d-byte ID = %v, want an error", len(long), err)
 	}
 	if n.User("alice") != u || n.User("ghost") != nil {
 		t.Error("User lookup broken")

@@ -134,7 +134,7 @@ func RunFlows(snap *topo.Snapshot, specs []FlowSpec, tl *Timeline, rc RecoveryCo
 		if _, ok := f.prot.Reroute(alive); ok {
 			f.pending = true
 			if err := e.After(rc.DetectS+rc.FRRSwitchS, complete(f, true)); err != nil {
-				panic(err) // delays are validated non-negative
+				panic(err) // unreachable: RecoveryConfig.Validate rejects negative and NaN delays
 			}
 			return
 		}
@@ -145,7 +145,7 @@ func RunFlows(snap *topo.Snapshot, specs []FlowSpec, tl *Timeline, rc RecoveryCo
 		f.prot.Adopt(p)
 		f.pending = true
 		if err := e.After(rc.DetectS+rc.RecomputeS, complete(f, false)); err != nil {
-			panic(err)
+			panic(err) // unreachable: RecoveryConfig.Validate rejects negative and NaN delays
 		}
 	}
 

@@ -189,9 +189,10 @@ func TestRunFlowsValidation(t *testing.T) {
 	if _, err := RunFlows(snap, nil, nil, DefaultRecovery(), routing.LatencyCost(0)); err == nil {
 		t.Error("nil timeline must be rejected")
 	}
-	// A NaN latency must fail validation rather than reach the engine: this
-	// timeline exercises fast reroute and recompute, so each delay would be
-	// scheduled.
+	// A NaN or negative latency, or no path at all, must fail validation
+	// rather than reach the engine (RunFlows panics on a delay the engine
+	// refuses): this timeline exercises fast reroute and recompute, so each
+	// delay would be scheduled.
 	deadly := &Timeline{HorizonS: 100, Events: []Event{
 		{Kind: KindSatFailure, Node: "a", StartS: 10, EndS: 1e6},
 		{Kind: KindSatFailure, Node: "b", StartS: 10, EndS: 1e6},
@@ -201,9 +202,13 @@ func TestRunFlowsValidation(t *testing.T) {
 		{Backups: 2, DetectS: nan, FRRSwitchS: 0.01, RecomputeS: 0.5},
 		{Backups: 2, DetectS: 0.05, FRRSwitchS: nan, RecomputeS: 0.5},
 		{Backups: 2, DetectS: 0.05, FRRSwitchS: 0.01, RecomputeS: nan},
+		{Backups: 2, DetectS: -0.05, FRRSwitchS: 0.01, RecomputeS: 0.5},
+		{Backups: 2, DetectS: 0.05, FRRSwitchS: -0.01, RecomputeS: 0.5},
+		{Backups: 2, DetectS: 0.05, FRRSwitchS: 0.01, RecomputeS: -0.5},
+		{Backups: 0, DetectS: 0.05, FRRSwitchS: 0.01, RecomputeS: 0.5},
 	} {
 		if _, err := RunFlows(snap, []FlowSpec{{ID: "f0", Src: "src", Dst: "dst"}}, deadly, rc, routing.LatencyCost(0)); err == nil {
-			t.Errorf("NaN latency accepted: %+v", rc)
+			t.Errorf("invalid recovery config accepted: %+v", rc)
 		}
 	}
 }

@@ -2,12 +2,14 @@
 // spacecraft interoperable. The paper's first requirement (§2, item 1) is
 // "an open and standardized communication protocol for all spacecraft in the
 // system"; this package is that protocol's frame layer: beacons carrying
-// orbital information, the pairing handshake that establishes ISLs, the
-// RADIUS-style authentication exchange, data frames, and handover notices.
+// orbital information and the RADIUS-style authentication exchange. ISL
+// pairing is modelled in topo from the phy link budgets, and data and
+// handover signalling are simulated without a wire encoding, so this
+// package defines no pairing, data or handover frames.
 //
 // Encoding is a fixed little-endian binary layout with an 8-byte header
-// (magic, version, type, flags, payload length) and a trailing CRC-32
-// checksum over everything before it. Strings are length-prefixed UTF-8.
+// (magic, version, type, payload length) and a trailing CRC-32 checksum
+// over everything before it. Strings are length-prefixed UTF-8.
 // The design follows the layered decode model of gopacket: each frame type
 // knows how to append itself to a buffer and decode itself from one, and a
 // registry dispatches on the header's type byte — so new frame types can be
@@ -40,18 +42,15 @@ const (
 // Type identifies a frame type on the wire.
 type Type uint8
 
-// Frame types.
+// Frame types. The values are wire numbers: never renumber them, and do
+// not reuse 2, 3 or 8–10, which older peers sent for retired frame types
+// (they decode as ErrUnknownType).
 const (
-	TypeBeacon Type = iota + 1
-	TypePairRequest
-	TypePairResponse
-	TypeAuthRequest
-	TypeAuthChallenge
-	TypeAuthResponse
-	TypeAuthResult
-	TypeData
-	TypeHandoverNotice
-	TypeAck
+	TypeBeacon        Type = 1
+	TypeAuthRequest   Type = 4
+	TypeAuthChallenge Type = 5
+	TypeAuthResponse  Type = 6
+	TypeAuthResult    Type = 7
 )
 
 // String implements fmt.Stringer.
@@ -59,10 +58,6 @@ func (t Type) String() string {
 	switch t {
 	case TypeBeacon:
 		return "beacon"
-	case TypePairRequest:
-		return "pair-request"
-	case TypePairResponse:
-		return "pair-response"
 	case TypeAuthRequest:
 		return "auth-request"
 	case TypeAuthChallenge:
@@ -71,12 +66,6 @@ func (t Type) String() string {
 		return "auth-response"
 	case TypeAuthResult:
 		return "auth-result"
-	case TypeData:
-		return "data"
-	case TypeHandoverNotice:
-		return "handover-notice"
-	case TypeAck:
-		return "ack"
 	default:
 		return fmt.Sprintf("Type(%d)", uint8(t))
 	}
@@ -161,10 +150,6 @@ func newFrame(t Type) Frame {
 	switch t {
 	case TypeBeacon:
 		return &Beacon{}
-	case TypePairRequest:
-		return &PairRequest{}
-	case TypePairResponse:
-		return &PairResponse{}
 	case TypeAuthRequest:
 		return &AuthRequest{}
 	case TypeAuthChallenge:
@@ -173,12 +158,6 @@ func newFrame(t Type) Frame {
 		return &AuthResponse{}
 	case TypeAuthResult:
 		return &AuthResult{}
-	case TypeData:
-		return &Data{}
-	case TypeHandoverNotice:
-		return &HandoverNotice{}
-	case TypeAck:
-		return &Ack{}
 	default:
 		return nil
 	}

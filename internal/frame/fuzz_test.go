@@ -10,11 +10,20 @@ import (
 // seed corpus (valid frames and adversarial variants) runs in every normal
 // test invocation.
 func FuzzDecode(f *testing.F) {
+	var seeds [][]byte
 	for _, fr := range sampleFrames() {
 		wire, err := Encode(fr)
 		if err != nil {
 			f.Fatal(err)
 		}
+		seeds = append(seeds, wire)
+	}
+	// Messages of retired types only exercise rejection: they are well
+	// formed, so Decode must refuse them as unknown types.
+	for _, s := range retiredWire {
+		seeds = append(seeds, mustHex(f, s))
+	}
+	for _, wire := range seeds {
 		f.Add(wire)
 		// Adversarial seeds: truncations and bit flips of valid frames.
 		f.Add(wire[:len(wire)/2])
@@ -47,28 +56,6 @@ func FuzzDecode(f *testing.F) {
 		}
 		if again.FrameType() != fr.FrameType() {
 			t.Fatalf("type changed across round trip")
-		}
-	})
-}
-
-// FuzzCertificateTransport does the same for the auth certificate container
-// carried inside AuthResult frames.
-func FuzzStreamReader(f *testing.F) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	for _, fr := range sampleFrames() {
-		if err := w.WriteFrame(fr); err != nil {
-			f.Fatal(err)
-		}
-	}
-	f.Add(buf.Bytes())
-	f.Add(buf.Bytes()[:buf.Len()/3])
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r := NewReader(bytes.NewReader(data))
-		for i := 0; i < 100; i++ { // bounded: garbage cannot loop forever
-			if _, err := r.ReadFrame(); err != nil {
-				return
-			}
 		}
 	})
 }

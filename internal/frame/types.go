@@ -19,10 +19,9 @@ const (
 // Has reports whether all bits of want are set.
 func (c Capability) Has(want Capability) bool { return c&want == want }
 
-// OrbitalState is the compact orbital element set carried in beacons and
-// handover notices so any receiver can propagate the sender's trajectory —
-// the paper's "standardized periodic beacons that include orbital
-// information" (§2.2).
+// OrbitalState is the compact orbital element set carried in beacons so any
+// receiver can propagate the sender's trajectory — the paper's
+// "standardized periodic beacons that include orbital information" (§2.2).
 type OrbitalState struct {
 	SemiMajorAxisKm float64
 	Eccentricity    float64
@@ -57,9 +56,9 @@ func (r *reader) orbital() OrbitalState {
 }
 
 // Beacon is the periodic presence broadcast every OpenSpace satellite emits
-// over its omnidirectional RF antenna. Receivers use it to discover
-// neighbours (satellites initiating ISL pairing) and to select an access
-// satellite (ground users choosing the closest overhead spacecraft).
+// over its omnidirectional RF antenna. Ground users select their access
+// satellite from the beacons they hear (assoc), and receivers that enforce
+// beacon authentication check its AuthTag (security).
 type Beacon struct {
 	SatelliteID  string
 	ProviderID   string
@@ -96,106 +95,6 @@ func (f *Beacon) decodePayload(p []byte) error {
 	f.LoadFraction = r.f64()
 	f.SentAtS = r.f64()
 	f.AuthTag = r.bytes()
-	return r.done()
-}
-
-// PairRequest initiates ISL establishment after a beacon is heard (§2.1):
-// it carries the requester's technical specifications — supported link
-// types, laser terminal pointing axis, and spare bandwidth — so the peer can
-// decide whether an optical link is feasible or RF must be used.
-type PairRequest struct {
-	FromID       string
-	ToID         string
-	Caps         Capability
-	LaserAxisX   float64 // unit vector of the laser terminal boresight,
-	LaserAxisY   float64 // body frame; meaningless unless CapLaser is set
-	LaserAxisZ   float64
-	AvailableBps float64 // bandwidth the requester can commit
-	RequestedBps float64 // bandwidth the requester would like
-}
-
-// FrameType implements Frame.
-func (*PairRequest) FrameType() Type { return TypePairRequest }
-
-func (f *PairRequest) appendPayload(b []byte) []byte {
-	b = appendString(b, f.FromID)
-	b = appendString(b, f.ToID)
-	b = binary.LittleEndian.AppendUint16(b, uint16(f.Caps))
-	b = appendF64(b, f.LaserAxisX)
-	b = appendF64(b, f.LaserAxisY)
-	b = appendF64(b, f.LaserAxisZ)
-	b = appendF64(b, f.AvailableBps)
-	b = appendF64(b, f.RequestedBps)
-	return b
-}
-
-func (f *PairRequest) decodePayload(p []byte) error {
-	r := &reader{b: p}
-	f.FromID = r.str()
-	f.ToID = r.str()
-	f.Caps = Capability(r.u16())
-	f.LaserAxisX = r.f64()
-	f.LaserAxisY = r.f64()
-	f.LaserAxisZ = r.f64()
-	f.AvailableBps = r.f64()
-	f.RequestedBps = r.f64()
-	return r.done()
-}
-
-// LinkTech is the link technology chosen for an ISL.
-type LinkTech uint8
-
-// Link technologies.
-const (
-	LinkRF LinkTech = iota + 1
-	LinkLaser
-)
-
-// String implements fmt.Stringer.
-func (l LinkTech) String() string {
-	switch l {
-	case LinkRF:
-		return "rf"
-	case LinkLaser:
-		return "laser"
-	default:
-		return "unknown"
-	}
-}
-
-// PairResponse completes the pairing handshake: the responder accepts or
-// rejects, selects the link technology (laser only if both ends have the
-// capability and spare bandwidth), and commits a bandwidth.
-type PairResponse struct {
-	FromID       string
-	ToID         string
-	Accept       bool
-	Tech         LinkTech
-	CommittedBps float64
-	Reason       string // populated on rejection
-}
-
-// FrameType implements Frame.
-func (*PairResponse) FrameType() Type { return TypePairResponse }
-
-func (f *PairResponse) appendPayload(b []byte) []byte {
-	b = appendString(b, f.FromID)
-	b = appendString(b, f.ToID)
-	b = appendBool(b, f.Accept)
-	b = append(b, uint8(f.Tech))
-	b = appendF64(b, f.CommittedBps)
-	b = appendString(b, f.Reason)
-	return b
-}
-
-func (f *PairResponse) decodePayload(p []byte) error {
-	r := &reader{b: p}
-	f.FromID = r.str()
-	f.ToID = r.str()
-	f.Accept = r.bool()
-	f.Tech = LinkTech(r.u8())
-	f.CommittedBps = r.f64()
-	f.Reason = r.str()
 	return r.done()
 }
 
@@ -301,95 +200,5 @@ func (f *AuthResult) decodePayload(p []byte) error {
 	f.Success = r.bool()
 	f.Certificate = r.bytes()
 	f.Reason = r.str()
-	return r.done()
-}
-
-// Data is a user payload frame routed across the OpenSpace network.
-type Data struct {
-	FlowID   uint64
-	Seq      uint32
-	SrcUser  string
-	DstID    string // destination ground station or user
-	HopLimit uint8
-	Payload  []byte
-}
-
-// FrameType implements Frame.
-func (*Data) FrameType() Type { return TypeData }
-
-func (f *Data) appendPayload(b []byte) []byte {
-	b = binary.LittleEndian.AppendUint64(b, f.FlowID)
-	b = binary.LittleEndian.AppendUint32(b, f.Seq)
-	b = appendString(b, f.SrcUser)
-	b = appendString(b, f.DstID)
-	b = append(b, f.HopLimit)
-	b = appendBytes(b, f.Payload)
-	return b
-}
-
-func (f *Data) decodePayload(p []byte) error {
-	r := &reader{b: p}
-	f.FlowID = r.u64()
-	f.Seq = r.u32()
-	f.SrcUser = r.str()
-	f.DstID = r.str()
-	f.HopLimit = r.u8()
-	f.Payload = r.bytes()
-	return r.done()
-}
-
-// HandoverNotice tells a user which satellite will take over its session
-// (§2.2): the serving satellite picks the successor from advance orbital
-// knowledge and the user establishes a new session without re-running
-// authentication.
-type HandoverNotice struct {
-	ServingID      string
-	SuccessorID    string
-	SuccessorOrbit OrbitalState
-	EffectiveAtS   float64 // when the successor becomes the best choice
-	SessionToken   uint64  // opaque token carried to the successor
-}
-
-// FrameType implements Frame.
-func (*HandoverNotice) FrameType() Type { return TypeHandoverNotice }
-
-func (f *HandoverNotice) appendPayload(b []byte) []byte {
-	b = appendString(b, f.ServingID)
-	b = appendString(b, f.SuccessorID)
-	b = appendOrbital(b, f.SuccessorOrbit)
-	b = appendF64(b, f.EffectiveAtS)
-	b = binary.LittleEndian.AppendUint64(b, f.SessionToken)
-	return b
-}
-
-func (f *HandoverNotice) decodePayload(p []byte) error {
-	r := &reader{b: p}
-	f.ServingID = r.str()
-	f.SuccessorID = r.str()
-	f.SuccessorOrbit = r.orbital()
-	f.EffectiveAtS = r.f64()
-	f.SessionToken = r.u64()
-	return r.done()
-}
-
-// Ack acknowledges a data frame.
-type Ack struct {
-	FlowID uint64
-	Seq    uint32
-}
-
-// FrameType implements Frame.
-func (*Ack) FrameType() Type { return TypeAck }
-
-func (f *Ack) appendPayload(b []byte) []byte {
-	b = binary.LittleEndian.AppendUint64(b, f.FlowID)
-	b = binary.LittleEndian.AppendUint32(b, f.Seq)
-	return b
-}
-
-func (f *Ack) decodePayload(p []byte) error {
-	r := &reader{b: p}
-	f.FlowID = r.u64()
-	f.Seq = r.u32()
 	return r.done()
 }

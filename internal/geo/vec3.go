@@ -40,16 +40,6 @@ func (v Vec3) Cross(w Vec3) Vec3 {
 // Norm returns the Euclidean length of v.
 func (v Vec3) Norm() float64 { return math.Sqrt(v.Dot(v)) }
 
-// Unit returns v normalised to unit length. The zero vector is returned
-// unchanged.
-func (v Vec3) Unit() Vec3 {
-	n := v.Norm()
-	if n == 0 {
-		return v
-	}
-	return v.Scale(1 / n)
-}
-
 // DistanceKm returns the straight-line (chord) distance between v and w in
 // kilometres. This is the slant range used for link budgets and for the
 // propagation-latency estimates in the paper's Figure 2(b).

@@ -48,18 +48,6 @@ func (Vec3) Generate(r *rand.Rand, _ int) reflect.Value {
 	return reflect.ValueOf(Vec3{X: s(), Y: s(), Z: s()})
 }
 
-func TestUnit(t *testing.T) {
-	v := Vec3{3, 4, 0}
-	u := v.Unit()
-	if !almostEqual(u.Norm(), 1, 1e-12) {
-		t.Errorf("Unit norm = %v", u.Norm())
-	}
-	zero := Vec3{}
-	if zero.Unit() != zero {
-		t.Error("Unit of zero vector should be zero")
-	}
-}
-
 func TestLatLonVec3RoundTrip(t *testing.T) {
 	f := func(p LatLon) bool {
 		got := p.Vec3(0).LatLon()

@@ -5,9 +5,9 @@
 //
 //   - Predictive (OpenSpace): the serving satellite "uses advance knowledge
 //     of orbital trajectories to pick a successor" and tells the user ahead
-//     of time via a HandoverNotice; the user establishes the new session
-//     immediately, with no re-authentication — the roaming certificate from
-//     association still vouches for it.
+//     of time; the user establishes the new session immediately, with no
+//     re-authentication — the roaming certificate from association still
+//     vouches for it.
 //   - Re-association (baseline): the user only discovers loss of signal
 //     after the fact, re-scans for beacons, and re-runs the RADIUS exchange
 //     with its home ISP over ISLs before traffic flows again.
@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/openspace-project/openspace/internal/frame"
 	"github.com/openspace-project/openspace/internal/geo"
 	"github.com/openspace-project/openspace/internal/orbit"
 )
@@ -141,25 +140,6 @@ func (p *Predictor) PickSuccessor(servingID string, setTimeS, horizonS float64) 
 		return cands[a].sat.ID < cands[b].sat.ID
 	})
 	return cands[0].sat, true
-}
-
-// Notice builds the wire-format HandoverNotice the serving satellite sends.
-func Notice(serving string, successor Sat, effectiveAtS float64, token uint64) *frame.HandoverNotice {
-	e := successor.Elements
-	return &frame.HandoverNotice{
-		ServingID:   serving,
-		SuccessorID: successor.ID,
-		SuccessorOrbit: frame.OrbitalState{
-			SemiMajorAxisKm: e.SemiMajorAxisKm,
-			Eccentricity:    e.Eccentricity,
-			InclinationDeg:  e.InclinationDeg,
-			RAANDeg:         e.RAANDeg,
-			ArgPerigeeDeg:   e.ArgPerigeeDeg,
-			MeanAnomalyDeg:  e.MeanAnomalyDeg,
-		},
-		EffectiveAtS: effectiveAtS,
-		SessionToken: token,
-	}
 }
 
 func (p *Predictor) index(id string) int {

@@ -113,20 +113,6 @@ func TestPickSuccessor(t *testing.T) {
 	}
 }
 
-func TestNoticeFields(t *testing.T) {
-	sats := iridiumSats(t, 1)
-	n := Notice("serving-1", sats[3], 120.5, 0xFEED)
-	if n.ServingID != "serving-1" || n.SuccessorID != sats[3].ID {
-		t.Errorf("notice IDs wrong: %+v", n)
-	}
-	if n.EffectiveAtS != 120.5 || n.SessionToken != 0xFEED {
-		t.Errorf("notice metadata wrong: %+v", n)
-	}
-	if n.SuccessorOrbit.SemiMajorAxisKm != sats[3].Elements.SemiMajorAxisKm {
-		t.Error("successor orbit not carried")
-	}
-}
-
 func TestPredictiveBeatsReauth(t *testing.T) {
 	// The paper's claim: predictive handover "eliminates the need to run
 	// authentication and association protocols again, ensuring a smooth

@@ -3,7 +3,6 @@ package phy
 import (
 	"fmt"
 	"math"
-	"time"
 )
 
 // LaserTerminal describes an optical inter-satellite link terminal. The
@@ -19,15 +18,10 @@ type LaserTerminal struct {
 	RxSensitivityDBW float64 // receiver sensitivity at the required BER
 	DataRateBps      float64 // rated throughput when the link closes
 	PointingLossDB   float64
-	// Pointing, acquisition and tracking (§2.1: PAT methods from prior work
-	// are adapted for optical ISLs).
-	BeamDivergenceRad float64       // full beam divergence
-	AcquisitionTime   time.Duration // open-loop scan to find the peer
-	TrackingLockTime  time.Duration // closed-loop fine lock
-	MassKg            float64
-	VolumeM3          float64
-	PowerDrawW        float64
-	CostUSD           float64
+	MassKg           float64
+	VolumeM3         float64
+	PowerDrawW       float64
+	CostUSD          float64
 }
 
 // Validate reports whether the terminal parameters are physically sensible.
@@ -112,32 +106,20 @@ func (t LaserTerminal) EnergyPerBitJ(distanceKm float64) float64 {
 	return t.PowerDrawW / b.CapacityBps
 }
 
-// AcquireTime returns the total time to establish the optical link once both
-// spacecraft are oriented: open-loop acquisition scan plus fine-tracking
-// lock. The narrow transmission beam the paper highlights is what makes this
-// phase necessary at all — an RF link (broad beam, broadcast-capable) has no
-// equivalent.
-func (t LaserTerminal) AcquireTime() time.Duration {
-	return t.AcquisitionTime + t.TrackingLockTime
-}
-
 // ConLCT80 returns a laser terminal with the paper's published reference
 // specifications: $500k, 15 kg, 0.0234 m³, multi-Gbps class.
 func ConLCT80() LaserTerminal {
 	return LaserTerminal{
-		Name:              "conlct80",
-		TxPowerW:          2,
-		ApertureM:         0.08,
-		WavelengthM:       1550e-9,
-		RxSensitivityDBW:  -72, // ≈ -42 dBm, coherent receiver at multi-Gbps
-		DataRateBps:       1.8e9,
-		PointingLossDB:    3,
-		BeamDivergenceRad: 25e-6,
-		AcquisitionTime:   20 * time.Second,
-		TrackingLockTime:  5 * time.Second,
-		MassKg:            15,
-		VolumeM3:          0.0234,
-		PowerDrawW:        80,
-		CostUSD:           500_000,
+		Name:             "conlct80",
+		TxPowerW:         2,
+		ApertureM:        0.08,
+		WavelengthM:      1550e-9,
+		RxSensitivityDBW: -72, // ≈ -42 dBm, coherent receiver at multi-Gbps
+		DataRateBps:      1.8e9,
+		PointingLossDB:   3,
+		MassKg:           15,
+		VolumeM3:         0.0234,
+		PowerDrawW:       80,
+		CostUSD:          500_000,
 	}
 }

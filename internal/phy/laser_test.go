@@ -110,10 +110,3 @@ func TestLaserEnergyPerBitInfWhenOpen(t *testing.T) {
 		t.Error("RF energy per bit over an open link should be +Inf")
 	}
 }
-
-func TestAcquireTime(t *testing.T) {
-	l := ConLCT80()
-	if got := l.AcquireTime(); got != l.AcquisitionTime+l.TrackingLockTime {
-		t.Errorf("AcquireTime = %v", got)
-	}
-}

@@ -183,18 +183,3 @@ func TestMaxRange(t *testing.T) {
 		t.Errorf("range-limited link = %v, want 100", got)
 	}
 }
-
-func TestSlewModel(t *testing.T) {
-	s := DefaultSlew()
-	// Slewing 90° at 1.5°/s takes 60 s + settle.
-	want := 60*time.Second + s.SettleTime
-	if got := s.SlewTime(90); got != want {
-		t.Errorf("SlewTime(90) = %v, want %v", got, want)
-	}
-	if got := s.SlewTime(0); got != s.SettleTime {
-		t.Errorf("SlewTime(0) = %v, want settle only", got)
-	}
-	if s.SlewEnergyJ(90) != s.PowerW*want.Seconds() {
-		t.Error("slew energy mismatch")
-	}
-}

@@ -3,7 +3,6 @@ package phy
 import (
 	"fmt"
 	"math"
-	"time"
 )
 
 // RFTerminal describes a radio terminal used for ISLs or ground links.
@@ -163,31 +162,4 @@ func GroundKu() RFTerminal {
 		PowerDrawW:     80,
 		CostUSD:        120_000,
 	}
-}
-
-// SlewModel describes how fast a spacecraft can re-orient to point a
-// directional terminal — the paper notes satellites "can re-orient (i.e.,
-// spin) to maintain a reliable link" and that rotations carry a power cost.
-type SlewModel struct {
-	RateDegPerS float64       // slew rate
-	SettleTime  time.Duration // post-slew stabilisation
-	PowerW      float64       // draw while slewing
-}
-
-// DefaultSlew returns a smallsat reaction-wheel slew model.
-func DefaultSlew() SlewModel {
-	return SlewModel{RateDegPerS: 1.5, SettleTime: 5 * time.Second, PowerW: 8}
-}
-
-// SlewTime returns how long re-orienting by angleDeg takes.
-func (s SlewModel) SlewTime(angleDeg float64) time.Duration {
-	if angleDeg <= 0 || s.RateDegPerS <= 0 {
-		return s.SettleTime
-	}
-	return time.Duration(angleDeg/s.RateDegPerS*float64(time.Second)) + s.SettleTime
-}
-
-// SlewEnergyJ returns the energy spent re-orienting by angleDeg.
-func (s SlewModel) SlewEnergyJ(angleDeg float64) float64 {
-	return s.PowerW * s.SlewTime(angleDeg).Seconds()
 }

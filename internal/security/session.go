@@ -88,8 +88,8 @@ func (s *Session) nonce(seq uint64) []byte {
 }
 
 // Seal encrypts plaintext with associated data aad (bound but not
-// encrypted; e.g. the data frame's routing headers, which satellites must
-// read to forward).
+// encrypted; e.g. the routing headers, which satellites must read to
+// forward).
 func (s *Session) Seal(plaintext, aad []byte) Envelope {
 	s.sendSeq++
 	ct := s.aead.Seal(nil, s.nonce(s.sendSeq), plaintext, aad)
