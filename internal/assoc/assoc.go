@@ -7,8 +7,8 @@
 // handovers and visited providers need no re-authentication.
 //
 // The Terminal type is the user side as an explicit state machine driven by
-// frames and times, so simulations can interleave many terminals
-// deterministically.
+// typed messages (messages.go) and times, so simulations can interleave many
+// terminals deterministically.
 package assoc
 
 import (
@@ -17,9 +17,7 @@ import (
 	"sort"
 
 	"github.com/openspace-project/openspace/internal/auth"
-	"github.com/openspace-project/openspace/internal/frame"
 	"github.com/openspace-project/openspace/internal/geo"
-	"github.com/openspace-project/openspace/internal/orbit"
 )
 
 // State is the terminal's association state.
@@ -74,7 +72,7 @@ type Terminal struct {
 	minElev float64
 
 	state    State
-	heard    map[string]frame.Beacon
+	heard    map[string]Beacon
 	serving  string
 	provider string
 	cert     *auth.Certificate
@@ -95,7 +93,7 @@ func NewTerminal(userID, homeISP string, secret []byte, pos geo.LatLon, minEleva
 	return &Terminal{
 		userID: userID, homeISP: homeISP, secret: secret,
 		pos: pos, minElev: minElevationDeg,
-		heard: make(map[string]frame.Beacon),
+		heard: make(map[string]Beacon),
 	}, nil
 }
 
@@ -114,13 +112,13 @@ func (t *Terminal) Certificate() *auth.Certificate { return t.cert }
 
 // StartScan begins beacon collection, discarding previous sightings.
 func (t *Terminal) StartScan() {
-	t.heard = make(map[string]frame.Beacon)
+	t.heard = make(map[string]Beacon)
 	t.state = StateScanning
 }
 
 // OnBeacon records a beacon while scanning; in other states beacons are
 // stored only for bookkeeping (e.g. successor lookups).
-func (t *Terminal) OnBeacon(b *frame.Beacon) {
+func (t *Terminal) OnBeacon(b *Beacon) {
 	t.heard[b.SatelliteID] = *b
 }
 
@@ -130,15 +128,7 @@ func (t *Terminal) OnBeacon(b *frame.Beacon) {
 func (t *Terminal) Candidates(now float64) []Candidate {
 	var cs []Candidate
 	for _, b := range t.heard {
-		e := orbit.Elements{
-			SemiMajorAxisKm: b.Orbit.SemiMajorAxisKm,
-			Eccentricity:    b.Orbit.Eccentricity,
-			InclinationDeg:  b.Orbit.InclinationDeg,
-			RAANDeg:         b.Orbit.RAANDeg,
-			ArgPerigeeDeg:   b.Orbit.ArgPerigeeDeg,
-			MeanAnomalyDeg:  b.Orbit.MeanAnomalyDeg,
-		}
-		pos := e.PositionECEF(now)
+		pos := b.Orbit.PositionECEF(now)
 		elev := geo.ElevationDeg(t.pos, pos)
 		if elev < t.minElev {
 			continue
@@ -165,7 +155,7 @@ func (t *Terminal) Candidates(now float64) []Candidate {
 
 // SelectAndRequestAuth picks the best candidate and emits the AuthRequest
 // to relay to the home ISP. clientNonce must be fresh per attempt.
-func (t *Terminal) SelectAndRequestAuth(now float64, clientNonce uint64) (*frame.AuthRequest, error) {
+func (t *Terminal) SelectAndRequestAuth(now float64, clientNonce uint64) (*AuthRequest, error) {
 	if t.state != StateScanning {
 		return nil, fmt.Errorf("%w: %v", ErrWrongState, t.state)
 	}
@@ -178,7 +168,7 @@ func (t *Terminal) SelectAndRequestAuth(now float64, clientNonce uint64) (*frame
 	t.provider = best.ProviderID
 	t.nonce = clientNonce
 	t.state = StateAuthenticating
-	return &frame.AuthRequest{
+	return &AuthRequest{
 		UserID:      t.userID,
 		HomeISP:     t.homeISP,
 		ViaSatID:    best.SatelliteID,
@@ -187,11 +177,11 @@ func (t *Terminal) SelectAndRequestAuth(now float64, clientNonce uint64) (*frame
 }
 
 // OnChallenge answers the home ISP's challenge with the HMAC proof.
-func (t *Terminal) OnChallenge(c *frame.AuthChallenge) (*frame.AuthResponse, error) {
+func (t *Terminal) OnChallenge(c *AuthChallenge) (*AuthResponse, error) {
 	if t.state != StateAuthenticating {
 		return nil, fmt.Errorf("%w: %v", ErrWrongState, t.state)
 	}
-	return &frame.AuthResponse{
+	return &AuthResponse{
 		UserID: t.userID,
 		Proof:  auth.Proof(t.secret, t.nonce, c.ServerNonce),
 	}, nil
@@ -199,7 +189,7 @@ func (t *Terminal) OnChallenge(c *frame.AuthChallenge) (*frame.AuthResponse, err
 
 // OnResult completes association. On success the terminal stores the
 // roaming certificate and becomes associated with the selected satellite.
-func (t *Terminal) OnResult(r *frame.AuthResult) error {
+func (t *Terminal) OnResult(r *AuthResult) error {
 	if t.state != StateAuthenticating {
 		return fmt.Errorf("%w: %v", ErrWrongState, t.state)
 	}
@@ -208,12 +198,7 @@ func (t *Terminal) OnResult(r *frame.AuthResult) error {
 		t.serving, t.provider = "", ""
 		return fmt.Errorf("%w: %s", ErrAuthFailed, r.Reason)
 	}
-	cert, err := auth.UnmarshalCertificate(r.Certificate)
-	if err != nil {
-		t.state = StateIdle
-		return fmt.Errorf("assoc: bad certificate: %w", err)
-	}
-	t.cert = cert
+	t.cert = r.Certificate
 	t.state = StateAssociated
 	return nil
 }
@@ -239,7 +224,7 @@ func (t *Terminal) SwitchTo(satelliteID, providerID string) error {
 func (t *Terminal) Dropped() {
 	t.state = StateIdle
 	t.serving, t.provider = "", ""
-	t.heard = make(map[string]frame.Beacon)
+	t.heard = make(map[string]Beacon)
 }
 
 // MovedTo relocates the terminal. Moving to a new physical region drops
@@ -253,6 +238,6 @@ func (t *Terminal) MovedTo(pos geo.LatLon) error {
 	t.state = StateIdle
 	t.serving, t.provider = "", ""
 	t.cert = nil
-	t.heard = make(map[string]frame.Beacon)
+	t.heard = make(map[string]Beacon)
 	return nil
 }

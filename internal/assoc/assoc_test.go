@@ -6,25 +6,13 @@ import (
 	"testing"
 
 	"github.com/openspace-project/openspace/internal/auth"
-	"github.com/openspace-project/openspace/internal/frame"
 	"github.com/openspace-project/openspace/internal/geo"
 	"github.com/openspace-project/openspace/internal/orbit"
 )
 
 // beaconFor builds the beacon a satellite on the given elements would send.
-func beaconFor(id, provider string, e orbit.Elements, load float64) *frame.Beacon {
-	return &frame.Beacon{
-		SatelliteID: id, ProviderID: provider, Caps: frame.CapRF,
-		Orbit: frame.OrbitalState{
-			SemiMajorAxisKm: e.SemiMajorAxisKm,
-			Eccentricity:    e.Eccentricity,
-			InclinationDeg:  e.InclinationDeg,
-			RAANDeg:         e.RAANDeg,
-			ArgPerigeeDeg:   e.ArgPerigeeDeg,
-			MeanAnomalyDeg:  e.MeanAnomalyDeg,
-		},
-		LoadFraction: load,
-	}
+func beaconFor(id, provider string, e orbit.Elements, load float64) *Beacon {
+	return &Beacon{SatelliteID: id, ProviderID: provider, Orbit: e, LoadFraction: load}
 }
 
 func newTestTerminal(t *testing.T) *Terminal {
@@ -102,18 +90,18 @@ func runFullAssociation(t *testing.T, term *Terminal, a *auth.Authenticator) err
 	}
 	nonce, err := a.Challenge(req.UserID)
 	if err != nil {
-		term.OnResult(&frame.AuthResult{UserID: req.UserID, Success: false, Reason: err.Error()})
+		term.OnResult(&AuthResult{UserID: req.UserID, Success: false, Reason: err.Error()})
 		return err
 	}
-	resp, err := term.OnChallenge(&frame.AuthChallenge{UserID: req.UserID, ServerNonce: nonce})
+	resp, err := term.OnChallenge(&AuthChallenge{UserID: req.UserID, ServerNonce: nonce})
 	if err != nil {
 		return err
 	}
 	cert, err := a.VerifyProof(req.UserID, req.ClientNonce, resp.Proof, 0)
 	if err != nil {
-		return term.OnResult(&frame.AuthResult{UserID: req.UserID, Success: false, Reason: err.Error()})
+		return term.OnResult(&AuthResult{UserID: req.UserID, Success: false, Reason: err.Error()})
 	}
-	return term.OnResult(&frame.AuthResult{UserID: req.UserID, Success: true, Certificate: cert.Marshal()})
+	return term.OnResult(&AuthResult{UserID: req.UserID, Success: true, Certificate: cert})
 }
 
 func TestFullAssociationFlow(t *testing.T) {
@@ -170,10 +158,10 @@ func TestStateMachineGuards(t *testing.T) {
 	if _, err := term.SelectAndRequestAuth(0, 1); !errors.Is(err, ErrWrongState) {
 		t.Errorf("select in idle: %v", err)
 	}
-	if _, err := term.OnChallenge(&frame.AuthChallenge{}); !errors.Is(err, ErrWrongState) {
+	if _, err := term.OnChallenge(&AuthChallenge{}); !errors.Is(err, ErrWrongState) {
 		t.Errorf("challenge in idle: %v", err)
 	}
-	if err := term.OnResult(&frame.AuthResult{Success: true}); !errors.Is(err, ErrWrongState) {
+	if err := term.OnResult(&AuthResult{Success: true}); !errors.Is(err, ErrWrongState) {
 		t.Errorf("result in idle: %v", err)
 	}
 	if err := term.SwitchTo("x", "y"); !errors.Is(err, ErrWrongState) {

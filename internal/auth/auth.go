@@ -119,7 +119,7 @@ func (a *Authenticator) Enroll(userID string, secret []byte) error {
 }
 
 // Challenge starts an authentication exchange for userID and returns the
-// server nonce to send back in an AuthChallenge frame.
+// server nonce to send back in an AuthChallenge message.
 func (a *Authenticator) Challenge(userID string) (uint64, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -77,6 +77,11 @@ func TestEnrollValidation(t *testing.T) {
 	if got, err := UnmarshalCertificate(cert.Marshal()); err != nil || got.UserID != edge {
 		t.Errorf("certificate for a %d-byte ID does not survive transport: %v", len(edge), err)
 	}
+	ts := NewTrustStore()
+	ts.Add("acme", a.PublicKey())
+	if err := ts.Verify(cert, 60); err != nil {
+		t.Errorf("certificate for a %d-byte ID does not verify: %v", len(edge), err)
+	}
 }
 
 func TestFullExchange(t *testing.T) {

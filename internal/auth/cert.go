@@ -35,8 +35,8 @@ func (c *Certificate) signedBytes() []byte {
 	return b
 }
 
-// Marshal serialises the certificate for transport inside an AuthResult
-// frame.
+// Marshal serialises the certificate for transport between providers.
+// Association inside the simulator passes the *Certificate itself.
 func (c *Certificate) Marshal() []byte {
 	b := c.signedBytes()
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(c.Signature)))

@@ -1,8 +1,8 @@
 // Package core assembles the OpenSpace architecture: multiple independent
 // satellite providers — each with its own spacecraft, ground stations,
 // authentication server and traffic ledger — federated through the shared
-// standards implemented by the lower-level packages (frames, ISL pairing,
-// routing, authentication, economics).
+// standards implemented by the lower-level packages (association, ISL
+// topology, routing, authentication, economics).
 //
 // A core.Network is one OpenSpace deployment. It exposes the paper's
 // end-to-end story (§2, Figure 1): users associate with whatever satellite

@@ -12,7 +12,6 @@ import (
 	"github.com/openspace-project/openspace/internal/economics"
 	"github.com/openspace-project/openspace/internal/exec"
 	"github.com/openspace-project/openspace/internal/faults"
-	"github.com/openspace-project/openspace/internal/frame"
 	"github.com/openspace-project/openspace/internal/geo"
 	"github.com/openspace-project/openspace/internal/ground"
 	"github.com/openspace-project/openspace/internal/handover"
@@ -258,23 +257,10 @@ func (n *Network) Associate(userID string, t float64) error {
 		if sc == nil {
 			continue
 		}
-		caps := frame.CapRF
-		if sc.HasLaser {
-			caps |= frame.CapLaser
-		}
-		u.Terminal.OnBeacon(&frame.Beacon{
+		u.Terminal.OnBeacon(&assoc.Beacon{
 			SatelliteID: sc.ID,
 			ProviderID:  sc.Provider,
-			Caps:        caps,
-			Orbit: frame.OrbitalState{
-				SemiMajorAxisKm: sc.Elements.SemiMajorAxisKm,
-				Eccentricity:    sc.Elements.Eccentricity,
-				InclinationDeg:  sc.Elements.InclinationDeg,
-				RAANDeg:         sc.Elements.RAANDeg,
-				ArgPerigeeDeg:   sc.Elements.ArgPerigeeDeg,
-				MeanAnomalyDeg:  sc.Elements.MeanAnomalyDeg,
-			},
-			SentAtS: t,
+			Orbit:       sc.Elements,
 		})
 	}
 
@@ -286,17 +272,17 @@ func (n *Network) Associate(userID string, t float64) error {
 	if err != nil {
 		return err
 	}
-	resp, err := u.Terminal.OnChallenge(&frame.AuthChallenge{UserID: req.UserID, ServerNonce: nonce})
+	resp, err := u.Terminal.OnChallenge(&assoc.AuthChallenge{UserID: req.UserID, ServerNonce: nonce})
 	if err != nil {
 		return err
 	}
 	cert, err := home.Auth.VerifyProof(req.UserID, req.ClientNonce, resp.Proof, t)
 	if err != nil {
-		u.Terminal.OnResult(&frame.AuthResult{UserID: req.UserID, Success: false, Reason: err.Error()})
+		u.Terminal.OnResult(&assoc.AuthResult{UserID: req.UserID, Success: false, Reason: err.Error()})
 		return fmt.Errorf("core: user %q auth: %w", userID, err)
 	}
-	if err := u.Terminal.OnResult(&frame.AuthResult{
-		UserID: req.UserID, Success: true, Certificate: cert.Marshal(),
+	if err := u.Terminal.OnResult(&assoc.AuthResult{
+		UserID: req.UserID, Success: true, Certificate: cert,
 	}); err != nil {
 		return err
 	}

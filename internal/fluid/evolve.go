@@ -149,10 +149,10 @@ func NewEvolver(m *ClassMatrix, cfg Config, gws []traffic.Gateway) (*Evolver, er
 	}
 	res := &Result{
 		Users:   m.Users,
-		Latency: mustSketch(cfg.SketchAlpha),
+		Latency: sim.DefaultSketch(),
 	}
 	for _, cl := range m.Classes {
-		res.PerClass = append(res.PerClass, ClassResult{Name: cl.Name, Latency: mustSketch(cfg.SketchAlpha)})
+		res.PerClass = append(res.PerClass, ClassResult{Name: cl.Name, Latency: sim.DefaultSketch()})
 	}
 	n := len(m.Aggregates)
 	return &Evolver{
@@ -177,14 +177,6 @@ func NewEvolver(m *ClassMatrix, cfg Config, gws []traffic.Gateway) (*Evolver, er
 		groupStart:  make([]int32, 0, n+1),
 		demands:     make([]traffic.Demand, 0, n),
 	}, nil
-}
-
-func mustSketch(alpha float64) *sim.Sketch {
-	s, err := sim.NewSketch(alpha)
-	if err != nil {
-		panic(err) // unreachable: withDefaults guarantees alpha in range
-	}
-	return s
 }
 
 // groupEntry is one aggregate's contribution to a routed commodity.
@@ -495,7 +487,7 @@ func (e *Evolver) deaggregate(dt float64) {
 		if !pd.routed || pd.bpsEff <= 0 {
 			continue
 		}
-		base := pd.propS + float64(pd.hops)*e.cfg.PerHopS
+		base := pd.propS + float64(pd.hops)*perHopS
 		per, rem := uint64(deliveredT)/10, uint64(deliveredT)%10
 		for d := 0; d < 10; d++ {
 			w := per

@@ -13,6 +13,11 @@ import (
 // byte-identical to the numeric-domain era.
 var domainArrivals = exec.Domain{Tag: "fluid/arrivals", ID: 3}
 
+// perHopS is the per-hop processing delay added to propagation when
+// de-aggregating latencies: 1 ms, core's default PerHopProcessingS. The
+// latency sketches use sim.DefaultSketch's 1 % accuracy.
+const perHopS = 0.001
+
 // Config parameterises aggregate (fluid) mode. The zero value is
 // disabled: Scenario embeds a Config, and Users == 0 keeps the per-flow
 // path byte-identical to what it produced before this subsystem existed.
@@ -27,12 +32,6 @@ type Config struct {
 	// MaxRetryEpochs is how many epochs a backlogged transfer survives
 	// unserved before it is abandoned; ≤ 0 means 3.
 	MaxRetryEpochs int
-	// PerHopS is the per-hop processing delay added to propagation when
-	// de-aggregating latencies; ≤ 0 means 1 ms (core's default).
-	PerHopS float64
-	// SketchAlpha is the relative accuracy of the latency sketches;
-	// ≤ 0 means 0.01.
-	SketchAlpha float64
 	// Seed roots every aggregate's arrival stream.
 	Seed int64
 }
@@ -50,12 +49,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxRetryEpochs <= 0 {
 		c.MaxRetryEpochs = 3
-	}
-	if c.PerHopS <= 0 {
-		c.PerHopS = 0.001
-	}
-	if c.SketchAlpha <= 0 {
-		c.SketchAlpha = 0.01
 	}
 	return c
 }

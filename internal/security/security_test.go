@@ -8,7 +8,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"github.com/openspace-project/openspace/internal/frame"
 	"github.com/openspace-project/openspace/internal/geo"
 	"github.com/openspace-project/openspace/internal/orbit"
 	"github.com/openspace-project/openspace/internal/routing"
@@ -290,54 +289,5 @@ func TestExcludeQuarantinedReroutes(t *testing.T) {
 	}
 	if p.Cost < base.Cost {
 		t.Error("restricted path cannot beat the unrestricted optimum")
-	}
-}
-
-func TestBeaconSignAndVerify(t *testing.T) {
-	pub, priv := memberKey(t, 4)
-	sign := func(msg []byte) []byte { return ed25519.Sign(priv, msg) }
-	b := &frame.Beacon{
-		SatelliteID: "sat-1", ProviderID: "acme", Caps: frame.CapRF,
-		Orbit: frame.OrbitalState{SemiMajorAxisKm: 7151}, SentAtS: 10,
-	}
-	// Unsigned beacons are rejected by enforcing receivers.
-	if err := VerifyBeacon(b, pub); !errors.Is(err, ErrBeaconUnsigned) {
-		t.Errorf("unsigned: %v", err)
-	}
-	if err := SignBeacon(b, sign); err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyBeacon(b, pub); err != nil {
-		t.Fatalf("valid beacon rejected: %v", err)
-	}
-	// A spoofer altering any field invalidates the tag.
-	spoofed := *b
-	spoofed.SatelliteID = "phantom"
-	if err := VerifyBeacon(&spoofed, pub); !errors.Is(err, ErrBeaconSig) {
-		t.Errorf("spoofed ID: %v", err)
-	}
-	spoofed = *b
-	spoofed.Orbit.MeanAnomalyDeg = 180
-	if err := VerifyBeacon(&spoofed, pub); !errors.Is(err, ErrBeaconSig) {
-		t.Errorf("spoofed orbit: %v", err)
-	}
-	// A non-member key cannot produce acceptable tags.
-	_, evil := memberKey(t, 5)
-	forged := *b
-	SignBeacon(&forged, func(msg []byte) []byte { return ed25519.Sign(evil, msg) })
-	if err := VerifyBeacon(&forged, pub); !errors.Is(err, ErrBeaconSig) {
-		t.Errorf("forged tag: %v", err)
-	}
-	// The signed beacon survives the wire.
-	wire, err := frame.Encode(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	decoded, _, err := frame.Decode(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyBeacon(decoded.(*frame.Beacon), pub); err != nil {
-		t.Errorf("transported beacon rejected: %v", err)
 	}
 }

@@ -38,7 +38,7 @@ type Sketch struct {
 // NewSketch returns a sketch with the given relative accuracy α in
 // (0, 1); 0.01 means quantiles within 1 % of the true value.
 func NewSketch(alpha float64) (*Sketch, error) {
-	if alpha <= 0 || alpha >= 1 {
+	if !(alpha > 0 && alpha < 1) {
 		return nil, fmt.Errorf("sim: sketch accuracy %.3g outside (0,1)", alpha)
 	}
 	gamma := (1 + alpha) / (1 - alpha)

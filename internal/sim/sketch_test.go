@@ -163,7 +163,7 @@ func TestSketchMerge(t *testing.T) {
 }
 
 func TestNewSketchRejectsBadAccuracy(t *testing.T) {
-	for _, alpha := range []float64{0, 1, -0.5, 2} {
+	for _, alpha := range []float64{0, 1, -0.5, 2, math.NaN(), math.Inf(1)} {
 		if _, err := NewSketch(alpha); err == nil {
 			t.Errorf("NewSketch(%v) accepted", alpha)
 		}
