@@ -272,7 +272,7 @@ func BenchmarkKShortestPaths(b *testing.B) {
 // iridiumTrafficNetwork builds the Iridium snapshot with two gateways and
 // phy-derived capacities: the constellation-scale input for the flow
 // benchmarks.
-func iridiumTrafficNetwork(b *testing.B) *traffic.Network {
+func iridiumTrafficNetwork(b *testing.B, extra ...topo.GroundSpec) *traffic.Network {
 	b.Helper()
 	c, err := orbit.Iridium().Build()
 	if err != nil {
@@ -286,7 +286,7 @@ func iridiumTrafficNetwork(b *testing.B) *traffic.Network {
 		{ID: "gs-seattle", Provider: "p", Pos: geo.LatLon{Lat: 47.6, Lon: -122.3}},
 		{ID: "gs-nairobi", Provider: "p", Pos: geo.LatLon{Lat: -1.29, Lon: 36.82}},
 	}
-	snap := topo.Build(0, topo.DefaultConfig(), specs, grounds, nil)
+	snap := topo.Build(0, topo.DefaultConfig(), specs, append(grounds, extra...), nil)
 	net := traffic.NewNetwork(snap)
 	net.Recapacitate(traffic.DefaultCapacityModel())
 	return net
@@ -359,6 +359,35 @@ func BenchmarkMaxMinFair(b *testing.B) {
 		demands := []traffic.Demand{
 			{Src: "gs-seattle", Dst: "gs-nairobi", OfferedBps: 2e9},
 			{Src: "gs-nairobi", Dst: "gs-seattle", OfferedBps: 1e9},
+		}
+		b.ResetTimer()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := traffic.MaxMinFair(net, demands, traffic.AllocConfig{KPaths: 4}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	// A fluid epoch's shape: every ordered gateway pair offered under three
+	// traffic classes, the classes interleaved so a pair's repeats are not
+	// adjacent. Each pair is routed once per call.
+	b.Run("iridium-classes", func(b *testing.B) {
+		net := iridiumTrafficNetwork(b,
+			topo.GroundSpec{ID: "gs-london", Provider: "p", Pos: geo.LatLon{Lat: 51.5, Lon: -0.1}},
+			topo.GroundSpec{ID: "gs-sydney", Provider: "p", Pos: geo.LatLon{Lat: -33.9, Lon: 151.2}},
+			topo.GroundSpec{ID: "gs-santiago", Provider: "p", Pos: geo.LatLon{Lat: -33.4, Lon: -70.6}},
+			topo.GroundSpec{ID: "gs-tokyo", Provider: "p", Pos: geo.LatLon{Lat: 35.7, Lon: 139.7}},
+		)
+		gws := []string{"gs-london", "gs-nairobi", "gs-santiago", "gs-seattle", "gs-sydney", "gs-tokyo"}
+		var demands []traffic.Demand
+		for class := 1; class <= 3; class++ {
+			for _, src := range gws {
+				for _, dst := range gws {
+					if src != dst {
+						demands = append(demands, traffic.Demand{Src: src, Dst: dst, OfferedBps: float64(class) * 1e8})
+					}
+				}
+			}
 		}
 		b.ResetTimer()
 		b.ReportAllocs()

@@ -168,12 +168,7 @@ func (t *Terminal) SelectAndRequestAuth(now float64, clientNonce uint64) (*AuthR
 	t.provider = best.ProviderID
 	t.nonce = clientNonce
 	t.state = StateAuthenticating
-	return &AuthRequest{
-		UserID:      t.userID,
-		HomeISP:     t.homeISP,
-		ViaSatID:    best.SatelliteID,
-		ClientNonce: clientNonce,
-	}, nil
+	return &AuthRequest{UserID: t.userID, ClientNonce: clientNonce}, nil
 }
 
 // OnChallenge answers the home ISP's challenge with the HMAC proof.
@@ -181,10 +176,7 @@ func (t *Terminal) OnChallenge(c *AuthChallenge) (*AuthResponse, error) {
 	if t.state != StateAuthenticating {
 		return nil, fmt.Errorf("%w: %v", ErrWrongState, t.state)
 	}
-	return &AuthResponse{
-		UserID: t.userID,
-		Proof:  auth.Proof(t.secret, t.nonce, c.ServerNonce),
-	}, nil
+	return &AuthResponse{Proof: auth.Proof(t.secret, t.nonce, c.ServerNonce)}, nil
 }
 
 // OnResult completes association. On success the terminal stores the

@@ -85,23 +85,23 @@ func runFullAssociation(t *testing.T, term *Terminal, a *auth.Authenticator) err
 	if err != nil {
 		return err
 	}
-	if req.HomeISP != "acme" || req.ViaSatID != "sat-1" {
-		t.Fatalf("auth request wrong: %+v", req)
+	if sat, prov := term.Serving(); sat != "sat-1" || prov != "roamco" {
+		t.Fatalf("auth requested via %s/%s, want sat-1/roamco", sat, prov)
 	}
 	nonce, err := a.Challenge(req.UserID)
 	if err != nil {
-		term.OnResult(&AuthResult{UserID: req.UserID, Success: false, Reason: err.Error()})
+		term.OnResult(&AuthResult{Success: false, Reason: err.Error()})
 		return err
 	}
-	resp, err := term.OnChallenge(&AuthChallenge{UserID: req.UserID, ServerNonce: nonce})
+	resp, err := term.OnChallenge(&AuthChallenge{ServerNonce: nonce})
 	if err != nil {
 		return err
 	}
 	cert, err := a.VerifyProof(req.UserID, req.ClientNonce, resp.Proof, 0)
 	if err != nil {
-		return term.OnResult(&AuthResult{UserID: req.UserID, Success: false, Reason: err.Error()})
+		return term.OnResult(&AuthResult{Success: false, Reason: err.Error()})
 	}
-	return term.OnResult(&AuthResult{UserID: req.UserID, Success: true, Certificate: cert})
+	return term.OnResult(&AuthResult{Success: true, Certificate: cert})
 }
 
 func TestFullAssociationFlow(t *testing.T) {

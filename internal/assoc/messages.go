@@ -21,29 +21,24 @@ type Beacon struct {
 // associated with.
 type AuthRequest struct {
 	UserID      string
-	HomeISP     string
-	ViaSatID    string // satellite relaying the request
 	ClientNonce uint64
 }
 
 // AuthChallenge is the home ISP's challenge nonce.
 type AuthChallenge struct {
-	UserID      string
 	ServerNonce uint64
 }
 
 // AuthResponse carries the user's proof of possession of the shared secret:
 // HMAC-SHA256 over both nonces (computed in internal/auth).
 type AuthResponse struct {
-	UserID string
-	Proof  []byte
+	Proof []byte
 }
 
 // AuthResult closes the exchange. On success it carries the roaming
 // certificate the home ISP issues so other providers can verify the user
 // was authenticated without contacting the home ISP again (§2.2).
 type AuthResult struct {
-	UserID      string
 	Success     bool
 	Certificate *auth.Certificate
 	Reason      string // populated on failure

@@ -272,18 +272,16 @@ func (n *Network) Associate(userID string, t float64) error {
 	if err != nil {
 		return err
 	}
-	resp, err := u.Terminal.OnChallenge(&assoc.AuthChallenge{UserID: req.UserID, ServerNonce: nonce})
+	resp, err := u.Terminal.OnChallenge(&assoc.AuthChallenge{ServerNonce: nonce})
 	if err != nil {
 		return err
 	}
 	cert, err := home.Auth.VerifyProof(req.UserID, req.ClientNonce, resp.Proof, t)
 	if err != nil {
-		u.Terminal.OnResult(&assoc.AuthResult{UserID: req.UserID, Success: false, Reason: err.Error()})
+		u.Terminal.OnResult(&assoc.AuthResult{Success: false, Reason: err.Error()})
 		return fmt.Errorf("core: user %q auth: %w", userID, err)
 	}
-	if err := u.Terminal.OnResult(&assoc.AuthResult{
-		UserID: req.UserID, Success: true, Certificate: cert,
-	}); err != nil {
+	if err := u.Terminal.OnResult(&assoc.AuthResult{Success: true, Certificate: cert}); err != nil {
 		return err
 	}
 	// The serving provider independently verifies the roaming certificate.

@@ -162,11 +162,15 @@ func resolveStaticISLs(plan []orbit.ISLPair, sats []SatSpec) [][2]int {
 // feasibility radius plus a kilometre of float margin (attachKm carries
 // its own). The cells are as wide as the wider query the mode runs, so
 // neither query reaches more than one cell out, even with ISLs switched
-// off.
+// off. With no positive ISL range no pair is feasible, so the pair query
+// is skipped: under ground-sized cells it would list most of the N² pairs.
 func (b *builder) refreshCandidates() {
 	ix := newSatIndex(b.pos, b.cellKm)
 	if !b.staticMode {
-		b.candISL = ix.pairsWithin(b.maxISLKm+1, b.candISL[:0])
+		b.candISL = b.candISL[:0]
+		if b.maxISLKm > 0 {
+			b.candISL = ix.pairsWithin(b.maxISLKm+1, b.candISL)
+		}
 	}
 
 	if cap(b.candGround) < len(b.entities) {
@@ -272,7 +276,7 @@ func (b *builder) feasibleISLs(cands [][2]int) {
 		if b.sats[i].HasLaser && b.sats[j].HasLaser && b.cfg.LaserRangeKm > maxRange {
 			maxRange = b.cfg.LaserRangeKm
 		}
-		if d > maxRange || !geo.LineOfSight(b.pos[i], b.pos[j]) {
+		if maxRange <= 0 || d > maxRange || !geo.LineOfSight(b.pos[i], b.pos[j]) {
 			continue
 		}
 		b.feasible = append(b.feasible, feasiblePair{i: i, j: j, d: d})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -23,7 +24,7 @@ func bruteFeasibleISLs(cfg Config, sats []SatSpec, pos []geo.Vec3) [][2]int {
 			if sats[i].HasLaser && sats[j].HasLaser && cfg.LaserRangeKm > maxRange {
 				maxRange = cfg.LaserRangeKm
 			}
-			if d > maxRange || !geo.LineOfSight(pos[i], pos[j]) {
+			if maxRange <= 0 || d > maxRange || !geo.LineOfSight(pos[i], pos[j]) {
 				continue
 			}
 			out = append(out, [2]int{i, j})
@@ -54,7 +55,7 @@ func filterFeasible(cfg Config, sats []SatSpec, pos []geo.Vec3, cands [][2]int) 
 		if sats[i].HasLaser && sats[j].HasLaser && cfg.LaserRangeKm > maxRange {
 			maxRange = cfg.LaserRangeKm
 		}
-		if d > maxRange || !geo.LineOfSight(pos[i], pos[j]) {
+		if maxRange <= 0 || d > maxRange || !geo.LineOfSight(pos[i], pos[j]) {
 			continue
 		}
 		out = append(out, [2]int{i, j})
@@ -162,6 +163,57 @@ func TestIndexCandidatesMatchBruteForce(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestISLsOffListsNoPairs builds with both ISL ranges 0: the builder must
+// list no candidate pair, the snapshot must hold no ISL, and its ground
+// and access links must be those of a build with ISLs on. A twin of one
+// satellite, the one pair a zero range could admit, links only with ISLs
+// on.
+func TestISLsOffListsNoPairs(t *testing.T) {
+	grounds := []GroundSpec{
+		{ID: "london", Pos: geo.LatLon{Lat: 51.51, Lon: -0.13}},
+		{ID: "svalbard", Pos: geo.LatLon{Lat: 78.22, Lon: 15.63}},
+	}
+	users := []UserSpec{{ID: "u0", Pos: geo.LatLon{Lat: 40.71, Lon: -74.01}}}
+	specs := randomSpecs(220, 7)
+	twin := specs[0]
+	twin.ID = "twin"
+	specs = append(specs, twin)
+	on, off := DefaultConfig(), DefaultConfig()
+	off.ISLRangeKm, off.LaserRangeKm = 0, 0
+	groundLinks := func(s *Snapshot) (out []Edge, isls int) {
+		for _, e := range s.Edges() {
+			if e.Kind == LinkGround || e.Kind == LinkAccess {
+				out = append(out, e)
+			} else {
+				isls++
+			}
+		}
+		return out, isls
+	}
+	for _, tS := range []float64{0, 137.5, 4000} {
+		b := newBuilder(off, specs, grounds, users)
+		offSnap := b.SnapshotAt(tS)
+		if len(b.candISL) != 0 {
+			t.Fatalf("t=%v: %d candidate ISL pairs with ISLs off, want 0", tS, len(b.candISL))
+		}
+		offGround, offISLs := groundLinks(offSnap)
+		if offISLs != 0 {
+			t.Fatalf("t=%v: %d ISL edges with ISLs off, want 0", tS, offISLs)
+		}
+		onSnap := Build(tS, on, specs, grounds, users)
+		onGround, onISLs := groundLinks(onSnap)
+		if onISLs == 0 || len(onGround) == 0 {
+			t.Fatalf("t=%v: ISLs on built %d ISL and %d ground edges, want both > 0", tS, onISLs, len(onGround))
+		}
+		if !reflect.DeepEqual(offGround, onGround) {
+			t.Fatalf("t=%v: ground links with ISLs off (%d) differ from ISLs on (%d)", tS, len(offGround), len(onGround))
+		}
+		if onSnap.Index().Arc(specs[0].ID, twin.ID) < 0 {
+			t.Fatalf("t=%v: coincident twins unlinked with ISLs on", tS)
 		}
 	}
 }

@@ -216,6 +216,8 @@ type UserSpec struct {
 type Config struct {
 	// ISLRangeKm caps RF ISL length (power-limited). Laser ISLs use
 	// LaserRangeKm. Line of sight over the Earth limb is always required.
+	// A range ≤ 0 forms no link of its class, not even between coincident
+	// satellites; both ≤ 0 switch ISLs off.
 	ISLRangeKm   float64
 	LaserRangeKm float64
 	// MinElevationDeg is the ground terminal elevation mask for both

@@ -16,7 +16,9 @@ type AllocConfig struct {
 	// ≤ 0 means 1 (pure shortest path).
 	KPaths int
 	// Cost scores candidate paths. Nil means GatewayTransitCost: latency
-	// with user access links excluded.
+	// with user access links excluded. It must be a pure function of
+	// (edge, snapshot) for the duration of a MaxMinFair call: each pair is
+	// routed once per call, and the router memoises edge weights.
 	Cost routing.CostFunc
 }
 
@@ -24,10 +26,11 @@ type AllocConfig struct {
 type DemandAllocation struct {
 	Demand
 	// Path is the node sequence carrying the demand; nil when the network
-	// offers no route.
+	// offers no route. It is read-only: demands with the same (Src, Dst)
+	// share one slice.
 	Path []string
 	// Arcs holds the position in the network snapshot's Index().Edges of
-	// each hop of Path; nil with Path.
+	// each hop of Path; nil with Path. Read-only and shared like Path.
 	Arcs []int32
 	// RateBps is the allocated rate, ≤ OfferedBps.
 	RateBps float64
@@ -226,7 +229,11 @@ func (st *fillState) run(dems []DemandAllocation) {
 
 // prepareFill routes every demand onto the widest of its k shortest
 // paths and builds the fill state — the allocating, cold half of
-// MaxMinFair.
+// MaxMinFair. The widest-of-k choice is a pure function of the snapshot,
+// the cost, k and the endpoints (pathBottleneckBps reads only the
+// network's capacities), so each distinct (src, dst) is routed once: a
+// later demand of the pair, adjacent or not, takes the first one's Path
+// and Arcs, or its lack of a route.
 func prepareFill(n *Network, demands []Demand, cfg AllocConfig) (*Allocation, *fillState, error) {
 	k := cfg.KPaths
 	if k <= 0 {
@@ -250,39 +257,59 @@ func prepareFill(n *Network, demands []Demand, cfg AllocConfig) (*Allocation, *f
 		linkUsers: make([]int32, len(ix.Edges)),
 		active:    make([]bool, len(demands)),
 	}
+	// first maps the pair's node positions, packed, to the first demand
+	// that routed it.
+	first := make(map[uint64]int, len(demands))
 	for i, d := range demands {
-		alloc.Demands[i] = DemandAllocation{Demand: d}
+		da := &alloc.Demands[i]
+		da.Demand = d
 		if !(d.OfferedBps >= 0) {
 			return nil, nil, fmt.Errorf("traffic: demand %s→%s has offered load %v, want ≥ 0", d.Src, d.Dst, d.OfferedBps)
 		}
-		if n.Snap.Node(d.Src) == nil || n.Snap.Node(d.Dst) == nil {
+		si, okSrc := ix.Lookup(d.Src)
+		di, okDst := ix.Lookup(d.Dst)
+		if !okSrc || !okDst {
 			return nil, nil, fmt.Errorf("traffic: demand %s→%s references unknown node", d.Src, d.Dst)
 		}
-		paths, err := routing.KShortestPaths(n.Snap, d.Src, d.Dst, cost, k)
-		if err != nil || len(paths) == 0 {
-			continue // unroutable demand: rate stays 0
-		}
-		best, bestCap := -1, -1.0
-		for pi, p := range paths {
-			if c := pathBottleneckBps(n, p.Arcs); c > bestCap {
-				best, bestCap = pi, c
-			}
-		}
-		if bestCap <= 0 {
-			continue // routable only over zero-capacity links
+		pair := uint64(si)<<32 | uint64(di)
+		if j, ok := first[pair]; ok {
+			da.Path, da.Arcs = alloc.Demands[j].Path, alloc.Demands[j].Arcs
+		} else {
+			first[pair] = i
+			da.Path, da.Arcs = widestOfK(n, d.Src, d.Dst, cost, k)
 		}
 		// Yen's paths are loopless, so no link repeats within Arcs and each
 		// demand counts once per link it crosses.
-		alloc.Demands[i].Path, alloc.Demands[i].Arcs = paths[best].Nodes, paths[best].Arcs
-		if d.OfferedBps > 0 {
+		if da.Path != nil && d.OfferedBps > 0 {
 			st.active[i] = true
 			st.nActive++
-			for _, li := range paths[best].Arcs {
+			for _, li := range da.Arcs {
 				st.linkUsers[li]++
 			}
 		}
 	}
 	return alloc, st, nil
+}
+
+// widestOfK returns the nodes and edge positions of the widest of the k
+// shortest src→dst paths under cost — the largest bottleneck capacity,
+// ties to the lower Yen rank — or nils when there is no route or every
+// route crosses a zero-capacity link.
+func widestOfK(n *Network, src, dst string, cost routing.CostFunc, k int) ([]string, []int32) {
+	paths, err := routing.KShortestPaths(n.Snap, src, dst, cost, k)
+	if err != nil || len(paths) == 0 {
+		return nil, nil
+	}
+	best, bestCap := -1, -1.0
+	for pi, p := range paths {
+		if c := pathBottleneckBps(n, p.Arcs); c > bestCap {
+			best, bestCap = pi, c
+		}
+	}
+	if bestCap <= 0 {
+		return nil, nil
+	}
+	return paths[best].Nodes, paths[best].Arcs
 }
 
 // MaxMinFair computes a max-min fair rate allocation for the demands by
@@ -292,6 +319,9 @@ func prepareFill(n *Network, demands []Demand, cfg AllocConfig) (*Allocation, *f
 // can be raised without lowering the rate of a demand that has no more —
 // restricted to the single path each demand is assigned (the widest of its
 // k shortest).
+//
+// Each distinct (Src, Dst) is routed once per call, whatever the input
+// order; demands of one pair share its Path and Arcs.
 //
 // The computation is deterministic: demands are processed in input order,
 // each demand's links in path order, and path selection breaks ties toward
