@@ -66,7 +66,6 @@ type Candidate struct {
 // Terminal is a ground user terminal.
 type Terminal struct {
 	userID  string
-	homeISP string
 	secret  []byte
 	pos     geo.LatLon
 	minElev float64
@@ -79,10 +78,10 @@ type Terminal struct {
 	nonce    uint64
 }
 
-// NewTerminal creates a terminal for a subscriber of homeISP.
-func NewTerminal(userID, homeISP string, secret []byte, pos geo.LatLon, minElevationDeg float64) (*Terminal, error) {
-	if userID == "" || homeISP == "" {
-		return nil, errors.New("assoc: user and home ISP IDs required")
+// NewTerminal creates a terminal for the subscriber userID.
+func NewTerminal(userID string, secret []byte, pos geo.LatLon, minElevationDeg float64) (*Terminal, error) {
+	if userID == "" {
+		return nil, errors.New("assoc: user ID required")
 	}
 	if len(secret) == 0 {
 		return nil, errors.New("assoc: shared secret required")
@@ -91,7 +90,7 @@ func NewTerminal(userID, homeISP string, secret []byte, pos geo.LatLon, minEleva
 		return nil, fmt.Errorf("assoc: invalid position %v", pos)
 	}
 	return &Terminal{
-		userID: userID, homeISP: homeISP, secret: secret,
+		userID: userID, secret: secret,
 		pos: pos, minElev: minElevationDeg,
 		heard: make(map[string]Beacon),
 	}, nil
@@ -99,9 +98,6 @@ func NewTerminal(userID, homeISP string, secret []byte, pos geo.LatLon, minEleva
 
 // State returns the current association state.
 func (t *Terminal) State() State { return t.state }
-
-// UserID returns the terminal's subscriber identifier.
-func (t *Terminal) UserID() string { return t.userID }
 
 // Serving returns the currently associated satellite and its provider
 // (empty strings when not associated).

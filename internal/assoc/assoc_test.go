@@ -17,7 +17,7 @@ func beaconFor(id, provider string, e orbit.Elements, load float64) *Beacon {
 
 func newTestTerminal(t *testing.T) *Terminal {
 	t.Helper()
-	term, err := NewTerminal("user-1", "acme", []byte("secret"), geo.LatLon{Lat: 0, Lon: 0}, 10)
+	term, err := NewTerminal("user-1", []byte("secret"), geo.LatLon{Lat: 0, Lon: 0}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,16 +26,13 @@ func newTestTerminal(t *testing.T) *Terminal {
 
 func TestNewTerminalValidation(t *testing.T) {
 	pos := geo.LatLon{}
-	if _, err := NewTerminal("", "isp", []byte("s"), pos, 10); err == nil {
+	if _, err := NewTerminal("", []byte("s"), pos, 10); err == nil {
 		t.Error("empty user should fail")
 	}
-	if _, err := NewTerminal("u", "", []byte("s"), pos, 10); err == nil {
-		t.Error("empty ISP should fail")
-	}
-	if _, err := NewTerminal("u", "isp", nil, pos, 10); err == nil {
+	if _, err := NewTerminal("u", nil, pos, 10); err == nil {
 		t.Error("empty secret should fail")
 	}
-	if _, err := NewTerminal("u", "isp", []byte("s"), geo.LatLon{Lat: 95}, 10); err == nil {
+	if _, err := NewTerminal("u", []byte("s"), geo.LatLon{Lat: 95}, 10); err == nil {
 		t.Error("bad position should fail")
 	}
 }

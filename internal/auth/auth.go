@@ -87,9 +87,6 @@ func NewAuthenticator(providerID string, certTTLS float64, random io.Reader) (*A
 	}, nil
 }
 
-// ProviderID returns the provider this authenticator serves.
-func (a *Authenticator) ProviderID() string { return a.providerID }
-
 // PublicKey returns the provider's certificate verification key. Providers
 // exchange these out of band when joining OpenSpace (part of the standards
 // onboarding the paper describes).

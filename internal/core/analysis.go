@@ -19,16 +19,6 @@ func (n *Network) CoverageFraction(t float64, providerIDs []string, gridSize int
 	return geo.ExactCoverageFraction(caps, gridSize), nil
 }
 
-// WorstCaseCoverageFraction applies the paper's conservative §4 overlap
-// rule to the same fleets.
-func (n *Network) WorstCaseCoverageFraction(t float64, providerIDs []string) (float64, error) {
-	caps, err := n.footprints(t, providerIDs)
-	if err != nil {
-		return 0, err
-	}
-	return geo.WorstCaseCoverageFraction(caps), nil
-}
-
 func (n *Network) footprints(t float64, providerIDs []string) ([]geo.Cap, error) {
 	if len(providerIDs) == 0 {
 		providerIDs = n.providerIDs

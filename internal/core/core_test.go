@@ -299,13 +299,23 @@ func TestSendValidation(t *testing.T) {
 }
 
 func TestPathProvidersMeshed(t *testing.T) {
+	// How "meshed" a delivery is (§3's argument for why BGP's
+	// provider/customer split does not map onto OpenSpace): interleaved
+	// fleets put more than one provider on alice's route.
 	n := builtNetwork(t)
-	provs, err := n.PathProviders("alice", "gs-nairobi", 0)
+	if err := n.Associate("alice", 0); err != nil {
+		t.Fatal(err)
+	}
+	d, err := n.Send("alice", "gs-nairobi", 1_000_000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(provs) < 2 {
-		t.Errorf("interleaved fleets should mesh providers; got %v", provs)
+	owners := map[string]bool{}
+	for _, p := range d.HopOwners {
+		owners[p] = true
+	}
+	if len(owners) < 2 {
+		t.Errorf("interleaved fleets should mesh providers; hop owners %v", d.HopOwners)
 	}
 }
 

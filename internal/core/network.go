@@ -183,7 +183,7 @@ func (n *Network) AddUser(userID, homeISP string, pos geo.LatLon) (*User, error)
 	if err := p.Auth.Enroll(userID, secret); err != nil {
 		return nil, err
 	}
-	term, err := assoc.NewTerminal(userID, homeISP, secret, pos, n.cfg.Topo.MinElevationDeg)
+	term, err := assoc.NewTerminal(userID, secret, pos, n.cfg.Topo.MinElevationDeg)
 	if err != nil {
 		return nil, err
 	}

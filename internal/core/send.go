@@ -145,40 +145,6 @@ func (n *Network) PublicKeys() map[string]ed25519.PublicKey {
 	return keys
 }
 
-// Reachable reports whether a path exists from the user to the station at
-// time t under the current topology.
-func (n *Network) Reachable(userID, stationID string, t float64) bool {
-	if n.te == nil {
-		return false
-	}
-	_, err := n.route(n.snapshotAt(t), userID, stationID)
-	return err == nil
-}
-
-// PathProviders returns the distinct providers a route traverses at t,
-// in first-traversal order — how "meshed" a delivery is (§3's argument for
-// why BGP's provider/customer split does not map onto OpenSpace).
-func (n *Network) PathProviders(userID, stationID string, t float64) ([]string, error) {
-	if n.te == nil {
-		return nil, errors.New("core: BuildTopology must run first")
-	}
-	snap := n.snapshotAt(t)
-	path, err := n.route(snap, userID, stationID)
-	if err != nil {
-		return nil, err
-	}
-	ix := snap.Index()
-	var order []string
-	seen := map[string]bool{}
-	for _, a := range path.Arcs {
-		if p := ix.Nodes[ix.To[a]].Provider; !seen[p] {
-			seen[p] = true
-			order = append(order, p)
-		}
-	}
-	return order, nil
-}
-
 // snapshotAt returns the snapshot in force at t, degraded by the installed
 // fault mask; nil before BuildTopology.
 func (n *Network) snapshotAt(t float64) *topo.Snapshot {

@@ -3,7 +3,6 @@ package economics
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // IncentiveReport summarises what federation membership is worth to one
@@ -91,31 +90,4 @@ func Incentive(l *Ledger, rates RateCard, provider string, solo, federated float
 	r.CoverageDividendUSD = gain * float64(ce.Users) * ce.RevenuePerUserHour * ce.Hours
 	r.NetBenefitUSD = r.CarriageRevenueUSD - r.CarriageCostUSD + r.CoverageDividendUSD
 	return r, nil
-}
-
-// RevenueShares splits a pot (e.g. a federation-level service fee)
-// proportionally to each provider's carried volume — a simple
-// contribution-weighted incentive scheme. Shares sum to pot (within float
-// error); providers that carried nothing get nothing.
-func RevenueShares(l *Ledger, pot float64, providers []string) (map[string]float64, error) {
-	if pot < 0 {
-		return nil, errors.New("economics: pot must be non-negative")
-	}
-	carried := map[string]int64{}
-	var total int64
-	for _, f := range l.Flows() {
-		n := l.Carried(f.Carrier, f.Customer)
-		carried[f.Carrier] += n
-		total += n
-	}
-	out := map[string]float64{}
-	sort.Strings(providers)
-	for _, p := range providers {
-		if total == 0 {
-			out[p] = 0
-			continue
-		}
-		out[p] = pot * float64(carried[p]) / float64(total)
-	}
-	return out, nil
 }

@@ -1,7 +1,6 @@
 package economics
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
@@ -79,35 +78,5 @@ func TestIncentiveValidation(t *testing.T) {
 	}
 	if r.CoverageDividendUSD != 0 {
 		t.Errorf("negative gain should clamp: %v", r.CoverageDividendUSD)
-	}
-}
-
-func TestRevenueShares(t *testing.T) {
-	// The federation-level ledger records carriage done for it ("fed" as
-	// the customer), so every carrier's volume is visible to the split.
-	l := NewLedger("fed")
-	l.RecordPath("fed", []string{"a", "a", "b"}, 100) // a: 200, b: 100
-	shares, err := RevenueShares(l, 300, []string{"a", "b", "c"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !close2(shares["a"], 200) || !close2(shares["b"], 100) || shares["c"] != 0 {
-		t.Errorf("shares = %v", shares)
-	}
-	var sum float64
-	for _, v := range shares {
-		sum += v
-	}
-	if math.Abs(sum-300) > 1e-9 {
-		t.Errorf("shares sum to %v", sum)
-	}
-	// Empty ledger → all zero.
-	empty := NewLedger("fed")
-	shares, err = RevenueShares(empty, 100, []string{"a"})
-	if err != nil || shares["a"] != 0 {
-		t.Errorf("empty ledger shares = %v, %v", shares, err)
-	}
-	if _, err := RevenueShares(l, -1, nil); err == nil {
-		t.Error("negative pot should fail")
 	}
 }

@@ -98,18 +98,6 @@ func SurfaceDistanceKm(a, b LatLon) float64 {
 	return EarthRadiusKm * CentralAngle(a, b)
 }
 
-// InitialBearing returns the initial great-circle bearing from a to b in
-// degrees clockwise from north, in [0, 360).
-func InitialBearing(a, b LatLon) float64 {
-	la, lo := a.Radians()
-	lb, lp := b.Radians()
-	dLon := lp - lo
-	y := math.Sin(dLon) * math.Cos(lb)
-	x := math.Cos(la)*math.Sin(lb) - math.Sin(la)*math.Cos(lb)*math.Cos(dLon)
-	br := Degrees(math.Atan2(y, x))
-	return math.Mod(br+360, 360)
-}
-
 // Destination returns the point reached by travelling distKm kilometres from
 // p along the given initial bearing (degrees clockwise from north).
 func Destination(p LatLon, bearingDeg, distKm float64) LatLon {
@@ -122,19 +110,6 @@ func Destination(p LatLon, bearingDeg, distKm float64) LatLon {
 	x := math.Cos(d) - math.Sin(lat)*sinLat
 	lon2 := lon + math.Atan2(y, x)
 	return LatLon{Lat: Degrees(lat2), Lon: Degrees(lon2)}.Normalize()
-}
-
-// Midpoint returns the great-circle midpoint of a and b.
-func Midpoint(a, b LatLon) LatLon {
-	va := a.Vec3(0)
-	vb := b.Vec3(0)
-	m := va.Add(vb)
-	if m.Norm() == 0 {
-		// Antipodal points: any midpoint on the bisecting circle is valid;
-		// choose the one in the plane through the poles and a.
-		return LatLon{Lat: 90 - math.Abs(a.Lat), Lon: a.Lon}.Normalize()
-	}
-	return m.LatLon()
 }
 
 // unit returns the Earth-centred unit vector of p, the direction LatLon.Vec3

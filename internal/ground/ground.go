@@ -20,7 +20,6 @@ package ground
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"github.com/openspace-project/openspace/internal/geo"
@@ -116,13 +115,6 @@ func (s *Station) Usage() map[string]int64 {
 	return s.meter.usage()
 }
 
-// Utilization returns the backhaul utilisation in [0,1] at t.
-func (s *Station) Utilization(t float64) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.queue.utilization(t)
-}
-
 // Meter tracks per-provider traffic through a gateway.
 type Meter struct {
 	byProvider map[string]int64
@@ -138,16 +130,6 @@ func (m *Meter) usage() map[string]int64 {
 		out[k] = v
 	}
 	return out
-}
-
-// Providers returns metered providers in sorted order.
-func (m *Meter) Providers() []string {
-	ps := make([]string, 0, len(m.byProvider))
-	for p := range m.byProvider {
-		ps = append(ps, p)
-	}
-	sort.Strings(ps)
-	return ps
 }
 
 // Queue is a fluid two-class priority queue: home traffic drains strictly

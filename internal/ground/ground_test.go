@@ -104,17 +104,17 @@ func TestQueueDrains(t *testing.T) {
 	if _, err := s.Admit("acme", 125_000_000, 0); err != nil { // 1 s of backlog
 		t.Fatal(err)
 	}
-	if u := s.Utilization(0); !almost(u, 1.0) {
+	if u := s.queue.utilization(0); !almost(u, 1.0) {
 		t.Errorf("utilization at enqueue = %v", u)
 	}
-	if u := s.Utilization(0.5); !almost(u, 0.5) {
+	if u := s.queue.utilization(0.5); !almost(u, 0.5) {
 		t.Errorf("utilization after 0.5 s = %v", u)
 	}
-	if u := s.Utilization(2); u != 0 {
+	if u := s.queue.utilization(2); u != 0 {
 		t.Errorf("utilization after drain = %v", u)
 	}
 	// Time running backwards is ignored.
-	if u := s.Utilization(1); u != 0 {
+	if u := s.queue.utilization(1); u != 0 {
 		t.Errorf("utilization must not resurrect: %v", u)
 	}
 }
@@ -150,10 +150,6 @@ func TestMeterUsage(t *testing.T) {
 	u["acme"] = 0
 	if s.Usage()["acme"] != 100 {
 		t.Error("Usage leaked internal state")
-	}
-	m := Meter{byProvider: map[string]int64{"b": 1, "a": 2}}
-	if p := m.Providers(); len(p) != 2 || p[0] != "a" || p[1] != "b" {
-		t.Errorf("Providers = %v", p)
 	}
 }
 

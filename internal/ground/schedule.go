@@ -17,9 +17,6 @@ type Pass struct {
 	MaxElevationDeg float64
 }
 
-// DurationS returns the pass length.
-func (p Pass) DurationS() float64 { return p.SetS - p.RiseS }
-
 // PassSchedule computes every pass of every satellite over the station in
 // [startS, endS], sorted by rise time. It is the contact plan a
 // ground-station-as-a-service operator sells access against (§2.1): the

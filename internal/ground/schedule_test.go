@@ -74,7 +74,7 @@ func TestPassScheduleSparseHasGaps(t *testing.T) {
 		}
 	}
 	for _, g := range gaps {
-		gapTime += g.DurationS()
+		gapTime += g.SetS - g.RiseS
 	}
 	if diff := covered + gapTime - horizon; diff > 1 || diff < -1 {
 		t.Errorf("passes+gaps = %v, want %v", covered+gapTime, horizon)

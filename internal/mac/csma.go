@@ -70,8 +70,10 @@ type csmaStation struct {
 	difsLeft int // idle slots still required before backoff countdown
 }
 
-// domainCSMA seeds the CSMA/CA arrival/backoff stream (see domainALOHA
-// for why the MAC schemes stopped sharing one raw stream).
+// domainCSMA seeds the CSMA/CA arrival/backoff stream. The MAC
+// simulations drew straight from the shared seed value before domains —
+// identical arrival patterns across schemes — so adopting per-scheme
+// domains moved mac.csv by one regeneration.
 var domainCSMA = exec.Domain{Tag: "mac/csma", ID: 121}
 
 // RunCSMA simulates the channel for the given duration and returns

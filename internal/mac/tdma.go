@@ -42,7 +42,7 @@ func (c TDMAConfig) Validate() error {
 	return nil
 }
 
-// domainTDMA seeds the TDMA arrival stream (see domainALOHA for why the
+// domainTDMA seeds the TDMA arrival stream (see domainCSMA for why the
 // MAC schemes stopped sharing one raw stream).
 var domainTDMA = exec.Domain{Tag: "mac/tdma", ID: 122}
 

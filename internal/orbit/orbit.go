@@ -140,41 +140,6 @@ func (e Elements) SubSatellitePoint(t float64) geo.LatLon {
 	return e.PositionECEF(t).LatLon()
 }
 
-// GroundTrack samples the sub-satellite point every stepS seconds over
-// [0, durationS] and returns the resulting track. The track of a LEO
-// satellite drifts westward each revolution because the Earth rotates
-// beneath the orbit.
-func (e Elements) GroundTrack(durationS, stepS float64) []geo.LatLon {
-	if stepS <= 0 || durationS < 0 {
-		return nil
-	}
-	n := int(durationS/stepS) + 1
-	track := make([]geo.LatLon, 0, n)
-	for i := 0; i < n; i++ {
-		track = append(track, e.SubSatellitePoint(float64(i)*stepS))
-	}
-	return track
-}
-
 // ErrNoConvergence is returned by SolveKepler when Newton iteration fails to
 // reach tolerance; it cannot occur for eccentricities below ~0.97.
 var ErrNoConvergence = errors.New("orbit: Kepler solver did not converge")
-
-// SunSynchronousInclinationDeg returns the inclination at which a circular
-// orbit at the given altitude precesses with the Sun (one nodal revolution
-// per year) under Earth's J2 oblateness: cos i = −(a/a₀)^(7/2) with
-// a₀ ≈ 12352 km. Useful for Earth-observation members of a federation whose
-// imaging satellites double as communication relays. Returns an error above
-// ~5975 km altitude, where no sun-synchronous inclination exists.
-func SunSynchronousInclinationDeg(altitudeKm float64) (float64, error) {
-	if altitudeKm <= 0 {
-		return 0, fmt.Errorf("orbit: altitude %.1f must be positive", altitudeKm)
-	}
-	const a0 = 12352.0 // km, from J2, Earth radius and the 360°/year rate
-	a := geo.EarthRadiusKm + altitudeKm
-	c := -math.Pow(a/a0, 3.5)
-	if c < -1 {
-		return 0, fmt.Errorf("orbit: no sun-synchronous inclination at %.0f km", altitudeKm)
-	}
-	return geo.Degrees(math.Acos(c)), nil
-}

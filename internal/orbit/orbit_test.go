@@ -182,51 +182,3 @@ func TestEccentricOrbitApsides(t *testing.T) {
 		t.Errorf("apogee radius = %v, want %v", maxR, 8000*1.1)
 	}
 }
-
-func TestGroundTrack(t *testing.T) {
-	e := Circular(780, 86.4, 0, 0)
-	track := e.GroundTrack(6000, 60)
-	if len(track) != 101 {
-		t.Fatalf("track length = %d, want 101", len(track))
-	}
-	for _, p := range track {
-		if !p.Valid() {
-			t.Fatalf("invalid track point %v", p)
-		}
-	}
-	if e.GroundTrack(-1, 60) != nil || e.GroundTrack(100, 0) != nil {
-		t.Error("degenerate arguments should yield nil track")
-	}
-}
-
-func TestSunSynchronousInclination(t *testing.T) {
-	// Reference values: ~97.4° at 550 km, ~98.6° at 800 km (standard SSO
-	// mission altitudes).
-	got, err := SunSynchronousInclinationDeg(550)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got < 97 || got > 98 {
-		t.Errorf("SSO at 550 km = %v°, want ~97.5", got)
-	}
-	got, err = SunSynchronousInclinationDeg(800)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got < 98 || got > 99.2 {
-		t.Errorf("SSO at 800 km = %v°, want ~98.6", got)
-	}
-	// Inclination grows with altitude (more J2 leverage needed).
-	lo, _ := SunSynchronousInclinationDeg(400)
-	hi, _ := SunSynchronousInclinationDeg(1200)
-	if hi <= lo {
-		t.Errorf("SSO inclination should grow with altitude: %v vs %v", lo, hi)
-	}
-	// Out of range.
-	if _, err := SunSynchronousInclinationDeg(0); err == nil {
-		t.Error("zero altitude should fail")
-	}
-	if _, err := SunSynchronousInclinationDeg(10000); err == nil {
-		t.Error("too-high altitude should fail")
-	}
-}

@@ -105,13 +105,3 @@ func (c *Constellation) Footprints(t, minElevationDeg float64) []geo.Cap {
 	}
 	return caps
 }
-
-// Positions returns the ECEF position of every satellite at time t, indexed
-// like c.Satellites.
-func (c *Constellation) Positions(t float64) []geo.Vec3 {
-	ps := make([]geo.Vec3, len(c.Satellites))
-	for i, s := range c.Satellites {
-		ps[i] = s.Elements.PositionECEF(t)
-	}
-	return ps
-}

@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"github.com/openspace-project/openspace/internal/geo"
 )
 
 func TestWalkerValidate(t *testing.T) {
@@ -151,21 +149,5 @@ func TestRandomCircular(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds produced identical constellations")
-	}
-}
-
-func TestConstellationPositions(t *testing.T) {
-	c, err := Iridium().Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps := c.Positions(0)
-	if len(ps) != c.Len() {
-		t.Fatalf("positions length %d", len(ps))
-	}
-	for i, p := range ps {
-		if !almostEqual(p.Norm(), geo.EarthRadiusKm+780, 1e-6) {
-			t.Fatalf("satellite %d radius %v", i, p.Norm())
-		}
 	}
 }

@@ -26,19 +26,3 @@ func RadialVelocityKmS(e orbit.Elements, obs geo.LatLon, t float64) float64 {
 	// Closing speed is the negative range rate.
 	return -(r1 - r0) / (2 * dt)
 }
-
-// DopplerProfile samples the Doppler shift over a pass: shifts[i]
-// corresponds to startS + i·stepS. Receivers size their acquisition
-// bandwidth from the profile's extremes.
-func DopplerProfile(e orbit.Elements, obs geo.LatLon, freqHz, startS, endS, stepS float64) []float64 {
-	if stepS <= 0 || endS < startS {
-		return nil
-	}
-	n := int((endS-startS)/stepS) + 1
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		t := startS + float64(i)*stepS
-		out[i] = DopplerShiftHz(freqHz, RadialVelocityKmS(e, obs, t))
-	}
-	return out
-}

@@ -78,24 +78,6 @@ func (b Band) CenterFrequencyHz() float64 {
 	}
 }
 
-// TypicalBandwidthHz returns a representative channel bandwidth for the band.
-func (b Band) TypicalBandwidthHz() float64 {
-	switch b {
-	case BandUHF:
-		return 100e3
-	case BandS:
-		return 5e6
-	case BandKu:
-		return 250e6
-	case BandKa:
-		return 500e6
-	case BandOptical:
-		return 10e9
-	default:
-		return 0
-	}
-}
-
 // FreeSpacePathLossDB returns the free-space path loss in dB for a link of
 // the given distance and frequency: 20·log10(4πd/λ).
 func FreeSpacePathLossDB(distanceKm, freqHz float64) float64 {

@@ -48,33 +48,3 @@ func DisjointPaths(s *topo.Snapshot, src, dst string, cost CostFunc, k int) ([]P
 	}
 	return paths, nil
 }
-
-// SplitFlow divides totalBps across the given paths in proportion to each
-// path's bottleneck capacity, never exceeding any bottleneck. It returns
-// the per-path allocation (aligned with paths) and the total placed, which
-// is less than totalBps when the disjoint set cannot carry it all: a
-// demand of at least the summed bottlenecks, +Inf included, fills every
-// path. A demand that is not positive, NaN included, places nothing.
-func SplitFlow(paths []Path, totalBps float64) ([]float64, float64) {
-	if len(paths) == 0 || !(totalBps > 0) {
-		return nil, 0
-	}
-	var capSum float64
-	for _, p := range paths {
-		capSum += p.MinCapacityBps
-	}
-	alloc := make([]float64, len(paths))
-	if capSum == 0 {
-		return alloc, 0
-	}
-	var placed float64
-	for i, p := range paths {
-		share := p.MinCapacityBps
-		if totalBps < capSum {
-			share = min(totalBps*p.MinCapacityBps/capSum, share)
-		}
-		alloc[i] = share
-		placed += share
-	}
-	return alloc, placed
-}

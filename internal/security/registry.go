@@ -161,16 +161,6 @@ func (g *Registry) QuarantinedProviders() []string {
 	return out
 }
 
-// Withdraw removes a reporter's accusation (e.g. after remediation and
-// re-verified ledgers).
-func (g *Registry) Withdraw(reporter, accused string) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if m := g.accused[accused]; m != nil {
-		delete(m, reporter)
-	}
-}
-
 // ExcludeQuarantined wraps a routing cost function so that edges touching a
 // quarantined provider's infrastructure become unusable — the "cut off"
 // half of §5(6). Paths already in flight are unaffected; new computations

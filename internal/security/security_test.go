@@ -167,11 +167,6 @@ func TestRegistryQuorum(t *testing.T) {
 	if got := reg.QuarantinedProviders(); len(got) != 1 || got[0] != "evil" {
 		t.Errorf("quarantined list = %v", got)
 	}
-	// Withdrawal drops below quorum.
-	reg.Withdraw("a", "evil")
-	if reg.Quarantined("evil") {
-		t.Error("withdrawal should lift quarantine")
-	}
 }
 
 func TestRegistryRejections(t *testing.T) {

@@ -229,26 +229,6 @@ func TestSeries(t *testing.T) {
 	}
 }
 
-func TestUniformUsersValidAndSpread(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	us := UniformUsers(2000, rng)
-	if len(us) != 2000 {
-		t.Fatal("count wrong")
-	}
-	north := 0
-	for _, u := range us {
-		if !u.Valid() {
-			t.Fatalf("invalid user %v", u)
-		}
-		if u.Lat > 0 {
-			north++
-		}
-	}
-	if north < 900 || north > 1100 {
-		t.Errorf("northern users %d of 2000; not uniform", north)
-	}
-}
-
 func TestCityUsersNearCities(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	us := CityUsers(500, 50, rng)

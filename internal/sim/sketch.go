@@ -159,29 +159,6 @@ func (s *Sketch) Quantile(q float64) float64 {
 	return s.max // float slack: the last occupied bucket answers
 }
 
-// Merge folds o into s. The two sketches must share the same accuracy.
-func (s *Sketch) Merge(o *Sketch) error {
-	if o == nil || o.total == 0 {
-		return nil
-	}
-	if s.gamma != o.gamma { //lint:allow floateq sketches are mergeable only at the identical accuracy they were built with
-		return fmt.Errorf("sim: merging sketches with different accuracy (γ %.6g vs %.6g)", s.gamma, o.gamma)
-	}
-	if s.total == 0 || o.min < s.min {
-		s.min = o.min
-	}
-	if s.total == 0 || o.max > s.max {
-		s.max = o.max
-	}
-	s.total += o.total
-	s.sum += o.sum
-	s.zero += o.zero
-	for i, n := range o.counts {
-		s.counts[i] += n
-	}
-	return nil
-}
-
 // String implements fmt.Stringer.
 func (s *Sketch) String() string {
 	return fmt.Sprintf("sketch{n=%d mean=%.4g p50=%.4g p95=%.4g max=%.4g buckets=%d}",

@@ -122,46 +122,6 @@ func TestSketchZeroAndNegativeValues(t *testing.T) {
 	}
 }
 
-func TestSketchMerge(t *testing.T) {
-	a, b := DefaultSketch(), DefaultSketch()
-	one := DefaultSketch()
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 5000; i++ {
-		v := rng.Float64() * 100
-		one.Add(v)
-		if i%2 == 0 {
-			a.Add(v)
-		} else {
-			b.Add(v)
-		}
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Count() != one.Count() {
-		t.Fatalf("merge lost mass: count %d/%d", a.Count(), one.Count())
-	}
-	if math.Abs(a.Sum()-one.Sum()) > 1e-9*math.Abs(one.Sum()) {
-		t.Fatalf("merge sum diverged: %v vs %v", a.Sum(), one.Sum())
-	}
-	for _, q := range []float64{0.05, 0.5, 0.95} {
-		if a.Quantile(q) != one.Quantile(q) {
-			t.Errorf("q=%.2f: merged %.6g vs single %.6g", q, a.Quantile(q), one.Quantile(q))
-		}
-	}
-	mismatched, err := NewSketch(0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mismatched.Add(1)
-	if err := a.Merge(mismatched); err == nil {
-		t.Error("merging mismatched accuracies must fail")
-	}
-	if err := a.Merge(nil); err != nil {
-		t.Errorf("merging nil: %v", err)
-	}
-}
-
 func TestNewSketchRejectsBadAccuracy(t *testing.T) {
 	for _, alpha := range []float64{0, 1, -0.5, 2, math.NaN(), math.Inf(1)} {
 		if _, err := NewSketch(alpha); err == nil {

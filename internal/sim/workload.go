@@ -45,19 +45,6 @@ func WorldCities() []City {
 	}
 }
 
-// UniformUsers samples n user positions uniformly over the sphere.
-func UniformUsers(n int, rng *rand.Rand) []geo.LatLon {
-	out := make([]geo.LatLon, n)
-	for i := range out {
-		// Uniform on the sphere: lon uniform, sin(lat) uniform.
-		out[i] = geo.LatLon{
-			Lat: geo.Degrees(math.Asin(2*rng.Float64() - 1)),
-			Lon: rng.Float64()*360 - 180,
-		}
-	}
-	return out
-}
-
 // CityUsers samples n user positions from the city catalogue with
 // population weighting and a local scatter radius (users are near, not in,
 // the city centre).

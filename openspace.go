@@ -15,7 +15,7 @@
 //     and roaming certificates, routing over heterogeneous multi-owner
 //     ISLs, gateway metering, and §3's cross-verifiable accounting.
 //   - The experiment harness regenerating every figure of the paper's
-//     evaluation (see the Fig2a/Fig2b/Fig2c functions and friends).
+//     evaluation (see the Fig2a and Fig2b functions and friends).
 //
 // Quickstart:
 //
@@ -41,24 +41,10 @@ import (
 	"github.com/openspace-project/openspace/internal/topo"
 )
 
-// Geometry and orbits.
+// Geometry.
 type (
 	// LatLon is a geodetic position in degrees.
 	LatLon = geo.LatLon
-	// Vec3 is an Earth-centred Cartesian position in km.
-	Vec3 = geo.Vec3
-	// Cap is a spherical coverage footprint.
-	Cap = geo.Cap
-	// Elements is a classical Keplerian element set.
-	Elements = orbit.Elements
-	// Satellite is one spacecraft (ID + orbit).
-	Satellite = orbit.Satellite
-	// Constellation is an ordered satellite set.
-	Constellation = orbit.Constellation
-	// WalkerConfig specifies a Walker Star/Delta constellation.
-	WalkerConfig = orbit.WalkerConfig
-	// ContactWindow is a ground-visibility interval.
-	ContactWindow = orbit.ContactWindow
 )
 
 // Federation assembly.
@@ -69,52 +55,26 @@ type (
 	ProviderConfig = core.ProviderConfig
 	// SatelliteConfig describes one spacecraft in a fleet.
 	SatelliteConfig = core.SatelliteConfig
-	// GroundStationConfig describes one gateway station.
-	GroundStationConfig = core.GroundStationConfig
 	// Network is an assembled OpenSpace federation.
 	Network = core.Network
-	// Provider is a federation member at run time.
-	Provider = core.Provider
-	// User is a subscriber terminal at run time.
-	User = core.User
-	// Delivery reports one end-to-end transfer.
-	Delivery = core.Delivery
 	// Scenario is a discrete-event workload for RunScenario.
 	Scenario = core.Scenario
-	// ScenarioResult aggregates one scenario run.
-	ScenarioResult = core.ScenarioResult
-	// HandoverPlan is a planned satellite handover.
-	HandoverPlan = core.HandoverPlan
-	// GatewayChoice is one scored gateway option.
-	GatewayChoice = core.GatewayChoice
-	// FederationGain compares solo and federated coverage.
-	FederationGain = core.FederationGain
-	// TopologyConfig sets link feasibility rules.
-	TopologyConfig = topo.Config
 )
 
 // Physical layer.
 type (
 	// Band identifies a spectrum band.
 	Band = phy.Band
-	// RFTerminal describes a radio terminal.
-	RFTerminal = phy.RFTerminal
-	// LaserTerminal describes an optical ISL terminal.
-	LaserTerminal = phy.LaserTerminal
 )
 
 // Spectrum bands.
 const (
-	// BandUHF is the mandatory smallsat ISL band.
-	BandUHF = phy.BandUHF
 	// BandS is the higher-rate RF ISL band.
 	BandS = phy.BandS
 	// BandKu is the ground-segment band.
 	BandKu = phy.BandKu
 	// BandKa is the high-capacity gateway band.
 	BandKa = phy.BandKa
-	// BandOptical is the laser upgrade path.
-	BandOptical = phy.BandOptical
 )
 
 // Physical-layer reference terminals.
@@ -129,35 +89,18 @@ var (
 
 // Topology and routing (the §2.2 machinery, exposed for custom scenarios).
 type (
-	// Snapshot is the network graph at one instant.
-	Snapshot = topo.Snapshot
-	// TimeExpanded is a series of snapshots — the public, precomputable
-	// evolution of the network.
-	TimeExpanded = topo.TimeExpanded
 	// SatSpec feeds one satellite into a topology build.
 	SatSpec = topo.SatSpec
 	// GroundSpec feeds one ground station into a topology build.
 	GroundSpec = topo.GroundSpec
 	// UserSpec feeds one user terminal into a topology build.
 	UserSpec = topo.UserSpec
-	// RoutePath is a computed route.
-	RoutePath = routing.Path
-	// CostFunc scores edges for path selection.
-	CostFunc = routing.CostFunc
-	// QoSPolicy parameterises heterogeneity-aware routing.
-	QoSPolicy = routing.QoSPolicy
-	// ServiceClass is an advertised QoS tier (interactive/standard/bulk).
-	ServiceClass = routing.ServiceClass
-	// ScheduledRoute is a store-and-forward (contact-graph) route.
-	ScheduledRoute = routing.ScheduledRoute
 )
 
 // Service classes.
 const (
 	// ClassInteractive is the latency- and bandwidth-sensitive tier.
 	ClassInteractive = routing.ClassInteractive
-	// ClassStandard is the balanced default tier.
-	ClassStandard = routing.ClassStandard
 	// ClassBulk is the cost-optimised background tier.
 	ClassBulk = routing.ClassBulk
 )
@@ -170,8 +113,6 @@ var (
 	BuildTimeExpanded = topo.BuildTimeExpanded
 	// ShortestPath runs Dijkstra under a cost function.
 	ShortestPath = routing.ShortestPath
-	// KShortestPaths returns loopless alternatives in cost order (Yen).
-	KShortestPaths = routing.KShortestPaths
 	// DisjointPaths returns edge-disjoint routes for load balancing and
 	// failure independence.
 	DisjointPaths = routing.DisjointPaths
@@ -182,40 +123,22 @@ var (
 	LatencyCost = routing.LatencyCost
 	// HopCost scores every edge 1.
 	HopCost = routing.HopCost
-	// DefaultQoS returns the balanced heterogeneity-aware policy.
-	DefaultQoS = routing.DefaultQoS
 )
 
 // Economics.
 type (
 	// Ledger is a provider's carried-traffic account (§3).
 	Ledger = economics.Ledger
-	// Invoice is one provider-to-provider charge.
-	Invoice = economics.Invoice
 	// RateCard holds bilateral carriage prices.
 	RateCard = economics.RateCard
-	// PeeringCandidate is a symmetric pair that should peer.
-	PeeringCandidate = economics.PeeringCandidate
-	// CapexModel prices fleet buildouts.
-	CapexModel = economics.CapexModel
 	// FleetPlan describes a provider's buildout.
 	FleetPlan = economics.FleetPlan
 )
 
 // Handover.
 type (
-	// HandoverTimeline is a simulated session's handover history.
-	HandoverTimeline = handover.Timeline
-	// HandoverEvent is one handover.
-	HandoverEvent = handover.Event
-	// HandoverPredictor computes successor handovers from public orbits.
-	HandoverPredictor = handover.Predictor
 	// HandoverSat is one satellite known to a predictor.
 	HandoverSat = handover.Sat
-	// PredictiveCosts parameterises OpenSpace's fast handover path.
-	PredictiveCosts = handover.PredictiveCosts
-	// ReauthCosts parameterises the full re-association baseline.
-	ReauthCosts = handover.ReauthCosts
 )
 
 // Handover constructors.
@@ -230,14 +153,8 @@ var (
 
 // Security (§5(6)): baseline end-to-end encryption and bad-actor cutoff.
 type (
-	// SecureSession is authenticated end-to-end encryption for user data.
-	SecureSession = security.Session
-	// Envelope is one sealed message.
-	Envelope = security.Envelope
 	// MisbehaviourReport is a signed accusation between providers.
 	MisbehaviourReport = security.Report
-	// QuarantineRegistry collects reports and quarantines by quorum.
-	QuarantineRegistry = security.Registry
 )
 
 // Misbehaviour report kinds.
@@ -246,8 +163,6 @@ const (
 	ReportLedgerFraud = security.KindLedgerFraud
 	// ReportTrafficDrop flags relayed traffic that never arrived.
 	ReportTrafficDrop = security.KindTrafficDrop
-	// ReportInterception flags tampering evidence on the accused's paths.
-	ReportInterception = security.KindInterception
 )
 
 // Security constructors.
@@ -262,28 +177,20 @@ var (
 
 // Regulation (§5(3)): regions, data residency, spectrum, licensing.
 type (
-	// RegulatoryAtlas partitions the Earth into jurisdictions.
-	RegulatoryAtlas = regulation.Atlas
 	// RegulatoryPolicy is the rule set a federation operates under.
 	RegulatoryPolicy = regulation.Policy
-	// RegulatoryRegion is one named jurisdiction.
-	RegulatoryRegion = regulation.Region
 )
 
 // Regulation constructors.
 var (
 	// DefaultAtlas returns the coarse continental partition.
 	DefaultAtlas = regulation.DefaultAtlas
-	// NewAtlas validates and assembles a custom atlas.
-	NewAtlas = regulation.NewAtlas
 	// ResidencyFilter enforces data-residency at path computation.
 	ResidencyFilter = regulation.ResidencyFilter
 )
 
 // Incentives (§5(4)).
 type (
-	// IncentiveReport is the membership business case for one provider.
-	IncentiveReport = economics.IncentiveReport
 	// CoverageEconomics monetises availability gains.
 	CoverageEconomics = economics.CoverageEconomics
 )
@@ -292,16 +199,12 @@ type (
 var (
 	// Incentive computes one provider's membership case.
 	Incentive = economics.Incentive
-	// RevenueShares splits a pot by carried volume.
-	RevenueShares = economics.RevenueShares
 )
 
 // Constructors and helpers re-exported from the subsystems.
 var (
 	// NewNetwork federates the configured providers.
 	NewNetwork = core.NewNetwork
-	// SplitConstellation partitions a constellation across fleets.
-	SplitConstellation = core.SplitConstellation
 	// Iridium returns the paper's reference Walker Star (66/6, 780 km).
 	Iridium = orbit.Iridium
 	// CBOReference returns the CBO's 72-satellite reference configuration.
@@ -331,10 +234,6 @@ var (
 	Fig2b = experiments.Fig2b
 	// DefaultFig2b returns the paper-default sweep configuration.
 	DefaultFig2b = experiments.DefaultFig2b
-	// Fig2c sweeps coverage vs constellation size.
-	Fig2c = experiments.Fig2c
-	// DefaultFig2c returns the paper-default sweep configuration.
-	DefaultFig2c = experiments.DefaultFig2c
 )
 
 // QuickFederation builds a ready-to-use federation: the Iridium reference
