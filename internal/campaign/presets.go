@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/openspace-project/openspace/internal/core"
 	"github.com/openspace-project/openspace/internal/exec"
@@ -135,7 +134,7 @@ func buildConstellation(preset string, seed int64) (*core.Network, []string, err
 			sats[i] = core.SatelliteConfig{ID: s.ID, Elements: s.Elements, HasLaser: true}
 		}
 		var stations []core.GroundStationConfig
-		for _, g := range topGateways(8) {
+		for _, g := range traffic.TopCityGateways(8) {
 			stations = append(stations, core.GroundStationConfig{
 				ID: g.ID, Pos: g.Pos, BackhaulBps: 10e9, PricePerGB: 0.05, VisitorSurge: 2,
 			})
@@ -150,26 +149,6 @@ func buildConstellation(preset string, seed int64) (*core.Network, []string, err
 		return net, []string{"walker"}, err
 	}
 	return nil, nil, fmt.Errorf("campaign: unknown constellation preset %q", preset)
-}
-
-// topGateways sites gateways at the count most populous world cities —
-// the same siting rule the capacity experiments use.
-func topGateways(count int) []traffic.Gateway {
-	cities := sim.WorldCities()
-	sort.Slice(cities, func(a, b int) bool {
-		if cities[a].PopM != cities[b].PopM { //lint:allow floateq exact sort tie-break keeps gateway siting deterministic
-			return cities[a].PopM > cities[b].PopM
-		}
-		return cities[a].Name < cities[b].Name
-	})
-	if count > len(cities) {
-		count = len(cities)
-	}
-	gws := make([]traffic.Gateway, count)
-	for i := 0; i < count; i++ {
-		gws[i] = traffic.Gateway{ID: "gw-" + cities[i].Name, Pos: cities[i].Pos}
-	}
-	return gws
 }
 
 // buildScenario composes the cell's scenario from its axis values via

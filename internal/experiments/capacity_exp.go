@@ -125,26 +125,6 @@ type capacityTrialOut struct {
 	cutLinks       int
 }
 
-// capacityGateways sites gateways at the most populous world cities —
-// the fixed ground segment of the sweep.
-func capacityGateways(count int) []traffic.Gateway {
-	cities := sim.WorldCities()
-	sort.Slice(cities, func(a, b int) bool {
-		if cities[a].PopM != cities[b].PopM { //lint:allow floateq exact sort tie-break keeps gateway siting deterministic
-			return cities[a].PopM > cities[b].PopM
-		}
-		return cities[a].Name < cities[b].Name
-	})
-	if count > len(cities) {
-		count = len(cities)
-	}
-	gws := make([]traffic.Gateway, count)
-	for i := 0; i < count; i++ {
-		gws[i] = traffic.Gateway{ID: "gw-" + cities[i].Name, Pos: cities[i].Pos}
-	}
-	return gws
-}
-
 // Capacity runs the sweep. Each (N, trial) task owns an RNG derived from
 // (Seed, N, trial) and runs on the exec pool, so the CSV is byte-identical
 // at any worker count.
@@ -164,7 +144,7 @@ func Capacity(cfg CapacityConfig) (*CapacityResult, error) {
 	default:
 		return nil, fmt.Errorf("experiments: capacity: unknown topology %q", cfg.Topology)
 	}
-	gws := capacityGateways(cfg.Gateways)
+	gws := traffic.TopCityGateways(cfg.Gateways)
 	groundSpecs := make([]topo.GroundSpec, len(gws))
 	for i, g := range gws {
 		groundSpecs[i] = topo.GroundSpec{ID: g.ID, Provider: "p", Pos: g.Pos}

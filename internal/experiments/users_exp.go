@@ -11,6 +11,7 @@ import (
 	"github.com/openspace-project/openspace/internal/orbit"
 	"github.com/openspace-project/openspace/internal/sim"
 	"github.com/openspace-project/openspace/internal/topo"
+	"github.com/openspace-project/openspace/internal/traffic"
 )
 
 // UsersScaleConfig parameterises E18: the fluid-aggregation scale-out. A
@@ -125,7 +126,7 @@ func UsersScale(cfg UsersScaleConfig) (*UsersScaleResult, error) {
 	for i, s := range c.Satellites {
 		specs[i] = topo.SatSpec{ID: s.ID, Provider: "p", Elements: s.Elements, HasLaser: true}
 	}
-	gws := capacityGateways(cfg.Gateways)
+	gws := traffic.TopCityGateways(cfg.Gateways)
 	groundSpecs := make([]topo.GroundSpec, len(gws))
 	for i, g := range gws {
 		groundSpecs[i] = topo.GroundSpec{ID: g.ID, Provider: "p", Pos: g.Pos}

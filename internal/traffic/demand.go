@@ -148,6 +148,28 @@ func BuildDemandMatrix(gws []Gateway, sats []orbit.Satellite, users []geo.LatLon
 	return m, nil
 }
 
+// TopCityGateways sites count gateways at the most populous world cities
+// (all of them when count exceeds sim.WorldCities), breaking population
+// ties by name so the siting is deterministic. The capacity, users and
+// campaign experiments share it as their fixed ground segment.
+func TopCityGateways(count int) []Gateway {
+	cities := sim.WorldCities()
+	sort.Slice(cities, func(a, b int) bool {
+		if cities[a].PopM != cities[b].PopM { //lint:allow floateq exact sort tie-break keeps gateway siting deterministic
+			return cities[a].PopM > cities[b].PopM
+		}
+		return cities[a].Name < cities[b].Name
+	})
+	if count > len(cities) {
+		count = len(cities)
+	}
+	gws := make([]Gateway, count)
+	for i := 0; i < count; i++ {
+		gws[i] = Gateway{ID: "gw-" + cities[i].Name, Pos: cities[i].Pos}
+	}
+	return gws
+}
+
 // NearestGatewayID returns the ID of the gateway closest to p on the
 // surface, with nearestGateway's deterministic tie-break. The fluid
 // aggregation layer uses it to map traffic-source cities onto lit

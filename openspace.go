@@ -17,14 +17,10 @@
 //   - The experiment harness regenerating every figure of the paper's
 //     evaluation (see the Fig2a and Fig2b functions and friends).
 //
-// Quickstart:
-//
-//	net, _ := openspace.QuickFederation(3, 42)
-//	net.AddUser("alice", "prov-0", openspace.LatLon{Lat: -1.29, Lon: 36.82})
-//	net.BuildTopology(0, 600, 60)
-//	net.Associate("alice", 0)
-//	delivery, _ := net.Send("alice", "gs-0", 1<<30, 0)
-//	fmt.Println(delivery.LatencyS)
+// Example (the package quickstart) and the Example_* functions in
+// example_test.go are runnable, output-checked walkthroughs: a roaming
+// delivery, §3's ledgers and settlement, §5(3)'s data residency and §5(6)'s
+// secure roaming.
 package openspace
 
 import (
@@ -32,7 +28,6 @@ import (
 	"github.com/openspace-project/openspace/internal/economics"
 	"github.com/openspace-project/openspace/internal/experiments"
 	"github.com/openspace-project/openspace/internal/geo"
-	"github.com/openspace-project/openspace/internal/handover"
 	"github.com/openspace-project/openspace/internal/orbit"
 	"github.com/openspace-project/openspace/internal/phy"
 	"github.com/openspace-project/openspace/internal/regulation"
@@ -51,10 +46,6 @@ type (
 type (
 	// NetworkConfig assembles a federation of providers.
 	NetworkConfig = core.NetworkConfig
-	// ProviderConfig describes one member firm.
-	ProviderConfig = core.ProviderConfig
-	// SatelliteConfig describes one spacecraft in a fleet.
-	SatelliteConfig = core.SatelliteConfig
 	// Network is an assembled OpenSpace federation.
 	Network = core.Network
 	// Scenario is a discrete-event workload for RunScenario.
@@ -135,22 +126,6 @@ type (
 	FleetPlan = economics.FleetPlan
 )
 
-// Handover.
-type (
-	// HandoverSat is one satellite known to a predictor.
-	HandoverSat = handover.Sat
-)
-
-// Handover constructors.
-var (
-	// NewHandoverPredictor creates a predictor for one ground user.
-	NewHandoverPredictor = handover.NewPredictor
-	// DefaultPredictiveCosts returns the standard fast-path costs.
-	DefaultPredictiveCosts = handover.DefaultPredictiveCosts
-	// DefaultReauthCosts returns the standard re-association costs.
-	DefaultReauthCosts = handover.DefaultReauthCosts
-)
-
 // Security (§5(6)): baseline end-to-end encryption and bad-actor cutoff.
 type (
 	// MisbehaviourReport is a signed accusation between providers.
@@ -209,8 +184,6 @@ var (
 	Iridium = orbit.Iridium
 	// CBOReference returns the CBO's 72-satellite reference configuration.
 	CBOReference = orbit.CBOReference
-	// RandomConstellation generates uncoordinated random circular orbits.
-	RandomConstellation = orbit.RandomCircular
 	// DefaultTopology returns the standard link feasibility rules.
 	DefaultTopology = topo.DefaultConfig
 	// DefaultCapex returns the capital cost model with the paper's figures.

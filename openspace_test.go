@@ -2,6 +2,7 @@ package openspace
 
 import (
 	"go/ast"
+	"go/doc"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -199,9 +200,38 @@ func TestPublicRoutingAPI(t *testing.T) {
 	_ = StandardUHF()
 }
 
+// TestExamplesCheckOutput requires an // Output: comment on every Example in
+// the root test files. go test compiles an Example without one but never
+// runs it, so its printout would go unchecked.
+func TestExamplesCheckOutput(t *testing.T) {
+	fset := token.NewFileSet()
+	paths, err := filepath.Glob("*_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []*ast.File
+	for _, path := range paths {
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	examples := doc.Examples(files...)
+	if len(examples) == 0 {
+		t.Fatal("no Example functions in the root test files")
+	}
+	for _, ex := range examples {
+		if ex.Output == "" && !ex.EmptyOutput {
+			t.Errorf("Example%s has no // Output: comment, so go test never runs it", ex.Name)
+		}
+	}
+}
+
 // TestFacadeNamesAreUsed keeps the facade to what its programs name. Every
 // top-level name in openspace.go must appear as openspace.Name in a program
-// under examples/ or cmd/, unqualified in a root test file, or in another
+// under cmd/ or in a root test file (the Examples in example_test.go call
+// the facade that way), unqualified in a root test file, or in another
 // facade declaration (QuickFederation returns *Network); an alias nothing
 // names is API no program reaches.
 func TestFacadeNamesAreUsed(t *testing.T) {
@@ -257,6 +287,17 @@ func TestFacadeNamesAreUsed(t *testing.T) {
 			return true
 		})
 	}
+	// markQualified records the Name of every openspace.Name in f.
+	markQualified := func(f *ast.File) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "openspace" {
+					used[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
 	markUnqualified(facade, declared)
 	tests, err := filepath.Glob("*_test.go")
 	if err != nil {
@@ -268,29 +309,21 @@ func TestFacadeNamesAreUsed(t *testing.T) {
 			t.Fatal(err)
 		}
 		markUnqualified(f, map[*ast.Ident]bool{})
+		markQualified(f)
 	}
-	for _, dir := range []string{"examples", "cmd"} {
-		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
-				return err
-			}
-			f, err := parser.ParseFile(fset, path, nil, 0)
-			if err != nil {
-				return err
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				if sel, ok := n.(*ast.SelectorExpr); ok {
-					if x, ok := sel.X.(*ast.Ident); ok && x.Name == "openspace" {
-						used[sel.Sel.Name] = true
-					}
-				}
-				return true
-			})
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
+	err = filepath.WalkDir("cmd", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
 		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		markQualified(f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	var unused []string
@@ -301,7 +334,7 @@ func TestFacadeNamesAreUsed(t *testing.T) {
 	}
 	sort.Strings(unused)
 	if len(unused) > 0 {
-		t.Errorf("%d names in openspace.go are named by no example, command, root test or other facade declaration; delete them: %s",
+		t.Errorf("%d names in openspace.go are named by no command, Example, root test or other facade declaration; delete them: %s",
 			len(unused), strings.Join(unused, ", "))
 	}
 }
