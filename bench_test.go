@@ -397,6 +397,39 @@ func BenchmarkMaxMinFair(b *testing.B) {
 			}
 		}
 	})
+	// capacity-mega's shape: a +Grid N=2000 shell, every ordered pair of
+	// the eight most populous cities' gateways, Yen k=8 under the default
+	// gateway-transit cost. Each destination is routed from seven sources
+	// in one call.
+	b.Run("grid-2000", func(b *testing.B) {
+		cfg, specs, _, _ := gridBuildInputs(b, 2000)
+		gws := traffic.TopCityGateways(8)
+		grounds := make([]topo.GroundSpec, len(gws))
+		for i, g := range gws {
+			grounds[i] = topo.GroundSpec{ID: g.ID, Provider: "p", Pos: g.Pos}
+		}
+		net := traffic.NewNetwork(topo.Build(0, cfg, specs, grounds, nil))
+		net.Recapacitate(traffic.DefaultCapacityModel())
+		var demands []traffic.Demand
+		for _, src := range gws {
+			for _, dst := range gws {
+				if src != dst {
+					demands = append(demands, traffic.Demand{Src: src.ID, Dst: dst.ID, OfferedBps: 1e9})
+				}
+			}
+		}
+		b.ResetTimer()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			alloc, err := traffic.MaxMinFair(net, demands, traffic.AllocConfig{KPaths: 8})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if alloc.CarriedBps() <= 0 {
+				b.Fatal("no demand was carried")
+			}
+		}
+	})
 }
 
 // BenchmarkEndToEndSend measures one associated Send through a federation.

@@ -255,18 +255,20 @@ func allocGate(t *testing.T) {
 }
 
 // TestAllocGateDenseSearch pins the //lint:hotpath contract on
-// searcher.search: on warmed scratch, a search with a Yen-style edge ban,
+// Graph.search: on warmed scratch, a search with a Yen-style edge ban,
 // its tree walk, a full tree and a bounded search that its limit stops
 // short of dst allocate nothing. Only turning a result into a Path, with
 // its []string of node IDs, allocates.
 func TestAllocGateDenseSearch(t *testing.T) {
 	allocGate(t)
 	s := gridSnapshot(t, 200)
-	sr, src, dst, err := acquire(s, "g0", "g1", LatencyCost(0))
+	src, dst, err := endpoints(s.Index(), "g0", "g1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sr.release()
+	sr := NewGraph(s, LatencyCost(0))
+	defer sr.Release()
+	sr.begin()
 	sr.next()
 	if !sr.find(src, dst) {
 		t.Fatal("g1 unreachable")
@@ -292,5 +294,36 @@ func TestAllocGateDenseSearch(t *testing.T) {
 	run() // warm
 	if avg := testing.AllocsPerRun(100, run); avg != 0 {
 		t.Fatalf("dense search allocates %.2f per run, want 0", avg)
+	}
+}
+
+// TestAllocGateTreeSpur pins the //lint:hotpath contract on the reverse
+// tree: on a warmed context, rebuilding a destination's tree from scratch
+// (transposed index, reverse search, slack) and answering a spur from it
+// allocate nothing.
+func TestAllocGateTreeSpur(t *testing.T) {
+	allocGate(t)
+	s := gridSnapshot(t, 200)
+	src, dst, err := endpoints(s.Index(), "g0", "g1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := NewGraph(s, LatencyCost(0))
+	defer g.Release()
+	g.begin()
+	run := func() {
+		g.treeDst, g.transposed = -1, false
+		g.tree(dst)
+		g.next()
+		if _, found, ok := g.answer(src); !ok || !found {
+			t.Fatalf("the tree did not answer g0's spur: found %v, answered %v", found, ok)
+		}
+	}
+	run() // warm
+	if avg := testing.AllocsPerRun(100, run); avg != 0 {
+		t.Fatalf("tree build and answered spur allocate %.2f per run, want 0", avg)
+	}
+	if g.treesBuilt < 101 || g.treeSettles == 0 {
+		t.Fatalf("%d trees built with %d settles, want one per run", g.treesBuilt, g.treeSettles)
 	}
 }

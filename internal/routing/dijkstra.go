@@ -17,14 +17,16 @@ var ErrUnknownNode = errors.New("routing: unknown node")
 // ShortestPath runs Dijkstra from src to dst on the snapshot under the cost
 // function.
 func ShortestPath(s *topo.Snapshot, src, dst string, cost CostFunc) (Path, error) {
-	sr, si, di, err := acquire(s, src, dst, cost)
+	si, di, err := endpoints(s.Index(), src, dst)
 	if err != nil {
 		return Path{}, err
 	}
-	defer sr.release()
-	sr.next()
-	if !sr.find(si, di) {
+	g := NewGraph(s, cost)
+	defer g.Release()
+	g.begin()
+	g.next()
+	if !g.find(si, di) {
 		return Path{}, fmt.Errorf("%w: %s → %s", ErrNoPath, src, dst)
 	}
-	return sr.materialize(sr.path, sr.dist[di]), nil
+	return g.materialize(g.path, g.dist[di]), nil
 }

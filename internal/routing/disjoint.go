@@ -21,29 +21,31 @@ func DisjointPaths(s *topo.Snapshot, src, dst string, cost CostFunc, k int) ([]P
 	if k <= 0 {
 		return nil, nil
 	}
-	sr, si, di, err := acquire(s, src, dst, cost)
+	si, di, err := endpoints(s.Index(), src, dst)
 	if err != nil {
 		return nil, err
 	}
-	defer sr.release()
+	g := NewGraph(s, cost)
+	defer g.Release()
+	g.begin()
 	var paths []Path
 	for len(paths) < k {
-		sr.next()
-		if !sr.find(si, di) {
+		g.next()
+		if !g.find(si, di) {
 			if len(paths) == 0 {
 				return nil, fmt.Errorf("%w: %s → %s", ErrNoPath, src, dst)
 			}
 			break // no more disjoint capacity
 		}
-		paths = append(paths, sr.materialize(sr.path, sr.dist[di]))
-		if len(sr.path) < 2 {
+		paths = append(paths, g.materialize(g.path, g.dist[di]))
+		if len(g.path) < 2 {
 			break // src == dst: the zero-hop path uses no edges; one copy suffices
 		}
 		// A used link is banned in both directions for the rest of the call.
-		for i := 0; i+1 < len(sr.path); i++ {
-			a, b := sr.path[i], sr.path[i+1]
-			sr.banEdge(a, b, sr.call)
-			sr.banEdge(b, a, sr.call)
+		for i := 0; i+1 < len(g.path); i++ {
+			a, b := g.path[i], g.path[i+1]
+			g.banEdge(a, b, g.call)
+			g.banEdge(b, a, g.call)
 		}
 	}
 	return paths, nil

@@ -8,27 +8,37 @@ import (
 	"github.com/openspace-project/openspace/internal/topo"
 )
 
-// searcher is the working set of one ShortestPath, KShortestPaths or
-// DisjointPaths call: Dijkstra over the snapshot's dense index with
-// slice scratch instead of string-keyed maps. Scratch entries are stamped
-// with the epoch that wrote them, so starting a search or a call is one
-// counter increment rather than a clear, and a pooled searcher can move
-// between snapshots of any size without stale state leaking in.
+// Graph is a routing context: one snapshot under one cost function, the
+// working set of Dijkstra over the snapshot's dense index with slice
+// scratch instead of string-keyed maps. Edge weights are memoised for the
+// context's whole life, so a CostFunc must stay pure until Release; Yen
+// calls to one destination share that destination's reverse
+// shortest-path tree (tree.go). ShortestPath, KShortestPaths and
+// DisjointPaths each run on a one-shot context; traffic.MaxMinFair routes
+// a whole fill through one.
+//
+// Scratch entries are stamped with the epoch that wrote them, so starting
+// a search, a call or a context is one counter increment rather than a
+// clear, and a pooled Graph can move between snapshots of any size
+// without stale state leaking in.
 //
 // Every tie-break is the map-based implementation's: neighbours are
 // relaxed in Neighbors order, only a strict improvement replaces a
 // predecessor, and the heap reproduces container/heap's sift order, so
 // equal-cost ties settle in the same order (oracle_test.go pins this).
-type searcher struct {
+//
+// A Graph is not safe for concurrent use.
+type Graph struct {
 	snap *topo.Snapshot
 	ix   *topo.Index
 	cost CostFunc
 
 	epoch uint32 // last stamp issued
-	call  uint32 // this call's stamp: weight memo and call-wide edge bans
+	bound uint32 // the context's stamp: weight memo
+	call  uint32 // this call's stamp: call-wide edge bans
 	cur   uint32 // the current search's stamp
 
-	// limit stops a search at its first pop costing strictly more; bind
+	// limit stops a search at its first pop costing strictly more; begin
 	// resets it to +Inf and only KShortestPaths lowers it.
 	limit float64
 
@@ -38,11 +48,34 @@ type searcher struct {
 	done    []uint32  //lint:scratch
 	banned  []uint32  //lint:scratch — node excluded from the search stamped here
 	edgeBan []uint32  //lint:scratch — edge excluded: call stamp for the call, cur for one search
-	wStamp  []uint32  //lint:scratch — memoised weight valid where == call
+	wStamp  []uint32  //lint:scratch — memoised weight valid where == bound
 	w       []float64 //lint:scratch
 	usable  []bool    //lint:scratch
 	heap    []entry   //lint:scratch
-	path    []int32   //lint:scratch — tree path of the last route call
+	path    []int32   //lint:scratch — path of the last route or answered spur
+
+	// The reverse shortest-path tree to treeDst (tree.go) and the
+	// transposed index it is searched on, built on first need.
+	treeDst    int32     // -1 until a tree is built
+	transposed bool      // rOff, rFrom and rArc hold this snapshot's in-edges
+	h          []float64 //lint:scratch — cost of v's tree path to treeDst; +Inf if none
+	succ       []int32   //lint:scratch — edge position of v's first tree hop; -1 at treeDst or if none
+	slack      []float64 //lint:scratch — least extra cost of leaving v's tree path
+	order      []int32   //lint:scratch — nodes in the order the tree settled them
+	rOff       []int32   //lint:scratch — node v's in-edges are rArc[rOff[v]:rOff[v+1]]
+	rFrom      []int32   //lint:scratch — tail of the in-edge at the same position
+	rArc       []int32   //lint:scratch — edge position of the in-edge
+
+	// Work counters, zeroed by bind. settles counts the nodes every
+	// forward search settled, spurSettles the share of Yen's spur searches
+	// (the rest are first searches, ShortestPath's and DisjointPaths'), and
+	// treeSettles the reverse trees'. A spur is answered from the tree or
+	// declined to the search, and firstAnswered counts Yen's first
+	// searches the tree answered. A Yen call whose spurs use the tree
+	// builds it, or reuses the one an earlier call built.
+	settles, spurSettles, treeSettles uint64
+	answered, declined, firstAnswered uint64
+	treesBuilt, treesReused           uint64
 }
 
 // entry is a priority-queue element: a node and the cost it was pushed at.
@@ -51,144 +84,163 @@ type entry struct {
 	cost float64
 }
 
-var searchers = sync.Pool{New: func() any { return new(searcher) }}
+var graphs = sync.Pool{New: func() any { return new(Graph) }}
 
-// acquire returns a pooled searcher bound to the snapshot and cost for one
-// call, with src and dst resolved to dense indices. It fails as
-// ShortestPath does when an endpoint is not in the snapshot.
-func acquire(s *topo.Snapshot, src, dst string, cost CostFunc) (*searcher, int32, int32, error) {
-	ix := s.Index()
+// NewGraph returns a pooled routing context for the snapshot under cost.
+// The caller owns it until Release and must not use it afterwards. cost
+// must be a pure function of the edge until then.
+func NewGraph(s *topo.Snapshot, cost CostFunc) *Graph {
+	g := graphs.Get().(*Graph)
+	g.bind(s, cost)
+	return g
+}
+
+// Release drops the context's references and returns it to the pool.
+func (g *Graph) Release() {
+	g.snap, g.ix, g.cost = nil, nil, nil
+	graphs.Put(g)
+}
+
+// endpoints resolves src and dst to dense indices, failing as
+// ShortestPath does when one is not in the snapshot.
+func endpoints(ix *topo.Index, src, dst string) (int32, int32, error) {
 	si, ok := ix.Lookup(src)
 	if !ok {
-		return nil, 0, 0, fmt.Errorf("%w: %q", ErrUnknownNode, src)
+		return 0, 0, fmt.Errorf("%w: %q", ErrUnknownNode, src)
 	}
 	di, ok := ix.Lookup(dst)
 	if !ok {
-		return nil, 0, 0, fmt.Errorf("%w: %q", ErrUnknownNode, dst)
+		return 0, 0, fmt.Errorf("%w: %q", ErrUnknownNode, dst)
 	}
-	sr := searchers.Get().(*searcher)
-	sr.bind(s, ix, cost)
-	return sr, si, di, nil
+	return si, di, nil
 }
 
-// release drops the call's references and returns sr to the pool.
-func (sr *searcher) release() {
-	sr.snap, sr.ix, sr.cost = nil, nil, nil
-	searchers.Put(sr)
-}
-
-// bind sizes the scratch for the snapshot and opens a new call: weights
-// memoised and edges banned under an earlier call stamp no longer count.
-func (sr *searcher) bind(s *topo.Snapshot, ix *topo.Index, cost CostFunc) {
-	sr.snap, sr.ix, sr.cost = s, ix, cost
+// bind sizes the scratch for the snapshot and opens a new context:
+// weights memoised, edges banned and trees built under an earlier stamp
+// no longer count.
+func (g *Graph) bind(s *topo.Snapshot, cost CostFunc) {
+	ix := s.Index()
+	g.snap, g.ix, g.cost = s, ix, cost
 	n, m := len(ix.Nodes), len(ix.Edges)
-	if len(sr.dist) < n {
-		sr.dist = make([]float64, n)
-		sr.prev = make([]int32, n)
-		sr.seen = make([]uint32, n)
-		sr.done = make([]uint32, n)
-		sr.banned = make([]uint32, n)
+	if len(g.dist) < n {
+		g.dist = make([]float64, n)
+		g.prev = make([]int32, n)
+		g.seen = make([]uint32, n)
+		g.done = make([]uint32, n)
+		g.banned = make([]uint32, n)
 	}
-	if len(sr.w) < m {
-		sr.edgeBan = make([]uint32, m)
-		sr.wStamp = make([]uint32, m)
-		sr.w = make([]float64, m)
-		sr.usable = make([]bool, m)
+	if len(g.w) < m {
+		g.edgeBan = make([]uint32, m)
+		g.wStamp = make([]uint32, m)
+		g.w = make([]float64, m)
+		g.usable = make([]bool, m)
 	}
-	// A call issues one stamp per search it runs, so restarting the count
-	// past half range leaves every call about 2³¹ searches.
-	if sr.epoch > math.MaxUint32/2 {
-		for _, st := range [][]uint32{sr.seen, sr.done, sr.banned, sr.edgeBan, sr.wStamp} {
+	// A context issues one stamp per call and per search it runs, so
+	// restarting the count past half range leaves every context about 2³¹.
+	if g.epoch > math.MaxUint32/2 {
+		for _, st := range [][]uint32{g.seen, g.done, g.banned, g.edgeBan, g.wStamp} {
 			clear(st)
 		}
-		sr.epoch = 0
+		g.epoch = 0
 	}
-	sr.epoch++
-	sr.call = sr.epoch
-	sr.limit = math.Inf(1)
+	g.epoch++
+	g.bound = g.epoch
+	g.treeDst, g.transposed = -1, false
+	g.settles, g.spurSettles, g.treeSettles = 0, 0, 0
+	g.answered, g.declined, g.firstAnswered = 0, 0, 0
+	g.treesBuilt, g.treesReused = 0, 0
+}
+
+// begin opens a new call on the context: edges banned for an earlier
+// call no longer count, and searches are unbounded.
+func (g *Graph) begin() {
+	g.epoch++
+	g.call = g.epoch
+	g.limit = math.Inf(1)
 }
 
 // next opens a new search within the call. Node and per-search edge bans
-// for it are stamped with sr.cur before search runs.
-func (sr *searcher) next() {
-	sr.epoch++
-	sr.cur = sr.epoch
+// for it are stamped with g.cur before search runs.
+func (g *Graph) next() {
+	g.epoch++
+	g.cur = g.epoch
 }
 
 // reached reports whether the current search settled v, so that the
 // tree holds a shortest path to it. A search cut short by its limit may
 // have seen v without settling it.
-func (sr *searcher) reached(v int32) bool { return sr.done[v] == sr.cur }
+func (g *Graph) reached(v int32) bool { return g.done[v] == g.cur }
 
 // find runs the current search from src, stopping at dst, and reports
-// whether dst is reachable; if so the path is left in sr.path.
-func (sr *searcher) find(src, dst int32) bool {
-	sr.search(src, dst)
-	if !sr.reached(dst) {
+// whether dst is reachable; if so the path is left in g.path.
+func (g *Graph) find(src, dst int32) bool {
+	g.search(src, dst)
+	if !g.reached(dst) {
 		return false
 	}
-	sr.route(src, dst)
+	g.route(src, dst)
 	return true
 }
 
-// search runs Dijkstra from src under the call's cost and the current
+// search runs Dijkstra from src under the context's cost and the current
 // search's bans, stopping once stop is settled (stop < 0 settles every
-// reachable node) or at the first pop costing more than sr.limit. An
-// edge's weight is evaluated on its first relaxation in the call and
-// memoised, which is why CostFunc must be pure for the duration of a call.
+// reachable node) or at the first pop costing more than g.limit.
 //
 //lint:hotpath
-func (sr *searcher) search(src, stop int32) {
-	cur, call := sr.cur, sr.call
-	off, to := sr.ix.Off, sr.ix.To
-	sr.heap = sr.heap[:0]
-	sr.seen[src], sr.dist[src], sr.prev[src] = cur, 0, -1
-	sr.push(src, 0)
-	for len(sr.heap) > 0 {
-		it := sr.pop()
-		if it.cost > sr.limit {
+func (g *Graph) search(src, stop int32) {
+	cur, call := g.cur, g.call
+	off, to := g.ix.Off, g.ix.To
+	var settled uint64
+	g.heap = g.heap[:0]
+	g.seen[src], g.dist[src], g.prev[src] = cur, 0, -1
+	g.push(src, 0)
+	for len(g.heap) > 0 {
+		it := g.pop()
+		if it.cost > g.limit {
 			break
 		}
 		u := it.node
-		if sr.done[u] == cur {
+		if g.done[u] == cur {
 			continue
 		}
-		sr.done[u] = cur
+		g.done[u] = cur
+		settled++
 		if u == stop {
 			break
 		}
 		for j := off[u]; j < off[u+1]; j++ {
 			v := to[j]
-			if sr.banned[v] == cur || sr.edgeBan[j] == call || sr.edgeBan[j] == cur {
+			if g.banned[v] == cur || g.edgeBan[j] == call || g.edgeBan[j] == cur {
 				continue
 			}
-			w, usable := sr.weight(j)
+			w, usable := g.weight(j)
 			if !usable || w < 0 {
 				continue
 			}
 			nd := it.cost + w
-			if sr.seen[v] != cur || nd < sr.dist[v] {
-				sr.seen[v], sr.dist[v], sr.prev[v] = cur, nd, u
-				sr.push(v, nd)
+			if g.seen[v] != cur || nd < g.dist[v] {
+				g.seen[v], g.dist[v], g.prev[v] = cur, nd, u
+				g.push(v, nd)
 			}
 		}
 	}
+	g.settles += settled
 }
 
 // weight returns the memoised cost of edge j, scoring it on first use in
-// the call.
-func (sr *searcher) weight(j int32) (float64, bool) {
-	if sr.wStamp[j] != sr.call {
-		sr.w[j], sr.usable[j] = sr.cost(sr.ix.Edges[j], sr.snap)
-		sr.wStamp[j] = sr.call
+// the context.
+func (g *Graph) weight(j int32) (float64, bool) {
+	if g.wStamp[j] != g.bound {
+		g.w[j], g.usable[j] = g.cost(g.ix.Edges[j], g.snap)
+		g.wStamp[j] = g.bound
 	}
-	return sr.w[j], sr.usable[j]
+	return g.w[j], g.usable[j]
 }
 
 // push is container/heap.Push: append, then sift up.
-func (sr *searcher) push(v int32, c float64) {
-	sr.heap = append(sr.heap, entry{node: v, cost: c})
-	h := sr.heap
+func (g *Graph) push(v int32, c float64) {
+	g.heap = append(g.heap, entry{node: v, cost: c})
+	h := g.heap
 	for j := len(h) - 1; ; {
 		i := (j - 1) / 2 // parent
 		if i == j || !(h[j].cost < h[i].cost) {
@@ -201,8 +253,8 @@ func (sr *searcher) push(v int32, c float64) {
 
 // pop is container/heap.Pop: swap the root to the end, sift the new root
 // down over the rest, and remove the end.
-func (sr *searcher) pop() entry {
-	h := sr.heap
+func (g *Graph) pop() entry {
+	h := g.heap
 	n := len(h) - 1
 	h[0], h[n] = h[n], h[0]
 	for i := 0; ; {
@@ -221,30 +273,30 @@ func (sr *searcher) pop() entry {
 		i = j
 	}
 	it := h[n]
-	sr.heap = h[:n]
+	g.heap = h[:n]
 	return it
 }
 
 // route walks the current search's tree back from dst and leaves the
-// path, src first, in sr.path.
-func (sr *searcher) route(src, dst int32) {
-	sr.path = sr.path[:0]
-	for at := dst; ; at = sr.prev[at] {
-		sr.path = append(sr.path, at)
+// path, src first, in g.path.
+func (g *Graph) route(src, dst int32) {
+	g.path = g.path[:0]
+	for at := dst; ; at = g.prev[at] {
+		g.path = append(g.path, at)
 		if at == src {
 			break
 		}
 	}
-	for i, j := 0, len(sr.path)-1; i < j; i, j = i+1, j-1 {
-		sr.path[i], sr.path[j] = sr.path[j], sr.path[i]
+	for i, j := 0, len(g.path)-1; i < j; i, j = i+1, j-1 {
+		g.path[i], g.path[j] = g.path[j], g.path[i]
 	}
 }
 
 // edgeTo returns the CSR position of edge u → v, or -1 when there is
 // none. A snapshot has at most one edge per ordered pair of nodes.
-func (sr *searcher) edgeTo(u, v int32) int32 {
-	for j := sr.ix.Off[u]; j < sr.ix.Off[u+1]; j++ {
-		if sr.ix.To[j] == v {
+func (g *Graph) edgeTo(u, v int32) int32 {
+	for j := g.ix.Off[u]; j < g.ix.Off[u+1]; j++ {
+		if g.ix.To[j] == v {
 			return j
 		}
 	}
@@ -252,16 +304,16 @@ func (sr *searcher) edgeTo(u, v int32) int32 {
 }
 
 // banEdge stamps edge u → v, if there is one, with st.
-func (sr *searcher) banEdge(u, v int32, st uint32) {
-	if j := sr.edgeTo(u, v); j >= 0 {
-		sr.edgeBan[j] = st
+func (g *Graph) banEdge(u, v int32, st uint32) {
+	if j := g.edgeTo(u, v); j >= 0 {
+		g.edgeBan[j] = st
 	}
 }
 
 // materialize turns a dense node sequence into a Path with the given
 // cost: its node IDs, the position of each hop's edge, and statistics read
 // from those edges.
-func (sr *searcher) materialize(nodes []int32, cost float64) Path {
+func (g *Graph) materialize(nodes []int32, cost float64) Path {
 	p := Path{
 		Nodes: make([]string, len(nodes)),
 		Arcs:  make([]int32, len(nodes)-1),
@@ -269,15 +321,15 @@ func (sr *searcher) materialize(nodes []int32, cost float64) Path {
 		Hops:  len(nodes) - 1,
 	}
 	for i, v := range nodes {
-		p.Nodes[i] = sr.ix.Nodes[v].ID
+		p.Nodes[i] = g.ix.Nodes[v].ID
 	}
 	if p.Hops > 0 {
 		p.MinCapacityBps = math.Inf(1)
 	}
 	for i := range p.Arcs {
-		j := sr.edgeTo(nodes[i], nodes[i+1])
+		j := g.edgeTo(nodes[i], nodes[i+1])
 		p.Arcs[i] = j
-		e := &sr.ix.Edges[j]
+		e := &g.ix.Edges[j]
 		p.DelayS += e.DelayS
 		p.DistanceKm += e.DistanceKm
 		if e.CapacityBps < p.MinCapacityBps {

@@ -19,7 +19,7 @@ import (
 // dense indices follow sorted ID order, comparing index sequences is the
 // same comparison (cmpPath).
 //
-// Three shortcuts cut the spur searches without changing a single path,
+// Four shortcuts cut the spur searches without changing a single path,
 // ties included. A, the accepted paths, and the candidate pool are as in
 // Yen; need = k − |A| is the number of rounds left.
 //
@@ -49,26 +49,54 @@ import (
 //     spur's distance and join's total: a path that would tie is always
 //     found. θ never rises once the pool is full, so a search that an
 //     earlier bound stopped has nothing for a later round either.
+//   - Reverse-tree spurs (Kurz & Mutzel 2016). A call's first spur makes
+//     dst's reverse shortest-path tree current (tree.go): h(v), the least
+//     cost from v to dst with nothing banned, and slack(v), the least
+//     extra cost of leaving v's tree path anywhere before dst. Bans only
+//     remove edges, so w(s, y) + h(y) bounds every spur path that leaves
+//     the spur s by y. Let s → x be the unbanned sidetrack with the least
+//     bound c. If x's tree path avoids s and every banned node, s → x
+//     followed by it is a spur path costing c. If, besides, every other
+//     sidetrack's bound exceeds c·(1 + treeSlack) and slack(x) exceeds
+//     treeSlack·c, every other spur path costs more than c by a margin
+//     that float rounding cannot close, so it is the search's unique
+//     shortest path and the search returns it. A bounded spur sums its
+//     weights forward from s, as search does, and compares the sum with
+//     the limit, which is the search's own stopping test. Any other spur
+//     (a tie, a banned or looping tree path) runs the search.
 //
 // The paths returned are therefore plain Yen's, whose i-th path is fixed
 // before k is consulted: k only decides when the loop stops. So the first
 // k paths still do not depend on k, even though k sets the trim and the
 // bound.
 func KShortestPaths(s *topo.Snapshot, src, dst string, cost CostFunc, k int) ([]Path, error) {
+	g := NewGraph(s, cost)
+	defer g.Release()
+	return g.KShortestPaths(src, dst, k)
+}
+
+// KShortestPaths is the package function KShortestPaths on the context's
+// snapshot and cost. Calls to one destination share its reverse tree, so
+// a caller routing many pairs does best to group them by destination.
+func (g *Graph) KShortestPaths(src, dst string, k int) ([]Path, error) {
 	if k <= 0 {
 		return nil, nil
 	}
-	sr, si, di, err := acquire(s, src, dst, cost)
+	si, di, err := endpoints(g.ix, src, dst)
 	if err != nil {
 		return nil, err
 	}
-	defer sr.release()
-	sr.next()
-	if !sr.find(si, di) {
+	g.begin()
+	g.next()
+	d, found := g.first(si, di)
+	if !found {
 		return nil, fmt.Errorf("%w: %s → %s", ErrNoPath, src, dst)
 	}
-	paths := []densePath{{nodes: slices.Clone(sr.path), cost: sr.dist[di]}}
+	paths := []densePath{{nodes: slices.Clone(g.path), cost: d}}
 	var candidates []densePath // sorted by cmpPath, at most need long
+	// The spurs use dst's tree unless building it would not pay (tied);
+	// the first spur makes it current.
+	useTree, treeReady := g.treeDst == di || !g.tied(d), false
 
 	for len(paths) < k {
 		need := k - len(paths)
@@ -78,35 +106,39 @@ func KShortestPaths(s *topo.Snapshot, src, dst string, cost CostFunc, k int) ([]
 		// deviation.
 		for i := 0; i < len(prev.nodes)-1; i++ {
 			if i > 0 {
-				rootCost += sr.hopCost(prev.nodes[i-1], prev.nodes[i])
+				rootCost += g.hopCost(prev.nodes[i-1], prev.nodes[i])
 			}
 			if i < prev.dev {
 				continue
 			}
 			spur := prev.nodes[i]
 			root := prev.nodes[:i+1]
-			sr.next()
+			g.next()
 			// Edges to exclude: the next hop of every accepted path that
 			// shares this root. They all leave the spur.
 			for _, p := range paths {
 				if hasPrefix(p.nodes, root) {
-					sr.banEdge(p.nodes[i], p.nodes[i+1], sr.cur)
+					g.banEdge(p.nodes[i], p.nodes[i+1], g.cur)
 				}
 			}
 			// Nodes of the root (except the spur) are excluded to keep
 			// paths loopless.
 			for _, n := range root[:i] {
-				sr.banned[n] = sr.cur
+				g.banned[n] = g.cur
 			}
-			sr.limit = math.Inf(1)
+			g.limit = math.Inf(1)
 			if len(candidates) == need {
 				theta := candidates[need-1].cost
-				sr.limit = theta - rootCost + spurSlack*theta
+				g.limit = theta - rootCost + spurSlack*theta
 			}
-			if !sr.find(spur, di) {
+			if useTree && !treeReady {
+				g.tree(di)
+				treeReady = true
+			}
+			if !g.spur(spur, di, useTree) {
 				continue
 			}
-			total := sr.join(root, sr.path)
+			total := g.join(root, g.path)
 			total.dev = i
 			if containsNodes(paths, total.nodes) {
 				continue
@@ -128,7 +160,7 @@ func KShortestPaths(s *topo.Snapshot, src, dst string, cost CostFunc, k int) ([]
 	}
 	out := make([]Path, len(paths))
 	for i, p := range paths {
-		out[i] = sr.materialize(p.nodes, p.cost)
+		out[i] = g.materialize(p.nodes, p.cost)
 	}
 	return out, nil
 }
@@ -167,20 +199,20 @@ func cmpPath(a, b densePath) int {
 // evaluation of the whole path would. The join is always a loopless path
 // of usable edges: the spur search banned every root node but the spur,
 // and both halves were found by searches that skip unusable edges.
-func (sr *searcher) join(root, spurPath []int32) densePath {
+func (g *Graph) join(root, spurPath []int32) densePath {
 	nodes := make([]int32, 0, len(root)+len(spurPath)-1)
 	nodes = append(nodes, root...)
 	nodes = append(nodes, spurPath[1:]...)
 	var total float64
 	for i := 0; i+1 < len(nodes); i++ {
-		total += sr.hopCost(nodes[i], nodes[i+1])
+		total += g.hopCost(nodes[i], nodes[i+1])
 	}
 	return densePath{nodes: nodes, cost: total}
 }
 
 // hopCost returns the memoised weight of edge u → v.
-func (sr *searcher) hopCost(u, v int32) float64 {
-	w, _ := sr.weight(sr.edgeTo(u, v))
+func (g *Graph) hopCost(u, v int32) float64 {
+	w, _ := g.weight(g.edgeTo(u, v))
 	return w
 }
 

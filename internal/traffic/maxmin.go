@@ -3,6 +3,7 @@ package traffic
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/openspace-project/openspace/internal/routing"
 	"github.com/openspace-project/openspace/internal/topo"
@@ -231,9 +232,11 @@ func (st *fillState) run(dems []DemandAllocation) {
 // paths and builds the fill state — the allocating, cold half of
 // MaxMinFair. The widest-of-k choice is a pure function of the snapshot,
 // the cost, k and the endpoints (pathBottleneckBps reads only the
-// network's capacities), so each distinct (src, dst) is routed once: a
-// later demand of the pair, adjacent or not, takes the first one's Path
-// and Arcs, or its lack of a route.
+// network's capacities), so each distinct (src, dst) is routed once, and
+// in any order: the pairs go through one routing context grouped by
+// destination, so that Yen calls to one destination share its reverse
+// tree, and every demand of a pair takes the pair's Path and Arcs, or its
+// lack of a route.
 func prepareFill(n *Network, demands []Demand, cfg AllocConfig) (*Allocation, *fillState, error) {
 	k := cfg.KPaths
 	if k <= 0 {
@@ -257,12 +260,13 @@ func prepareFill(n *Network, demands []Demand, cfg AllocConfig) (*Allocation, *f
 		linkUsers: make([]int32, len(ix.Edges)),
 		active:    make([]bool, len(demands)),
 	}
-	// first maps the pair's node positions, packed, to the first demand
-	// that routed it.
+	// first maps the pair's node positions, packed destination first, to
+	// the pair's first demand, and of[i] is demand i's pair's first demand.
 	first := make(map[uint64]int, len(demands))
+	of := make([]int, len(demands))
+	pairs := make([]uint64, 0, len(demands))
 	for i, d := range demands {
-		da := &alloc.Demands[i]
-		da.Demand = d
+		alloc.Demands[i].Demand = d
 		if !(d.OfferedBps >= 0) {
 			return nil, nil, fmt.Errorf("traffic: demand %s→%s has offered load %v, want ≥ 0", d.Src, d.Dst, d.OfferedBps)
 		}
@@ -271,16 +275,28 @@ func prepareFill(n *Network, demands []Demand, cfg AllocConfig) (*Allocation, *f
 		if !okSrc || !okDst {
 			return nil, nil, fmt.Errorf("traffic: demand %s→%s references unknown node", d.Src, d.Dst)
 		}
-		pair := uint64(si)<<32 | uint64(di)
-		if j, ok := first[pair]; ok {
-			da.Path, da.Arcs = alloc.Demands[j].Path, alloc.Demands[j].Arcs
-		} else {
+		pair := uint64(di)<<32 | uint64(si)
+		j, ok := first[pair]
+		if !ok {
+			j = i
 			first[pair] = i
-			da.Path, da.Arcs = widestOfK(n, d.Src, d.Dst, cost, k)
+			pairs = append(pairs, pair)
 		}
+		of[i] = j
+	}
+	slices.Sort(pairs)
+	g := routing.NewGraph(n.Snap, cost)
+	defer g.Release()
+	for _, pair := range pairs {
+		da := &alloc.Demands[first[pair]]
+		da.Path, da.Arcs = widestOfK(n, g, da.Src, da.Dst, k)
+	}
+	for i, j := range of {
+		da := &alloc.Demands[i]
+		da.Path, da.Arcs = alloc.Demands[j].Path, alloc.Demands[j].Arcs
 		// Yen's paths are loopless, so no link repeats within Arcs and each
 		// demand counts once per link it crosses.
-		if da.Path != nil && d.OfferedBps > 0 {
+		if da.Path != nil && da.OfferedBps > 0 {
 			st.active[i] = true
 			st.nActive++
 			for _, li := range da.Arcs {
@@ -292,11 +308,11 @@ func prepareFill(n *Network, demands []Demand, cfg AllocConfig) (*Allocation, *f
 }
 
 // widestOfK returns the nodes and edge positions of the widest of the k
-// shortest src→dst paths under cost — the largest bottleneck capacity,
-// ties to the lower Yen rank — or nils when there is no route or every
-// route crosses a zero-capacity link.
-func widestOfK(n *Network, src, dst string, cost routing.CostFunc, k int) ([]string, []int32) {
-	paths, err := routing.KShortestPaths(n.Snap, src, dst, cost, k)
+// shortest src→dst paths on g — the largest bottleneck capacity, ties to
+// the lower Yen rank — or nils when there is no route or every route
+// crosses a zero-capacity link.
+func widestOfK(n *Network, g *routing.Graph, src, dst string, k int) ([]string, []int32) {
+	paths, err := g.KShortestPaths(src, dst, k)
 	if err != nil || len(paths) == 0 {
 		return nil, nil
 	}
