@@ -72,10 +72,12 @@ type Graph struct {
 	// treeSettles the reverse trees'. A spur is answered from the tree or
 	// declined to the search, and firstAnswered counts Yen's first
 	// searches the tree answered. A Yen call whose spurs use the tree
-	// builds it, or reuses the one an earlier call built.
-	settles, spurSettles, treeSettles uint64
-	answered, declined, firstAnswered uint64
-	treesBuilt, treesReused           uint64
+	// builds it, or reuses the one an earlier call built; treesSkipped
+	// counts the calls that searched every spur instead because their
+	// first path tied.
+	settles, spurSettles, treeSettles     uint64
+	answered, declined, firstAnswered     uint64
+	treesBuilt, treesReused, treesSkipped uint64
 }
 
 // entry is a priority-queue element: a node and the cost it was pushed at.
@@ -148,7 +150,7 @@ func (g *Graph) bind(s *topo.Snapshot, cost CostFunc) {
 	g.treeDst, g.transposed = -1, false
 	g.settles, g.spurSettles, g.treeSettles = 0, 0, 0
 	g.answered, g.declined, g.firstAnswered = 0, 0, 0
-	g.treesBuilt, g.treesReused = 0, 0
+	g.treesBuilt, g.treesReused, g.treesSkipped = 0, 0, 0
 }
 
 // begin opens a new call on the context: edges banned for an earlier

@@ -198,6 +198,10 @@ func randomState(rng *rand.Rand, g *Graph) spurState {
 // on +Grid 1 000, the work counters must show the tree answering at least
 // 80 % of Yen's spurs. (On +Grid 200 about a third are declined, mostly
 // because the best sidetrack's tree path runs back through the spur.)
+// A k = 1 call must neither build a tree nor decide to skip one. The
+// counters must also show the tree answering some first searches and
+// no call skipping it under delay, and calls skipping it under hop
+// counting, whose first paths tie (tied).
 func TestTreeSpursMatchSearch(t *testing.T) {
 	sizes, random := []int{200, 1000}, 150
 	if testing.Short() {
@@ -225,6 +229,10 @@ func TestTreeSpursMatchSearch(t *testing.T) {
 		for cname, cost := range treeCosts() {
 			var yen, rnd spurTally
 			g := NewGraph(c.snap, cost)
+			if _, err := g.KShortestPaths(srcs[0], dsts[0], 1); err != nil || g.treesBuilt+g.treesSkipped != 0 {
+				t.Fatalf("%s/%s: a k = 1 call, which has no spurs, built %d trees and skipped %d (err %v)",
+					c.name, cname, g.treesBuilt, g.treesSkipped, err)
+			}
 			for _, dst := range dsts {
 				for _, src := range srcs {
 					if src == dst {
@@ -253,13 +261,29 @@ func TestTreeSpursMatchSearch(t *testing.T) {
 				}
 			}
 			label := fmt.Sprintf("%s/%s", c.name, cname)
-			t.Logf("%s: Yen spurs %d answered of %d (%d ties); random %d of %d (%d ties); counters %d answered, %d declined, trees %d built, %d reused",
-				label, yen.answered, yen.spurs, yen.ties, rnd.answered, rnd.spurs, rnd.ties, g.answered, g.declined, g.treesBuilt, g.treesReused)
+			t.Logf("%s: Yen spurs %d answered of %d (%d ties); random %d of %d (%d ties); counters %d answered, %d declined, %d first answered, trees %d built, %d reused, %d skipped; settles %d, spur %d, tree %d",
+				label, yen.answered, yen.spurs, yen.ties, rnd.answered, rnd.spurs, rnd.ties, g.answered, g.declined, g.firstAnswered,
+				g.treesBuilt, g.treesReused, g.treesSkipped, g.settles, g.spurSettles, g.treeSettles)
 			if yen.spurs == 0 || rnd.spurs == 0 {
 				t.Fatalf("%s: no spurs compared", label)
 			}
 			if cname == "hop" && yen.ties+rnd.ties == 0 {
 				t.Fatalf("%s: no tied spur; the cases no longer exercise ties", label)
+			}
+			if g.spurSettles > g.settles || g.treeSettles == 0 || g.treesBuilt == 0 {
+				t.Fatalf("%s: %d spur settles of %d, %d tree settles in %d trees; want spur ≤ all and a tree built",
+					label, g.spurSettles, g.settles, g.treeSettles, g.treesBuilt)
+			}
+			switch cname {
+			case "latency":
+				if g.treesSkipped != 0 || g.firstAnswered == 0 {
+					t.Fatalf("%s: %d calls skipped the tree and %d first searches were answered from it; want 0 and some",
+						label, g.treesSkipped, g.firstAnswered)
+				}
+			case "hop":
+				if g.treesSkipped == 0 {
+					t.Fatalf("%s: no call skipped the tree, although hop counts tie everywhere", label)
+				}
 			}
 			if c.name == "grid-1000" && cname == "latency" {
 				if frac := float64(g.answered) / float64(g.answered+g.declined); !(frac >= 0.8) {

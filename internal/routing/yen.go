@@ -95,8 +95,13 @@ func (g *Graph) KShortestPaths(src, dst string, k int) ([]Path, error) {
 	paths := []densePath{{nodes: slices.Clone(g.path), cost: d}}
 	var candidates []densePath // sorted by cmpPath, at most need long
 	// The spurs use dst's tree unless building it would not pay (tied);
-	// the first spur makes it current.
-	useTree, treeReady := g.treeDst == di || !g.tied(d), false
+	// the first spur makes it current. A call with k = 1 has no spurs.
+	useTree, treeReady := g.treeDst == di, false
+	if k > 1 && !useTree {
+		if useTree = !g.tied(d); !useTree {
+			g.treesSkipped++
+		}
+	}
 
 	for len(paths) < k {
 		need := k - len(paths)
