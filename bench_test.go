@@ -109,23 +109,39 @@ func BenchmarkCoverage(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotBuild measures one 66-satellite topology snapshot.
+// BenchmarkSnapshotBuild measures one-shot topology snapshots: the
+// 66-satellite Iridium shell with a station and a user, and fig2b's shape,
+// 100 random circular satellites at 780 km whose 10⁹ km ISL range puts
+// every pair in range, so the geometric wiring checks all of them.
 func BenchmarkSnapshotBuild(b *testing.B) {
 	c, err := orbit.Iridium().Build()
 	if err != nil {
 		b.Fatal(err)
 	}
-	specs := make([]topo.SatSpec, c.Len())
-	for i, s := range c.Satellites {
-		specs[i] = topo.SatSpec{ID: s.ID, Provider: "p", Elements: s.Elements}
-	}
+	random := orbit.RandomCircular(100, 780, rand.New(rand.NewSource(1)))
+	fig2b := topo.DefaultConfig()
+	fig2b.ISLRangeKm = 1e9
 	grounds := []topo.GroundSpec{{ID: "gs", Provider: "p", Pos: geo.LatLon{Lat: 47.6, Lon: -122.3}}}
 	users := []topo.UserSpec{{ID: "u", Provider: "p", Pos: geo.LatLon{Lat: -1.29, Lon: 36.82}}}
-	cfg := topo.DefaultConfig()
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = topo.Build(float64(i), cfg, specs, grounds, users)
+	for _, bc := range []struct {
+		name string
+		c    *orbit.Constellation
+		cfg  topo.Config
+	}{
+		{"iridium", c, topo.DefaultConfig()},
+		{"fig2b", random, fig2b},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			specs := make([]topo.SatSpec, bc.c.Len())
+			for i, s := range bc.c.Satellites {
+				specs[i] = topo.SatSpec{ID: s.ID, Provider: "p", Elements: s.Elements}
+			}
+			b.ResetTimer()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = topo.Build(float64(i), bc.cfg, specs, grounds, users)
+			}
+		})
 	}
 }
 

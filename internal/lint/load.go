@@ -167,12 +167,14 @@ func staticCallees(site declSite, dst []*types.Func) []*types.Func {
 // Scratch is storage the owner overwrites wholesale on its next kernel
 // invocation, so nothing aliasing it may outlive the call that filled it.
 // The scratchsafe analyzer enforces that contract on every method of the
-// declaring type and on every //lint:hotpath function.
+// declaring type, of each type that embeds or holds it, and on every
+// //lint:hotpath function.
 const scratchMarker = "//lint:scratch"
 
 // scratchIndex is the repo-wide view of the //lint:scratch annotations:
 // the tagged field objects, and the named types that carry at least one
-// of them (whose methods all inherit the scratchsafe check).
+// of them, directly or through a field that embeds or holds another
+// carrier (whose methods all inherit the scratchsafe check).
 type scratchIndex struct {
 	fields map[*types.Var]bool
 	owners map[*types.TypeName]bool
@@ -180,9 +182,13 @@ type scratchIndex struct {
 
 // scratchFields indexes every //lint:scratch-tagged struct field across
 // the loaded packages. The marker is read from the field's doc comment or
-// trailing line comment, so it works both above and beside the field.
+// trailing line comment, so it works both above and beside the field. A
+// struct whose field is a carrier, or a pointer to one, carries scratch
+// too: its methods reach the tagged fields as promoted or selected
+// fields, so they are checked like the carrier's own.
 func scratchFields(pkgs []*Package) *scratchIndex {
 	idx := &scratchIndex{fields: map[*types.Var]bool{}, owners: map[*types.TypeName]bool{}}
+	holders := map[*types.TypeName][]*types.TypeName{} // field type → structs with such a field
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
@@ -196,6 +202,9 @@ func scratchFields(pkgs []*Package) *scratchIndex {
 				}
 				owner, _ := pkg.Info.Defs[ts.Name].(*types.TypeName)
 				for _, field := range st.Fields.List {
+					if held := typeName(deref(pkg.Info.TypeOf(field.Type))); held != nil && owner != nil {
+						holders[held] = append(holders[held], owner)
+					}
 					if !hasMarker(scratchMarker, field.Doc, field.Comment) {
 						continue
 					}
@@ -210,6 +219,16 @@ func scratchFields(pkgs []*Package) *scratchIndex {
 				}
 				return true
 			})
+		}
+	}
+	for grew := true; grew; {
+		grew = false
+		for held, hs := range holders {
+			for _, h := range hs {
+				if idx.owners[held] && !idx.owners[h] {
+					idx.owners[h], grew = true, true
+				}
+			}
 		}
 	}
 	return idx

@@ -17,7 +17,9 @@ import (
 // The analyzer checks every function in the //lint:hotpath set (the same
 // transitive static call-graph walk hotalloc uses, so the two analyzers
 // agree on reachability) plus every method of a type carrying tagged
-// fields, and flags the escape channels:
+// fields, directly or through a field that embeds or holds a carrier
+// (a pooled builder embedding its scratch struct reaches the tagged
+// fields as promoted fields), and flags the escape channels:
 //
 //   - returning a scratch field, a re-slice of one, or a local aliasing
 //     one (including append chains rooted at scratch);

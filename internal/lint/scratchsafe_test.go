@@ -148,6 +148,40 @@ func helper(k *kernel) []int {
 `})
 	})
 
+	t.Run("embedded_and_held_carriers_pass_the_check_on", func(t *testing.T) {
+		// A struct that embeds or holds a scratch-carrying struct carries
+		// its scratch: its methods are checked too, transitively.
+		runFixture(t, analyzerByName(t, "scratchsafe"), fixturePkg{pkg, `package fixture
+
+type kernel struct {
+	buf []int //lint:scratch
+}
+
+type pooled struct {
+	n int
+	kernel
+}
+
+func (p *pooled) Promoted() []int {
+	return p.buf // want "returns memory aliasing scratch field buf in Promoted, a method of scratch-carrying pooled"
+}
+
+type holder struct{ k *kernel }
+
+func (h *holder) Held() []int {
+	return h.k.buf // want "returns memory aliasing scratch field buf in Held, a method of scratch-carrying holder"
+}
+
+type outer struct{ pooled }
+
+func (o *outer) Nested() []int {
+	return o.buf[1:] // want "returns memory aliasing scratch field buf in Nested, a method of scratch-carrying outer"
+}
+
+func (o *outer) Count() int { return len(o.buf) } // reading scratch is fine
+`})
+	})
+
 	t.Run("allow_suppresses_with_reason", func(t *testing.T) {
 		runFixture(t, analyzerByName(t, "scratchsafe"), fixturePkg{pkg, `package fixture
 

@@ -39,3 +39,15 @@ func (k *kernel) Window(lo, hi int) (out []int) {
 func (k *kernel) Deferred() func() int {
 	return func() int { return len(k.buf) }
 }
+
+// pooled embeds a scratch-carrying struct, so its methods reach the
+// tagged buffer as a promoted field and are checked like the kernel's.
+type pooled struct {
+	id int
+	kernel
+}
+
+// Leak returns the promoted scratch field.
+func (p *pooled) Leak() []int {
+	return p.buf
+}

@@ -21,7 +21,7 @@ import (
 
 // CostFunc scores an edge for path selection. It returns the edge's cost
 // (must be ≥ 0) and whether the edge is usable at all. Costs are additive
-// along a path.
+// along a path. An edge scored negative or NaN is not used.
 //
 // A CostFunc must be a pure function of the edge for the duration of one
 // ShortestPath, KShortestPaths or DisjointPaths call, or for the life of a

@@ -57,6 +57,7 @@ type Graph struct {
 	// The reverse shortest-path tree to treeDst (tree.go) and the
 	// transposed index it is searched on, built on first need.
 	treeDst    int32     // -1 until a tree is built
+	treeWhole  bool      // every node that can reach treeDst has a finite h
 	transposed bool      // rOff, rFrom and rArc hold this snapshot's in-edges
 	h          []float64 //lint:scratch — cost of v's tree path to treeDst; +Inf if none
 	succ       []int32   //lint:scratch — edge position of v's first tree hop; -1 at treeDst or if none
@@ -216,7 +217,7 @@ func (g *Graph) search(src, stop int32) {
 				continue
 			}
 			w, usable := g.weight(j)
-			if !usable || w < 0 {
+			if !usable {
 				continue
 			}
 			nd := it.cost + w
@@ -230,10 +231,12 @@ func (g *Graph) search(src, stop int32) {
 }
 
 // weight returns the memoised cost of edge j, scoring it on first use in
-// the context.
+// the context. An edge whose cost is negative or NaN is unusable, so the
+// searches and the reverse tree skip the same edges.
 func (g *Graph) weight(j int32) (float64, bool) {
 	if g.wStamp[j] != g.bound {
-		g.w[j], g.usable[j] = g.cost(g.ix.Edges[j], g.snap)
+		w, usable := g.cost(g.ix.Edges[j], g.snap)
+		g.w[j], g.usable[j] = w, usable && w >= 0
 		g.wStamp[j] = g.bound
 	}
 	return g.w[j], g.usable[j]

@@ -35,6 +35,7 @@ func (g *Graph) tree(dst int32) {
 	for v := range n {
 		g.h[v], g.succ[v] = math.Inf(1), -1
 	}
+	g.treeWhole = true
 	g.reverse(dst)
 	g.slacken()
 }
@@ -79,7 +80,10 @@ func (g *Graph) transpose() {
 // settle order. Ties go to the first edge relaxed; a tied alternative
 // leaves zero slack, so the tree never answers through it. It stamps done
 // under a stamp of its own, so a spur search whose bans are already
-// stamped can still run after it.
+// stamped can still run after it. An edge whose sum is +Inf (an
+// infinite weight, or an overflow) relaxes nothing here, while a search
+// still takes it into a node it has not seen; when such an edge leads to
+// a node the tree has not reached, reverse clears treeWhole.
 //
 //lint:hotpath
 func (g *Graph) reverse(dst int32) {
@@ -102,12 +106,14 @@ func (g *Graph) reverse(dst int32) {
 		for r := g.rOff[u]; r < g.rOff[u+1]; r++ {
 			v, j := g.rFrom[r], g.rArc[r]
 			w, usable := g.weight(j)
-			if !usable || w < 0 {
+			if !usable {
 				continue
 			}
 			if nd := it.cost + w; nd < g.h[v] {
 				g.h[v], g.succ[v] = nd, j
 				g.push(v, nd)
+			} else if math.IsInf(g.h[v], 1) {
+				g.treeWhole = false
 			}
 		}
 	}
@@ -132,7 +138,7 @@ func (g *Graph) slacken() {
 					continue
 				}
 				w, usable := g.weight(j)
-				if !usable || w < 0 {
+				if !usable {
 					continue
 				}
 				if d := w + g.h[to[j]] - g.h[v]; d < least {
@@ -186,7 +192,7 @@ func (g *Graph) tied(d float64) bool {
 			if in < 0 {
 				continue
 			}
-			if w, usable := g.weight(in); usable && w >= 0 && g.dist[u]+w <= g.dist[v]+treeSlack*d {
+			if w, usable := g.weight(in); usable && g.dist[u]+w <= g.dist[v]+treeSlack*d {
 				return true
 			}
 		}
@@ -218,26 +224,35 @@ func (g *Graph) spur(s, dst int32, useTree bool) bool {
 // may be banned for the search, as Yen's spurs ban them: the tree path
 // checked here never leaves s. s must not be the tree's destination.
 //
+// A spur none of whose unbanned usable edges leads to a node the tree
+// reached has no path when the tree is whole: a whole tree reached every
+// node with a path of usable edges to dst, and bans only remove edges.
+//
 //lint:hotpath
 func (g *Graph) answer(s int32) (d float64, found, ok bool) {
 	cur, call, dst := g.cur, g.call, g.treeDst
 	off, to := g.ix.Off, g.ix.To
-	best, c, rival := int32(-1), math.Inf(1), math.Inf(1)
+	best, c, rival, reach := int32(-1), math.Inf(1), math.Inf(1), false
 	for j := off[s]; j < off[s+1]; j++ {
 		if g.banned[to[j]] == cur || g.edgeBan[j] == call || g.edgeBan[j] == cur {
 			continue
 		}
 		w, usable := g.weight(j)
-		if !usable || w < 0 {
+		if !usable {
 			continue
 		}
-		if b := w + g.h[to[j]]; b < c {
+		h := g.h[to[j]]
+		reach = reach || !math.IsInf(h, 1)
+		if b := w + h; b < c {
 			best, c, rival = j, b, c
 		} else if b < rival {
 			rival = b
 		}
 	}
-	if best < 0 || math.IsInf(c, 1) || !(rival > c*(1+treeSlack)) || !(g.slack[to[best]] > treeSlack*c) {
+	if !reach && g.treeWhole {
+		return 0, false, true
+	}
+	if best < 0 || !(rival > c*(1+treeSlack)) || !(g.slack[to[best]] > treeSlack*c) {
 		return 0, false, false
 	}
 	for v := to[best]; v != dst; v = to[g.succ[v]] {

@@ -32,9 +32,10 @@ func stage(g *Graph, st spurState, limit float64) {
 
 // treeCosts are the differential test's cost functions: raw delay, where
 // the tree should answer most spurs; hop counting and whole milliseconds,
-// which tie everywhere; and tenths of a millisecond, which tie as often
-// but whose sums round differently in different orders, where the margin
-// matters.
+// which tie everywhere; tenths of a millisecond, which tie as often but
+// whose sums round differently in different orders, where the margin
+// matters; and delay with holes, NaN on some edges and +Inf on others,
+// which the search and the tree must skip or take alike.
 func treeCosts() map[string]CostFunc {
 	return map[string]CostFunc{
 		"latency": LatencyCost(0),
@@ -45,12 +46,23 @@ func treeCosts() map[string]CostFunc {
 		"tenths": func(e topo.Edge, _ *topo.Snapshot) (float64, bool) {
 			return math.Round(e.DelayS*1e4) / 10, true
 		},
+		"holes": func(e topo.Edge, _ *topo.Snapshot) (float64, bool) {
+			switch int(e.DistanceKm) % 17 {
+			case 0:
+				return math.NaN(), true
+			case 1:
+				return math.Inf(1), true
+			}
+			return e.DelayS, true
+		},
 	}
 }
 
-// spurTally counts a differential run's spurs.
+// spurTally counts a differential run's spurs: all of them, those the
+// tree answered, those it answered with no path at an unbounded limit,
+// and ties.
 type spurTally struct {
-	spurs, answered, ties int
+	spurs, answered, none, ties int
 }
 
 // compareSpur runs the state once through answer and once through the
@@ -69,6 +81,9 @@ func compareSpur(t *testing.T, label string, g *Graph, st spurState, limit float
 	tally.spurs++
 	if ok {
 		tally.answered++
+		if !got && math.IsInf(limit, 1) {
+			tally.none++
+		}
 		if got != want || want && (!slices.Equal(gotPath, g.path) || math.Float64bits(d) != math.Float64bits(g.dist[dst])) {
 			t.Fatalf("%s limit %v: tree answered found=%v %v at %v, search found=%v %v at %v",
 				label, limit, got, gotPath, d, want, g.path, g.dist[dst])
@@ -198,6 +213,7 @@ func randomState(rng *rand.Rand, g *Graph) spurState {
 // on +Grid 1 000, the work counters must show the tree answering at least
 // 80 % of Yen's spurs. (On +Grid 200 about a third are declined, mostly
 // because the best sidetrack's tree path runs back through the spur.)
+// Some spurs, on some fixture, must be answered with no path.
 // A k = 1 call must neither build a tree nor decide to skip one. The
 // counters must also show the tree answering some first searches and
 // no call skipping it under delay, and calls skipping it under hop
@@ -218,6 +234,7 @@ func TestTreeSpursMatchSearch(t *testing.T) {
 	}
 	cases = append(cases, tcase{"iridium", testSnapshot(t, 2, true), false})
 	rng := rand.New(rand.NewSource(2016))
+	noPath := 0
 	for _, c := range cases {
 		ids := c.snap.Nodes()
 		dsts := []string{ids[0], ids[len(ids)/3]}
@@ -261,12 +278,13 @@ func TestTreeSpursMatchSearch(t *testing.T) {
 				}
 			}
 			label := fmt.Sprintf("%s/%s", c.name, cname)
-			t.Logf("%s: Yen spurs %d answered of %d (%d ties); random %d of %d (%d ties); counters %d answered, %d declined, %d first answered, trees %d built, %d reused, %d skipped; settles %d, spur %d, tree %d",
-				label, yen.answered, yen.spurs, yen.ties, rnd.answered, rnd.spurs, rnd.ties, g.answered, g.declined, g.firstAnswered,
+			t.Logf("%s: Yen spurs %d answered of %d (%d with no path, %d ties); random %d of %d (%d with no path, %d ties); counters %d answered, %d declined, %d first answered, trees %d built, %d reused, %d skipped; settles %d, spur %d, tree %d",
+				label, yen.answered, yen.spurs, yen.none, yen.ties, rnd.answered, rnd.spurs, rnd.none, rnd.ties, g.answered, g.declined, g.firstAnswered,
 				g.treesBuilt, g.treesReused, g.treesSkipped, g.settles, g.spurSettles, g.treeSettles)
 			if yen.spurs == 0 || rnd.spurs == 0 {
 				t.Fatalf("%s: no spurs compared", label)
 			}
+			noPath += yen.none + rnd.none
 			if cname == "hop" && yen.ties+rnd.ties == 0 {
 				t.Fatalf("%s: no tied spur; the cases no longer exercise ties", label)
 			}
@@ -293,5 +311,77 @@ func TestTreeSpursMatchSearch(t *testing.T) {
 			}
 			g.Release()
 		}
+	}
+	if noPath == 0 {
+		t.Fatal("no spur was answered with no path; the cases no longer exercise it")
+	}
+}
+
+// TestTreeNoPathAtInfiniteWeights holds the tree's "no path" answers to
+// the search where they are easiest to get wrong: a search takes an
+// infinite-weight edge into a node it has not seen, and so can reach dst
+// at cost +Inf, while the tree reaches nothing through one. On the first
+// graph the only edge from b to c costs +Inf, and the tree is whole
+// because b reaches dst through e as well; a spur at b with b → e banned
+// still has a path. The second graph adds x → f → c, whose last edge
+// costs +Inf, so the tree is not whole: f is unreached, and a spur at x
+// has a path. Every spur with every subset of its out-edges banned must
+// give the search's answer. The whole tree must answer some spurs with
+// "no path", the other none, and both must decline some.
+func TestTreeNoPathAtInfiniteWeights(t *testing.T) {
+	inf := math.Inf(1)
+	costs := map[[2]string]float64{
+		{"a", "b"}: 1, {"b", "c"}: inf, {"c", "d"}: 1, {"b", "e"}: 1, {"e", "d"}: 0.5,
+		{"a", "e"}: math.NaN(), {"d", "a"}: 1,
+	}
+	for _, whole := range []bool{true, false} {
+		ids := []string{"a", "b", "c", "d", "e"}
+		if !whole {
+			ids = append(ids, "f", "x")
+			costs[[2]string{"x", "f"}] = 1
+			costs[[2]string{"f", "c"}] = inf
+		}
+		nodes := make([]topo.Node, len(ids))
+		for i, id := range ids {
+			nodes[i] = topo.Node{ID: id}
+		}
+		var edges []topo.Edge
+		for e := range costs {
+			edges = append(edges, topo.Edge{From: e[0], To: e[1]})
+		}
+		snap, err := topo.NewSnapshot(0, nodes, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := NewGraph(snap, func(e topo.Edge, _ *topo.Snapshot) (float64, bool) {
+			return costs[[2]string{e.From, e.To}], true
+		})
+		g.begin()
+		dst, _ := g.ix.Lookup("d")
+		g.tree(dst)
+		if g.treeWhole != whole {
+			t.Fatalf("tree whole %v, want %v", g.treeWhole, whole)
+		}
+		var tally spurTally
+		for s := range int32(len(ids)) {
+			if s == dst {
+				continue
+			}
+			lo, hi := g.ix.Off[s], g.ix.Off[s+1]
+			for mask := range 1 << (hi - lo) {
+				st := spurState{spur: s}
+				for j := lo; j < hi; j++ {
+					if mask>>(j-lo)&1 == 1 {
+						st.arcs = append(st.arcs, j)
+					}
+				}
+				compareSpur(t, fmt.Sprintf("whole %v spur %s bans %v", whole, ids[s], st.arcs), g, st, inf, false, &tally)
+			}
+		}
+		if (tally.none > 0) != whole || tally.answered == tally.spurs {
+			t.Fatalf("whole %v: %d of %d spurs answered, %d with no path; want no-path answers only from a whole tree, and some declines",
+				whole, tally.answered, tally.spurs, tally.none)
+		}
+		g.Release()
 	}
 }

@@ -62,8 +62,11 @@ import (
 //     that float rounding cannot close, so it is the search's unique
 //     shortest path and the search returns it. A bounded spur sums its
 //     weights forward from s, as search does, and compares the sum with
-//     the limit, which is the search's own stopping test. Any other spur
-//     (a tie, a banned or looping tree path) runs the search.
+//     the limit, which is the search's own stopping test. A spur none
+//     of whose unbanned sidetracks leads to a node the tree reached has
+//     no spur path, unless an infinite cost kept the tree from a node
+//     that has one. Any other spur (a tie, a banned or looping tree
+//     path) runs the search.
 //
 // The paths returned are therefore plain Yen's, whose i-th path is fixed
 // before k is consulted: k only decides when the loop stops. So the first

@@ -3,6 +3,8 @@ package topo
 import (
 	"os"
 	"testing"
+
+	"github.com/openspace-project/openspace/internal/geo"
 )
 
 // allocGate skips unless the zero-allocation gates are explicitly enabled
@@ -21,7 +23,7 @@ func allocGate(t *testing.T) {
 func TestAllocGateFeasibleISLs(t *testing.T) {
 	allocGate(t)
 	b := newBuilder(DefaultConfig(), randomSpecs(128, 3), nil, nil)
-	b.SnapshotAt(0) // fills positions, builds candidate lists, sizes the scratch
+	b.SnapshotAt(0, b.nodes) // fills positions, builds candidate lists, sizes the scratch
 	cands := b.candISL
 	if b.staticMode {
 		cands = b.staticPairs
@@ -39,5 +41,23 @@ func TestAllocGateFeasibleISLs(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(100, run); avg != 0 {
 		t.Fatalf("feasibleISLs allocates %.2f per snapshot, want 0", avg)
+	}
+}
+
+// TestAllocGateBuild holds a repeat one-shot Build to the snapshot it
+// returns: the Snapshot, its node list, the Off and To rows and the edge
+// list. The builder, its spatial index and every other piece of scratch
+// come from the pool, and the node template becomes the node list.
+func TestAllocGateBuild(t *testing.T) {
+	allocGate(t)
+	specs := iridiumSpecs(t, 1, false)
+	grounds := []GroundSpec{{ID: "gs", Provider: "p", Pos: geo.LatLon{Lat: 47.6, Lon: -122.3}}}
+	users := []UserSpec{{ID: "u", Provider: "p", Pos: geo.LatLon{Lat: -1.29, Lon: 36.82}}}
+	cfg := DefaultConfig()
+	if s := Build(0, cfg, specs, grounds, users); s.EdgeCount() == 0 {
+		t.Fatal("fixture built no edges; gate would be vacuous")
+	}
+	if avg := testing.AllocsPerRun(100, func() { Build(0, cfg, specs, grounds, users) }); avg > 5 {
+		t.Fatalf("a repeat Build allocates %.2f times, want at most the snapshot's 5", avg)
 	}
 }

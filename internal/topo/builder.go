@@ -3,6 +3,7 @@ package topo
 import (
 	"cmp"
 	"slices"
+	"sync"
 
 	"github.com/openspace-project/openspace/internal/geo"
 	"github.com/openspace-project/openspace/internal/orbit"
@@ -11,18 +12,16 @@ import (
 
 // builder constructs snapshots of one fixed deployment (satellites,
 // ground segment, feasibility config) at many timestamps. It is the
-// engine behind both Build (one fresh builder per call) and
-// BuildTimeExpanded (one builder per contiguous block of steps). Each
-// snapshot is a pure function of its timestamp: SnapshotAt queries a fresh
-// spatial index for candidate sets that provably contain the feasible sets
-// and filters them exactly, so the two paths are byte-identical. What a
+// engine behind both Build (one builder per call) and BuildTimeExpanded
+// (one builder per contiguous block of steps). Each snapshot is a pure
+// function of its timestamp: SnapshotAt queries a freshly filled spatial
+// index for candidate sets that provably contain the feasible sets and
+// filters them exactly, so the two paths are byte-identical. What a
 // builder carries from one snapshot to the next is only the sorted node
-// template and scratch memory.
+// template and its scratch.
 type builder struct {
 	cfg  Config
 	sats []SatSpec
-
-	entities []groundEntity // grounds then users, flattened
 
 	maxISLKm    float64  // longest feasible ISL, the geometric wiring's query radius
 	attachKm    float64  // ground↔satellite query radius
@@ -30,9 +29,19 @@ type builder struct {
 	staticPairs [][2]int // resolved Config.StaticISLs; nil = geometric rule
 	staticMode  bool
 
-	// Per-timestamp scratch, reused across SnapshotAt calls. Nothing here
-	// escapes into returned snapshots — a contract the scratchsafe
-	// analyzer now checks rather than this comment merely asserting.
+	// nodes is the node template, sorted by ID, with satellite positions
+	// left for SnapshotAt; satellite i is nodes[rank[i]] and entity k is
+	// nodes[rank[len(sats)+k]]. A one-shot Build hands it to its snapshot.
+	nodes []Node
+
+	scratch
+}
+
+// scratch is the memory a pooled builder keeps for its next deployment.
+// Nothing here escapes into returned snapshots (scratchsafe checks it).
+type scratch struct {
+	entities   []groundEntity //lint:scratch — grounds then users, flattened
+	rank       []int32        //lint:scratch
 	pos        []geo.Vec3     //lint:scratch
 	candISL    [][2]int       //lint:scratch — candidate ISL pairs, geometric mode
 	candGround [][]int        //lint:scratch — candidate satellites per entity
@@ -40,13 +49,13 @@ type builder struct {
 	degree     []int          //lint:scratch
 	links      []Edge         //lint:scratch — one direction of each link, arcs 2l and 2l+1 of asm
 	asm        assembler      //lint:scratch
-
-	// nodes is every snapshot's node list, sorted by ID, with satellite
-	// positions left for SnapshotAt; satellite i is nodes[rank[i]] and
-	// entity k is nodes[rank[len(sats)+k]].
-	nodes []Node
-	rank  []int32
+	ix         satIndex       //lint:scratch
 }
+
+// builders lends builders, with their scratch, to Build calls and
+// BuildTimeExpanded blocks, so a repeat build allocates only its
+// snapshot. No output depends on which builder a call gets.
+var builders = sync.Pool{New: func() any { return new(builder) }}
 
 type groundEntity struct {
 	id       string
@@ -62,15 +71,22 @@ type feasiblePair struct {
 	d    float64
 }
 
-// newBuilder precomputes everything timestamp-independent: ground
-// geometry, candidate radii from the orbit envelopes, and the resolved
-// explicit wiring plan if one is configured.
+// newBuilder takes a builder from the pool and precomputes everything
+// timestamp-independent: ground geometry, candidate radii from the orbit
+// envelopes, the resolved explicit wiring plan if one is configured, and
+// a fresh node template. The caller releases it when done.
 func newBuilder(cfg Config, sats []SatSpec, grounds []GroundSpec, users []UserSpec) *builder {
-	b := &builder{
-		cfg: cfg, sats: sats,
-		pos:    make([]geo.Vec3, len(sats)),
-		degree: make([]int, len(sats)),
-	}
+	b := builders.Get().(*builder)
+	b.reset(cfg, sats, grounds, users)
+	return b
+}
+
+// reset sets b up for the deployment, keeping only its scratch.
+func (b *builder) reset(cfg Config, sats []SatSpec, grounds []GroundSpec, users []UserSpec) {
+	*b = builder{cfg: cfg, sats: sats, scratch: b.scratch}
+	b.pos = slices.Grow(b.pos[:0], len(sats))[:len(sats)]
+	b.degree = slices.Grow(b.degree[:0], len(sats))[:len(sats)]
+	b.entities = b.entities[:0]
 	for _, g := range grounds {
 		b.entities = append(b.entities, groundEntity{
 			id: g.ID, provider: g.Provider, kind: LinkGround,
@@ -123,14 +139,21 @@ func newBuilder(cfg Config, sats []SatSpec, grounds []GroundSpec, users []UserSp
 	}
 	slices.SortFunc(nodes, byID)
 	ix := Index{Nodes: nodes}
-	b.nodes, b.rank = nodes, make([]int32, len(nodes))
+	b.nodes = nodes
+	b.rank = slices.Grow(b.rank[:0], len(nodes))[:len(nodes)]
 	for i := range sats {
 		b.rank[i], _ = ix.Lookup(sats[i].ID)
 	}
 	for k := range b.entities {
 		b.rank[len(sats)+k], _ = ix.Lookup(b.entities[k].id)
 	}
-	return b
+}
+
+// release drops the deployment's references and returns the builder,
+// with its scratch, to the pool. The builder must not be used afterwards.
+func (b *builder) release() {
+	*b = builder{scratch: b.scratch}
+	builders.Put(b)
 }
 
 // resolveStaticISLs maps an explicit wiring plan onto satellite indices,
@@ -165,11 +188,11 @@ func resolveStaticISLs(plan []orbit.ISLPair, sats []SatSpec) [][2]int {
 // off. With no positive ISL range no pair is feasible, so the pair query
 // is skipped: under ground-sized cells it would list most of the N² pairs.
 func (b *builder) refreshCandidates() {
-	ix := newSatIndex(b.pos, b.cellKm)
+	b.ix.fill(b.pos, b.cellKm)
 	if !b.staticMode {
 		b.candISL = b.candISL[:0]
 		if b.maxISLKm > 0 {
-			b.candISL = ix.pairsWithin(b.maxISLKm+1, b.candISL)
+			b.candISL = b.ix.pairsWithin(b.maxISLKm+1, b.candISL)
 		}
 	}
 
@@ -178,19 +201,19 @@ func (b *builder) refreshCandidates() {
 	}
 	b.candGround = b.candGround[:len(b.entities)]
 	for k := range b.entities {
-		b.candGround[k] = ix.within(b.entities[k].pos, b.attachKm, b.candGround[k][:0])
+		b.candGround[k] = b.ix.within(b.entities[k].pos, b.attachKm, b.candGround[k][:0])
 	}
 }
 
 // SnapshotAt assembles the snapshot at time t, the same snapshot whatever
-// the builder built before.
-func (b *builder) SnapshotAt(t float64) *Snapshot {
+// the builder built before, over nodes: the node template or a copy of
+// it, which the snapshot keeps.
+func (b *builder) SnapshotAt(t float64, nodes []Node) *Snapshot {
 	for i := range b.sats {
 		b.pos[i] = b.sats[i].Elements.PositionECEF(t)
 	}
 	b.refreshCandidates()
 
-	nodes := slices.Clone(b.nodes)
 	for i := range b.sats {
 		nodes[b.rank[i]].Pos = b.pos[i]
 	}

@@ -2,7 +2,7 @@ package topo
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/openspace-project/openspace/internal/geo"
 )
@@ -19,29 +19,52 @@ import (
 // feasibility predicates. It never misses a point within the radius, so a
 // build that filters index candidates is byte-identical to one that
 // filters all pairs.
+//
+// Each occupied cell has a slot, numbered in order of first occupancy,
+// and the members of all slots are one list in CSR form, so refilling the
+// index allocates nothing once its tables have grown.
 type satIndex struct {
-	cellKm float64
-	cells  map[[3]int32][]int // satellite indices, ascending per cell
-	pos    []geo.Vec3
+	cellKm  float64
+	cells   map[[3]int32]int32 //lint:scratch — occupied cell → slot
+	keys    [][3]int32         //lint:scratch — slot → cell
+	slot    []int32            //lint:scratch — satellite → slot
+	off     []int32            //lint:scratch — slot s holds members[off[s]:off[s+1]]
+	members []int32            //lint:scratch — satellite indices, ascending per slot
+	near    []int32            //lint:scratch — occupied slots around one cell
 }
 
-// newSatIndex buckets the positions into cells of the given size. Cell
-// size trades lookup fan-out against candidate tightness; pairsWithin and
-// within are exact-superset queries at any positive size.
-func newSatIndex(pos []geo.Vec3, cellKm float64) *satIndex {
-	if cellKm <= 0 {
-		cellKm = 1
+// fill buckets the positions into cells of the given positive size,
+// replacing what the index held. Cell size trades lookup fan-out against
+// candidate tightness; pairsWithin and within are exact-superset queries
+// at any size.
+func (ix *satIndex) fill(pos []geo.Vec3, cellKm float64) {
+	ix.cellKm = cellKm
+	if ix.cells == nil {
+		ix.cells = make(map[[3]int32]int32, len(pos))
 	}
-	ix := &satIndex{
-		cellKm: cellKm,
-		cells:  make(map[[3]int32][]int, len(pos)),
-		pos:    pos,
-	}
-	for i, p := range pos {
+	clear(ix.cells)
+	ix.keys, ix.slot = ix.keys[:0], ix.slot[:0]
+	for _, p := range pos {
 		k := ix.key(p)
-		ix.cells[k] = append(ix.cells[k], i)
+		s, ok := ix.cells[k]
+		if !ok {
+			s = int32(len(ix.keys))
+			ix.cells[k] = s
+			ix.keys = append(ix.keys, k)
+		}
+		ix.slot = append(ix.slot, s)
 	}
-	return ix
+	// A counting sort by slot: off[s] serves as slot s's fill cursor,
+	// which leaves it at the next slot's start; then shift it back.
+	ix.off = slices.Grow(ix.off[:0], len(ix.keys)+1)[:len(ix.keys)+1]
+	ix.members = slices.Grow(ix.members[:0], len(pos))[:len(pos)]
+	rowStarts(ix.off, ix.slot)
+	for i, s := range ix.slot {
+		ix.members[ix.off[s]] = int32(i)
+		ix.off[s]++
+	}
+	copy(ix.off[1:], ix.off[:len(ix.keys)])
+	ix.off[0] = 0
 }
 
 func (ix *satIndex) key(p geo.Vec3) [3]int32 {
@@ -57,23 +80,36 @@ func (ix *satIndex) reach(rKm float64) int32 {
 	return int32(math.Ceil(rKm / ix.cellKm))
 }
 
+// neighbours sets ix.near to the occupied slots of the cells within r cells
+// of base, in cell-lexicographic order.
+func (ix *satIndex) neighbours(base [3]int32, r int32) {
+	ix.near = ix.near[:0]
+	for dx := -r; dx <= r; dx++ {
+		for dy := -r; dy <= r; dy++ {
+			for dz := -r; dz <= r; dz++ {
+				if s, ok := ix.cells[[3]int32{base[0] + dx, base[1] + dy, base[2] + dz}]; ok {
+					ix.near = append(ix.near, s)
+				}
+			}
+		}
+	}
+}
+
 // pairsWithin appends to dst every unordered index pair (i < j) whose
 // separation can be ≤ rKm: all pairs co-resident within reach cells.
-// Each pair is visited exactly once (from its lower index), in ascending
-// (i, then cell-lexicographic, then j) order — deterministic by
-// construction, no sorting needed.
+// Each pair is listed exactly once, from its lower index; the
+// neighbourhood is looked up once per occupied cell. The order is
+// deterministic but carries no meaning: the builder sorts the feasible
+// pairs by a total order.
 func (ix *satIndex) pairsWithin(rKm float64, dst [][2]int) [][2]int {
 	r := ix.reach(rKm)
-	for i := range ix.pos {
-		base := ix.key(ix.pos[i])
-		for dx := -r; dx <= r; dx++ {
-			for dy := -r; dy <= r; dy++ {
-				for dz := -r; dz <= r; dz++ {
-					k := [3]int32{base[0] + dx, base[1] + dy, base[2] + dz}
-					for _, j := range ix.cells[k] {
-						if j > i {
-							dst = append(dst, [2]int{i, j})
-						}
+	for s, k := range ix.keys {
+		ix.neighbours(k, r)
+		for _, i := range ix.members[ix.off[s]:ix.off[s+1]] {
+			for _, t := range ix.near {
+				for _, j := range ix.members[ix.off[t]:ix.off[t+1]] {
+					if j > i {
+						dst = append(dst, [2]int{int(i), int(j)})
 					}
 				}
 			}
@@ -86,18 +122,14 @@ func (ix *satIndex) pairsWithin(rKm float64, dst [][2]int) [][2]int {
 // ≤ rKm, then sorts the result ascending so callers see a canonical
 // order regardless of cell layout.
 func (ix *satIndex) within(p geo.Vec3, rKm float64, dst []int) []int {
-	r := ix.reach(rKm)
-	base := ix.key(p)
+	ix.neighbours(ix.key(p), ix.reach(rKm))
 	start := len(dst)
-	for dx := -r; dx <= r; dx++ {
-		for dy := -r; dy <= r; dy++ {
-			for dz := -r; dz <= r; dz++ {
-				k := [3]int32{base[0] + dx, base[1] + dy, base[2] + dz}
-				dst = append(dst, ix.cells[k]...)
-			}
+	for _, s := range ix.near {
+		for _, i := range ix.members[ix.off[s]:ix.off[s+1]] {
+			dst = append(dst, int(i))
 		}
 	}
-	sort.Ints(dst[start:])
+	slices.Sort(dst[start:])
 	return dst
 }
 

@@ -135,7 +135,7 @@ func TestIndexCandidatesMatchBruteForce(t *testing.T) {
 					for i := range specs {
 						b.pos[i] = specs[i].Elements.PositionECEF(tS)
 					}
-					ix := newSatIndex(b.pos, b.cellKm)
+					ix := satIndex{cellKm: b.cellKm}
 					if rg, risl := ix.reach(b.attachKm), ix.reach(b.maxISLKm+1); rg > 1 || risl > 1 {
 						t.Fatalf("%s n=%d seed=%d: %.0f km cells, ground query reaches %d cells, ISL query %d",
 							nc.name, n, seed, b.cellKm, rg, risl)
@@ -196,7 +196,7 @@ func TestISLsOffListsNoPairs(t *testing.T) {
 	}
 	for _, tS := range []float64{0, 137.5, 4000} {
 		b := newBuilder(off, specs, grounds, users)
-		offSnap := b.SnapshotAt(tS)
+		offSnap := b.SnapshotAt(tS, b.nodes)
 		if len(b.candISL) != 0 {
 			t.Fatalf("t=%v: %d candidate ISL pairs with ISLs off, want 0", tS, len(b.candISL))
 		}

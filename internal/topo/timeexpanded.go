@@ -3,6 +3,7 @@ package topo
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/openspace-project/openspace/internal/exec"
 )
@@ -18,10 +19,10 @@ type TimeExpanded struct {
 }
 
 // timeExpandedBlock is how many consecutive snapshots share one builder.
-// A block amortises the builder's sorted node template and scratch
-// memory over its steps; no snapshot depends on another, so the series is
-// identical at any worker count and every snapshot is byte-identical to a
-// from-scratch Build at its timestamp.
+// A block amortises the builder's sorted node template over its steps;
+// no snapshot depends on another, so the series is identical at any
+// worker count and every snapshot is byte-identical to a from-scratch
+// Build at its timestamp.
 const timeExpandedBlock = 16
 
 // BuildTimeExpanded constructs snapshots at startS, startS+intervalS, …
@@ -49,13 +50,14 @@ func BuildTimeExpanded(startS, horizonS, intervalS float64, cfg Config, sats []S
 			hi = steps
 		}
 		b := newBuilder(cfg, sats, grounds, users)
+		defer b.release()
 		out := make([]*Snapshot, 0, hi-lo)
 		for i := lo; i < hi; i++ {
 			t := startS
 			if i > 0 { // keeps an infinite interval's 0·∞ out of the first step
 				t += float64(i) * intervalS
 			}
-			out = append(out, b.SnapshotAt(t))
+			out = append(out, b.SnapshotAt(t, slices.Clone(b.nodes)))
 		}
 		return out, nil
 	})

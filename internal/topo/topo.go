@@ -281,5 +281,7 @@ func DefaultConfig() Config {
 // to a brute-force build — the property test in spatial_test.go pins
 // this.
 func Build(t float64, cfg Config, sats []SatSpec, grounds []GroundSpec, users []UserSpec) *Snapshot {
-	return newBuilder(cfg, sats, grounds, users).SnapshotAt(t)
+	b := newBuilder(cfg, sats, grounds, users)
+	defer b.release()
+	return b.SnapshotAt(t, b.nodes) // one snapshot: the template is its node list
 }
