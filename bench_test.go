@@ -448,26 +448,44 @@ func BenchmarkMaxMinFair(b *testing.B) {
 	})
 }
 
-// BenchmarkEndToEndSend measures one associated Send through a federation.
+// BenchmarkEndToEndSend measures one associated transfer through a
+// federation: Send to a fixed gateway, and SendBest, which ranks every
+// gateway first and sends to the best.
 func BenchmarkEndToEndSend(b *testing.B) {
-	net, err := QuickFederation(3, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := net.AddUser("alice", "prov-0", LatLon{Lat: -1.29, Lon: 36.82}); err != nil {
-		b.Fatal(err)
-	}
-	if err := net.BuildTopology(0, 60, 60); err != nil {
-		b.Fatal(err)
-	}
-	if err := net.Associate("alice", 0); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := net.Send("alice", "gs-0", 1000, 0); err != nil {
+	federation := func(b *testing.B) *Network {
+		net, err := QuickFederation(3, 42)
+		if err != nil {
 			b.Fatal(err)
 		}
+		if _, err := net.AddUser("alice", "prov-0", LatLon{Lat: -1.29, Lon: 36.82}); err != nil {
+			b.Fatal(err)
+		}
+		if err := net.BuildTopology(0, 60, 60); err != nil {
+			b.Fatal(err)
+		}
+		if err := net.Associate("alice", 0); err != nil {
+			b.Fatal(err)
+		}
+		return net
 	}
+	b.Run("send", func(b *testing.B) {
+		net := federation(b)
+		b.ResetTimer()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := net.Send("alice", "gs-0", 1000, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("sendbest", func(b *testing.B) {
+		net := federation(b)
+		b.ResetTimer()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := net.SendBest("alice", 1000, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -82,56 +82,50 @@ type GatewayChoice struct {
 // ground-stations may necessitate re-routing of traffic to a ground station
 // that is further away but is idle; in this case, a computation of the
 // trade-off between longer routing distance vs queuing and job completion
-// times is necessary at runtime".
+// times is necessary at runtime". Each station's path latency is that of
+// its lowest-latency route, the one Send would take.
 func (n *Network) RankGateways(userID string, bytes int64, t float64) ([]GatewayChoice, error) {
-	ranked, err := n.rankGateways(userID, bytes, t)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]GatewayChoice, len(ranked))
-	for i := range ranked {
-		out[i] = ranked[i].GatewayChoice
-	}
-	return out, nil
+	ranked, _, err := n.rankGateways(userID, bytes, t)
+	return ranked, err
 }
 
-// rankedGateway is one RankGateways choice with the route it was scored on.
-type rankedGateway struct {
-	GatewayChoice
-	path routing.Path
-}
-
-// rankGateways is RankGateways keeping each choice's route, one shortest
-// path search per station.
-func (n *Network) rankGateways(userID string, bytes int64, t float64) ([]rankedGateway, error) {
+// rankGateways is RankGateways plus the route to the first choice. One
+// search out of the user (routing.Fan) reaches every station, each over
+// the path a per-station ShortestPath finds, and only the first choice's
+// path is built.
+func (n *Network) rankGateways(userID string, bytes int64, t float64) ([]GatewayChoice, routing.Path, error) {
 	u, ok := n.users[userID]
 	if !ok {
-		return nil, fmt.Errorf("core: unknown user %q", userID)
+		return nil, routing.Path{}, fmt.Errorf("core: unknown user %q", userID)
 	}
 	if n.te == nil {
-		return nil, errors.New("core: BuildTopology must run before RankGateways")
+		return nil, routing.Path{}, errors.New("core: BuildTopology must run before RankGateways")
 	}
-	snap := n.snapshotAt(t)
-	var out []rankedGateway
+	fan, err := routing.NewFan(n.snapshotAt(t), userID, n.latency)
+	if err != nil {
+		return nil, routing.Path{}, errNoGateway
+	}
+	defer fan.Release()
+	out := make([]GatewayChoice, 0, len(n.stations))
 	for _, st := range n.stations {
-		path, err := n.route(snap, userID, st.ID)
-		if err != nil {
+		hops, delayS, ok := fan.Reach(st.ID)
+		if !ok {
 			continue
 		}
 		offer := st.Quote(u.HomeISP, t)
 		serialise := float64(bytes*8) / st.BackhaulBps
-		lat := path.DelayS + float64(path.Hops)*n.cfg.PerHopProcessingS
-		out = append(out, rankedGateway{GatewayChoice: GatewayChoice{
+		lat := delayS + float64(hops)*n.cfg.PerHopProcessingS
+		out = append(out, GatewayChoice{
 			StationID:    st.ID,
 			Provider:     st.Provider,
 			PathLatencyS: lat,
 			QueueDelayS:  offer.QueueDelayS,
 			CompletionS:  lat + offer.QueueDelayS + serialise,
 			PricePerGB:   offer.PricePerGB,
-		}, path: path})
+		})
 	}
 	if len(out) == 0 {
-		return nil, errors.New("core: no reachable gateway")
+		return nil, routing.Path{}, errNoGateway
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].CompletionS != out[j].CompletionS { //lint:allow floateq exact sort tie-break keeps gateway ranking deterministic
@@ -139,14 +133,18 @@ func (n *Network) rankGateways(userID string, bytes int64, t float64) ([]rankedG
 		}
 		return out[i].StationID < out[j].StationID
 	})
-	return out, nil
+	path, err := fan.Path(out[0].StationID)
+	return out, path, err
 }
+
+// errNoGateway is rankGateways' error when no station is reachable.
+var errNoGateway = errors.New("core: no reachable gateway")
 
 // SendBest delivers to the gateway with the earliest predicted completion —
 // possibly a farther, idle station over a nearer, loaded one — over the
 // route ranking found, with Send's checks and accounting.
 func (n *Network) SendBest(userID string, bytes int64, t float64) (*Delivery, GatewayChoice, error) {
-	ranked, err := n.rankGateways(userID, bytes, t)
+	ranked, path, err := n.rankGateways(userID, bytes, t)
 	if err != nil {
 		return nil, GatewayChoice{}, err
 	}
@@ -155,9 +153,9 @@ func (n *Network) SendBest(userID string, bytes int64, t float64) (*Delivery, Ga
 	if err != nil {
 		return nil, GatewayChoice{}, err
 	}
-	d, err := n.deliver(u, n.members[best.StationID].station, best.path, bytes, t)
+	d, err := n.deliver(u, n.members[best.StationID].station, path, bytes, t)
 	if err != nil {
 		return nil, GatewayChoice{}, err
 	}
-	return d, best.GatewayChoice, nil
+	return d, best, nil
 }

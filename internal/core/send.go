@@ -122,6 +122,7 @@ func (n *Network) deliver(u *User, st *ground.Station, path routing.Path, bytes 
 		}
 	}
 	// Every hop's carrier signs a receipt for the carriage chain.
+	d.Receipts = make([]economics.Receipt, 0, len(owners))
 	for i, o := range owners {
 		r := economics.Receipt{
 			Carrier: o, Customer: u.HomeISP,

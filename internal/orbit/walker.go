@@ -126,7 +126,7 @@ func CBOReference() WalkerConfig {
 // so that orbit poles are uniform on the sphere; RAAN and phase are uniform.
 // The generator is deterministic for a given rng state.
 func RandomCircular(n int, altitudeKm float64, rng *rand.Rand) *Constellation {
-	c := &Constellation{Name: fmt.Sprintf("random-%d", n)}
+	c := &Constellation{Name: fmt.Sprintf("random-%d", n), Satellites: make([]Satellite, 0, max(n, 0))}
 	for i := 0; i < n; i++ {
 		// cos(i) uniform in [-1,1] makes the orbit normal uniform on the
 		// sphere, avoiding the polar clustering of uniform-inclination

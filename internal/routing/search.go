@@ -14,8 +14,9 @@ import (
 // context's whole life, so a CostFunc must stay pure until Release; Yen
 // calls to one destination share that destination's reverse
 // shortest-path tree (tree.go). ShortestPath, KShortestPaths and
-// DisjointPaths each run on a one-shot context; traffic.MaxMinFair routes
-// a whole fill through one.
+// DisjointPaths each run on a one-shot context, a Fan answers one
+// source's destinations from one search on one, and traffic.MaxMinFair
+// routes a whole fill through one.
 //
 // Scratch entries are stamped with the epoch that wrote them, so starting
 // a search, a call or a context is one counter increment rather than a
@@ -79,6 +80,8 @@ type Graph struct {
 	settles, spurSettles, treeSettles     uint64
 	answered, declined, firstAnswered     uint64
 	treesBuilt, treesReused, treesSkipped uint64
+
+	fan Fan // the fan NewFan lends out with this context
 }
 
 // entry is a priority-queue element: a node and the cost it was pushed at.
@@ -187,30 +190,36 @@ func (g *Graph) find(src, dst int32) bool {
 
 // search runs Dijkstra from src under the context's cost and the current
 // search's bans, stopping once stop is settled (stop < 0 settles every
-// reachable node) or at the first pop costing more than g.limit.
+// reachable node) or at the first pop costing more than g.limit. src is
+// settled here, as its own pop would settle it, and resume does the rest.
+func (g *Graph) search(src, stop int32) {
+	g.heap = g.heap[:0]
+	g.seen[src], g.dist[src], g.prev[src] = g.cur, 0, -1
+	if 0 > g.limit { // src's pop would cost more than the limit
+		return
+	}
+	g.done[src] = g.cur
+	g.settles++
+	if src != stop {
+		g.resume(src, stop)
+	}
+}
+
+// resume goes on with the current search from u, the node it settled
+// last: it relaxes u's out-edges, then pops until stop is settled, the
+// heap runs dry or a pop costs more than g.limit. A search stopped at
+// stop and resumed there settles the nodes one uninterrupted search
+// settles, in the same order and with the same predecessors, as long as
+// no pop has cost more than the limit.
 //
 //lint:hotpath
-func (g *Graph) search(src, stop int32) {
+func (g *Graph) resume(u, stop int32) {
 	cur, call := g.cur, g.call
 	off, to := g.ix.Off, g.ix.To
 	var settled uint64
-	g.heap = g.heap[:0]
-	g.seen[src], g.dist[src], g.prev[src] = cur, 0, -1
-	g.push(src, 0)
-	for len(g.heap) > 0 {
-		it := g.pop()
-		if it.cost > g.limit {
-			break
-		}
-		u := it.node
-		if g.done[u] == cur {
-			continue
-		}
-		g.done[u] = cur
-		settled++
-		if u == stop {
-			break
-		}
+	du := g.dist[u] // the cost u was popped at
+settle:
+	for {
 		for j := off[u]; j < off[u+1]; j++ {
 			v := to[j]
 			if g.banned[v] == cur || g.edgeBan[j] == call || g.edgeBan[j] == cur {
@@ -220,11 +229,29 @@ func (g *Graph) search(src, stop int32) {
 			if !usable {
 				continue
 			}
-			nd := it.cost + w
+			nd := du + w
 			if g.seen[v] != cur || nd < g.dist[v] {
 				g.seen[v], g.dist[v], g.prev[v] = cur, nd, u
 				g.push(v, nd)
 			}
+		}
+		for {
+			if len(g.heap) == 0 {
+				break settle
+			}
+			it := g.pop()
+			if it.cost > g.limit {
+				break settle
+			}
+			if g.done[it.node] != cur {
+				u, du = it.node, it.cost
+				break
+			}
+		}
+		g.done[u] = cur
+		settled++
+		if u == stop {
+			break
 		}
 	}
 	g.settles += settled

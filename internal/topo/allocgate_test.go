@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/openspace-project/openspace/internal/geo"
+	"github.com/openspace-project/openspace/internal/orbit"
 )
 
 // allocGate skips unless the zero-allocation gates are explicitly enabled
@@ -46,18 +47,43 @@ func TestAllocGateFeasibleISLs(t *testing.T) {
 
 // TestAllocGateBuild holds a repeat one-shot Build to the snapshot it
 // returns: the Snapshot, its node list, the Off and To rows and the edge
-// list. The builder, its spatial index and every other piece of scratch
-// come from the pool, and the node template becomes the node list.
+// list. The builder, its spatial index, the resolved +Grid wiring plan and
+// every other piece of scratch come from the pool, and the node template
+// becomes the node list. It checks a geometric Iridium build and a +Grid
+// Walker build wired by Config.StaticISLs.
 func TestAllocGateBuild(t *testing.T) {
 	allocGate(t)
-	specs := iridiumSpecs(t, 1, false)
 	grounds := []GroundSpec{{ID: "gs", Provider: "p", Pos: geo.LatLon{Lat: 47.6, Lon: -122.3}}}
 	users := []UserSpec{{ID: "u", Provider: "p", Pos: geo.LatLon{Lat: -1.29, Lon: 36.82}}}
-	cfg := DefaultConfig()
-	if s := Build(0, cfg, specs, grounds, users); s.EdgeCount() == 0 {
-		t.Fatal("fixture built no edges; gate would be vacuous")
+	w, err := orbit.SquareWalkerDelta(500, 550, 53)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if avg := testing.AllocsPerRun(100, func() { Build(0, cfg, specs, grounds, users) }); avg > 5 {
-		t.Fatalf("a repeat Build allocates %.2f times, want at most the snapshot's 5", avg)
+	c, err := w.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := DefaultConfig()
+	if grid.StaticISLs, err = w.GridISLs(w.DefaultGrid()); err != nil {
+		t.Fatal(err)
+	}
+	gridSpecs := make([]SatSpec, c.Len())
+	for i, s := range c.Satellites {
+		gridSpecs[i] = SatSpec{ID: s.ID, Provider: providerName(i % 2), Elements: s.Elements, HasLaser: true}
+	}
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		specs []SatSpec
+	}{
+		{"iridium", DefaultConfig(), iridiumSpecs(t, 1, false)},
+		{"grid-500", grid, gridSpecs},
+	} {
+		if s := Build(0, tc.cfg, tc.specs, grounds, users); s.EdgeCount() == 0 {
+			t.Fatalf("%s: fixture built no edges; gate would be vacuous", tc.name)
+		}
+		if avg := testing.AllocsPerRun(100, func() { Build(0, tc.cfg, tc.specs, grounds, users) }); avg > 5 {
+			t.Fatalf("%s: a repeat Build allocates %.2f times, want at most the snapshot's 5", tc.name, avg)
+		}
 	}
 }

@@ -23,11 +23,10 @@ type builder struct {
 	cfg  Config
 	sats []SatSpec
 
-	maxISLKm    float64  // longest feasible ISL, the geometric wiring's query radius
-	attachKm    float64  // ground↔satellite query radius
-	cellKm      float64  // spatial index cell: the widest query, so each reaches one cell out
-	staticPairs [][2]int // resolved Config.StaticISLs; nil = geometric rule
-	staticMode  bool
+	maxISLKm   float64 // longest feasible ISL, the geometric wiring's query radius
+	attachKm   float64 // ground↔satellite query radius
+	cellKm     float64 // spatial index cell: the widest query, so each reaches one cell out
+	staticMode bool    // Config.StaticISLs wires the ISLs, not the geometric rule
 
 	// nodes is the node template, sorted by ID, with satellite positions
 	// left for SnapshotAt; satellite i is nodes[rank[i]] and entity k is
@@ -40,16 +39,18 @@ type builder struct {
 // scratch is the memory a pooled builder keeps for its next deployment.
 // Nothing here escapes into returned snapshots (scratchsafe checks it).
 type scratch struct {
-	entities   []groundEntity //lint:scratch — grounds then users, flattened
-	rank       []int32        //lint:scratch
-	pos        []geo.Vec3     //lint:scratch
-	candISL    [][2]int       //lint:scratch — candidate ISL pairs, geometric mode
-	candGround [][]int        //lint:scratch — candidate satellites per entity
-	feasible   []feasiblePair //lint:scratch
-	degree     []int          //lint:scratch
-	links      []Edge         //lint:scratch — one direction of each link, arcs 2l and 2l+1 of asm
-	asm        assembler      //lint:scratch
-	ix         satIndex       //lint:scratch
+	entities    []groundEntity //lint:scratch — grounds then users, flattened
+	satByID     map[string]int //lint:scratch — satellite ID → index, static mode
+	staticPairs [][2]int       //lint:scratch — resolved Config.StaticISLs, static mode
+	rank        []int32        //lint:scratch
+	pos         []geo.Vec3     //lint:scratch
+	candISL     [][2]int       //lint:scratch — candidate ISL pairs, geometric mode
+	candGround  [][]int        //lint:scratch — candidate satellites per entity
+	feasible    []feasiblePair //lint:scratch
+	degree      []int          //lint:scratch
+	links       []Edge         //lint:scratch — one direction of each link, arcs 2l and 2l+1 of asm
+	asm         assembler      //lint:scratch
+	ix          satIndex       //lint:scratch
 }
 
 // builders lends builders, with their scratch, to Build calls and
@@ -120,7 +121,7 @@ func (b *builder) reset(cfg Config, sats []SatSpec, grounds []GroundSpec, users 
 	b.cellKm = max(b.attachKm, b.maxISLKm+1)
 	if len(cfg.StaticISLs) > 0 {
 		b.staticMode = true
-		b.staticPairs = resolveStaticISLs(cfg.StaticISLs, sats)
+		b.resolveStaticISLs(cfg.StaticISLs)
 		b.cellKm = b.attachKm
 	}
 
@@ -156,15 +157,20 @@ func (b *builder) release() {
 	builders.Put(b)
 }
 
-// resolveStaticISLs maps an explicit wiring plan onto satellite indices,
-// dropping pairs that name unknown satellites or self-loops and
-// de-duplicating, so the plan behaves like a candidate set.
-func resolveStaticISLs(plan []orbit.ISLPair, sats []SatSpec) [][2]int {
-	idx := make(map[string]int, len(sats))
-	for i := range sats {
-		idx[sats[i].ID] = i
+// resolveStaticISLs maps an explicit wiring plan onto satellite indices
+// in b.staticPairs, dropping pairs that name unknown satellites or
+// self-loops and de-duplicating, so the plan behaves like a candidate
+// set. The ID map and the pair list are the builder's scratch.
+func (b *builder) resolveStaticISLs(plan []orbit.ISLPair) {
+	if b.satByID == nil {
+		b.satByID = make(map[string]int, len(b.sats))
 	}
-	pairs := make([][2]int, 0, len(plan))
+	idx := b.satByID
+	clear(idx)
+	for i := range b.sats {
+		idx[b.sats[i].ID] = i
+	}
+	pairs := slices.Grow(b.staticPairs[:0], len(plan))
 	for _, pr := range plan {
 		i, okA := idx[pr.A]
 		j, okB := idx[pr.B]
@@ -176,8 +182,8 @@ func resolveStaticISLs(plan []orbit.ISLPair, sats []SatSpec) [][2]int {
 		}
 		pairs = append(pairs, [2]int{i, j})
 	}
-	slices.SortFunc(pairs, func(a, b [2]int) int { return cmp.Or(a[0]-b[0], a[1]-b[1]) })
-	return slices.Compact(pairs)
+	slices.SortFunc(pairs, func(p, q [2]int) int { return cmp.Or(p[0]-q[0], p[1]-q[1]) })
+	b.staticPairs = slices.Compact(pairs)
 }
 
 // refreshCandidates rebuilds the candidate lists from a spatial index
