@@ -316,10 +316,11 @@ func smallTrafficNetwork(b *testing.B) *traffic.Network {
 		{ID: "s", Kind: topo.KindGroundStation}, {ID: "a", Kind: topo.KindSatellite},
 		{ID: "b", Kind: topo.KindSatellite}, {ID: "t", Kind: topo.KindGroundStation},
 	}
+	at := map[string]int32{"s": 0, "a": 1, "b": 2, "t": 3} // positions in nodes
 	var edges []topo.Edge
 	for _, e := range [][2]string{{"s", "a"}, {"s", "b"}, {"a", "b"}, {"a", "t"}, {"b", "t"}} {
 		edges = append(edges, topo.Edge{
-			From: e[0], To: e[1], Kind: topo.LinkISLRF,
+			From: at[e[0]], To: at[e[1]], Kind: topo.LinkISLRF,
 			DistanceKm: 1000, DelayS: 0.003, CapacityBps: 10e9,
 		})
 	}

@@ -253,7 +253,7 @@ func (n *Network) Associate(userID string, t float64) error {
 	snap := n.snapshotAt(t)
 	u.Terminal.StartScan()
 	for _, e := range snap.Neighbors(userID) {
-		sc := n.members[e.To].sat
+		sc := n.members[snap.NodeAt(e.To).ID].sat
 		if sc == nil {
 			continue
 		}

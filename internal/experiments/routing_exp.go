@@ -112,7 +112,7 @@ func RoutingAblation(cfg RoutingAblationConfig) (*RoutingAblationResult, error) 
 		proactiveLoad.Commit(out.path, cfg.FlowBps)
 	}
 	for _, e := range snap.Edges() {
-		u := proactiveLoad.Utilization(e.From, e.To)
+		u := proactiveLoad.Utilization(snap.NodeAt(e.From).ID, snap.NodeAt(e.To).ID)
 		if u > res.ProactiveMaxUtilization {
 			res.ProactiveMaxUtilization = u
 		}
@@ -135,7 +135,7 @@ func RoutingAblation(cfg RoutingAblationConfig) (*RoutingAblationResult, error) 
 		odDelay.Add(p.DelayS * 1000)
 	}
 	for _, e := range snap.Edges() {
-		if u := router.Load().Utilization(e.From, e.To); u > res.OnDemandMaxUtilization {
+		if u := router.Load().Utilization(snap.NodeAt(e.From).ID, snap.NodeAt(e.To).ID); u > res.OnDemandMaxUtilization {
 			res.OnDemandMaxUtilization = u
 		}
 	}

@@ -192,7 +192,7 @@ func InputsFromSnapshot(s *topo.Snapshot) Inputs {
 	}
 	for _, e := range ix.Edges {
 		if e.Kind == topo.LinkISLRF || e.Kind == topo.LinkISLLaser {
-			in.ISLs = append(in.ISLs, [2]string{min(e.From, e.To), max(e.From, e.To)})
+			in.ISLs = append(in.ISLs, [2]string{ix.Nodes[min(e.From, e.To)].ID, ix.Nodes[max(e.From, e.To)].ID})
 		}
 	}
 	slices.SortFunc(in.ISLs, func(a, b [2]string) int {

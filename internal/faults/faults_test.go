@@ -167,13 +167,14 @@ func TestInputsFromSnapshot(t *testing.T) {
 		{ID: "gs-0", Kind: topo.KindGroundStation},
 		{ID: "u-0", Kind: topo.KindUser},
 	}
+	const satB, satA, satC, gs0, u0 = 0, 1, 2, 3, 4 // positions in nodes
 	edges := []topo.Edge{
-		{From: "sat-a", To: "sat-b", Kind: topo.LinkISLLaser},
-		{From: "sat-b", To: "sat-a", Kind: topo.LinkISLLaser},
-		{From: "sat-c", To: "sat-a", Kind: topo.LinkISLRF}, // one direction only
-		{From: "sat-b", To: "sat-c", Kind: topo.LinkISLRF}, // one direction only
-		{From: "sat-a", To: "gs-0", Kind: topo.LinkGround},
-		{From: "u-0", To: "sat-a", Kind: topo.LinkAccess},
+		{From: satA, To: satB, Kind: topo.LinkISLLaser},
+		{From: satB, To: satA, Kind: topo.LinkISLLaser},
+		{From: satC, To: satA, Kind: topo.LinkISLRF}, // one direction only
+		{From: satB, To: satC, Kind: topo.LinkISLRF}, // one direction only
+		{From: satA, To: gs0, Kind: topo.LinkGround},
+		{From: u0, To: satA, Kind: topo.LinkAccess},
 	}
 	s, err := topo.NewSnapshot(0, nodes, edges)
 	if err != nil {

@@ -22,17 +22,18 @@ func recoverySnapshot(t *testing.T) *topo.Snapshot {
 		{ID: "dst", Kind: topo.KindGroundStation},
 		{ID: "island", Kind: topo.KindGroundStation},
 	}
-	mk := func(from, to string, delay float64) []topo.Edge {
+	mk := func(from, to int32, delay float64) []topo.Edge {
 		return []topo.Edge{
 			{From: from, To: to, Kind: topo.LinkISLRF, DelayS: delay, CapacityBps: 1e9},
 			{From: to, To: from, Kind: topo.LinkISLRF, DelayS: delay, CapacityBps: 1e9},
 		}
 	}
+	const src, dst = 0, 4 // positions in nodes; a, b and c are 1 to 3
 	var edges []topo.Edge
-	for i, via := range []string{"a", "b", "c"} {
+	for i, via := range []int32{1, 2, 3} {
 		d := 0.01 * float64(i+1)
-		edges = append(edges, mk("src", via, d)...)
-		edges = append(edges, mk(via, "dst", d)...)
+		edges = append(edges, mk(src, via, d)...)
+		edges = append(edges, mk(via, dst, d)...)
 	}
 	s, err := topo.NewSnapshot(0, nodes, edges)
 	if err != nil {
@@ -121,11 +122,12 @@ func TestOutageWithNoRouteLastsUntilRepair(t *testing.T) {
 		{ID: "m", Kind: topo.KindSatellite},
 		{ID: "dst", Kind: topo.KindGroundStation},
 	}
+	const src, m, dst = 0, 1, 2 // positions in nodes
 	edges := []topo.Edge{
-		{From: "src", To: "m", Kind: topo.LinkISLRF, DelayS: 0.01, CapacityBps: 1e9},
-		{From: "m", To: "src", Kind: topo.LinkISLRF, DelayS: 0.01, CapacityBps: 1e9},
-		{From: "m", To: "dst", Kind: topo.LinkISLRF, DelayS: 0.01, CapacityBps: 1e9},
-		{From: "dst", To: "m", Kind: topo.LinkISLRF, DelayS: 0.01, CapacityBps: 1e9},
+		{From: src, To: m, Kind: topo.LinkISLRF, DelayS: 0.01, CapacityBps: 1e9},
+		{From: m, To: src, Kind: topo.LinkISLRF, DelayS: 0.01, CapacityBps: 1e9},
+		{From: m, To: dst, Kind: topo.LinkISLRF, DelayS: 0.01, CapacityBps: 1e9},
+		{From: dst, To: m, Kind: topo.LinkISLRF, DelayS: 0.01, CapacityBps: 1e9},
 	}
 	snap, err := topo.NewSnapshot(0, nodes, edges)
 	if err != nil {

@@ -28,6 +28,10 @@ type Evolver struct {
 	model traffic.CapacityModel
 	res   *Result
 
+	// decileBytes[c][d] is class c's transfer size at the midpoint of
+	// decile d, the ten sizes deaggregate spreads each delivery over.
+	decileBytes [][10]float64
+
 	// Per-aggregate backlog: transfers that arrived but were not served,
 	// pooled across epochs. backlogAgeE is the age in epochs of the oldest
 	// pooled transfer — an approximation (FIFO service is assumed inside a
@@ -151,8 +155,12 @@ func NewEvolver(m *ClassMatrix, cfg Config, gws []traffic.Gateway) (*Evolver, er
 		Users:   m.Users,
 		Latency: sim.DefaultSketch(),
 	}
-	for _, cl := range m.Classes {
+	decileBytes := make([][10]float64, len(m.Classes))
+	for c, cl := range m.Classes {
 		res.PerClass = append(res.PerClass, ClassResult{Name: cl.Name, Latency: sim.DefaultSketch()})
+		for d := range decileBytes[c] {
+			decileBytes[c][d] = cl.QuantileBytes((float64(d) + 0.5) / 10)
+		}
 	}
 	n := len(m.Aggregates)
 	return &Evolver{
@@ -161,6 +169,7 @@ func NewEvolver(m *ClassMatrix, cfg Config, gws []traffic.Gateway) (*Evolver, er
 		gws:         gws,
 		model:       traffic.DefaultCapacityModel(),
 		res:         res,
+		decileBytes: decileBytes,
 		backlogT:    make([]int64, n),
 		backlogB:    make([]float64, n),
 		backlogAgeE: make([]int, n),
@@ -489,7 +498,7 @@ func (e *Evolver) deaggregate(dt float64) {
 		}
 		base := pd.propS + float64(pd.hops)*perHopS
 		per, rem := uint64(deliveredT)/10, uint64(deliveredT)%10
-		for d := 0; d < 10; d++ {
+		for d, size := range e.decileBytes[a.Class] {
 			w := per
 			if d == 5 {
 				w += rem // remainder mass sits at the median decile
@@ -497,7 +506,6 @@ func (e *Evolver) deaggregate(dt float64) {
 			if w == 0 {
 				continue
 			}
-			size := e.m.Classes[a.Class].QuantileBytes((float64(d) + 0.5) / 10)
 			tx := size * 8 / pd.bpsEff
 			if tx > pd.capped {
 				tx = pd.capped

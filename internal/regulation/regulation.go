@@ -193,11 +193,11 @@ func (p Policy) Licensed(provider, region string) bool {
 func ResidencyFilter(base routing.CostFunc, atlas *Atlas, policy Policy, userRegion string) routing.CostFunc {
 	return func(e topo.Edge, s *topo.Snapshot) (float64, bool) {
 		if e.Kind == topo.LinkGround {
-			gs := s.Node(e.To)
-			if gs == nil || gs.Kind != topo.KindGroundStation {
-				gs = s.Node(e.From)
+			gs := s.NodeAt(e.To)
+			if gs.Kind != topo.KindGroundStation {
+				gs = s.NodeAt(e.From)
 			}
-			if gs != nil && gs.Kind == topo.KindGroundStation {
+			if gs.Kind == topo.KindGroundStation {
 				region := atlas.RegionOf(gs.Pos.LatLon())
 				if !policy.MayDownlink(userRegion, region) {
 					return 0, false

@@ -118,10 +118,11 @@ func EarliestArrival(te *topo.TimeExpanded, src, dst string, startS, txS float64
 					continue
 				}
 				arrive := depart + e.DelayS + txS
-				if old, ok := arrival[e.To]; !ok || arrive < old {
-					arrival[e.To] = arrive
-					prev[e.To] = pred{from: cur.id, departS: depart, arriveS: arrive}
-					heap.Push(q, item{id: e.To, cost: arrive})
+				to := te.Snaps[i].NodeAt(e.To).ID
+				if old, ok := arrival[to]; !ok || arrive < old {
+					arrival[to] = arrive
+					prev[to] = pred{from: cur.id, departS: depart, arriveS: arrive}
+					heap.Push(q, item{id: to, cost: arrive})
 				}
 			}
 		}

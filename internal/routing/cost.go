@@ -21,7 +21,9 @@ import (
 
 // CostFunc scores an edge for path selection. It returns the edge's cost
 // (must be ≥ 0) and whether the edge is usable at all. Costs are additive
-// along a path. An edge scored negative or NaN is not used.
+// along a path. An edge scored negative or NaN is not used. s is the
+// snapshot the edge belongs to, whose NodeAt resolves the edge's From and
+// To positions.
 //
 // A CostFunc must be a pure function of the edge for the duration of one
 // ShortestPath, KShortestPaths or DisjointPaths call, or for the life of a
@@ -79,7 +81,7 @@ type LoadMap interface {
 
 // Cost returns the CostFunc implementing the policy.
 func (p QoSPolicy) Cost() CostFunc {
-	return func(e topo.Edge, _ *topo.Snapshot) (float64, bool) {
+	return func(e topo.Edge, s *topo.Snapshot) (float64, bool) {
 		if p.MinCapacityBps > 0 && e.CapacityBps < p.MinCapacityBps {
 			return 0, false
 		}
@@ -94,7 +96,7 @@ func (p QoSPolicy) Cost() CostFunc {
 			c += p.RFPenalty
 		}
 		if p.LoadPenalty > 0 && p.Load != nil {
-			u := p.Load.Utilization(e.From, e.To)
+			u := p.Load.Utilization(s.NodeAt(e.From).ID, s.NodeAt(e.To).ID)
 			if u >= 1 {
 				return 0, false // saturated link
 			}

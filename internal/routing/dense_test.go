@@ -81,7 +81,8 @@ func faulted(s *topo.Snapshot) *topo.Snapshot {
 		for _, e := range s.Neighbors(id) {
 			if e.Kind == topo.LinkISLLaser || e.Kind == topo.LinkISLRF {
 				if n++; n%7 == 0 {
-					m.links[[2]string{e.From, e.To}] = true
+					from, to := edgeIDs(s, e)
+					m.links[[2]string{from, to}] = true
 				}
 			}
 		}

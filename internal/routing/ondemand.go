@@ -102,7 +102,7 @@ func (r *OnDemandRouter) Admit(src, dst string, bps float64) (Path, error) {
 		if !ok {
 			return 0, false
 		}
-		if r.load.Utilization(e.From, e.To)+bps/e.CapacityBps > 1 {
+		if r.load.Utilization(s.NodeAt(e.From).ID, s.NodeAt(e.To).ID)+bps/e.CapacityBps > 1 {
 			return 0, false
 		}
 		return c, true

@@ -84,8 +84,9 @@ func TestOnDemandRejectsImpossible(t *testing.T) {
 		}
 	}
 	for _, e := range s.Edges() {
-		if u := r.Load().Utilization(e.From, e.To); u != 0 {
-			t.Fatalf("%s→%s utilization %v after refused admissions", e.From, e.To, u)
+		from, to := edgeIDs(s, e)
+		if u := r.Load().Utilization(from, to); u != 0 {
+			t.Fatalf("%s→%s utilization %v after refused admissions", from, to, u)
 		}
 	}
 	// A flow bigger than any access link cannot be admitted.
@@ -140,7 +141,8 @@ func TestQoSLoadPenaltySaturatedUnusable(t *testing.T) {
 			break
 		}
 	}
-	p := Path{Nodes: []string{e.From, e.To}}
+	from, to := edgeIDs(s, e)
+	p := Path{Nodes: []string{from, to}}
 	load.Commit(p, e.CapacityBps*2)
 	if _, usable := cost(e, s); usable {
 		t.Error("saturated edge should be unusable")
@@ -172,8 +174,9 @@ func TestOnDemandRouter(t *testing.T) {
 		t.Fatalf("admitted %d flows, want 4", len(admitted))
 	}
 	for _, e := range s.Edges() {
-		if u := r.Load().Utilization(e.From, e.To); u != 0 && u != 0.8 {
-			t.Errorf("%s→%s utilization %v, want 0 or 0.8", e.From, e.To, u)
+		from, to := edgeIDs(s, e)
+		if u := r.Load().Utilization(from, to); u != 0 && u != 0.8 {
+			t.Errorf("%s→%s utilization %v, want 0 or 0.8", from, to, u)
 		}
 	}
 

@@ -50,10 +50,11 @@ func dijkstra(s *topo.Snapshot, src string, cost CostFunc, stopAt string) (map[s
 				continue
 			}
 			nd := cur.cost + w
-			if old, ok := dist[e.To]; !ok || nd < old {
-				dist[e.To] = nd
-				prev[e.To] = cur.id
-				heap.Push(q, item{id: e.To, cost: nd})
+			to := s.NodeAt(e.To).ID
+			if old, ok := dist[to]; !ok || nd < old {
+				dist[to] = nd
+				prev[to] = cur.id
+				heap.Push(q, item{id: to, cost: nd})
 			}
 		}
 	}
@@ -132,7 +133,8 @@ func oracleKShortestPaths(s *topo.Snapshot, src, dst string, cost CostFunc, k in
 				banNode[n] = true
 			}
 			restricted := func(e topo.Edge, snap *topo.Snapshot) (float64, bool) {
-				if banNode[e.To] || banNode[e.From] || banEdge[[2]string{e.From, e.To}] {
+				from, to := edgeIDs(snap, e)
+				if banNode[to] || banNode[from] || banEdge[[2]string{from, to}] {
 					return 0, false
 				}
 				return cost(e, snap)
@@ -236,7 +238,8 @@ func oracleDisjointPaths(s *topo.Snapshot, src, dst string, cost CostFunc, k int
 	}
 	banned := map[[2]string]bool{}
 	restricted := func(e topo.Edge, snap *topo.Snapshot) (float64, bool) {
-		if banned[[2]string{e.From, e.To}] || banned[[2]string{e.To, e.From}] {
+		from, to := edgeIDs(snap, e)
+		if banned[[2]string{from, to}] || banned[[2]string{to, from}] {
 			return 0, false
 		}
 		return cost(e, snap)

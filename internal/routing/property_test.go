@@ -27,14 +27,15 @@ func bruteForceShortest(s *topo.Snapshot, src, dst string, cost CostFunc) float6
 		}
 		visited[at] = true
 		for _, e := range s.Neighbors(at) {
-			if visited[e.To] {
+			to := s.NodeAt(e.To).ID
+			if visited[to] {
 				continue
 			}
 			w, ok := cost(e, s)
 			if !ok {
 				continue
 			}
-			dfs(e.To, acc+w)
+			dfs(to, acc+w)
 		}
 		visited[at] = false
 	}
@@ -111,14 +112,15 @@ func TestKShortestCostsMatchBruteForceEnumeration(t *testing.T) {
 			}
 			visited[at] = true
 			for _, e := range snap.Neighbors(at) {
-				if visited[e.To] {
+				to := snap.NodeAt(e.To).ID
+				if visited[to] {
 					continue
 				}
 				w, ok := cost(e, snap)
 				if !ok {
 					continue
 				}
-				dfs(e.To, acc+w)
+				dfs(to, acc+w)
 			}
 			visited[at] = false
 		}

@@ -19,9 +19,10 @@ func diamondSnapshot(t *testing.T) *topo.Snapshot {
 		{ID: "dst", Kind: topo.KindGroundStation},
 	}
 	mk := func(from, to string, delay float64) []topo.Edge {
+		u, v := at(nodes, from), at(nodes, to)
 		return []topo.Edge{
-			{From: from, To: to, Kind: topo.LinkISLRF, DelayS: delay, CapacityBps: 1e9},
-			{From: to, To: from, Kind: topo.LinkISLRF, DelayS: delay, CapacityBps: 1e9},
+			{From: u, To: v, Kind: topo.LinkISLRF, DelayS: delay, CapacityBps: 1e9},
+			{From: v, To: u, Kind: topo.LinkISLRF, DelayS: delay, CapacityBps: 1e9},
 		}
 	}
 	var edges []topo.Edge
@@ -227,9 +228,10 @@ func TestDisjointPathsNoPathAndBottleneck(t *testing.T) {
 		{ID: "src"}, {ID: "m"}, {ID: "a"}, {ID: "b"}, {ID: "dst"}, {ID: "island"},
 	}
 	mk := func(from, to string) []topo.Edge {
+		u, v := at(nodes, from), at(nodes, to)
 		return []topo.Edge{
-			{From: from, To: to, Kind: topo.LinkISLRF, DelayS: 0.01, CapacityBps: 1e9},
-			{From: to, To: from, Kind: topo.LinkISLRF, DelayS: 0.01, CapacityBps: 1e9},
+			{From: u, To: v, Kind: topo.LinkISLRF, DelayS: 0.01, CapacityBps: 1e9},
+			{From: v, To: u, Kind: topo.LinkISLRF, DelayS: 0.01, CapacityBps: 1e9},
 		}
 	}
 	var edges []topo.Edge
@@ -260,7 +262,7 @@ func TestDisjointPathsUnderDegradedSnapshot(t *testing.T) {
 	// Degrade via a cost function that refuses both of a's edges — the
 	// same restriction an Overlay mask imposes.
 	masked := func(e topo.Edge, snap *topo.Snapshot) (float64, bool) {
-		if e.From == "a" || e.To == "a" {
+		if from, to := edgeIDs(snap, e); from == "a" || to == "a" {
 			return 0, false
 		}
 		return LatencyCost(0)(e, snap)
@@ -274,7 +276,7 @@ func TestDisjointPathsUnderDegradedSnapshot(t *testing.T) {
 	}
 	// Degrading the other branch too disconnects the pair.
 	none := func(e topo.Edge, snap *topo.Snapshot) (float64, bool) {
-		if e.From != "src" && e.To != "src" {
+		if from, to := edgeIDs(snap, e); from != "src" && to != "src" {
 			return 0, false
 		}
 		return LatencyCost(0)(e, snap)

@@ -3,12 +3,24 @@ package routing
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/openspace-project/openspace/internal/geo"
 	"github.com/openspace-project/openspace/internal/orbit"
 	"github.com/openspace-project/openspace/internal/topo"
 )
+
+// edgeIDs returns the IDs of e's endpoints in s, the snapshot e came from.
+func edgeIDs(s *topo.Snapshot, e topo.Edge) (from, to string) {
+	return s.NodeAt(e.From).ID, s.NodeAt(e.To).ID
+}
+
+// at returns the position of the node named id in nodes, the form in
+// which topo.NewSnapshot takes an edge's endpoints.
+func at(nodes []topo.Node, id string) int32 {
+	return int32(slices.IndexFunc(nodes, func(n topo.Node) bool { return n.ID == id }))
+}
 
 // testSnapshot builds an Iridium snapshot with a user in Nairobi and a
 // ground station in Seattle, split across nProviders.

@@ -347,14 +347,15 @@ func TestTreeNoPathAtInfiniteWeights(t *testing.T) {
 		}
 		var edges []topo.Edge
 		for e := range costs {
-			edges = append(edges, topo.Edge{From: e[0], To: e[1]})
+			edges = append(edges, topo.Edge{From: at(nodes, e[0]), To: at(nodes, e[1])})
 		}
 		snap, err := topo.NewSnapshot(0, nodes, edges)
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := NewGraph(snap, func(e topo.Edge, _ *topo.Snapshot) (float64, bool) {
-			return costs[[2]string{e.From, e.To}], true
+		g := NewGraph(snap, func(e topo.Edge, s *topo.Snapshot) (float64, bool) {
+			from, to := edgeIDs(s, e)
+			return costs[[2]string{from, to}], true
 		})
 		g.begin()
 		dst, _ := g.ix.Lookup("d")

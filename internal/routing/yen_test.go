@@ -132,11 +132,12 @@ func tieSnapshot(tb testing.TB, rng *rand.Rand, shape uint8, nodePct, linkPct in
 	tb.Helper()
 	var nodes []topo.Node
 	var edges []topo.Edge
+	var ends [][2]string // edges[k] runs from ends[k][0] to ends[k][1], whose nodes may come later
 	link := func(a, b string, kind topo.LinkKind, ms int) {
 		d := (float64(ms) + 0.3*rng.Float64()) / 1e3
-		edges = append(edges,
-			topo.Edge{From: a, To: b, Kind: kind, DelayS: d, DistanceKm: d * 3e5, CapacityBps: 1e9},
-			topo.Edge{From: b, To: a, Kind: kind, DelayS: d, DistanceKm: d * 3e5, CapacityBps: 1e9})
+		e := topo.Edge{Kind: kind, DelayS: d, DistanceKm: d * 3e5, CapacityBps: 1e9}
+		edges = append(edges, e, e)
+		ends = append(ends, [2]string{a, b}, [2]string{b, a})
 	}
 	size := int(shape / 2)
 	if shape%2 == 0 {
@@ -173,6 +174,9 @@ func tieSnapshot(tb testing.TB, rng *rand.Rand, shape uint8, nodePct, linkPct in
 			}
 		}
 	}
+	for k := range edges {
+		edges[k].From, edges[k].To = at(nodes, ends[k][0]), at(nodes, ends[k][1])
+	}
 	s, err := topo.NewSnapshot(0, nodes, edges)
 	if err != nil {
 		tb.Fatal(err)
@@ -184,8 +188,8 @@ func tieSnapshot(tb testing.TB, rng *rand.Rand, shape uint8, nodePct, linkPct in
 		}
 	}
 	for _, e := range s.Edges() {
-		if e.From < e.To && rng.Intn(100) < linkPct {
-			m.links[[2]string{e.From, e.To}] = true
+		if from, to := edgeIDs(s, e); from < to && rng.Intn(100) < linkPct {
+			m.links[[2]string{from, to}] = true
 		}
 	}
 	return s.Overlay(m)

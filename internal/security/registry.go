@@ -167,10 +167,7 @@ func (g *Registry) QuarantinedProviders() []string {
 // route around the bad actor.
 func ExcludeQuarantined(base routing.CostFunc, g *Registry) routing.CostFunc {
 	return func(e topo.Edge, s *topo.Snapshot) (float64, bool) {
-		if to := s.Node(e.To); to != nil && g.Quarantined(to.Provider) {
-			return 0, false
-		}
-		if from := s.Node(e.From); from != nil && g.Quarantined(from.Provider) {
+		if g.Quarantined(s.NodeAt(e.To).Provider) || g.Quarantined(s.NodeAt(e.From).Provider) {
 			return 0, false
 		}
 		return base(e, s)

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"math/rand"
 	"os"
 	"testing"
 
@@ -20,10 +21,14 @@ func allocGate(t *testing.T) {
 // TestAllocGateFeasibleISLs pins the //lint:hotpath contract on
 // builder.feasibleISLs: with positions and candidate lists in place, the
 // range/line-of-sight filter and its deterministic sort must reuse the
-// builder's scratch and allocate nothing.
+// builder's scratch and allocate nothing. The fixture's satellites carry
+// MaxISLs caps, since the sort runs only when some satellite is capped.
 func TestAllocGateFeasibleISLs(t *testing.T) {
 	allocGate(t)
 	b := newBuilder(DefaultConfig(), randomSpecs(128, 3), nil, nil)
+	if !b.capped {
+		t.Fatal("fixture has no MaxISLs cap; the gate would skip the sort")
+	}
 	b.SnapshotAt(0, b.nodes) // fills positions, builds candidate lists, sizes the scratch
 	cands := b.candISL
 	if b.staticMode {
@@ -49,8 +54,10 @@ func TestAllocGateFeasibleISLs(t *testing.T) {
 // returns: the Snapshot, its node list, the Off and To rows and the edge
 // list. The builder, its spatial index, the resolved +Grid wiring plan and
 // every other piece of scratch come from the pool, and the node template
-// becomes the node list. It checks a geometric Iridium build and a +Grid
-// Walker build wired by Config.StaticISLs.
+// becomes the node list. It checks a geometric Iridium build, a +Grid
+// Walker build wired by Config.StaticISLs, and fig2b's shape: 100 random
+// circular satellites, uncapped, whose 10⁹ km ISL range links every pair
+// with line of sight.
 func TestAllocGateBuild(t *testing.T) {
 	allocGate(t)
 	grounds := []GroundSpec{{ID: "gs", Provider: "p", Pos: geo.LatLon{Lat: 47.6, Lon: -122.3}}}
@@ -71,6 +78,13 @@ func TestAllocGateBuild(t *testing.T) {
 	for i, s := range c.Satellites {
 		gridSpecs[i] = SatSpec{ID: s.ID, Provider: providerName(i % 2), Elements: s.Elements, HasLaser: true}
 	}
+	fig2b := DefaultConfig()
+	fig2b.ISLRangeKm = 1e9
+	random := orbit.RandomCircular(100, 780, rand.New(rand.NewSource(1)))
+	fig2bSpecs := make([]SatSpec, random.Len())
+	for i, s := range random.Satellites {
+		fig2bSpecs[i] = SatSpec{ID: s.ID, Provider: "p", Elements: s.Elements}
+	}
 	for _, tc := range []struct {
 		name  string
 		cfg   Config
@@ -78,6 +92,7 @@ func TestAllocGateBuild(t *testing.T) {
 	}{
 		{"iridium", DefaultConfig(), iridiumSpecs(t, 1, false)},
 		{"grid-500", grid, gridSpecs},
+		{"fig2b", fig2b, fig2bSpecs},
 	} {
 		if s := Build(0, tc.cfg, tc.specs, grounds, users); s.EdgeCount() == 0 {
 			t.Fatalf("%s: fixture built no edges; gate would be vacuous", tc.name)

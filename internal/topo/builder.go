@@ -27,6 +27,7 @@ type builder struct {
 	attachKm   float64 // ground↔satellite query radius
 	cellKm     float64 // spatial index cell: the widest query, so each reaches one cell out
 	staticMode bool    // Config.StaticISLs wires the ISLs, not the geometric rule
+	capped     bool    // some satellite has a MaxISLs cap, so ISLs are accepted shortest first
 
 	// nodes is the node template, sorted by ID, with satellite positions
 	// left for SnapshotAt; satellite i is nodes[rank[i]] and entity k is
@@ -48,7 +49,7 @@ type scratch struct {
 	candGround  [][]int        //lint:scratch — candidate satellites per entity
 	feasible    []feasiblePair //lint:scratch
 	degree      []int          //lint:scratch
-	links       []Edge         //lint:scratch — one direction of each link, arcs 2l and 2l+1 of asm
+	links       []Edge         //lint:scratch — link l's values, endpoints aside, for arcs 2l and 2l+1 of asm
 	asm         assembler      //lint:scratch
 	ix          satIndex       //lint:scratch
 }
@@ -106,6 +107,9 @@ func (b *builder) reset(cfg Config, sats []SatSpec, grounds []GroundSpec, users 
 	for i := range sats {
 		if sats[i].HasLaser {
 			lasers++
+		}
+		if sats[i].MaxISLs > 0 {
+			b.capped = true
 		}
 		e := sats[i].Elements
 		if alt := e.SemiMajorAxisKm*(1+e.Eccentricity) - geo.EarthRadiusKm; e.SemiMajorAxisKm > 0 && alt > maxApogeeAlt {
@@ -225,8 +229,9 @@ func (b *builder) SnapshotAt(t float64, nodes []Node) *Snapshot {
 	}
 
 	// Inter-satellite links: exact feasibility over the candidate pairs,
-	// shortest first, accepted greedily under per-satellite degree caps —
-	// identical to filtering all N² pairs, at a fraction of the scan.
+	// accepted greedily under per-satellite degree caps, shortest first
+	// when a cap can refuse one — identical to filtering all N² pairs, at
+	// a fraction of the scan.
 	cands := b.candISL
 	if b.staticMode {
 		cands = b.staticPairs
@@ -266,28 +271,25 @@ func (b *builder) SnapshotAt(t float64, nodes []Node) *Snapshot {
 		}
 	}
 
-	return b.asm.snapshot(t, nodes, func(k int32) Edge {
-		e := b.links[k/2]
-		if k%2 == 1 {
-			e.From, e.To = e.To, e.From
-		}
-		return e
-	})
+	return b.asm.snapshot(t, nodes, func(k int32) Edge { return b.links[k/2] })
 }
 
 // link collects the link between the nodes at positions u and v as arcs
 // u → v and v → u.
 func (b *builder) link(u, v int32, kind LinkKind, distKm, capBps float64, cross bool) {
-	b.links = append(b.links, Edge{From: b.nodes[u].ID, To: b.nodes[v].ID, Kind: kind, DistanceKm: distKm,
+	b.links = append(b.links, Edge{Kind: kind, DistanceKm: distKm,
 		DelayS: distKm / phy.SpeedOfLightKmS, CapacityBps: capBps, CrossOwner: cross})
 	b.asm.add(u, v)
 	b.asm.add(v, u)
 }
 
-// feasibleISLs refreshes the sorted feasible-pair scratch from the
-// candidate set: exact range and line-of-sight filtering, then the
-// deterministic (distance, i, j) order the greedy degree-capped
-// acceptance consumes. This runs once per snapshot over every candidate
+// feasibleISLs refreshes the feasible-pair scratch from the candidate
+// set: exact range and line-of-sight filtering, then, when some satellite
+// has a MaxISLs cap, the deterministic (distance, i, j) order the greedy
+// degree-capped acceptance consumes. With no cap every feasible pair is
+// accepted, and the assembler puts arcs in (From, To) order whatever order
+// the unique pairs come in, so the sort would change nothing and is
+// skipped. This runs once per snapshot over every candidate
 // pair — the builder's inner kernel — and reuses the
 // receiver's scratch so the steady state allocates nothing (see
 // TestAllocGateFeasibleISLs). The result lives in b.feasible; returning
@@ -310,7 +312,9 @@ func (b *builder) feasibleISLs(cands [][2]int) {
 		}
 		b.feasible = append(b.feasible, feasiblePair{i: i, j: j, d: d})
 	}
-	slices.SortFunc(b.feasible, cmpFeasible)
+	if b.capped {
+		slices.SortFunc(b.feasible, cmpFeasible)
+	}
 }
 
 // cmpFeasible orders candidate ISLs by distance, ties broken by the

@@ -72,6 +72,7 @@ func TestTimeExpandedIncrementalEqualsFull(t *testing.T) {
 			if snap.TimeS != ts {
 				t.Fatalf("%s: snapshot %d at %v, want %v", tc.name, i, snap.TimeS, ts)
 			}
+			checkSnapshot(t, snap)
 			full := Build(ts, tc.cfg, tc.specs, grounds, users)
 			assertSnapshotsEqual(t, fmt.Sprintf("%s step %d", tc.name, i), snap, full)
 		}
@@ -124,8 +125,8 @@ func TestStaticISLWiring(t *testing.T) {
 			t.Fatalf("sat %s has %d ISLs, +Grid caps at 4", id, len(es))
 		}
 		for _, e := range es {
-			if !planned[e.From+"|"+e.To] {
-				t.Fatalf("edge %s→%s not in the wiring plan", e.From, e.To)
+			if from, to := edgeIDs(snap, e); !planned[from+"|"+to] {
+				t.Fatalf("edge %s→%s not in the wiring plan", from, to)
 			}
 		}
 	}

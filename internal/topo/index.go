@@ -8,10 +8,11 @@ import (
 // Index is a snapshot's graph in compressed sparse row (CSR) form, the one
 // representation a snapshot stores. Nodes are sorted by ID, so a node's
 // position, its dense index, orders the same way as its ID. Node i's
-// outgoing edges are Edges[Off[i]:Off[i+1]], sorted by target, and To[j]
-// is the position of Edges[j].To; Edges therefore lists every directed
-// edge in (From, To) order. Graph kernels read the fields directly and
-// must not modify them.
+// outgoing edges are Edges[Off[i]:Off[i+1]], sorted by target. An edge's
+// From and To are positions in Nodes, so Edges[j].From is the row j sits
+// in and Edges[j].To == To[j]; Edges therefore lists every directed edge
+// in (From, To) order. Graph kernels read the fields directly and must
+// not modify them.
 type Index struct {
 	Nodes []Node  // sorted by ID
 	Off   []int32 // len(Nodes)+1 row offsets into To and Edges
@@ -72,11 +73,12 @@ func (a *assembler) add(u, v int32) {
 }
 
 // snapshot returns the collected arcs over nodes, which must be sorted by
-// unique ID, as the snapshot at time t, with edge(k) the value of arc k,
-// and empties the assembler. Arcs are put in (From, To) order by two
-// stable counting sorts, by target and then by source, so the order
-// depends only on the endpoint positions, never on the order arcs were
-// added in, as long as no (From, To) pair was added twice.
+// unique ID, as the snapshot at time t, with edge(k) the value of arc k
+// but for its endpoints, which are arc k's, and empties the assembler.
+// Arcs are put in (From, To) order by two stable counting sorts, by
+// target and then by source, so the order depends only on the endpoint
+// positions, never on the order arcs were added in, as long as no
+// (From, To) pair was added twice.
 func (a *assembler) snapshot(t float64, nodes []Node, edge func(k int32) Edge) *Snapshot {
 	n, m := len(nodes), len(a.from)
 	a.order = slices.Grow(a.order[:0], m)[:m]
@@ -93,7 +95,9 @@ func (a *assembler) snapshot(t float64, nodes []Node, edge func(k int32) Edge) *
 		u := a.from[k]
 		p := a.next[u]
 		a.next[u]++
-		ix.To[p], ix.Edges[p] = a.to[k], edge(k)
+		e := edge(k)
+		e.From, e.To = u, a.to[k]
+		ix.To[p], ix.Edges[p] = e.To, e
 	}
 	a.from, a.to = a.from[:0], a.to[:0]
 	return &Snapshot{TimeS: t, ix: ix}

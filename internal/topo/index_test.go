@@ -1,15 +1,28 @@
 package topo
 
 import (
+	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 )
+
+// edgeIDs returns the IDs of e's endpoints in s, the snapshot e came from.
+func edgeIDs(s *Snapshot, e Edge) (from, to string) {
+	return s.NodeAt(e.From).ID, s.NodeAt(e.To).ID
+}
+
+// at returns the position of the node named id in nodes, for building
+// NewSnapshot's edges by name.
+func at(nodes []Node, id string) int32 {
+	return int32(slices.IndexFunc(nodes, func(n Node) bool { return n.ID == id }))
+}
 
 // checkSnapshot verifies the invariants of a snapshot's CSR form: node IDs
 // sorted and unique, offsets monotone and covering every edge, each row
 // sorted by strictly increasing target so the edges run in (From, To)
-// order, To naming each edge's target, the accessors agreeing with the
-// rows, and Node and Lookup round-tripping every ID.
+// order, each edge's From its row and its To equal to To, the accessors
+// agreeing with the rows, and Node and Lookup round-tripping every ID.
 func checkSnapshot(t *testing.T, s *Snapshot) {
 	t.Helper()
 	ix := s.Index()
@@ -30,16 +43,20 @@ func checkSnapshot(t *testing.T, s *Snapshot) {
 		if ids[i] != id {
 			t.Fatalf("Nodes()[%d] = %q, want %q", i, ids[i], id)
 		}
+		if s.NodeAt(int32(i)) != &ix.Nodes[i] {
+			t.Fatalf("NodeAt(%d) is not node %d", i, i)
+		}
 		if ix.Off[i] > ix.Off[i+1] {
 			t.Fatalf("%s: offsets decrease: %d > %d", id, ix.Off[i], ix.Off[i+1])
 		}
 		for j := ix.Off[i]; j < ix.Off[i+1]; j++ {
 			e := ix.Edges[j]
-			if e.From != id || ix.Nodes[ix.To[j]].ID != e.To {
-				t.Fatalf("edge %d %s→%s sits in row %s with target %s", j, e.From, e.To, id, ix.Nodes[ix.To[j]].ID)
+			if int(e.From) != i || e.To != ix.To[j] {
+				t.Fatalf("edge %d %d→%d sits in row %d with target %d", j, e.From, e.To, i, ix.To[j])
 			}
-			if got := ix.Arc(e.From, e.To); got != j {
-				t.Fatalf("Arc(%s, %s) = %d, want %d", e.From, e.To, got, j)
+			from, to := edgeIDs(s, e)
+			if got := ix.Arc(from, to); got != j {
+				t.Fatalf("Arc(%s, %s) = %d, want %d", from, to, got, j)
 			}
 			if j > ix.Off[i] && ix.To[j-1] >= ix.To[j] {
 				t.Fatalf("%s: row not in strictly increasing target order at edge %d", id, j)
@@ -60,6 +77,58 @@ func checkSnapshot(t *testing.T, s *Snapshot) {
 	}
 	if j, ok := ix.Lookup("no-such-node"); ok || j != -1 || s.Node("no-such-node") != nil || s.Neighbors("no-such-node") != nil {
 		t.Fatalf("lookups of a missing node: Lookup = %d, %v", j, ok)
+	}
+}
+
+// TestEdgeLayout holds Edge to 40 bytes with no pointer-bearing field
+// anywhere inside it, so edge lists stay out of the garbage collector's
+// scan and their copies run without write barriers.
+func TestEdgeLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Edge{}); size != 40 {
+		t.Errorf("Edge is %d bytes, want 40", size)
+	}
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.String, reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+			reflect.Interface, reflect.Func, reflect.Chan:
+			t.Errorf("Edge field %s is a %s, which holds a pointer", path, typ.Kind())
+		case reflect.Struct:
+			for i := range typ.NumField() {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		}
+	}
+	walk("Edge", reflect.TypeOf(Edge{}))
+}
+
+// TestNewSnapshotRejects checks NewSnapshot's input errors: an endpoint
+// outside the nodes given, a self-loop and a duplicate directed edge.
+func TestNewSnapshotRejects(t *testing.T) {
+	nodes := []Node{{ID: "b"}, {ID: "a"}}
+	for _, c := range []struct {
+		name  string
+		edges []Edge
+	}{
+		{"negative position", []Edge{{From: -1, To: 0}}},
+		{"position past the end", []Edge{{From: 0, To: 2}}},
+		{"self-loop", []Edge{{From: 1, To: 1}}},
+		{"duplicate", []Edge{{From: 0, To: 1}, {From: 1, To: 0}, {From: 0, To: 1}}},
+	} {
+		if _, err := NewSnapshot(0, nodes, c.edges); err == nil {
+			t.Errorf("%s: NewSnapshot accepted %v", c.name, c.edges)
+		}
+	}
+	s, err := NewSnapshot(0, nodes, []Edge{{From: 0, To: 1, DelayS: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSnapshot(t, s)
+	if e, ok := s.Edge("b", "a"); !ok || e.DelayS != 2 || e.From != 1 || e.To != 0 {
+		t.Fatalf("Edge(b, a) = %+v, %v; want the edge given, renumbered to sorted positions 1→0", e, ok)
 	}
 }
 

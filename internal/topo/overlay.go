@@ -19,7 +19,8 @@ type Mask interface {
 // along with their incident edges, and masked links disappear in both
 // directions. Geometry is never rebuilt: the overlay filters the CSR of s
 // into one of its own. Survivors keep their relative order, so each kept
-// row is still in (From, To) order and is copied straight into place.
+// row is still in (From, To) order and is copied straight into place,
+// its endpoints renumbered to the survivors' positions.
 //
 // A nil or empty mask returns s itself: fault injection disabled is a
 // provable no-op, which is what lets every fault-free experiment regenerate
@@ -42,7 +43,7 @@ func (s *Snapshot) Overlay(m Mask) *Snapshot {
 	kept := 0
 	for u := range ix.Nodes {
 		for j := ix.Off[u]; j < ix.Off[u+1]; j++ {
-			keep[j] = pos[u] >= 0 && pos[ix.To[j]] >= 0 && !m.EdgeDown(ix.Edges[j].From, ix.Edges[j].To)
+			keep[j] = pos[u] >= 0 && pos[ix.To[j]] >= 0 && !m.EdgeDown(ix.Nodes[u].ID, ix.Nodes[ix.To[j]].ID)
 			if keep[j] {
 				kept++
 			}
@@ -52,8 +53,10 @@ func (s *Snapshot) Overlay(m Mask) *Snapshot {
 	for u, pu := range pos {
 		for j := ix.Off[u]; j < ix.Off[u+1]; j++ {
 			if keep[j] {
-				out.To = append(out.To, pos[ix.To[j]])
-				out.Edges = append(out.Edges, ix.Edges[j])
+				e := ix.Edges[j]
+				e.From, e.To = pu, pos[ix.To[j]]
+				out.To = append(out.To, e.To)
+				out.Edges = append(out.Edges, e)
 			}
 		}
 		if pu >= 0 {

@@ -33,9 +33,10 @@ func lineSnapshot(t *testing.T) *Snapshot {
 	}
 	var edges []Edge
 	for _, p := range [][2]string{{"a", "b"}, {"b", "c"}, {"c", "d"}} {
+		u, v := at(nodes, p[0]), at(nodes, p[1])
 		edges = append(edges,
-			Edge{From: p[0], To: p[1], Kind: LinkISLRF, CapacityBps: 1e6},
-			Edge{From: p[1], To: p[0], Kind: LinkISLRF, CapacityBps: 1e6})
+			Edge{From: u, To: v, Kind: LinkISLRF, CapacityBps: 1e6},
+			Edge{From: v, To: u, Kind: LinkISLRF, CapacityBps: 1e6})
 	}
 	s, err := NewSnapshot(5, nodes, edges)
 	if err != nil {
@@ -170,19 +171,22 @@ func TestOverlayMatchesNewSnapshot(t *testing.T) {
 				}
 			}
 			for _, e := range s.Edges() {
-				if e.From < e.To && rng.Intn(8) == 0 {
-					m.edges[[2]string{e.From, e.To}] = true
+				if from, to := edgeIDs(s, e); from < to && rng.Intn(8) == 0 {
+					m.edges[[2]string{from, to}] = true
 				}
 			}
 			var nodes []Node
-			for _, id := range s.Nodes() {
+			kept := make([]int32, s.NodeCount()) // position in nodes of each survivor
+			for i, id := range s.Nodes() {
 				if !m.nodes[id] {
+					kept[i] = int32(len(nodes))
 					nodes = append(nodes, *s.Node(id))
 				}
 			}
 			var edges []Edge
 			for _, e := range s.Edges() {
-				if !m.nodes[e.From] && !m.nodes[e.To] && !m.EdgeDown(e.From, e.To) {
+				if from, to := edgeIDs(s, e); !m.nodes[from] && !m.nodes[to] && !m.EdgeDown(from, to) {
+					e.From, e.To = kept[e.From], kept[e.To]
 					edges = append(edges, e)
 				}
 			}

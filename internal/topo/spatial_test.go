@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -221,6 +222,10 @@ func TestISLsOffListsNoPairs(t *testing.T) {
 // TestBuildMatchesBruteForceSnapshot rebuilds full snapshots with a
 // reference implementation of the original all-pairs algorithm and
 // requires exact equality — the end-to-end form of the index property.
+// The oracle always accepts ISLs shortest first, while the builder orders
+// them only when some satellite has a MaxISLs cap; fleets with no cap at
+// all, and fleets where only one satellite past the first is capped, hold
+// both halves of that rule to the oracle.
 // The +Grid case covers the explicit wiring plan, where the index serves
 // only ground queries and its cells are as small as they get, under many
 // ground stations and users; a ground query a tenth short of attachKm
@@ -242,6 +247,23 @@ func TestBuildMatchesBruteForceSnapshot(t *testing.T) {
 					{ID: "g1", Provider: "B", Pos: geo.LatLon{Lat: -33.87, Lon: 151.21}},
 				},
 				[]UserSpec{{ID: "u0", Provider: "A", Pos: geo.LatLon{Lat: 40.71, Lon: -74.01}}}})
+		}
+	}
+	allPairs := DefaultConfig()
+	allPairs.ISLRangeKm = 1e9 // fig2b's rule: every pair with line of sight
+	for _, nc := range []namedConfig{{"default", DefaultConfig()}, {"all pairs", allPairs}} {
+		for _, n := range []int{40, 100} {
+			uncapped := randomSpecs(n, int64(n)+1)
+			for i := range uncapped {
+				uncapped[i].MaxISLs = 0
+			}
+			oneCapped := slices.Clone(uncapped)
+			oneCapped[n/2].MaxISLs = 1
+			grounds := []GroundSpec{{ID: "g0", Provider: "A", Pos: geo.LatLon{Lat: 47.6, Lon: -122.3}}}
+			users := []UserSpec{{ID: "u0", Provider: "B", Pos: geo.LatLon{Lat: -1.29, Lon: 36.82}}}
+			cases = append(cases,
+				snapCase{fmt.Sprintf("uncapped %s n=%d", nc.name, n), nc.cfg, uncapped, grounds, users},
+				snapCase{fmt.Sprintf("one capped %s n=%d", nc.name, n), nc.cfg, oneCapped, grounds, users})
 		}
 	}
 
@@ -289,7 +311,8 @@ func bruteForceBuild(tb testing.TB, at float64, cfg Config, sats []SatSpec, grou
 	tb.Helper()
 	var nodes []Node
 	var edges []Edge
-	addBidirectional := func(a, b string, kind LinkKind, distKm, capBps float64, cross bool) {
+	// a and b are positions in nodes: satellites, then grounds, then users.
+	addBidirectional := func(a, b int32, kind LinkKind, distKm, capBps float64, cross bool) {
 		delay := distKm / phy.SpeedOfLightKmS
 		edges = append(edges,
 			Edge{From: a, To: b, Kind: kind, DistanceKm: distKm, DelayS: delay, CapacityBps: capBps, CrossOwner: cross},
@@ -362,23 +385,23 @@ func bruteForceBuild(tb testing.TB, at float64, cfg Config, sats []SatSpec, grou
 		if sats[p.i].HasLaser && sats[p.j].HasLaser && p.d <= cfg.LaserRangeKm {
 			kind, capBps = LinkISLLaser, cfg.LaserISLBps
 		}
-		addBidirectional(sats[p.i].ID, sats[p.j].ID, kind, p.d, capBps,
+		addBidirectional(int32(p.i), int32(p.j), kind, p.d, capBps,
 			sats[p.i].Provider != sats[p.j].Provider)
 	}
-	attach := func(id, provider string, ll geo.LatLon, kind LinkKind, capBps float64) {
+	attach := func(at int, provider string, ll geo.LatLon, kind LinkKind, capBps float64) {
 		gp := ll.Vec3(0)
 		for i, sat := range sats {
 			if geo.ElevationDeg(ll, pos[i]) < cfg.MinElevationDeg {
 				continue
 			}
-			addBidirectional(id, sat.ID, kind, gp.DistanceKm(pos[i]), capBps, provider != sat.Provider)
+			addBidirectional(int32(at), int32(i), kind, gp.DistanceKm(pos[i]), capBps, provider != sat.Provider)
 		}
 	}
-	for _, g := range grounds {
-		attach(g.ID, g.Provider, g.Pos, LinkGround, cfg.GroundBps)
+	for k, g := range grounds {
+		attach(len(sats)+k, g.Provider, g.Pos, LinkGround, cfg.GroundBps)
 	}
-	for _, u := range users {
-		attach(u.ID, u.Provider, u.Pos, LinkAccess, cfg.AccessBps)
+	for k, u := range users {
+		attach(len(sats)+len(grounds)+k, u.Provider, u.Pos, LinkAccess, cfg.AccessBps)
 	}
 	s, err := NewSnapshot(at, nodes, edges)
 	if err != nil {

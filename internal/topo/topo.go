@@ -55,7 +55,7 @@ type Node struct {
 }
 
 // LinkKind distinguishes edge classes.
-type LinkKind int
+type LinkKind uint8
 
 // Link kinds.
 const (
@@ -83,12 +83,17 @@ func (k LinkKind) String() string {
 
 // Edge is one feasible link at the snapshot time. Edges are stored
 // directed (both directions present) so per-direction costs are possible.
+// From and To are the positions of the endpoints in the sorted node list
+// of the snapshot the edge came from (NodeAt reads them); they name
+// nothing in any other snapshot, an overlay of it included. The struct
+// holds no pointers, so an edge list is neither scanned by the garbage
+// collector nor copied under write barriers.
 type Edge struct {
-	From, To    string
-	Kind        LinkKind
+	From, To    int32
 	DistanceKm  float64
 	DelayS      float64 // one-way propagation delay
 	CapacityBps float64
+	Kind        LinkKind
 	CrossOwner  bool // endpoints belong to different providers
 }
 
@@ -109,6 +114,10 @@ func (s *Snapshot) Node(id string) *Node {
 	}
 	return &s.ix.Nodes[i]
 }
+
+// NodeAt returns the node at position i of the sorted node list, the
+// node an Edge's From or To names.
+func (s *Snapshot) NodeAt(i int32) *Node { return &s.ix.Nodes[i] }
 
 // Nodes returns all node IDs in deterministic (sorted) order.
 func (s *Snapshot) Nodes() []string {
@@ -151,8 +160,10 @@ func (s *Snapshot) Edge(from, to string) (Edge, bool) {
 // bypassing the orbital feasibility rules of Build. It is the synthetic-graph
 // entry point: capacity-planning tests and benchmarks use it to construct
 // graphs with exactly known capacities. Each edge is taken as given (one
-// direction only; callers wanting symmetry add both directions), endpoints
-// must name declared nodes, and duplicate directed edges are rejected so a
+// direction only; callers wanting symmetry add both directions), with its
+// From and To the positions of its endpoints in nodes as passed; the
+// snapshot renumbers them to its sorted node list. Endpoints must be in
+// range and distinct, and duplicate directed edges are rejected so a
 // (from, to) pair identifies at most one link.
 func NewSnapshot(t float64, nodes []Node, edges []Edge) (*Snapshot, error) {
 	for i := range nodes {
@@ -167,22 +178,24 @@ func NewSnapshot(t float64, nodes []Node, edges []Edge) (*Snapshot, error) {
 			return nil, fmt.Errorf("topo: duplicate node %q", ix.Nodes[i].ID)
 		}
 	}
+	rank := make([]int32, len(nodes)) // sorted position of each node as passed
+	for i := range nodes {
+		rank[i], _ = ix.Lookup(nodes[i].ID)
+	}
 	var a assembler
 	for _, e := range edges {
-		u, okU := ix.Lookup(e.From)
-		v, okV := ix.Lookup(e.To)
-		if !okU || !okV {
-			return nil, fmt.Errorf("topo: edge %s→%s references unknown node", e.From, e.To)
+		if e.From < 0 || int(e.From) >= len(nodes) || e.To < 0 || int(e.To) >= len(nodes) {
+			return nil, fmt.Errorf("topo: edge %d→%d references a node outside the %d given", e.From, e.To, len(nodes))
 		}
-		if u == v {
-			return nil, fmt.Errorf("topo: self-loop on %q", e.From)
+		if e.From == e.To {
+			return nil, fmt.Errorf("topo: self-loop on %q", nodes[e.From].ID)
 		}
-		a.add(u, v)
+		a.add(rank[e.From], rank[e.To])
 	}
 	s := a.snapshot(t, ix.Nodes, func(k int32) Edge { return edges[k] })
 	for j := 1; j < len(s.ix.To); j++ {
-		if s.ix.To[j] == s.ix.To[j-1] && s.ix.Edges[j].From == s.ix.Edges[j-1].From {
-			return nil, fmt.Errorf("topo: duplicate edge %s→%s", s.ix.Edges[j].From, s.ix.Edges[j].To)
+		if e, p := s.ix.Edges[j], s.ix.Edges[j-1]; e.From == p.From && e.To == p.To {
+			return nil, fmt.Errorf("topo: duplicate edge %s→%s", s.ix.Nodes[e.From].ID, s.ix.Nodes[e.To].ID)
 		}
 	}
 	return s, nil

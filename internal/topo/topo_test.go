@@ -64,12 +64,13 @@ func TestBuildBasicStructure(t *testing.T) {
 	// Every edge must be symmetric.
 	for _, id := range s.Nodes() {
 		for _, e := range s.Neighbors(id) {
-			back, ok := s.Edge(e.To, e.From)
+			from, to := edgeIDs(s, e)
+			back, ok := s.Edge(to, from)
 			if !ok {
-				t.Fatalf("edge %s→%s has no reverse", e.From, e.To)
+				t.Fatalf("edge %s→%s has no reverse", from, to)
 			}
 			if back.DistanceKm != e.DistanceKm || back.Kind != e.Kind {
-				t.Fatalf("asymmetric edge attributes %s↔%s", e.From, e.To)
+				t.Fatalf("asymmetric edge attributes %s↔%s", from, to)
 			}
 		}
 	}
@@ -83,8 +84,8 @@ func TestBuildBasicStructure(t *testing.T) {
 	}
 	// Users and ground stations never connect to each other directly.
 	for _, e := range s.Neighbors("u-0") {
-		if s.Node(e.To).Kind != KindSatellite {
-			t.Errorf("user linked to non-satellite %s", e.To)
+		if to := s.NodeAt(e.To); to.Kind != KindSatellite {
+			t.Errorf("user linked to non-satellite %s", to.ID)
 		}
 		if e.Kind != LinkAccess {
 			t.Errorf("user link kind %v", e.Kind)
@@ -105,15 +106,15 @@ func TestISLRangeAndLineOfSight(t *testing.T) {
 			if e.Kind != LinkISLRF {
 				continue
 			}
+			a, b := s.NodeAt(e.From), s.NodeAt(e.To)
 			if e.DistanceKm > cfg.ISLRangeKm {
-				t.Fatalf("ISL %s→%s length %v exceeds range %v", e.From, e.To, e.DistanceKm, cfg.ISLRangeKm)
+				t.Fatalf("ISL %s→%s length %v exceeds range %v", a.ID, b.ID, e.DistanceKm, cfg.ISLRangeKm)
 			}
-			a, b := s.Node(e.From), s.Node(e.To)
 			if !geo.LineOfSight(a.Pos, b.Pos) {
-				t.Fatalf("ISL %s→%s lacks line of sight", e.From, e.To)
+				t.Fatalf("ISL %s→%s lacks line of sight", a.ID, b.ID)
 			}
 			if e.DelayS <= 0 || e.CapacityBps <= 0 {
-				t.Fatalf("ISL %s→%s missing delay/capacity", e.From, e.To)
+				t.Fatalf("ISL %s→%s missing delay/capacity", a.ID, b.ID)
 			}
 		}
 	}
@@ -148,7 +149,7 @@ func TestLaserPreferredWhenBothCapable(t *testing.T) {
 	for _, id := range s.Nodes() {
 		for _, e := range s.Neighbors(id) {
 			if e.Kind == LinkISLLaser {
-				if !s.Node(e.From).HasLaser || !s.Node(e.To).HasLaser {
+				if !s.NodeAt(e.From).HasLaser || !s.NodeAt(e.To).HasLaser {
 					t.Fatal("laser ISL with a non-laser endpoint")
 				}
 			}
@@ -182,9 +183,9 @@ func TestCrossOwnerFlag(t *testing.T) {
 	sawCross, sawSame := false, false
 	for _, id := range s.Nodes() {
 		for _, e := range s.Neighbors(id) {
-			a, b := s.Node(e.From), s.Node(e.To)
+			a, b := s.NodeAt(e.From), s.NodeAt(e.To)
 			if e.CrossOwner != (a.Provider != b.Provider) {
-				t.Fatalf("edge %s→%s cross-owner flag wrong", e.From, e.To)
+				t.Fatalf("edge %s→%s cross-owner flag wrong", a.ID, b.ID)
 			}
 			if e.CrossOwner {
 				sawCross = true
@@ -299,7 +300,7 @@ func TestSnapshotTopologyEvolves(t *testing.T) {
 	diff := 0
 	for _, id := range s0.Nodes() {
 		for _, e := range s0.Neighbors(id) {
-			if _, ok := s600.Edge(e.From, e.To); !ok {
+			if _, ok := s600.Edge(edgeIDs(s0, e)); !ok {
 				diff++
 			}
 		}

@@ -13,7 +13,7 @@ import (
 // default to 1 ms per hop so latency costs are well-defined.
 func grid(t *testing.T, links ...[3]interface{}) *topo.Snapshot {
 	t.Helper()
-	seen := map[string]bool{}
+	at := map[string]int32{} // each node's position in nodes
 	var nodes []topo.Node
 	var edges []topo.Edge
 	for _, l := range links {
@@ -26,12 +26,12 @@ func grid(t *testing.T, links ...[3]interface{}) *topo.Snapshot {
 			capBps = c
 		}
 		for _, id := range []string{from, to} {
-			if !seen[id] {
-				seen[id] = true
+			if _, ok := at[id]; !ok {
+				at[id] = int32(len(nodes))
 				nodes = append(nodes, topo.Node{ID: id, Kind: topo.KindGroundStation})
 			}
 		}
-		edges = append(edges, topo.Edge{From: from, To: to, Kind: topo.LinkISLRF, DelayS: 0.001, CapacityBps: capBps})
+		edges = append(edges, topo.Edge{From: at[from], To: at[to], Kind: topo.LinkISLRF, DelayS: 0.001, CapacityBps: capBps})
 	}
 	s, err := topo.NewSnapshot(0, nodes, edges)
 	if err != nil {
@@ -149,7 +149,7 @@ func randomNetwork(rng *rand.Rand) *Network {
 		}
 		seen[[2]string{ids[i], ids[j]}] = true
 		edges = append(edges, topo.Edge{
-			From: ids[i], To: ids[j], Kind: topo.LinkISLRF,
+			From: int32(i), To: int32(j), Kind: topo.LinkISLRF,
 			DelayS: 0.001 * (1 + rng.Float64()), CapacityBps: float64(1 + rng.Intn(100)),
 		})
 	}
@@ -182,13 +182,13 @@ func TestMaxFlowInvariantsProperty(t *testing.T) {
 			return false
 		}
 		for j, flow := range r.Flow {
-			e := edges[j]
+			from, to := n.Snap.NodeAt(edges[j].From).ID, n.Snap.NodeAt(edges[j].To).ID
 			if flow < -eps || flow > n.CapacityBps(int32(j))+eps {
-				t.Logf("seed %d: link %s→%s flow %v exceeds capacity %v", seed, e.From, e.To, flow, n.CapacityBps(int32(j)))
+				t.Logf("seed %d: link %s→%s flow %v exceeds capacity %v", seed, from, to, flow, n.CapacityBps(int32(j)))
 				return false
 			}
-			net[e.From] -= flow
-			net[e.To] += flow
+			net[from] -= flow
+			net[to] += flow
 		}
 		for _, id := range n.Snap.Nodes() {
 			if id == "a" || id == "b" {

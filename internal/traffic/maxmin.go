@@ -121,9 +121,10 @@ func (a *Allocation) JainIndex() float64 {
 func (a *Allocation) MaxUtilization() (LinkID, float64) {
 	var best LinkID
 	var bestU float64
-	for j, e := range a.net.Snap.Edges() {
+	s := a.net.Snap
+	for j, e := range s.Edges() {
 		if u := a.Utilization(int32(j)); u > bestU {
-			best, bestU = LinkID{e.From, e.To}, u
+			best, bestU = LinkID{s.NodeAt(e.From).ID, s.NodeAt(e.To).ID}, u
 		}
 	}
 	return best, bestU
@@ -136,7 +137,7 @@ func (a *Allocation) MaxUtilization() (LinkID, float64) {
 // allocate (see TestAllocGateMaxMinFill).
 type fillState struct {
 	eps       float64
-	edges     []topo.Edge // the snapshot's edges, by position
+	ix        *topo.Index // the snapshot's graph: edges by position, their endpoints by node position
 	linkCap   []float64   // the network's capacities, by edge position
 	linkLoad  []float64   // the allocation's load, by edge position
 	linkUsers []int32     //lint:scratch — active demands per edge, decremented on freeze
@@ -208,7 +209,8 @@ func (st *fillState) run(dems []DemandAllocation) {
 			}
 			for _, li := range d.Arcs {
 				if st.linkLoad[li] >= st.linkCap[li]-st.eps {
-					d.Bottleneck = LinkID{st.edges[li].From, st.edges[li].To}
+					e := &st.ix.Edges[li]
+					d.Bottleneck = LinkID{st.ix.Nodes[e.From].ID, st.ix.Nodes[e.To].ID}
 					st.freeze(dems, i)
 					froze = true
 					break
@@ -254,7 +256,7 @@ func prepareFill(n *Network, demands []Demand, cfg AllocConfig) (*Allocation, *f
 	}
 	st := &fillState{
 		eps:       n.eps(),
-		edges:     ix.Edges,
+		ix:        ix,
 		linkCap:   n.caps,
 		linkLoad:  alloc.load,
 		linkUsers: make([]int32, len(ix.Edges)),

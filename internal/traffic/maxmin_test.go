@@ -79,9 +79,9 @@ func TestMaxMinFairWidestOfK(t *testing.T) {
 		{ID: "m", Kind: topo.KindSatellite},
 		{ID: "t", Kind: topo.KindGroundStation},
 	}, []topo.Edge{
-		{From: "s", To: "t", Kind: topo.LinkISLRF, DelayS: 0.001, CapacityBps: 1},
-		{From: "s", To: "m", Kind: topo.LinkGround, DelayS: 0.002, CapacityBps: 100},
-		{From: "m", To: "t", Kind: topo.LinkGround, DelayS: 0.002, CapacityBps: 100},
+		{From: 0, To: 2, Kind: topo.LinkISLRF, DelayS: 0.001, CapacityBps: 1},    // s→t
+		{From: 0, To: 1, Kind: topo.LinkGround, DelayS: 0.002, CapacityBps: 100}, // s→m
+		{From: 1, To: 2, Kind: topo.LinkGround, DelayS: 0.002, CapacityBps: 100}, // m→t
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -129,8 +129,8 @@ func TestMaxMinFairAccessLinksExcluded(t *testing.T) {
 		{ID: "u", Kind: topo.KindUser},
 		{ID: "g2", Kind: topo.KindGroundStation},
 	}, []topo.Edge{
-		{From: "g1", To: "u", Kind: topo.LinkAccess, DelayS: 0.001, CapacityBps: 100},
-		{From: "u", To: "g2", Kind: topo.LinkAccess, DelayS: 0.001, CapacityBps: 100},
+		{From: 0, To: 1, Kind: topo.LinkAccess, DelayS: 0.001, CapacityBps: 100}, // g1→u
+		{From: 1, To: 2, Kind: topo.LinkAccess, DelayS: 0.001, CapacityBps: 100}, // u→g2
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +213,7 @@ func arcsNamePath(n *Network, d *DemandAllocation) bool {
 	}
 	seen := map[int32]bool{}
 	for h, j := range d.Arcs {
-		if e := n.Snap.Index().Edges[j]; seen[j] || e.From != d.Path[h] || e.To != d.Path[h+1] {
+		if e := n.Snap.Index().Edges[j]; seen[j] || n.Snap.NodeAt(e.From).ID != d.Path[h] || n.Snap.NodeAt(e.To).ID != d.Path[h+1] {
 			return false
 		}
 		seen[j] = true
@@ -257,7 +257,7 @@ func TestMaxMinFairProperty(t *testing.T) {
 		}
 		for j, e := range n.Snap.Edges() {
 			if load := alloc.load[j]; load > n.CapacityBps(int32(j))*(1+1e-9)+tol {
-				t.Logf("seed %d: link %s→%s load %v above capacity %v", seed, e.From, e.To, load, n.CapacityBps(int32(j)))
+				t.Logf("seed %d: link %s→%s load %v above capacity %v", seed, n.Snap.NodeAt(e.From).ID, n.Snap.NodeAt(e.To).ID, load, n.CapacityBps(int32(j)))
 				return false
 			}
 		}

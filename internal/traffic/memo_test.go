@@ -26,7 +26,7 @@ func perDemandMaxMinFair(n *Network, demands []Demand, cfg AllocConfig) (*Alloca
 	ix := n.Snap.Index()
 	alloc := &Allocation{Demands: make([]DemandAllocation, len(demands)), net: n, load: make([]float64, len(ix.Edges))}
 	st := &fillState{
-		eps: n.eps(), edges: ix.Edges, linkCap: n.caps, linkLoad: alloc.load,
+		eps: n.eps(), ix: ix, linkCap: n.caps, linkLoad: alloc.load,
 		linkUsers: make([]int32, len(ix.Edges)), active: make([]bool, len(demands)),
 	}
 	for i, d := range demands {
@@ -107,7 +107,7 @@ func memoNetwork(t *testing.T, w orbit.WalkerConfig, grid bool) *Network {
 	n.Recapacitate(DefaultCapacityModel())
 	dead := 0
 	for j, e := range s.Edges() {
-		if e.From == "gs-dead" || e.To == "gs-dead" {
+		if s.NodeAt(e.From).ID == "gs-dead" || s.NodeAt(e.To).ID == "gs-dead" {
 			n.caps[j] = 0
 			dead++
 		}

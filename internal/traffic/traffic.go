@@ -130,10 +130,7 @@ func (m CapacityModel) EdgeCapacityBps(e topo.Edge, s *topo.Snapshot) float64 {
 // groundElevationDeg returns the elevation of the satellite end of a ground
 // link as seen from the ground end, for the atmosphere's air-mass model.
 func groundElevationDeg(e topo.Edge, s *topo.Snapshot) float64 {
-	from, to := s.Node(e.From), s.Node(e.To)
-	if from == nil || to == nil {
-		return 90
-	}
+	from, to := s.NodeAt(e.From), s.NodeAt(e.To)
 	gnd, sat := from, to
 	if gnd.Kind == topo.KindSatellite {
 		gnd, sat = to, from

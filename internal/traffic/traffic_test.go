@@ -26,7 +26,8 @@ func TestNetworkCapacities(t *testing.T) {
 	if got := n.CapacityBps(edgeAt(t, n, "a", "b")); got != 10 {
 		t.Errorf("a→b capacity = %v, want 10", got)
 	}
-	if es := n.Snap.Edges(); len(es) != 2 || es[0].From != "a" || es[0].To != "b" || es[1].From != "b" || es[1].To != "c" {
+	id := func(i int32) string { return n.Snap.NodeAt(i).ID }
+	if es := n.Snap.Edges(); len(es) != 2 || id(es[0].From) != "a" || id(es[0].To) != "b" || id(es[1].From) != "b" || id(es[1].To) != "c" {
 		t.Errorf("links = %v, want sorted [a→b b→c]", es)
 	}
 }
@@ -45,9 +46,9 @@ func TestRecapacitatePhy(t *testing.T) {
 		{ID: "s2", Kind: topo.KindSatellite, Pos: sat2},
 		{ID: "s3", Kind: topo.KindSatellite, Pos: sat3},
 	}, []topo.Edge{
-		{From: "gw", To: "s1", Kind: topo.LinkGround, DistanceKm: 780, DelayS: 0.003, CapacityBps: 1},
-		{From: "s1", To: "s2", Kind: topo.LinkISLRF, DistanceKm: satPos.DistanceKm(sat2), DelayS: 0.007, CapacityBps: 1},
-		{From: "s2", To: "s3", Kind: topo.LinkISLLaser, DistanceKm: sat2.DistanceKm(sat3), DelayS: 0.003, CapacityBps: 1},
+		{From: 0, To: 1, Kind: topo.LinkGround, DistanceKm: 780, DelayS: 0.003, CapacityBps: 1},                     // gw→s1
+		{From: 1, To: 2, Kind: topo.LinkISLRF, DistanceKm: satPos.DistanceKm(sat2), DelayS: 0.007, CapacityBps: 1},  // s1→s2
+		{From: 2, To: 3, Kind: topo.LinkISLLaser, DistanceKm: sat2.DistanceKm(sat3), DelayS: 0.003, CapacityBps: 1}, // s2→s3
 	})
 	if err != nil {
 		t.Fatal(err)
