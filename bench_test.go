@@ -355,6 +355,36 @@ func BenchmarkMaxFlow(b *testing.B) {
 	})
 }
 
+// BenchmarkDemandMatrix measures one capacity-mega trial's demand matrix:
+// 300 city users over the eight most populous cities' gateways, lit by a
+// +Grid N=2000 shell at 550 km / 53° within a 1 s window.
+func BenchmarkDemandMatrix(b *testing.B) {
+	w, err := orbit.SquareWalkerDelta(2000, 550, 53)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := w.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	gws := traffic.TopCityGateways(8)
+	users := sim.CityUsers(300, 30, rand.New(rand.NewSource(1)))
+	cfg := traffic.DefaultDemandConfig()
+	cfg.WindowS = 1
+	rng := rand.New(rand.NewSource(2))
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m, err := traffic.BuildDemandMatrix(gws, c.Satellites, users, cfg, rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(m.Demands) == 0 {
+			b.Fatal("no demands")
+		}
+	}
+}
+
 // BenchmarkMaxMinFair measures one progressive-filling allocation.
 func BenchmarkMaxMinFair(b *testing.B) {
 	b.Run("small", func(b *testing.B) {

@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math/rand"
+	"sync"
 
 	"github.com/openspace-project/openspace/internal/exec"
 	"github.com/openspace-project/openspace/internal/geo"
@@ -55,7 +57,7 @@ type Fig2bResult struct {
 }
 
 // Fig2b runs the sweep. Trials are independent tasks on the exec pool,
-// each owning an RNG derived from (Seed, N, trial), so the result is
+// each drawing the RNG stream of (Seed, N, trial), so the result is
 // bitwise identical at any worker count.
 func Fig2b(cfg Fig2bConfig) (*Fig2bResult, error) {
 	if cfg.MinSats <= 0 || cfg.MaxSats < cfg.MinSats || cfg.Step <= 0 {
@@ -92,7 +94,9 @@ func Fig2b(cfg Fig2bConfig) (*Fig2bResult, error) {
 	}
 	outs, err := exec.Map(cfg.Workers, len(points)*cfg.Trials, func(i int) (trialOut, error) {
 		n, trial := points[i/cfg.Trials], i%cfg.Trials
-		rng := exec.RNG(cfg.Seed, int64(n), int64(trial))
+		rng := trialRNGs.Get().(*rand.Rand)
+		defer trialRNGs.Put(rng)
+		exec.Reseed(rng, cfg.Seed, int64(n), int64(trial))
 		c := orbit.RandomCircular(n, cfg.AltitudeKm, rng)
 		specs := make([]topo.SatSpec, c.Len())
 		for si, s := range c.Satellites {
@@ -127,6 +131,11 @@ func Fig2b(cfg Fig2bConfig) (*Fig2bResult, error) {
 	}
 	return res, nil
 }
+
+// trialRNGs pools the generators of the Fig. 2(b) and 2(c) trials. A
+// trial reseeds one to its (Seed, N, trial) stream, the stream exec.RNG
+// would build a new math/rand source for, in O(1).
+var trialRNGs = sync.Pool{New: func() any { return exec.ScratchRNG() }}
 
 // interSatelliteDelayS sums the propagation delay of the path's
 // satellite-to-satellite hops only — the quantity Figure 2(b) plots. For

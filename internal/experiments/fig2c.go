@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math/rand"
 
 	"github.com/openspace-project/openspace/internal/exec"
 	"github.com/openspace-project/openspace/internal/geo"
@@ -39,7 +40,7 @@ type Fig2cResult struct {
 }
 
 // Fig2c runs the sweep. Trials are independent tasks on the exec pool,
-// each owning an RNG derived from (Seed, N, trial), so the result is
+// each drawing the RNG stream of (Seed, N, trial), so the result is
 // bitwise identical at any worker count.
 func Fig2c(cfg Fig2cConfig) (*Fig2cResult, error) {
 	if cfg.MinSats <= 0 || cfg.MaxSats < cfg.MinSats || cfg.Step <= 0 {
@@ -63,7 +64,9 @@ func Fig2c(cfg Fig2cConfig) (*Fig2cResult, error) {
 	grid := geo.NewCoverageGrid(cfg.GridSize) // read-only, shared by every trial
 	outs, err := exec.Map(cfg.Workers, len(points)*cfg.Trials, func(i int) (trialOut, error) {
 		n, trial := points[i/cfg.Trials], i%cfg.Trials
-		rng := exec.RNG(cfg.Seed, int64(n), int64(trial))
+		rng := trialRNGs.Get().(*rand.Rand)
+		defer trialRNGs.Put(rng)
+		exec.Reseed(rng, cfg.Seed, int64(n), int64(trial))
 		c := orbit.RandomCircular(n, cfg.AltitudeKm, rng)
 		caps := c.Footprints(0, cfg.MinElevationDeg)
 		return trialOut{

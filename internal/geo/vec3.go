@@ -95,7 +95,13 @@ func LineOfSight(a, b Vec3) bool {
 // the local horizon; a satellite is visible when the elevation exceeds the
 // terminal's minimum elevation mask.
 func ElevationDeg(obs LatLon, target Vec3) float64 {
-	o := obs.Vec3(0)
+	return ElevationDegFrom(obs.Vec3(0), target)
+}
+
+// ElevationDegFrom is ElevationDeg for an observer given by its
+// Earth-centred surface position o (obs.Vec3(0)), bit for bit. Callers
+// that test one observer against many targets compute o once.
+func ElevationDegFrom(o, target Vec3) float64 {
 	rel := target.Sub(o)
 	if rel.Norm() == 0 {
 		return 90

@@ -1,6 +1,8 @@
 package orbit
 
 import (
+	"math"
+
 	"github.com/openspace-project/openspace/internal/geo"
 )
 
@@ -27,9 +29,9 @@ func (w ContactWindow) DurationS() float64 { return w.SetS - w.RiseS }
 //
 // Predictable contact windows are what make OpenSpace routing proactive
 // (§2.2): every provider can compute every other provider's windows from
-// public orbital data.
+// public orbital data. A non-finite bound or step yields no windows.
 func (e Elements) ContactWindows(from geo.LatLon, startS, endS, stepS, minElevationDeg float64) []ContactWindow {
-	if stepS <= 0 || endS <= startS {
+	if !(stepS > 0) || !(endS > startS) || math.IsInf(startS, 0) || math.IsInf(endS, 0) || math.IsInf(stepS, 0) {
 		return nil
 	}
 	const tolS = 0.01

@@ -92,6 +92,17 @@ func TestContactWindowsDegenerate(t *testing.T) {
 	if ws := e.ContactWindows(obs, 100, 100, 30, 5); ws != nil {
 		t.Error("empty interval should return nil")
 	}
+	// Non-finite bounds or steps never reach the end of the scan; each
+	// must return at once (run under a test timeout, a hang fails).
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct{ start, end, step float64 }{
+		{0, nan, 30}, {nan, 100, 30}, {0, 100, nan},
+		{0, inf, 30}, {-inf, 100, 30}, {-inf, inf, 30}, {0, 100, inf},
+	} {
+		if ws := e.ContactWindows(obs, c.start, c.end, c.step, 5); ws != nil {
+			t.Errorf("ContactWindows(%v, %v, step %v) = %v, want nil", c.start, c.end, c.step, ws)
+		}
+	}
 }
 
 func TestRangeKm(t *testing.T) {

@@ -64,8 +64,7 @@ type groundEntity struct {
 	provider string
 	kind     LinkKind
 	capBps   float64
-	ll       geo.LatLon
-	pos      geo.Vec3
+	pos      geo.Vec3 // the entity's surface position, LatLon.Vec3(0)
 }
 
 type feasiblePair struct {
@@ -92,13 +91,13 @@ func (b *builder) reset(cfg Config, sats []SatSpec, grounds []GroundSpec, users 
 	for _, g := range grounds {
 		b.entities = append(b.entities, groundEntity{
 			id: g.ID, provider: g.Provider, kind: LinkGround,
-			capBps: cfg.GroundBps, ll: g.Pos, pos: g.Pos.Vec3(0),
+			capBps: cfg.GroundBps, pos: g.Pos.Vec3(0),
 		})
 	}
 	for _, u := range users {
 		b.entities = append(b.entities, groundEntity{
 			id: u.ID, provider: u.Provider, kind: LinkAccess,
-			capBps: cfg.AccessBps, ll: u.Pos, pos: u.Pos.Vec3(0),
+			capBps: cfg.AccessBps, pos: u.Pos.Vec3(0),
 		})
 	}
 
@@ -263,7 +262,7 @@ func (b *builder) SnapshotAt(t float64, nodes []Node) *Snapshot {
 	for k := range b.entities {
 		e := &b.entities[k]
 		for _, i := range b.candGround[k] {
-			if geo.ElevationDeg(e.ll, b.pos[i]) < b.cfg.MinElevationDeg {
+			if geo.ElevationDegFrom(e.pos, b.pos[i]) < b.cfg.MinElevationDeg {
 				continue
 			}
 			d := e.pos.DistanceKm(b.pos[i])

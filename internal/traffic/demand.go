@@ -2,11 +2,11 @@ package traffic
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
 	"github.com/openspace-project/openspace/internal/geo"
-	"github.com/openspace-project/openspace/internal/ground"
 	"github.com/openspace-project/openspace/internal/orbit"
 	"github.com/openspace-project/openspace/internal/sim"
 )
@@ -23,8 +23,8 @@ type DemandConfig struct {
 	// PerUserBps is each user's offered load.
 	PerUserBps float64
 	// TimeS and WindowS bound the visibility check: a gateway is "lit" —
-	// eligible to carry traffic — when at least one satellite passes over
-	// it within [TimeS, TimeS+WindowS] (ground.PassSchedule).
+	// eligible to carry traffic — when at least one satellite is above
+	// its mask at a 30 s instant of [TimeS, TimeS+WindowS] (litGateways).
 	TimeS, WindowS float64
 	// MinElevationDeg is the gateway elevation mask for the pass check.
 	MinElevationDeg float64
@@ -63,8 +63,8 @@ func (m *DemandMatrix) OfferedBps() float64 {
 // BuildDemandMatrix aggregates per-user offered load into gateway-pair
 // demands:
 //
-//   - Gateways are lit when ground.PassSchedule finds at least one
-//     satellite pass over them inside the config's window — the visibility
+//   - Gateways are lit when litGateways finds a satellite above their mask
+//     at some sampled instant of the config's window — the visibility
 //     gate that makes small constellations drop whole regions.
 //   - Each user's traffic enters at the nearest lit gateway.
 //   - Each user's traffic exits at the lit gateway nearest to a
@@ -81,27 +81,77 @@ func BuildDemandMatrix(gws []Gateway, sats []orbit.Satellite, users []geo.LatLon
 	if cfg.PerUserBps <= 0 {
 		return nil, fmt.Errorf("traffic: per-user load %.0f bps must be positive", cfg.PerUserBps)
 	}
-	if cfg.WindowS <= 0 {
+	endS := cfg.TimeS + cfg.WindowS
+	switch {
+	case math.IsNaN(endS) || math.IsInf(endS, 0):
+		return nil, fmt.Errorf("traffic: visibility window [%g s, %g s] must be finite", cfg.TimeS, endS)
+	case cfg.WindowS <= 0:
 		return nil, fmt.Errorf("traffic: visibility window %.0f s must be positive", cfg.WindowS)
+	case endS <= cfg.TimeS:
+		return nil, fmt.Errorf("traffic: visibility window %g s vanishes in rounding at %g s", cfg.WindowS, cfg.TimeS)
 	}
-	m := &DemandMatrix{}
+	obs := make([]geo.Vec3, len(gws))
+	for i, g := range gws {
+		if !g.Pos.Valid() {
+			return nil, fmt.Errorf("traffic: gateway %s: invalid position %v", g.ID, g.Pos)
+		}
+		obs[i] = g.Pos.Vec3(0)
+	}
 	var lit []Gateway
-	for _, g := range gws {
-		passes, err := ground.PassSchedule(g.Pos, sats, cfg.TimeS, cfg.TimeS+cfg.WindowS, cfg.MinElevationDeg)
-		if err != nil {
-			return nil, fmt.Errorf("traffic: gateway %s: %w", g.ID, err)
+	for i, ok := range litGateways(obs, sats, cfg.TimeS, endS, cfg.MinElevationDeg) {
+		if ok {
+			lit = append(lit, gws[i])
 		}
-		if len(passes) > 0 {
-			lit = append(lit, g)
-			m.LitGateways = append(m.LitGateways, g.ID)
+	}
+	return assignDemands(lit, users, cfg.PerUserBps, rng), nil
+}
+
+// litGateways reports, for each gateway's Earth-centred position obs[g],
+// whether some satellite is at or above the elevation mask at one of the
+// instants startS, startS+30, startS+60, … (accumulated by repeated
+// addition), the last one clipped to endS. No LEO pass fits between two
+// of them. orbit.Elements.ContactWindows samples the same instants at a
+// 30 s step and reports a window exactly when one of them is visible, so
+// a gateway is lit exactly when some satellite has a contact window over
+// it. Each satellite is propagated once per instant; the scan stops once
+// every gateway is lit, or at an instant too large for the step to
+// advance.
+func litGateways(obs []geo.Vec3, sats []orbit.Satellite, startS, endS, minElevationDeg float64) []bool {
+	lit, dark := make([]bool, len(obs)), len(obs)
+	for t := startS; ; {
+		for _, s := range sats {
+			pos := s.Elements.PositionECEF(t)
+			for g, o := range obs {
+				if !lit[g] && geo.ElevationDegFrom(o, pos) >= minElevationDeg {
+					lit[g] = true
+					dark--
+				}
+			}
+			if dark == 0 {
+				return lit
+			}
 		}
+		next := min(t+30, endS)
+		if t >= endS || next <= t { // past the end, or the step no longer advances t
+			return lit
+		}
+		t = next
+	}
+}
+
+// assignDemands routes every user's load from its nearest lit gateway to
+// the lit gateway nearest a population-weighted destination city drawn
+// from rng.
+func assignDemands(lit []Gateway, users []geo.LatLon, perUserBps float64, rng *rand.Rand) *DemandMatrix {
+	m := &DemandMatrix{}
+	for _, g := range lit {
+		m.LitGateways = append(m.LitGateways, g.ID)
 	}
 	sort.Strings(m.LitGateways)
 	if len(lit) == 0 {
 		m.UnservedUsers = len(users)
-		return m, nil
+		return m
 	}
-
 	// Destination cities are sampled population-weighted, mirroring
 	// sim.CityUsers's sampling of user positions.
 	cities := sim.WorldCities()
@@ -130,7 +180,7 @@ func BuildDemandMatrix(gws []Gateway, sats []orbit.Satellite, users []geo.LatLon
 			m.LocalUsers++
 			continue
 		}
-		load[LinkID{ingress, egress}] += cfg.PerUserBps
+		load[LinkID{ingress, egress}] += perUserBps
 	}
 	pairs := make([]LinkID, 0, len(load))
 	for p := range load {
@@ -145,7 +195,7 @@ func BuildDemandMatrix(gws []Gateway, sats []orbit.Satellite, users []geo.LatLon
 	for _, p := range pairs {
 		m.Demands = append(m.Demands, Demand{Src: p.From, Dst: p.To, OfferedBps: load[p]})
 	}
-	return m, nil
+	return m
 }
 
 // TopCityGateways sites count gateways at the most populous world cities
