@@ -385,21 +385,18 @@ func BenchmarkDemandMatrix(b *testing.B) {
 	}
 }
 
-// BenchmarkMaxMinFair measures one progressive-filling allocation.
+// BenchmarkMaxMinFair measures one progressive-filling allocation on a
+// fresh Network, routing included: a Network memoises its routes, so
+// every iteration gets a new one, capacitated like the original, with the
+// timer stopped.
 func BenchmarkMaxMinFair(b *testing.B) {
 	b.Run("small", func(b *testing.B) {
-		net := smallTrafficNetwork(b)
+		snap := smallTrafficNetwork(b).Snap
 		demands := []traffic.Demand{
 			{Src: "s", Dst: "t", OfferedBps: 8e9},
 			{Src: "a", Dst: "t", OfferedBps: 8e9},
 		}
-		b.ResetTimer()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := traffic.MaxMinFair(net, demands, traffic.AllocConfig{KPaths: 2}); err != nil {
-				b.Fatal(err)
-			}
-		}
+		benchMaxMinFair(b, func() *traffic.Network { return traffic.NewNetwork(snap) }, demands, 2)
 	})
 	b.Run("iridium", func(b *testing.B) {
 		net := iridiumTrafficNetwork(b)
@@ -407,13 +404,7 @@ func BenchmarkMaxMinFair(b *testing.B) {
 			{Src: "gs-seattle", Dst: "gs-nairobi", OfferedBps: 2e9},
 			{Src: "gs-nairobi", Dst: "gs-seattle", OfferedBps: 1e9},
 		}
-		b.ResetTimer()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := traffic.MaxMinFair(net, demands, traffic.AllocConfig{KPaths: 4}); err != nil {
-				b.Fatal(err)
-			}
-		}
+		benchMaxMinFair(b, recapacitated(net.Snap), demands, 4)
 	})
 	// A fluid epoch's shape: every ordered gateway pair offered under three
 	// traffic classes, the classes interleaved so a pair's repeats are not
@@ -436,13 +427,7 @@ func BenchmarkMaxMinFair(b *testing.B) {
 				}
 			}
 		}
-		b.ResetTimer()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := traffic.MaxMinFair(net, demands, traffic.AllocConfig{KPaths: 4}); err != nil {
-				b.Fatal(err)
-			}
-		}
+		benchMaxMinFair(b, recapacitated(net.Snap), demands, 4)
 	})
 	// capacity-mega's shape: a +Grid N=2000 shell, every ordered pair of
 	// the eight most populous cities' gateways, Yen k=8 under the default
@@ -455,8 +440,7 @@ func BenchmarkMaxMinFair(b *testing.B) {
 		for i, g := range gws {
 			grounds[i] = topo.GroundSpec{ID: g.ID, Provider: "p", Pos: g.Pos}
 		}
-		net := traffic.NewNetwork(topo.Build(0, cfg, specs, grounds, nil))
-		net.Recapacitate(traffic.DefaultCapacityModel())
+		snap := topo.Build(0, cfg, specs, grounds, nil)
 		var demands []traffic.Demand
 		for _, src := range gws {
 			for _, dst := range gws {
@@ -465,18 +449,36 @@ func BenchmarkMaxMinFair(b *testing.B) {
 				}
 			}
 		}
-		b.ResetTimer()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			alloc, err := traffic.MaxMinFair(net, demands, traffic.AllocConfig{KPaths: 8})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if alloc.CarriedBps() <= 0 {
-				b.Fatal("no demand was carried")
-			}
-		}
+		benchMaxMinFair(b, recapacitated(snap), demands, 8)
 	})
+}
+
+// recapacitated returns a maker of fresh Networks on the snapshot under
+// the default capacity model.
+func recapacitated(snap *topo.Snapshot) func() *traffic.Network {
+	return func() *traffic.Network {
+		n := traffic.NewNetwork(snap)
+		n.Recapacitate(traffic.DefaultCapacityModel())
+		return n
+	}
+}
+
+// benchMaxMinFair times MaxMinFair at k on a fresh Network per iteration.
+func benchMaxMinFair(b *testing.B, fresh func() *traffic.Network, demands []traffic.Demand, k int) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		net := fresh()
+		b.StartTimer()
+		alloc, err := traffic.MaxMinFair(net, demands, traffic.AllocConfig{KPaths: k})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if alloc.CarriedBps() <= 0 {
+			b.Fatal("no demand was carried")
+		}
+	}
 }
 
 // BenchmarkEndToEndSend measures one associated transfer through a

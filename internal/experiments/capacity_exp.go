@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 
 	"github.com/openspace-project/openspace/internal/exec"
 	"github.com/openspace-project/openspace/internal/orbit"
@@ -166,12 +167,14 @@ func Capacity(cfg CapacityConfig) (*CapacityResult, error) {
 	}
 
 	// Grid mode flies one deterministic Walker Delta per swept N; trials
-	// then vary only the offered load. The constellation, wiring plan,
-	// and per-point topo config are precomputed once and shared read-only
-	// across the pool.
+	// then vary only the offered load. The constellation is built once per
+	// point and shared read-only across the pool, and so is the t=0
+	// snapshot's recapacitated Network: the point's first trial to need it
+	// builds it while other points' trials run, and since a Network
+	// memoises its routes, a gateway pair that several trials offer load
+	// on is routed once per point.
 	gridConst := make([]*orbit.Constellation, len(points))
-	gridCfgs := make([]topo.Config, len(points))
-	gridSpecs := make([][]topo.SatSpec, len(points))
+	gridNets := make([]func() *traffic.Network, len(points))
 	if gridMode {
 		for pi, n := range points {
 			w, err := orbit.SquareWalkerDelta(n, cfg.AltitudeKm, cfg.GridInclinationDeg)
@@ -187,17 +190,14 @@ func Capacity(cfg CapacityConfig) (*CapacityResult, error) {
 				return nil, fmt.Errorf("experiments: capacity: %w", err)
 			}
 			gridConst[pi] = c
-			gridCfgs[pi] = tcfg
-			gridCfgs[pi].StaticISLs = pairs
-			specs := make([]topo.SatSpec, c.Len())
-			for si, s := range c.Satellites {
-				specs[si] = topo.SatSpec{
-					ID: s.ID, Provider: "p", Elements: s.Elements,
-					HasLaser: float64(si) < cfg.LaserFraction*float64(n),
-					MaxISLs:  cfg.MaxISLs,
-				}
-			}
-			gridSpecs[pi] = specs
+			buildCfg := tcfg
+			buildCfg.StaticISLs = pairs
+			specs := capacitySatSpecs(c, n, cfg)
+			gridNets[pi] = sync.OnceValue(func() *traffic.Network {
+				net := traffic.NewNetwork(topo.Build(0, buildCfg, specs, groundSpecs, nil))
+				net.Recapacitate(model)
+				return net
+			})
 		}
 	}
 
@@ -208,22 +208,9 @@ func Capacity(cfg CapacityConfig) (*CapacityResult, error) {
 		// depend only on the trial, so every swept N faces the same offered
 		// load and the curve isolates the constellation-size effect.
 		demandRNG := exec.RNG(cfg.Seed, -1, int64(trial))
-		var c *orbit.Constellation
-		var specs []topo.SatSpec
-		buildCfg := tcfg
-		if gridMode {
-			c, specs, buildCfg = gridConst[pi], gridSpecs[pi], gridCfgs[pi]
-		} else {
-			rng := exec.RNG(cfg.Seed, int64(n), int64(trial))
-			c = orbit.RandomCircular(n, cfg.AltitudeKm, rng)
-			specs = make([]topo.SatSpec, c.Len())
-			for si, s := range c.Satellites {
-				specs[si] = topo.SatSpec{
-					ID: s.ID, Provider: "p", Elements: s.Elements,
-					HasLaser: float64(si) < cfg.LaserFraction*float64(n),
-					MaxISLs:  cfg.MaxISLs,
-				}
-			}
+		c := gridConst[pi]
+		if !gridMode {
+			c = orbit.RandomCircular(n, cfg.AltitudeKm, exec.RNG(cfg.Seed, int64(n), int64(trial)))
 		}
 		users := sim.CityUsers(cfg.Users, cfg.ScatterKm, demandRNG)
 		dm, err := traffic.BuildDemandMatrix(gws, c.Satellites, users, dcfg, demandRNG)
@@ -234,9 +221,13 @@ func Capacity(cfg CapacityConfig) (*CapacityResult, error) {
 		if len(dm.Demands) == 0 {
 			return out, nil // nothing routable this trial (dark constellation)
 		}
-		snap := topo.Build(0, buildCfg, specs, groundSpecs, nil)
-		net := traffic.NewNetwork(snap)
-		net.Recapacitate(model)
+		var net *traffic.Network
+		if gridMode {
+			net = gridNets[pi]()
+		} else {
+			net = traffic.NewNetwork(topo.Build(0, tcfg, capacitySatSpecs(c, n, cfg), groundSpecs, nil))
+			net.Recapacitate(model)
+		}
 		alloc, err := traffic.MaxMinFair(net, dm.Demands, traffic.AllocConfig{KPaths: cfg.KPaths})
 		if err != nil {
 			return capacityTrialOut{}, err
@@ -246,7 +237,7 @@ func Capacity(cfg CapacityConfig) (*CapacityResult, error) {
 		out.jain = alloc.JainIndex()
 		link, util := alloc.MaxUtilization()
 		out.bottleneckUtil = util
-		if e, ok := snap.Edge(link.From, link.To); ok {
+		if e, ok := net.Snap.Edge(link.From, link.To); ok {
 			out.bottleneckKind = e.Kind.String()
 		}
 		// The heaviest demand pair's max flow bounds what any routing
@@ -312,6 +303,20 @@ func Capacity(cfg CapacityConfig) (*CapacityResult, error) {
 		})
 	}
 	return res, nil
+}
+
+// capacitySatSpecs gives the constellation's first LaserFraction of
+// satellites optical terminals, and every satellite the ISL cap.
+func capacitySatSpecs(c *orbit.Constellation, n int, cfg CapacityConfig) []topo.SatSpec {
+	specs := make([]topo.SatSpec, c.Len())
+	for si, s := range c.Satellites {
+		specs[si] = topo.SatSpec{
+			ID: s.ID, Provider: "p", Elements: s.Elements,
+			HasLaser: float64(si) < cfg.LaserFraction*float64(n),
+			MaxISLs:  cfg.MaxISLs,
+		}
+	}
+	return specs
 }
 
 // modalKind returns the most common bottleneck link class, ties broken

@@ -29,7 +29,8 @@ func (w ContactWindow) DurationS() float64 { return w.SetS - w.RiseS }
 //
 // Predictable contact windows are what make OpenSpace routing proactive
 // (§2.2): every provider can compute every other provider's windows from
-// public orbital data. A non-finite bound or step yields no windows.
+// public orbital data. A non-finite bound or step yields no windows, and
+// so does a step too small to advance the sample time.
 func (e Elements) ContactWindows(from geo.LatLon, startS, endS, stepS, minElevationDeg float64) []ContactWindow {
 	if !(stepS > 0) || !(endS > startS) || math.IsInf(startS, 0) || math.IsInf(endS, 0) || math.IsInf(stepS, 0) {
 		return nil
@@ -37,10 +38,15 @@ func (e Elements) ContactWindows(from geo.LatLon, startS, endS, stepS, minElevat
 	const tolS = 0.01
 	vis := func(t float64) bool { return e.Visible(from, t, minElevationDeg) }
 
-	// Bisect a visibility transition inside (lo, hi).
+	// Bisect a visibility transition inside (lo, hi), stopping early when
+	// lo and hi are adjacent floats further apart than tolS (far from the
+	// epoch), where the midpoint no longer splits the bracket.
 	refine := func(lo, hi float64, wantVisible bool) float64 {
 		for hi-lo > tolS {
 			mid := (lo + hi) / 2
+			if !(lo < mid && mid < hi) {
+				break
+			}
 			if vis(mid) == wantVisible {
 				hi = mid
 			} else {
@@ -57,6 +63,9 @@ func (e Elements) ContactWindows(from geo.LatLon, startS, endS, stepS, minElevat
 	inWindow := prevVis
 
 	for t := startS + stepS; ; t += stepS {
+		if !(t > prevT) {
+			return nil // the step is below the spacing of floats at t
+		}
 		if t > endS {
 			t = endS
 		}

@@ -92,15 +92,28 @@ func TestContactWindowsDegenerate(t *testing.T) {
 	if ws := e.ContactWindows(obs, 100, 100, 30, 5); ws != nil {
 		t.Error("empty interval should return nil")
 	}
-	// Non-finite bounds or steps never reach the end of the scan; each
-	// must return at once (run under a test timeout, a hang fails).
+	// Non-finite bounds or steps never reach the end of the scan, nor does
+	// a step below the spacing of floats at the start; each must return
+	// at once (run under a test timeout, a hang fails).
 	nan, inf := math.NaN(), math.Inf(1)
 	for _, c := range []struct{ start, end, step float64 }{
 		{0, nan, 30}, {nan, 100, 30}, {0, 100, nan},
 		{0, inf, 30}, {-inf, 100, 30}, {-inf, inf, 30}, {0, 100, inf},
+		{1e20, 1e20 + 1e5, 30},
 	} {
 		if ws := e.ContactWindows(obs, c.start, c.end, c.step, 5); ws != nil {
 			t.Errorf("ContactWindows(%v, %v, step %v) = %v, want nil", c.start, c.end, c.step, ws)
+		}
+	}
+	// Far from the epoch adjacent floats lie further apart than the
+	// bisection tolerance; refining each crossing must still end.
+	ws := e.ContactWindows(obs, 1e15, 1e15+1e5, 30, 5)
+	if len(ws) == 0 {
+		t.Fatal("no windows over 10⁵ s of an equatorial pass sequence")
+	}
+	for _, w := range ws {
+		if !(w.RiseS <= w.SetS) {
+			t.Errorf("window %+v sets before it rises", w)
 		}
 	}
 }

@@ -36,6 +36,34 @@ func TestAllocGateDinic(t *testing.T) {
 	}
 }
 
+// TestAllocGateMaxFlow pins MaxFlow's pooled residual graph: once a
+// graph is warm in the pool, a solve on a +Grid allocates only its
+// result, the MaxFlowResult with its Flow and MinCut slices.
+func TestAllocGateMaxFlow(t *testing.T) {
+	allocGate(t)
+	n := memoNetwork(t, mustWalker(t, 144), true)
+	want, err := MaxFlow(n, "gs-seattle", "gs-london")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.ValueBps <= 0 || len(want.MinCut) == 0 {
+		t.Fatalf("gated max flow carries %v over a %d-link cut; the gate needs both", want.ValueBps, len(want.MinCut))
+	}
+	run := func() {
+		got, err := MaxFlow(n, "gs-seattle", "gs-london")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.ValueBps != want.ValueBps {
+			t.Fatalf("re-solve value %v, want %v", got.ValueBps, want.ValueBps)
+		}
+	}
+	run() // warm
+	if avg := testing.AllocsPerRun(100, run); avg != 3 {
+		t.Fatalf("warmed MaxFlow allocates %.2f per run, want 3 (result, flow, cut)", avg)
+	}
+}
+
 // TestAllocGateMaxMinFill pins the //lint:hotpath contract on
 // fillState.run: the progressive-filling kernel re-run from a snapshot of
 // the prepared state must allocate nothing.

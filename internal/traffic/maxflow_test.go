@@ -1,8 +1,10 @@
 package traffic
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -40,6 +42,15 @@ func grid(t *testing.T, links ...[3]interface{}) *topo.Snapshot {
 	return s
 }
 
+// cutCapacityBps sums the cut links' capacities.
+func cutCapacityBps(r *MaxFlowResult) float64 {
+	var total float64
+	for _, c := range r.MinCut {
+		total += c.CapacityBps
+	}
+	return total
+}
+
 func TestMaxFlowDiamond(t *testing.T) {
 	// s→a 10, s→b 5, a→t 5, b→t 10: max flow 10 (5 along each side).
 	n := NewNetwork(grid(t,
@@ -53,8 +64,8 @@ func TestMaxFlowDiamond(t *testing.T) {
 	if math.Abs(r.ValueBps-10) > 1e-9 {
 		t.Fatalf("diamond max flow = %v, want 10", r.ValueBps)
 	}
-	if math.Abs(r.CutCapacityBps()-r.ValueBps) > 1e-9 {
-		t.Fatalf("cut capacity %v != flow value %v", r.CutCapacityBps(), r.ValueBps)
+	if math.Abs(cutCapacityBps(r)-r.ValueBps) > 1e-9 {
+		t.Fatalf("cut capacity %v != flow value %v", cutCapacityBps(r), r.ValueBps)
 	}
 }
 
@@ -203,8 +214,8 @@ func TestMaxFlowInvariantsProperty(t *testing.T) {
 			t.Logf("seed %d: sink inflow %v != value %v", seed, net["b"], r.ValueBps)
 			return false
 		}
-		if math.Abs(r.CutCapacityBps()-r.ValueBps) > eps {
-			t.Logf("seed %d: cut %v != value %v", seed, r.CutCapacityBps(), r.ValueBps)
+		if math.Abs(cutCapacityBps(r)-r.ValueBps) > eps {
+			t.Logf("seed %d: cut %v != value %v", seed, cutCapacityBps(r), r.ValueBps)
 			return false
 		}
 		for i := 1; i < len(r.MinCut); i++ {
@@ -240,5 +251,163 @@ func TestMaxFlowDeterministic(t *testing.T) {
 		if ra.MinCut[i] != rb.MinCut[i] {
 			t.Fatalf("cut differs at %d: %v vs %v", i, ra.MinCut[i], rb.MinCut[i])
 		}
+	}
+}
+
+// oracleArc is an arc of oracleMaxFlow's residual graph; rev is the
+// partner's index in its head's row.
+type oracleArc struct {
+	to, rev, edge int32
+	cap, orig     float64
+}
+
+// oracleMaxFlow is Dinic on a residual graph built by appending each
+// edge's two arcs to per-node rows, with a level search that labels every
+// reachable node. It is the oracle of the pooled CSR graph and of the
+// level search that stops at dst.
+func oracleMaxFlow(n *Network, src, dst string) *MaxFlowResult {
+	ix := n.Snap.Index()
+	eps := n.eps()
+	adj := make([][]oracleArc, len(ix.Nodes))
+	for u := range ix.Nodes {
+		for j := ix.Off[u]; j < ix.Off[u+1]; j++ {
+			c := n.caps[j]
+			if c <= 0 {
+				continue
+			}
+			v := ix.To[j]
+			adj[u] = append(adj[u], oracleArc{to: v, rev: int32(len(adj[v])), edge: j, cap: c, orig: c})
+			adj[v] = append(adj[v], oracleArc{to: int32(u), rev: int32(len(adj[u]) - 1), edge: -1})
+		}
+	}
+	level := make([]int32, len(adj))
+	iter := make([]int, len(adj))
+	levels := func(s int32) {
+		for i := range level {
+			level[i] = -1
+		}
+		level[s] = 0
+		for q := []int32{s}; len(q) > 0; q = q[1:] {
+			for _, a := range adj[q[0]] {
+				if a.cap > eps && level[a.to] < 0 {
+					level[a.to] = level[q[0]] + 1
+					q = append(q, a.to)
+				}
+			}
+		}
+	}
+	var augment func(u, t int32, limit float64) float64
+	augment = func(u, t int32, limit float64) float64 {
+		if u == t {
+			return limit
+		}
+		for ; iter[u] < len(adj[u]); iter[u]++ {
+			a := &adj[u][iter[u]]
+			if a.cap <= eps || level[a.to] != level[u]+1 {
+				continue
+			}
+			if pushed := augment(a.to, t, math.Min(limit, a.cap)); pushed > 0 {
+				a.cap -= pushed
+				adj[a.to][a.rev].cap += pushed
+				return pushed
+			}
+		}
+		return 0
+	}
+	s, _ := ix.Lookup(src)
+	t, _ := ix.Lookup(dst)
+	res := &MaxFlowResult{Flow: make([]float64, len(ix.Edges))}
+	for levels(s); level[t] >= 0; levels(s) {
+		clear(iter)
+		for {
+			pushed := augment(s, t, math.Inf(1))
+			if pushed <= 0 {
+				break
+			}
+			res.ValueBps += pushed
+		}
+	}
+	for u := range adj {
+		for _, a := range adj[u] {
+			if flow := a.orig - a.cap; a.edge >= 0 && flow > eps {
+				res.Flow[a.edge] = flow
+			}
+			if a.orig > 0 && level[u] >= 0 && level[a.to] < 0 {
+				res.MinCut = append(res.MinCut, CutLink{LinkID: LinkID{ix.Nodes[u].ID, ix.Nodes[a.to].ID}, CapacityBps: a.orig})
+			}
+		}
+	}
+	return res
+}
+
+// tiedNetwork is a random graph whose capacities take three values, some
+// of them zero, so that augmenting paths and cuts tie everywhere.
+func tiedNetwork(rng *rand.Rand, nNodes int) *Network {
+	nodes := make([]topo.Node, nNodes)
+	for i := range nodes {
+		nodes[i] = topo.Node{ID: fmt.Sprintf("n%03d", i), Kind: topo.KindGroundStation}
+	}
+	var edges []topo.Edge
+	for i := range nNodes {
+		for j := range nNodes {
+			if i != j && rng.Float64() < 4/float64(nNodes) {
+				edges = append(edges, topo.Edge{
+					From: int32(i), To: int32(j), Kind: topo.LinkISLRF,
+					DelayS: 0.001, CapacityBps: float64(rng.Intn(3)) * 5,
+				})
+			}
+		}
+	}
+	s, err := topo.NewSnapshot(0, nodes, edges)
+	if err != nil {
+		panic(err)
+	}
+	return NewNetwork(s)
+}
+
+// TestMaxFlowMatchesOracle holds MaxFlow to oracleMaxFlow bit for bit —
+// value, per-link flow and cut — on random graphs full of ties and on a
+// 2 000-satellite +Grid between gateway pairs, with pooled graphs moving
+// between snapshots of different sizes.
+func TestMaxFlowMatchesOracle(t *testing.T) {
+	check := func(name string, n *Network, src, dst string) {
+		t.Helper()
+		got, err := MaxFlow(n, src, dst)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := oracleMaxFlow(n, src, dst)
+		if math.Float64bits(got.ValueBps) != math.Float64bits(want.ValueBps) {
+			t.Fatalf("%s %s→%s: value %v, oracle %v", name, src, dst, got.ValueBps, want.ValueBps)
+		}
+		for j := range want.Flow {
+			if math.Float64bits(got.Flow[j]) != math.Float64bits(want.Flow[j]) {
+				t.Fatalf("%s %s→%s: edge %d flow %v, oracle %v", name, src, dst, j, got.Flow[j], want.Flow[j])
+			}
+		}
+		if !reflect.DeepEqual(got.MinCut, want.MinCut) {
+			t.Fatalf("%s %s→%s: cut %v, oracle %v", name, src, dst, got.MinCut, want.MinCut)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	flowing := 0
+	for trial := 0; trial < 200; trial++ {
+		n := tiedNetwork(rng, 5+rng.Intn(60))
+		nodes := n.Snap.Nodes()
+		src, dst := nodes[rng.Intn(len(nodes))], nodes[rng.Intn(len(nodes))]
+		if src == dst {
+			continue
+		}
+		check(fmt.Sprintf("random %d", trial), n, src, dst)
+		if r, _ := MaxFlow(n, src, dst); r.ValueBps > 0 {
+			flowing++
+		}
+	}
+	if flowing < 50 {
+		t.Fatalf("only %d random graphs carry flow; the comparison is too thin", flowing)
+	}
+	grid := memoNetwork(t, mustWalker(t, 2000), true)
+	for _, pair := range [][2]string{{"gs-seattle", "gs-nairobi"}, {"gs-london", "gs-sydney"}, {"gs-tokyo", "gs-santiago"}, {"gs-dead", "gs-london"}} {
+		check("grid-2000", grid, pair[0], pair[1])
 	}
 }

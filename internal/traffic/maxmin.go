@@ -17,9 +17,10 @@ type AllocConfig struct {
 	// ≤ 0 means 1 (pure shortest path).
 	KPaths int
 	// Cost scores candidate paths. Nil means GatewayTransitCost: latency
-	// with user access links excluded. It must be a pure function of
-	// (edge, snapshot) for the duration of a MaxMinFair call: each pair is
-	// routed once per call, and the router memoises edge weights.
+	// with user access links excluded, whose routes the Network memoises.
+	// An explicit Cost must be a pure function of (edge, snapshot) for the
+	// duration of a MaxMinFair call: each pair is routed once per call, and
+	// the router memoises edge weights.
 	Cost routing.CostFunc
 }
 
@@ -28,7 +29,8 @@ type DemandAllocation struct {
 	Demand
 	// Path is the node sequence carrying the demand; nil when the network
 	// offers no route. It is read-only: demands with the same (Src, Dst)
-	// share one slice.
+	// share one slice, in one allocation and across allocations on one
+	// Network.
 	Path []string
 	// Arcs holds the position in the network snapshot's Index().Edges of
 	// each hop of Path; nil with Path. Read-only and shared like Path.
@@ -233,21 +235,16 @@ func (st *fillState) run(dems []DemandAllocation) {
 // prepareFill routes every demand onto the widest of its k shortest
 // paths and builds the fill state — the allocating, cold half of
 // MaxMinFair. The widest-of-k choice is a pure function of the snapshot,
-// the cost, k and the endpoints (pathBottleneckBps reads only the
-// network's capacities), so each distinct (src, dst) is routed once, and
-// in any order: the pairs go through one routing context grouped by
-// destination, so that Yen calls to one destination share its reverse
-// tree, and every demand of a pair takes the pair's Path and Arcs, or its
-// lack of a route.
+// the capacities, the cost, k and the endpoints (pathBottleneckBps reads
+// only the network's capacities), so each distinct (src, dst) is routed
+// once, and in any order. Under the default cost the route lands in the
+// network's memo (routeMemo) and serves every later call at that k; an
+// explicit cost routes on a private memo. Missing pairs go through one
+// routing context grouped by destination, so that Yen calls to one
+// destination share its reverse tree, and every demand of a pair takes
+// the pair's Path and Arcs, or its lack of a route.
 func prepareFill(n *Network, demands []Demand, cfg AllocConfig) (*Allocation, *fillState, error) {
-	k := cfg.KPaths
-	if k <= 0 {
-		k = 1
-	}
-	cost := cfg.Cost
-	if cost == nil {
-		cost = GatewayTransitCost()
-	}
+	k := max(cfg.KPaths, 1)
 	ix := n.Snap.Index()
 	alloc := &Allocation{
 		Demands: make([]DemandAllocation, len(demands)),
@@ -262,11 +259,8 @@ func prepareFill(n *Network, demands []Demand, cfg AllocConfig) (*Allocation, *f
 		linkUsers: make([]int32, len(ix.Edges)),
 		active:    make([]bool, len(demands)),
 	}
-	// first maps the pair's node positions, packed destination first, to
-	// the pair's first demand, and of[i] is demand i's pair's first demand.
-	first := make(map[uint64]int, len(demands))
-	of := make([]int, len(demands))
-	pairs := make([]uint64, 0, len(demands))
+	// keys[i] is demand i's node positions, packed destination first.
+	keys := make([]uint64, len(demands))
 	for i, d := range demands {
 		alloc.Demands[i].Demand = d
 		if !(d.OfferedBps >= 0) {
@@ -277,25 +271,26 @@ func prepareFill(n *Network, demands []Demand, cfg AllocConfig) (*Allocation, *f
 		if !okSrc || !okDst {
 			return nil, nil, fmt.Errorf("traffic: demand %s→%s references unknown node", d.Src, d.Dst)
 		}
-		pair := uint64(di)<<32 | uint64(si)
-		j, ok := first[pair]
-		if !ok {
-			j = i
-			first[pair] = i
-			pairs = append(pairs, pair)
-		}
-		of[i] = j
+		keys[i] = uint64(di)<<32 | uint64(si)
 	}
+	pairs := slices.Clone(keys)
 	slices.Sort(pairs)
-	g := routing.NewGraph(n.Snap, cost)
-	defer g.Release()
-	for _, pair := range pairs {
-		da := &alloc.Demands[first[pair]]
-		da.Path, da.Arcs = widestOfK(n, g, da.Src, da.Dst, k)
+	pairs = slices.Compact(pairs)
+	memo, cost := &n.routes, cfg.Cost
+	if cost != nil {
+		memo = new(routeMemo)
+	} else {
+		cost = GatewayTransitCost()
 	}
-	for i, j := range of {
+	slots := memo.slots(k, pairs)
+	memo.fill(n, cost, k, pairs, slots)
+	memo.mu.Lock()
+	defer memo.mu.Unlock()
+	for i, key := range keys {
+		j, _ := slices.BinarySearch(pairs, key)
+		r := &memo.routes[slots[j]]
 		da := &alloc.Demands[i]
-		da.Path, da.Arcs = alloc.Demands[j].Path, alloc.Demands[j].Arcs
+		da.Path, da.Arcs = r.path, r.arcs
 		// Yen's paths are loopless, so no link repeats within Arcs and each
 		// demand counts once per link it crosses.
 		if da.Path != nil && da.OfferedBps > 0 {
@@ -338,8 +333,11 @@ func widestOfK(n *Network, g *routing.Graph, src, dst string, k int) ([]string, 
 // restricted to the single path each demand is assigned (the widest of its
 // k shortest).
 //
-// Each distinct (Src, Dst) is routed once per call, whatever the input
-// order; demands of one pair share its Path and Arcs.
+// Each distinct (Src, Dst) is routed once per Network and k under the
+// default cost, whatever the input order and however many calls ask for
+// it: demands of one pair share its Path and Arcs, within a call and
+// across calls. Concurrent calls on one Network are safe and split the
+// routing between them. An explicit Cost routes each pair once per call.
 //
 // The computation is deterministic: demands are processed in input order,
 // each demand's links in path order, and path selection breaks ties toward

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"github.com/openspace-project/openspace/internal/geo"
@@ -253,4 +254,154 @@ func mustWalker(t *testing.T, n int) orbit.WalkerConfig {
 		t.Fatal(err)
 	}
 	return w
+}
+
+// TestSharedNetworkRoutesMatchFresh holds the Network's route memo to
+// fresh Networks: four goroutines allocate overlapping demand sets at k ∈
+// {1, 4, 8} on one shared +Grid Network, each in its own order, so that
+// their calls claim, defer and wait on each other's pairs. Every
+// allocation must equal the same call on a fresh Network, and so must
+// every allocation after the shared Network is recapacitated under
+// another model.
+func TestSharedNetworkRoutesMatchFresh(t *testing.T) {
+	w := mustWalker(t, 144)
+	fresh := func(model *CapacityModel) *Network {
+		n := memoNetwork(t, w, true)
+		if model != nil {
+			n.Recapacitate(*model)
+		}
+		return n
+	}
+	slowLaser := DefaultCapacityModel()
+	slowLaser.Laser.DataRateBps = 1e6 // below the RF links, so the widest routes move
+	rng := rand.New(rand.NewSource(1))
+	type allocCase struct {
+		demands []Demand
+		cfg     AllocConfig
+	}
+	cases := make([]allocCase, 12)
+	for c := range cases {
+		cases[c] = allocCase{memoDemands(rng), AllocConfig{KPaths: []int{1, 4, 8}[c%3]}}
+	}
+	shared := fresh(nil)
+	var prev []*Allocation
+	for phase, model := range []*CapacityModel{nil, &slowLaser} {
+		if model != nil {
+			shared.Recapacitate(*model)
+		}
+		want := make([]*Allocation, len(cases))
+		moved := 0
+		for c, tc := range cases {
+			var err error
+			if want[c], err = MaxMinFair(fresh(model), tc.demands, tc.cfg); err != nil {
+				t.Fatal(err)
+			}
+			for i := range want[c].Demands {
+				if prev != nil && !slices.Equal(want[c].Demands[i].Path, prev[c].Demands[i].Path) {
+					moved++
+				}
+			}
+		}
+		if prev != nil && moved == 0 {
+			t.Fatal("the second model moves no route, so the recapacitated memo goes untested")
+		}
+		prev = want
+		const workers = 4
+		got := make([][]*Allocation, workers)
+		errs := make([]error, workers)
+		var wg sync.WaitGroup
+		for g := range workers {
+			got[g] = make([]*Allocation, len(cases))
+			order := rand.New(rand.NewSource(int64(g))).Perm(len(cases))
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, c := range order {
+					if got[g][c], errs[g] = MaxMinFair(shared, cases[c].demands, cases[c].cfg); errs[g] != nil {
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		for g := range workers {
+			if errs[g] != nil {
+				t.Fatalf("phase %d goroutine %d: %v", phase, g, errs[g])
+			}
+			for c, a := range got[g] {
+				if !reflect.DeepEqual(a.Demands, want[c].Demands) || !reflect.DeepEqual(a.load, want[c].load) {
+					t.Fatalf("phase %d goroutine %d case %d (k=%d): the shared Network's allocation differs from a fresh one's",
+						phase, g, c, cases[c].cfg.KPaths)
+				}
+			}
+		}
+	}
+}
+
+// TestSharedNetworkWaitsForClaimedPair drives the memo's hand-off without
+// relying on timing: the test claims one pair, standing in for another
+// call. A MaxMinFair call that needs it must route the rest, including
+// the claimed pair's destination-mate that the first pass leaves for
+// later, then wait; once the test stores the claimed route, the call must
+// return the same allocation as a fresh Network.
+func TestSharedNetworkWaitsForClaimedPair(t *testing.T) {
+	w := mustWalker(t, 144)
+	shared := memoNetwork(t, w, true)
+	cfg := AllocConfig{KPaths: 4}
+	demands := []Demand{
+		{Src: "gs-tokyo", Dst: "gs-london", OfferedBps: 5e9},
+		{Src: "gs-seattle", Dst: "gs-london", OfferedBps: 5e9},
+		{Src: "gs-sydney", Dst: "gs-nairobi", OfferedBps: 5e9},
+	}
+	want, err := MaxMinFair(memoNetwork(t, w, true), demands, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := shared.Snap.Index()
+	pairs := make([]uint64, len(demands))
+	for i, d := range demands {
+		si, _ := ix.Lookup(d.Src)
+		di, _ := ix.Lookup(d.Dst)
+		pairs[i] = uint64(di)<<32 | uint64(si)
+	}
+	// gs-seattle sorts before gs-tokyo, so the claimed pair comes first
+	// in gs-london's group and the first pass leaves tokyo's for later.
+	if !(pairs[1] < pairs[0]) {
+		t.Fatal("the claimed pair must be first in its destination group")
+	}
+	m := &shared.routes
+	slots := m.slots(cfg.KPaths, pairs)
+	m.mu.Lock()
+	m.routes[slots[1]].state = routeBusy
+	m.mu.Unlock()
+
+	got := make(chan *Allocation, 1)
+	go func() {
+		a, err := MaxMinFair(shared, demands, cfg)
+		if err != nil {
+			t.Error(err)
+		}
+		got <- a
+	}()
+	m.mu.Lock()
+	for m.routes[slots[0]].state != routeDone || m.routes[slots[2]].state != routeDone {
+		m.stored.Wait()
+	}
+	if m.routes[slots[1]].state != routeBusy {
+		t.Error("the call routed a pair another call had claimed")
+	}
+	m.mu.Unlock()
+	select {
+	case <-got:
+		t.Fatal("the call returned before the claimed pair was stored")
+	default:
+	}
+	g := routing.NewGraph(shared.Snap, GatewayTransitCost())
+	path, arcs := widestOfK(shared, g, "gs-seattle", "gs-london", cfg.KPaths)
+	g.Release()
+	m.store(slots[1], path, arcs)
+	a := <-got
+	if a == nil || !reflect.DeepEqual(a.Demands, want.Demands) || !reflect.DeepEqual(a.load, want.load) {
+		t.Fatal("the allocation after the hand-off differs from a fresh Network's")
+	}
 }

@@ -50,9 +50,16 @@ type LinkID struct{ From, To string }
 // commodity being allocated. Capacities start as the snapshot's
 // Edge.CapacityBps and can be re-derived from physical link budgets with
 // Recapacitate.
+//
+// A Network memoises the widest-of-k route of every pair MaxMinFair has
+// routed on it under the default cost, so it may be shared: concurrent
+// MaxMinFair and MaxFlow calls on one Network are safe, and each pair is
+// routed once for all of them. A shared Network must not be
+// recapacitated, and its Snap must not be reassigned.
 type Network struct {
-	Snap *topo.Snapshot
-	caps []float64 // by edge position
+	Snap   *topo.Snapshot
+	caps   []float64 // by edge position
+	routes routeMemo
 }
 
 // NewNetwork wraps a snapshot, taking capacities from its edges.
@@ -138,11 +145,14 @@ func groundElevationDeg(e topo.Edge, s *topo.Snapshot) float64 {
 	return geo.ElevationDeg(gnd.Pos.LatLon(), sat.Pos)
 }
 
-// Recapacitate replaces every link capacity with the model's evaluation.
+// Recapacitate replaces every link capacity with the model's evaluation
+// and drops the memoised routes, whose widest-of-k choice read the old
+// capacities.
 func (n *Network) Recapacitate(m CapacityModel) {
 	for j, e := range n.Snap.Edges() {
 		n.caps[j] = m.EdgeCapacityBps(e, n.Snap)
 	}
+	n.routes.reset()
 }
 
 // GatewayTransitCost scores paths for gateway-to-gateway flows: pure
