@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 	"time"
 
 	"github.com/openspace-project/openspace/internal/exec"
@@ -88,10 +89,11 @@ func (r *UsersScaleResult) WallS(users int) float64 {
 	return 0
 }
 
-// UsersScale runs E18. The topology snapshots are built once and shared
-// read-only across cells; each cell owns its class matrix and evolver, and
-// every aggregate's arrival stream is seeded from its own coordinates, so
-// the CSV is byte-identical at any worker count.
+// UsersScale runs E18. The topology snapshots, and each epoch's
+// recapacitated Network, are built once and shared read-only across cells;
+// each cell owns its class matrix and evolver, and every aggregate's
+// arrival stream is seeded from its own coordinates, so the CSV is
+// byte-identical at any worker count.
 func UsersScale(cfg UsersScaleConfig) (*UsersScaleResult, error) {
 	if len(cfg.UserCounts) == 0 {
 		return nil, fmt.Errorf("experiments: users-scale: no user counts")
@@ -132,9 +134,23 @@ func UsersScale(cfg UsersScaleConfig) (*UsersScaleResult, error) {
 		groundSpecs[i] = topo.GroundSpec{ID: g.ID, Provider: "p", Pos: g.Pos}
 	}
 	epochs := int(math.Ceil(cfg.DurationS / cfg.IntervalS))
-	snaps := make([]*topo.Snapshot, epochs)
-	for e := 0; e < epochs; e++ {
-		snaps[e] = topo.Build(float64(e)*cfg.IntervalS, tcfg, specs, groundSpecs, nil)
+	snaps, err := exec.Map(cfg.Workers, epochs, func(e int) (*topo.Snapshot, error) {
+		return topo.Build(float64(e)*cfg.IntervalS, tcfg, specs, groundSpecs, nil), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	// Each epoch's recapacitated Network is shared by every cell: the first
+	// cell to reach the epoch builds it, and since a Network memoises its
+	// routes, each gateway pair is routed once per epoch for all cells.
+	model := traffic.DefaultCapacityModel()
+	nets := make([]func() *traffic.Network, epochs)
+	for e, snap := range snaps {
+		nets[e] = sync.OnceValue(func() *traffic.Network {
+			net := traffic.NewNetwork(snap)
+			net.Recapacitate(model)
+			return net
+		})
 	}
 
 	rows, err := exec.Map(cfg.Workers, len(cfg.UserCounts), func(i int) (usersScaleRow, error) {
@@ -159,7 +175,7 @@ func UsersScale(cfg UsersScaleConfig) (*UsersScaleResult, error) {
 			if t1 > cfg.DurationS {
 				t1 = cfg.DurationS
 			}
-			if err := ev.Advance(snaps[e], t0, t1, e); err != nil {
+			if err := ev.AdvanceOn(nets[e](), t0, t1, e); err != nil {
 				return usersScaleRow{}, err
 			}
 		}

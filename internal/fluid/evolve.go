@@ -14,9 +14,9 @@ import (
 )
 
 // Evolver advances a ClassMatrix through topology/fault epochs. Each
-// Advance call realises the epoch's Poisson arrivals per aggregate, pools
-// them with the backlog carried from earlier epochs, offers the pooled
-// bytes to traffic.MaxMinFair over the epoch's snapshot, and
+// AdvanceOn call realises the epoch's Poisson arrivals per aggregate,
+// pools them with the backlog carried from earlier epochs, offers the
+// pooled bytes to traffic.MaxMinFair over the epoch's Network, and
 // de-aggregates the allocation into delivered/latency/retry counters.
 // The whole evolution is sequential and deterministic: identical inputs
 // give identical Results at any worker count.
@@ -25,8 +25,7 @@ type Evolver struct {
 	cfg Config
 	gws []traffic.Gateway
 
-	model traffic.CapacityModel
-	res   *Result
+	res *Result
 
 	// decileBytes[c][d] is class c's transfer size at the midpoint of
 	// decile d, the ten sizes deaggregate spreads each delivery over.
@@ -50,10 +49,10 @@ type Evolver struct {
 	prevCityGW   []string
 
 	// Per-epoch scratch, sized once at construction and reused by every
-	// Advance so the realise/group/carry/deaggregate kernels allocate
+	// AdvanceOn so the realise/group/carry/deaggregate kernels allocate
 	// nothing in steady state (see TestAllocGateEvolverKernels). The
 	// //lint:scratch tags put every buffer under the scratchsafe escape
-	// check: nothing aliasing them may outlive the Advance that filled
+	// check: nothing aliasing them may outlive the AdvanceOn that filled
 	// them. rng is a single scratch generator Reseed-ed per (aggregate,
 	// epoch) — the identical stream exec.RNG would construct, without the
 	// two heap objects per draw site.
@@ -141,8 +140,7 @@ func (r *Result) DeliveredFraction() float64 {
 	return float64(r.TransfersDelivered) / float64(r.TransfersAttempted)
 }
 
-// NewEvolver prepares an evolution of m between the given gateways using
-// the standard capacity model.
+// NewEvolver prepares an evolution of m between the given gateways.
 func NewEvolver(m *ClassMatrix, cfg Config, gws []traffic.Gateway) (*Evolver, error) {
 	cfg = cfg.withDefaults()
 	if m == nil || len(m.Aggregates) == 0 {
@@ -167,7 +165,6 @@ func NewEvolver(m *ClassMatrix, cfg Config, gws []traffic.Gateway) (*Evolver, er
 		m:           m,
 		cfg:         cfg,
 		gws:         gws,
-		model:       traffic.DefaultCapacityModel(),
 		res:         res,
 		decileBytes: decileBytes,
 		backlogT:    make([]int64, n),
@@ -220,14 +217,38 @@ func sameCommodity(a, b groupEntry) bool {
 }
 
 // Advance evolves the matrix across one epoch [t0, t1) over the given
-// snapshot (fault overlays already applied by the caller). epoch indexes
-// the aggregate arrival streams and must be distinct per call. A span
-// that is not positive and finite fails before any state changes.
+// snapshot (fault overlays already applied by the caller), capacitated by
+// traffic.DefaultCapacityModel: AdvanceOn over a Network of its own.
 func (e *Evolver) Advance(snap *topo.Snapshot, t0, t1 float64, epoch int) error {
-	dt := t1 - t0
-	if !(dt > 0) || math.IsInf(dt, 1) {
+	if err := checkSpan(t0, t1); err != nil {
+		return err
+	}
+	net := traffic.NewNetwork(snap)
+	net.Recapacitate(traffic.DefaultCapacityModel())
+	return e.AdvanceOn(net, t0, t1, epoch)
+}
+
+// checkSpan rejects an epoch span that is not positive and finite.
+func checkSpan(t0, t1 float64) error {
+	if dt := t1 - t0; !(dt > 0) || math.IsInf(dt, 1) {
 		return fmt.Errorf("fluid: epoch [%.3f, %.3f) has span %v, want positive and finite", t0, t1, dt)
 	}
+	return nil
+}
+
+// AdvanceOn evolves the matrix across one epoch [t0, t1) over net.Snap
+// (fault overlays already applied by the caller) at net's capacities.
+// epoch indexes the aggregate arrival streams and must be distinct per
+// call. A span that is not positive and finite fails before any state
+// changes. net is only read and routed on, so evolvers may share one
+// Network per epoch: each gateway pair is then routed once for all of
+// them (see traffic.Network).
+func (e *Evolver) AdvanceOn(net *traffic.Network, t0, t1 float64, epoch int) error {
+	if err := checkSpan(t0, t1); err != nil {
+		return err
+	}
+	dt := t1 - t0
+	snap := net.Snap
 
 	// Lit gateways: present in the snapshot with at least one live link.
 	// Fault masks that sever a gateway remove its edges in the overlay,
@@ -277,8 +298,6 @@ func (e *Evolver) Advance(snap *topo.Snapshot, t0, t1 float64, epoch int) error 
 
 	// One max-min fair pass per epoch over the grouped commodities.
 	e.groupDemands(dt)
-	net := traffic.NewNetwork(snap)
-	net.Recapacitate(e.model)
 	alloc, err := traffic.MaxMinFair(net, e.demands, traffic.AllocConfig{KPaths: e.cfg.KPaths})
 	if err != nil {
 		return fmt.Errorf("fluid: epoch %d allocation: %w", epoch, err)

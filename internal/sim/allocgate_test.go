@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"testing"
 )
@@ -52,5 +53,25 @@ func TestAllocGateEngineStepLoop(t *testing.T) {
 				t.Fatalf("population drifted to %d events, want %d", e.events.Len(), n)
 			}
 		})
+	}
+}
+
+// TestAllocGateSketchAddN pins the dense bucket layout: once a sketch's
+// slice covers a value span, AddN anywhere inside it (and into the zero
+// and +Inf tallies) allocates nothing. deaggregate in internal/fluid adds
+// ten latency samples per delivered aggregate every epoch through it.
+func TestAllocGateSketchAddN(t *testing.T) {
+	allocGate(t)
+	s := DefaultSketch()
+	s.Add(1e-3)
+	s.Add(1e2)
+	vals := []float64{1e-3, 0.02, 0.5, 7, 1e2, 0, math.Inf(1)}
+	step := func() {
+		for i, v := range vals {
+			s.AddN(v, uint64(i+1))
+		}
+	}
+	if avg := testing.AllocsPerRun(100, step); avg != 0 {
+		t.Fatalf("AddN into a covered span allocates %.2f per round, want 0", avg)
 	}
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Sketch is a bounded-memory streaming quantile estimator: a log-bucketed
@@ -22,14 +21,23 @@ import (
 // Count, Sum, Mean, Min, Max and Quantile all return 0 — never NaN — so
 // empty traffic classes serialize as zeros in CSVs.
 //
-// Determinism: bucket counts live in a map, but every query iterates
-// buckets in sorted index order, so results are independent of map
-// iteration order. Not safe for concurrent use.
+// Layout: bucket counts are a dense slice indexed from the lowest bucket
+// seen, grown at either end as new buckets appear, so queries walk the
+// buckets in index order and an AddN into a covered bucket does not
+// allocate. +Inf has no bucket; it is tallied on its own and a rank
+// that lands there answers +Inf. The span is therefore bounded by the
+// finite float range: at 1 % accuracy, indices run from −35 453 (the
+// smallest denormals, 1e-320 among them) to 35 488 (MaxFloat64), about
+// 71 k slots at worst, and growth headroom at most doubles that.
+// Not safe for concurrent use.
 type Sketch struct {
 	gamma    float64
 	logGamma float64
-	counts   map[int]uint64
+	counts   []uint64 // counts[i] is bucket lo+i's weight
+	lo       int
+	occupied int    // buckets with nonzero weight
 	zero     uint64 // weight of values ≤ 0 (reported as exactly 0)
+	inf      uint64 // weight of +Inf values (reported as +Inf)
 	total    uint64
 	sum      float64
 	min, max float64
@@ -41,25 +49,24 @@ func NewSketch(alpha float64) (*Sketch, error) {
 	if !(alpha > 0 && alpha < 1) {
 		return nil, fmt.Errorf("sim: sketch accuracy %.3g outside (0,1)", alpha)
 	}
+	return newSketch(alpha), nil
+}
+
+// newSketch builds a sketch for an α already known to be in (0, 1).
+func newSketch(alpha float64) *Sketch {
 	gamma := (1 + alpha) / (1 - alpha)
-	return &Sketch{gamma: gamma, logGamma: math.Log(gamma), counts: make(map[int]uint64)}, nil
+	return &Sketch{gamma: gamma, logGamma: math.Log(gamma)}
 }
 
 // DefaultSketch returns a 1 %-accuracy sketch.
-func DefaultSketch() *Sketch {
-	s, err := NewSketch(0.01)
-	if err != nil {
-		panic(err) // unreachable: 0.01 is in range
-	}
-	return s
-}
+func DefaultSketch() *Sketch { return newSketch(0.01) }
 
 // Add records one sample.
 func (s *Sketch) Add(v float64) { s.AddN(v, 1) }
 
 // AddN records n samples of value v in O(1). NaN values are ignored;
 // values ≤ 0 are counted but reported as exactly 0 (latencies and byte
-// counts are non-negative).
+// counts are non-negative), and +Inf is counted but has no bucket.
 func (s *Sketch) AddN(v float64, n uint64) {
 	if n == 0 || math.IsNaN(v) {
 		return
@@ -72,12 +79,44 @@ func (s *Sketch) AddN(v float64, n uint64) {
 	}
 	s.total += n
 	s.sum += v * float64(n)
-	if v <= 0 {
+	switch {
+	case v <= 0:
 		s.zero += n
 		return
+	case math.IsInf(v, 1):
+		s.inf += n
+		return
 	}
-	//lint:allow hotalloc bucket set is bounded at O(log value-range); inserts vanish once the buckets exist
-	s.counts[s.bucket(v)] += n
+	i := s.bucket(v)
+	if len(s.counts) == 0 || i < s.lo || i >= s.lo+len(s.counts) {
+		s.cover(i)
+	}
+	c := &s.counts[i-s.lo]
+	if *c == 0 {
+		s.occupied++
+	}
+	*c += n
+}
+
+// cover grows the bucket slice so that it holds index i, doubling its
+// length (the headroom on the side that grew) so a run of new buckets
+// costs amortized O(1) each.
+func (s *Sketch) cover(i int) {
+	switch {
+	case len(s.counts) == 0:
+		//lint:allow hotalloc once per sketch, at its first positive finite sample
+		s.counts = make([]uint64, 1, 16)
+		s.lo = i
+	case i < s.lo:
+		grow := max(s.lo-i, len(s.counts))
+		//lint:allow hotalloc doubling resize, amortized O(1) per new bucket; bounded by the finite float range
+		c := make([]uint64, grow+len(s.counts))
+		copy(c[grow:], s.counts)
+		s.counts, s.lo = c, s.lo-grow
+	default:
+		//lint:allow hotalloc append's amortized doubling; bounded by the finite float range
+		s.counts = append(s.counts, make([]uint64, i-s.lo-len(s.counts)+1)...)
+	}
 }
 
 // bucket maps a positive value to its geometric bucket index.
@@ -94,8 +133,8 @@ func (s *Sketch) value(i int) float64 {
 // Count returns the total recorded weight.
 func (s *Sketch) Count() uint64 { return s.total }
 
-// Buckets returns the number of occupied buckets — the memory footprint.
-func (s *Sketch) Buckets() int { return len(s.counts) }
+// Buckets returns the number of occupied buckets.
+func (s *Sketch) Buckets() int { return s.occupied }
 
 // Sum returns the exact sum of recorded values, 0 with no samples.
 func (s *Sketch) Sum() float64 { return s.sum }
@@ -144,19 +183,16 @@ func (s *Sketch) Quantile(q float64) float64 {
 	if rank <= s.zero {
 		return 0
 	}
-	idxs := make([]int, 0, len(s.counts))
-	for i := range s.counts {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
 	cum := s.zero
-	for _, i := range idxs {
-		cum += s.counts[i]
+	for j, c := range s.counts {
+		cum += c
 		if cum >= rank {
-			return s.value(i)
+			return s.value(s.lo + j)
 		}
 	}
-	return s.max // float slack: the last occupied bucket answers
+	// The rank is past every finite bucket: it is in the +Inf tally,
+	// where max is +Inf, or float slack put it past the total.
+	return s.max
 }
 
 // String implements fmt.Stringer.

@@ -59,15 +59,19 @@ const usersScaleGateRatioMax = 5.0
 // TestScalingGateUsersScale is the E18 sublinearity gate: serving 10⁷
 // users must cost the same order of wall time as serving 10⁴, because the
 // aggregation layer never materialises per-user events. Each cell's wall
-// time is measured inside the harness (topology construction excluded, so
-// the ratio isolates the fluid evolution).
+// time is measured inside the harness (snapshot construction excluded, so
+// the ratio isolates the fluid evolution). Cells share each epoch's
+// Network, and the first cell to reach an epoch recapacitates it and
+// routes its gateway pairs; the 10⁷ cell runs first, so it pays for that
+// shared work and the ratio can only come out higher than with unshared
+// Networks.
 func TestScalingGateUsersScale(t *testing.T) {
 	if os.Getenv("OPENSPACE_SCALING_GATE") != "1" {
 		t.Skip("set OPENSPACE_SCALING_GATE=1 to run the wall-time scaling gate")
 	}
 	cfg := experiments.DefaultUsersScale()
 	cfg.Sats = 200
-	cfg.UserCounts = []int{10_000, 10_000_000}
+	cfg.UserCounts = []int{10_000_000, 10_000} // large first: it pays the shared routing
 	cfg.DurationS = 300
 	cfg.Workers = 1 // serial: the two cells must not contend for cores
 	best := 0.0
