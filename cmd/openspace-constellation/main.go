@@ -49,29 +49,52 @@ type options struct {
 }
 
 func main() {
-	var o options
-	flag.IntVar(&o.sats, "sats", 66, "total satellites (walker mode)")
-	flag.IntVar(&o.planes, "planes", 6, "orbital planes (walker mode)")
-	flag.IntVar(&o.phasing, "phasing", 2, "walker phasing factor F")
-	flag.Float64Var(&o.alt, "alt", 780, "altitude in km")
-	flag.Float64Var(&o.incl, "incl", 86.4, "inclination in degrees")
-	flag.BoolVar(&o.delta, "delta", false, "walker delta (360° node spread) instead of star")
-	flag.IntVar(&o.random, "random", 0, "generate N random uncoordinated orbits instead of a walker")
-	flag.Int64Var(&o.seed, "seed", 1, "random seed for -random")
-	flag.Float64Var(&o.atT, "t", 0, "epoch offset in seconds at which to snapshot")
-	flag.Float64Var(&o.mask, "mask", 10, "ground elevation mask in degrees for coverage")
-	flag.BoolVar(&o.grid, "grid", false, "plan +Grid ISL wiring and report link statistics (walker/shells/preset modes)")
-	flag.StringVar(&o.preset, "preset", "", "named constellation: starlink-550, starlink-gen1")
-	flag.StringVar(&o.shells, "shells", "", "multi-shell spec, comma-separated T:P:F:alt:incl walker deltas")
-	flag.StringVar(&o.csvPath, "csv", "", "write sub-satellite points to this CSV file")
-	flag.StringVar(&o.islCSVPath, "islcsv", "", "write the +Grid ISL plan (with link lengths at -t) to this CSV file")
-	flag.StringVar(&o.tlePath, "tle", "", "export the constellation as a TLE catalogue to this file")
+	o := registerFlags(flag.CommandLine)
 	flag.Parse()
 
-	if err := run(o); err != nil {
+	if err := run(*o); err != nil {
 		fmt.Fprintf(os.Stderr, "openspace-constellation: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// registerFlags defines the CLI's flags on fs and returns the options
+// they fill in.
+func registerFlags(fs *flag.FlagSet) *options {
+	o := new(options)
+	fs.IntVar(&o.sats, "sats", 66, "total satellites (walker mode)")
+	fs.IntVar(&o.planes, "planes", 6, "orbital planes (walker mode)")
+	fs.IntVar(&o.phasing, "phasing", 2, "walker phasing factor F")
+	fs.Float64Var(&o.alt, "alt", 780, "altitude in km")
+	fs.Float64Var(&o.incl, "incl", 86.4, "inclination in degrees")
+	fs.BoolVar(&o.delta, "delta", false, "walker delta (360° node spread) instead of star")
+	fs.IntVar(&o.random, "random", 0, "generate N random uncoordinated orbits instead of a walker")
+	fs.Int64Var(&o.seed, "seed", 1, "random seed for -random")
+	fs.Float64Var(&o.atT, "t", 0, "epoch offset in seconds at which to snapshot")
+	fs.Float64Var(&o.mask, "mask", 10, "ground elevation mask in degrees for coverage")
+	fs.BoolVar(&o.grid, "grid", false, "plan +Grid ISL wiring and report link statistics (walker/shells/preset modes)")
+	fs.StringVar(&o.preset, "preset", "", "named constellation: starlink-550, starlink-gen1")
+	fs.StringVar(&o.shells, "shells", "", "multi-shell spec, comma-separated T:P:F:alt:incl walker deltas")
+	fs.StringVar(&o.csvPath, "csv", "", "write sub-satellite points to this CSV file")
+	fs.StringVar(&o.islCSVPath, "islcsv", "", "write the +Grid ISL plan (with link lengths at -t) to this CSV file")
+	fs.StringVar(&o.tlePath, "tle", "", "export the constellation as a TLE catalogue to this file")
+	return o
+}
+
+// validate rejects flag values no mode can use: a non-finite -t, a -mask
+// outside [0, 90) and a negative -random. Orbit parameters are checked
+// where the orbits are built.
+func (o options) validate() error {
+	if math.IsNaN(o.atT) || math.IsInf(o.atT, 0) {
+		return fmt.Errorf("-t %v must be finite", o.atT)
+	}
+	if !(o.mask >= 0 && o.mask < 90) {
+		return fmt.Errorf("-mask %v outside [0, 90)", o.mask)
+	}
+	if o.random < 0 {
+		return fmt.Errorf("-random %d must not be negative", o.random)
+	}
+	return nil
 }
 
 // generate builds the constellation (and wiring plan, when one applies)
@@ -107,7 +130,13 @@ func generate(o options) (*orbit.Constellation, []orbit.ISLPair, error) {
 		}
 		return m.Build()
 	case o.random > 0:
-		return orbit.RandomCircular(o.random, o.alt, rand.New(rand.NewSource(o.seed))), nil, nil
+		c := orbit.RandomCircular(o.random, o.alt, rand.New(rand.NewSource(o.seed)))
+		for _, s := range c.Satellites {
+			if err := s.Elements.Validate(); err != nil {
+				return nil, nil, fmt.Errorf("%s: %w", s.ID, err)
+			}
+		}
+		return c, nil, nil
 	default:
 		w := orbit.WalkerConfig{
 			Name: "custom", TotalSats: o.sats, Planes: o.planes, PhasingFactor: o.phasing,
@@ -151,6 +180,9 @@ func parseShell(spec string) (orbit.WalkerConfig, error) {
 }
 
 func run(o options) error {
+	if err := o.validate(); err != nil {
+		return err
+	}
 	c, pairs, err := generate(o)
 	if err != nil {
 		return err

@@ -75,6 +75,9 @@ func main() {
 		case *aggregate:
 			var fcfg faults.Config
 			if *faultsMode {
+				if err := faults.CheckIntensity(*intensity); err != nil {
+					return err
+				}
 				fcfg = faults.Default().Scale(*intensity)
 				fcfg.Seed = *seed
 			}
@@ -474,6 +477,9 @@ func runScenario(providers, users int, duration float64, seed int64, workers int
 // static t=0 topology, and the full engine scenario where terminals drop,
 // re-associate and transfers retry with backoff.
 func runFaults(providers, users int, duration, intensity float64, seed int64, workers int) error {
+	if err := faults.CheckIntensity(intensity); err != nil {
+		return err
+	}
 	net, err := buildScenarioNetwork(providers, users, seed, workers)
 	if err != nil {
 		return err

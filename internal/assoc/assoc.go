@@ -103,9 +103,6 @@ func (t *Terminal) State() State { return t.state }
 // (empty strings when not associated).
 func (t *Terminal) Serving() (satellite, provider string) { return t.serving, t.provider }
 
-// Certificate returns the roaming certificate, nil before authentication.
-func (t *Terminal) Certificate() *auth.Certificate { return t.cert }
-
 // StartScan begins beacon collection, discarding previous sightings.
 func (t *Terminal) StartScan() {
 	t.heard = make(map[string]Beacon)
@@ -206,26 +203,10 @@ func (t *Terminal) SwitchTo(satelliteID, providerID string) error {
 
 // Dropped records loss of the serving link — the serving satellite failed
 // or its access link went away. The terminal returns to idle and must run
-// association again; unlike MovedTo the position is unchanged, and the
-// roaming certificate (still valid until expiry) is refreshed by the next
-// association rather than discarded here.
+// association again; the roaming certificate (still valid until expiry) is
+// refreshed by the next association rather than discarded here.
 func (t *Terminal) Dropped() {
 	t.state = StateIdle
 	t.serving, t.provider = "", ""
 	t.heard = make(map[string]Beacon)
-}
-
-// MovedTo relocates the terminal. Moving to a new physical region drops
-// association and certificate: the paper requires the full association and
-// authentication process to run again after relocation.
-func (t *Terminal) MovedTo(pos geo.LatLon) error {
-	if !pos.Valid() {
-		return fmt.Errorf("assoc: invalid position %v", pos)
-	}
-	t.pos = pos
-	t.state = StateIdle
-	t.serving, t.provider = "", ""
-	t.cert = nil
-	t.heard = make(map[string]Beacon)
-	return nil
 }

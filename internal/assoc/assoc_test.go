@@ -118,7 +118,7 @@ func TestFullAssociationFlow(t *testing.T) {
 	if sat != "sat-1" || prov != "roamco" {
 		t.Errorf("serving %s/%s", sat, prov)
 	}
-	cert := term.Certificate()
+	cert := term.cert
 	if cert == nil || cert.UserID != "user-1" || cert.Issuer != "acme" {
 		t.Errorf("certificate = %v", cert)
 	}
@@ -178,7 +178,7 @@ func TestSwitchToAfterAssociation(t *testing.T) {
 	if err := runFullAssociation(t, term, a); err != nil {
 		t.Fatal(err)
 	}
-	cert := term.Certificate()
+	cert := term.cert
 	if err := term.SwitchTo("sat-2", "otherco"); err != nil {
 		t.Fatal(err)
 	}
@@ -187,29 +187,11 @@ func TestSwitchToAfterAssociation(t *testing.T) {
 		t.Errorf("after switch: %s/%s", sat, prov)
 	}
 	// Certificate survives handover — no re-auth.
-	if term.Certificate() != cert {
+	if term.cert != cert {
 		t.Error("certificate lost on handover")
 	}
 	if term.State() != StateAssociated {
 		t.Errorf("state after switch = %v", term.State())
-	}
-}
-
-func TestMovedToResets(t *testing.T) {
-	term := newTestTerminal(t)
-	a, _ := auth.NewAuthenticator("acme", 3600, rand.New(rand.NewSource(1)))
-	a.Enroll("user-1", []byte("secret"))
-	if err := runFullAssociation(t, term, a); err != nil {
-		t.Fatal(err)
-	}
-	if err := term.MovedTo(geo.LatLon{Lat: 50, Lon: 8}); err != nil {
-		t.Fatal(err)
-	}
-	if term.State() != StateIdle || term.Certificate() != nil {
-		t.Error("relocation must reset association and certificate")
-	}
-	if err := term.MovedTo(geo.LatLon{Lat: 99, Lon: 0}); err == nil {
-		t.Error("invalid position should fail")
 	}
 }
 

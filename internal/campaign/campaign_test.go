@@ -178,7 +178,7 @@ func TestRunGracefulDegradation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.Complete() || len(out.Cells) != len(cells) {
+	if len(out.Pending) != 0 || len(out.Cells) != len(cells) {
 		t.Fatalf("campaign did not complete: %d cells, %d pending", len(out.Cells), len(out.Pending))
 	}
 	fails := out.Failures()
@@ -252,14 +252,14 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out1.Complete() || len(out1.Cells) != 3 || len(out1.Pending) != 5 {
+	if len(out1.Pending) == 0 || len(out1.Cells) != 3 || len(out1.Pending) != 5 {
 		t.Fatalf("interrupted run: %d cells, %d pending, want 3/5", len(out1.Cells), len(out1.Pending))
 	}
 	out2, err := Run(spec, Config{Workers: 4, CheckpointPath: path, Resume: true}, fakeCellFunc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out2.Complete() {
+	if len(out2.Pending) != 0 {
 		t.Fatalf("resume left %d cells pending", len(out2.Pending))
 	}
 	replayed := 0
@@ -301,7 +301,7 @@ func TestCheckpointSurvivesTornFinalRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.Complete() {
+	if len(out.Pending) != 0 {
 		t.Fatalf("resume after torn record left %d pending", len(out.Pending))
 	}
 	var b strings.Builder
@@ -332,8 +332,8 @@ func TestCheckpointRefusesMismatchesAndOverwrites(t *testing.T) {
 	}
 	// Resume with a missing file is a fresh start, not an error.
 	out, err := Run(spec, Config{Workers: 1, CheckpointPath: filepath.Join(dir, "new.ckpt"), Resume: true}, fakeCellFunc)
-	if err != nil || !out.Complete() {
-		t.Errorf("resume-from-nothing: %v, complete=%v", err, out.Complete())
+	if err != nil || len(out.Pending) != 0 {
+		t.Errorf("resume-from-nothing: %v, pending=%d", err, len(out.Pending))
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 
 	"github.com/openspace-project/openspace/internal/core"
 	"github.com/openspace-project/openspace/internal/exec"
+	"github.com/openspace-project/openspace/internal/faults"
 )
 
 // domainCell namespaces every cell's seed: a cell's simulation draws
@@ -148,8 +149,8 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("campaign: duration and interval must be positive and finite")
 	}
 	for _, in := range s.Intensities {
-		if !(in >= 0) || math.IsInf(in, 1) {
-			return fmt.Errorf("campaign: intensity %v must be non-negative and finite", in)
+		if err := faults.CheckIntensity(in); err != nil {
+			return fmt.Errorf("campaign: %w", err)
 		}
 	}
 	seen := map[string]bool{}

@@ -80,9 +80,6 @@ type Outcome struct {
 	Pending []Cell
 }
 
-// Complete reports whether every matrix cell has an outcome.
-func (o *Outcome) Complete() bool { return len(o.Pending) == 0 }
-
 // Failures returns the failed cells in matrix order — the failure
 // manifest.
 func (o *Outcome) Failures() []CellResult {

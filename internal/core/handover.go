@@ -76,30 +76,24 @@ type GatewayChoice struct {
 	PricePerGB   float64
 }
 
-// RankGateways evaluates every reachable gateway for a transfer of the
+// rankGateways evaluates every reachable gateway for a transfer of the
 // given size at time t and returns choices ordered by predicted completion
 // time — the paper's §5(2) trade-off made concrete: "peak loads at certain
 // ground-stations may necessitate re-routing of traffic to a ground station
 // that is further away but is idle; in this case, a computation of the
 // trade-off between longer routing distance vs queuing and job completion
 // times is necessary at runtime". Each station's path latency is that of
-// its lowest-latency route, the one Send would take.
-func (n *Network) RankGateways(userID string, bytes int64, t float64) ([]GatewayChoice, error) {
-	ranked, _, err := n.rankGateways(userID, bytes, t)
-	return ranked, err
-}
-
-// rankGateways is RankGateways plus the route to the first choice. One
-// search out of the user (routing.Fan) reaches every station, each over
-// the path a per-station ShortestPath finds, and only the first choice's
-// path is built.
+// its lowest-latency route, the one Send would take. It also returns the
+// route to the first choice: one search out of the user (routing.Fan)
+// reaches every station, each over the path a per-station ShortestPath
+// finds, and only the first choice's path is built.
 func (n *Network) rankGateways(userID string, bytes int64, t float64) ([]GatewayChoice, routing.Path, error) {
 	u, ok := n.users[userID]
 	if !ok {
 		return nil, routing.Path{}, fmt.Errorf("core: unknown user %q", userID)
 	}
 	if n.te == nil {
-		return nil, routing.Path{}, errors.New("core: BuildTopology must run before RankGateways")
+		return nil, routing.Path{}, errors.New("core: BuildTopology must run before SendBest")
 	}
 	fan, err := routing.NewFan(n.snapshotAt(t), userID, n.latency)
 	if err != nil {

@@ -17,8 +17,6 @@ func TestPlanAndExecuteHandover(t *testing.T) {
 	if err := n.Associate("alice", 0); err != nil {
 		t.Fatal(err)
 	}
-	cert := n.User("alice").Terminal.Certificate()
-
 	plan, err := n.PlanHandover("alice", 0, 3600)
 	if err != nil {
 		t.Fatal(err)
@@ -45,10 +43,6 @@ func TestPlanAndExecuteHandover(t *testing.T) {
 		t.Errorf("after handover serving %s/%s, want %s/%s",
 			sat, prov, plan.SuccessorID, plan.SuccessorProvider)
 	}
-	// No re-authentication: the certificate is untouched.
-	if n.User("alice").Terminal.Certificate() != cert {
-		t.Error("handover must not disturb the roaming certificate")
-	}
 }
 
 func TestHandoverErrors(t *testing.T) {
@@ -74,7 +68,7 @@ func TestRankGatewaysPrefersIdle(t *testing.T) {
 		t.Fatal(err)
 	}
 	const mb100 = int64(100_000_000)
-	base, err := n.RankGateways("alice", mb100, 0)
+	base, _, err := n.rankGateways("alice", mb100, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +88,7 @@ func TestRankGatewaysPrefersIdle(t *testing.T) {
 	if _, err := m.station.Admit(m.owner, 40_000_000_000, 0); err != nil { // 320 Gb ≈ 32 s backlog
 		t.Fatal(err)
 	}
-	after, err := n.RankGateways("alice", mb100, 0)
+	after, _, err := n.rankGateways("alice", mb100, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +150,7 @@ func fourStationNetwork(t *testing.T) *Network {
 	return n
 }
 
-// rankPerStation is the per-station gateway ranking RankGateways
+// rankPerStation is the per-station gateway ranking rankGateways
 // replaced, kept as its oracle: one ShortestPath per ground station,
 // then the sort by completion time and station ID.
 func rankPerStation(n *Network, userID string, bytes int64, t float64) ([]GatewayChoice, error) {
@@ -165,7 +159,7 @@ func rankPerStation(n *Network, userID string, bytes int64, t float64) ([]Gatewa
 		return nil, fmt.Errorf("core: unknown user %q", userID)
 	}
 	if n.te == nil {
-		return nil, errors.New("core: BuildTopology must run before RankGateways")
+		return nil, errors.New("core: BuildTopology must run before SendBest")
 	}
 	snap := n.snapshotAt(t)
 	var out []GatewayChoice
@@ -198,7 +192,7 @@ func rankPerStation(n *Network, userID string, bytes int64, t float64) ([]Gatewa
 	return out, nil
 }
 
-// TestRankGatewaysMatchesPerStation holds RankGateways to rankPerStation
+// TestRankGatewaysMatchesPerStation holds rankGateways to rankPerStation
 // on the four-station Iridium federation, with no fault mask and with a
 // fault timeline's mask installed (the overlay view), over a sequence of
 // users, sizes and times while SendBest loads the stations: the same
@@ -226,13 +220,13 @@ func TestRankGatewaysMatchesPerStation(t *testing.T) {
 			}
 			id := userName(step % 4) // d-user is unknown
 			bytes := int64(step%5+1) * 40_000_000
-			got, gotErr := n.RankGateways(id, bytes, at)
+			got, _, gotErr := n.rankGateways(id, bytes, at)
 			want, wantErr := rankPerStation(n, id, bytes, at)
 			if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
-				t.Fatalf("faulty=%v step %d: RankGateways error %v, per-station %v", faulty, step, gotErr, wantErr)
+				t.Fatalf("faulty=%v step %d: rankGateways error %v, per-station %v", faulty, step, gotErr, wantErr)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("faulty=%v step %d: RankGateways %+v, per-station %+v", faulty, step, got, want)
+				t.Fatalf("faulty=%v step %d: rankGateways %+v, per-station %+v", faulty, step, got, want)
 			}
 			if gotErr != nil {
 				continue
@@ -265,7 +259,7 @@ func TestRankGatewaysMatchesPerStation(t *testing.T) {
 // rankThenSend is SendBest's specification: rank the gateways, then Send
 // to the first.
 func rankThenSend(n *Network, userID string, bytes int64, t float64) (*Delivery, GatewayChoice, error) {
-	choices, err := n.RankGateways(userID, bytes, t)
+	choices, _, err := n.rankGateways(userID, bytes, t)
 	if err != nil {
 		return nil, GatewayChoice{}, err
 	}

@@ -293,21 +293,3 @@ func (n *Network) Associate(userID string, t float64) error {
 	}
 	return nil
 }
-
-// MoveUser relocates a subscriber. Per §2.2, changing physical region
-// drops the association and certificate: "they will have to go through the
-// initial association and authentication process again". The topology must
-// be rebuilt (the user's access links moved) before re-associating.
-func (n *Network) MoveUser(userID string, pos geo.LatLon) error {
-	u, ok := n.users[userID]
-	if !ok {
-		return fmt.Errorf("core: unknown user %q", userID)
-	}
-	if err := u.Terminal.MovedTo(pos); err != nil {
-		return err
-	}
-	u.Pos = pos
-	// Invalidate precomputed topology: access edges are stale.
-	n.te, n.mask = nil, nil
-	return nil
-}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"crypto/ed25519"
 	"errors"
 	"fmt"
 
@@ -23,7 +22,7 @@ type Delivery struct {
 	CrossOwnerHops int
 	// Receipts is the signed per-hop carriage chain: each carrier's
 	// non-repudiable acknowledgment, verifiable against the keys providers
-	// exchanged at onboarding (economics.VerifyChain).
+	// exchanged at onboarding.
 	Receipts []economics.Receipt
 }
 
@@ -134,16 +133,6 @@ func (n *Network) deliver(u *User, st *ground.Station, path routing.Path, bytes 
 		d.Receipts = append(d.Receipts, r)
 	}
 	return d, nil
-}
-
-// PublicKeys returns every member's receipt/report/certificate
-// verification key — the trust anchors exchanged at onboarding.
-func (n *Network) PublicKeys() map[string]ed25519.PublicKey {
-	keys := make(map[string]ed25519.PublicKey, len(n.providers))
-	for id, p := range n.providers {
-		keys[id] = p.Auth.PublicKey()
-	}
-	return keys
 }
 
 // snapshotAt returns the snapshot in force at t, degraded by the installed

@@ -1,10 +1,7 @@
 package economics
 
 import (
-	"crypto/ed25519"
 	"encoding/binary"
-	"errors"
-	"fmt"
 	"math"
 )
 
@@ -23,14 +20,6 @@ type Receipt struct {
 	AtS      float64
 	Sig      []byte
 }
-
-// Receipt errors.
-var (
-	ErrReceiptSig  = errors.New("economics: receipt signature invalid")
-	ErrReceiptKey  = errors.New("economics: no key for carrier")
-	ErrChainBroken = errors.New("economics: receipt chain inconsistent")
-	ErrChainEmpty  = errors.New("economics: empty receipt chain")
-)
 
 func (r *Receipt) signedBytes() []byte {
 	b := make([]byte, 0, 64)
@@ -51,51 +40,4 @@ func (r *Receipt) signedBytes() []byte {
 // (typically auth.Authenticator.Sign).
 func (r *Receipt) SignWith(sign func([]byte) []byte) {
 	r.Sig = sign(r.signedBytes())
-}
-
-// Verify checks the receipt against the carrier's public key.
-func (r *Receipt) Verify(key ed25519.PublicKey) error {
-	if !ed25519.Verify(key, r.signedBytes(), r.Sig) {
-		return fmt.Errorf("%w: carrier %q hop %d", ErrReceiptSig, r.Carrier, r.HopIndex)
-	}
-	return nil
-}
-
-// VerifyChain validates a flow's complete receipt chain: every signature
-// verifies against its carrier's key, all receipts agree on flow, customer
-// and bytes, and hop indices are 0..n-1 in order.
-func VerifyChain(chain []Receipt, keys map[string]ed25519.PublicKey) error {
-	if len(chain) == 0 {
-		return ErrChainEmpty
-	}
-	first := chain[0]
-	for i, r := range chain {
-		key, ok := keys[r.Carrier]
-		if !ok {
-			return fmt.Errorf("%w: %q", ErrReceiptKey, r.Carrier)
-		}
-		if err := r.Verify(key); err != nil {
-			return err
-		}
-		if r.FlowID != first.FlowID || r.Customer != first.Customer || r.Bytes != first.Bytes {
-			return fmt.Errorf("%w: receipt %d diverges", ErrChainBroken, i)
-		}
-		if r.HopIndex != i {
-			return fmt.Errorf("%w: hop %d at position %d", ErrChainBroken, r.HopIndex, i)
-		}
-	}
-	return nil
-}
-
-// ApplyChain records a verified chain into a ledger — the receipt-backed
-// form of RecordPath.
-func ApplyChain(l *Ledger, chain []Receipt, keys map[string]ed25519.PublicKey) error {
-	if err := VerifyChain(chain, keys); err != nil {
-		return err
-	}
-	owners := make([]string, len(chain))
-	for i, r := range chain {
-		owners[i] = r.Carrier
-	}
-	return l.RecordPath(chain[0].Customer, owners, chain[0].Bytes)
 }

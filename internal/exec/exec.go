@@ -110,17 +110,6 @@ func MapAll[T any](workers, n int, fn func(i int) (T, error)) ([]T, []error, err
 	return out, nil, nil
 }
 
-// ForEach is Map for side-effect-free checks that produce no value.
-func ForEach(workers, n int, fn func(i int) error) error {
-	if fn == nil {
-		return errors.New("exec: nil task function")
-	}
-	_, err := Map(workers, n, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i)
-	})
-	return err
-}
-
 // call invokes one task with panic containment.
 func call[T any](fn func(int) (T, error), i int) (out T, err error) {
 	defer func() {

@@ -123,22 +123,6 @@ func TestMapWorkersOneEquivalence(t *testing.T) {
 	}
 }
 
-func TestForEach(t *testing.T) {
-	var hits atomic.Int64
-	if err := ForEach(4, 32, func(i int) error { hits.Add(1); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if hits.Load() != 32 {
-		t.Errorf("hits = %d", hits.Load())
-	}
-	if err := ForEach(4, 4, func(i int) error { return errors.New("no") }); err == nil {
-		t.Error("error not propagated")
-	}
-	if err := ForEach(4, 4, nil); err == nil {
-		t.Error("nil fn should fail")
-	}
-}
-
 // TestMapAllCollectsEveryError: unlike Map, which collapses to the
 // lowest-indexed failure, MapAll hands back the full indexed error set —
 // successes keep their results, failures (including panics) keep their

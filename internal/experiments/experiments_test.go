@@ -127,6 +127,17 @@ func TestFig2bShapeMatchesPaper(t *testing.T) {
 	}
 }
 
+// fullCoverageAt returns the smallest swept N whose mean worst-case
+// coverage reaches the threshold, or 0 if never reached.
+func fullCoverageAt(r *Fig2cResult, threshold float64) int {
+	for _, p := range r.WorstCase.Points {
+		if p.Y >= threshold {
+			return int(p.X)
+		}
+	}
+	return 0
+}
+
 func TestFig2cShapeMatchesPaper(t *testing.T) {
 	cfg := DefaultFig2c()
 	cfg.MaxSats = 80
@@ -139,7 +150,7 @@ func TestFig2cShapeMatchesPaper(t *testing.T) {
 	}
 	// Coverage grows monotonically (within noise) and the worst-case rule
 	// reaches total coverage in the tens of satellites (paper: ~50).
-	n := r.FullCoverageAt(0.99)
+	n := fullCoverageAt(r, 0.99)
 	if n == 0 {
 		t.Fatal("worst-case coverage never reached 99%")
 	}

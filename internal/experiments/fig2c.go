@@ -90,17 +90,6 @@ func Fig2c(cfg Fig2cConfig) (*Fig2cResult, error) {
 	return res, nil
 }
 
-// FullCoverageAt returns the smallest swept N whose mean worst-case
-// coverage reaches the threshold, or 0 if never reached.
-func (r *Fig2cResult) FullCoverageAt(threshold float64) int {
-	for _, p := range r.WorstCase.Points {
-		if p.Y >= threshold {
-			return int(p.X)
-		}
-	}
-	return 0
-}
-
 // CSV writes both series.
 func (r *Fig2cResult) CSV(w io.Writer) error {
 	exact := map[float64]sim.Point{}

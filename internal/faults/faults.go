@@ -19,6 +19,7 @@ package faults
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -148,6 +149,16 @@ func (c Config) Validate() error {
 	}
 	if c.StormMTBFS > 0 && !(c.StormFraction > 0 && c.StormFraction <= 1) {
 		return fmt.Errorf("faults: storm fraction %.2f must be in (0,1]", c.StormFraction)
+	}
+	return nil
+}
+
+// CheckIntensity rejects a fault-rate multiplier Scale cannot honour. A
+// negative or +Inf one would zero every MTBF and silently run fault-free;
+// NaN would poison them.
+func CheckIntensity(intensity float64) error {
+	if !(intensity >= 0) || math.IsInf(intensity, 1) {
+		return fmt.Errorf("faults: intensity %v must be non-negative and finite", intensity)
 	}
 	return nil
 }

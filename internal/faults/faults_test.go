@@ -3,6 +3,7 @@ package faults
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/openspace-project/openspace/internal/sim"
@@ -156,6 +157,19 @@ func TestScale(t *testing.T) {
 	}
 	if len(tl.Events) != 0 {
 		t.Errorf("disabled config generated %d events", len(tl.Events))
+	}
+}
+
+func TestCheckIntensity(t *testing.T) {
+	for _, in := range []float64{0, 0.5, 1, 4, 1e6} {
+		if err := CheckIntensity(in); err != nil {
+			t.Errorf("CheckIntensity(%v) = %v, want nil", in, err)
+		}
+	}
+	for _, in := range []float64{-2, -1e-9, math.Inf(1), math.Inf(-1), math.NaN()} {
+		if err := CheckIntensity(in); err == nil || !strings.Contains(err.Error(), "must be non-negative and finite") {
+			t.Errorf("CheckIntensity(%v) = %v, want a non-negative-and-finite error", in, err)
+		}
 	}
 }
 

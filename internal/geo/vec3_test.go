@@ -23,22 +23,6 @@ func TestVec3Arithmetic(t *testing.T) {
 	if got := a.Dot(b); got != 4-10+18 {
 		t.Errorf("Dot = %v", got)
 	}
-	if got := a.Cross(b); got != (Vec3{27, 6, -13}) {
-		t.Errorf("Cross = %v", got)
-	}
-}
-
-func TestVec3CrossOrthogonal(t *testing.T) {
-	f := func(a, b Vec3) bool {
-		c := a.Cross(b)
-		// c ⟂ a and c ⟂ b, within scale-aware tolerance.
-		tol := 1e-6 * (1 + a.Norm()*b.Norm())
-		return math.Abs(c.Dot(a)) < tol && math.Abs(c.Dot(b)) < tol
-	}
-	cfg := &quick.Config{MaxCount: 200}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
 }
 
 // Generate bounds property-test vectors to orbital magnitudes so products

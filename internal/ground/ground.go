@@ -108,13 +108,6 @@ func (s *Station) Admit(trafficProvider string, bytes int64, t float64) (Offer, 
 	return offer, nil
 }
 
-// Usage returns the metered bytes per provider, for ledger cross-checks.
-func (s *Station) Usage() map[string]int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.meter.usage()
-}
-
 // Meter tracks per-provider traffic through a gateway.
 type Meter struct {
 	byProvider map[string]int64
@@ -122,14 +115,6 @@ type Meter struct {
 
 func (m *Meter) record(provider string, bytes int64) {
 	m.byProvider[provider] += bytes
-}
-
-func (m *Meter) usage() map[string]int64 {
-	out := make(map[string]int64, len(m.byProvider))
-	for k, v := range m.byProvider {
-		out[k] = v
-	}
-	return out
 }
 
 // Queue is a fluid two-class priority queue: home traffic drains strictly

@@ -6,7 +6,7 @@ import (
 )
 
 // poolshareAnalyzer enforces the sharing contract on closures handed to
-// the internal/exec pool-submit APIs (exec.Map, exec.ForEach): tasks run
+// the internal/exec pool-submit APIs (exec.Map, exec.MapAll): tasks run
 // concurrently, so a task closure may read its captures but may write
 // captured state only when the writes are provably per-task-disjoint —
 // indexed by the task index, as in out[i] = v. Everything else is
@@ -53,7 +53,7 @@ func isPoolSubmit(fn *types.Func) bool {
 		return false
 	}
 	switch fn.Name() {
-	case "Map", "MapAll", "ForEach":
+	case "Map", "MapAll":
 		return true
 	}
 	return false

@@ -14,12 +14,12 @@ type row struct{ v, w int }
 func Sweep(workers, n int, scale int) ([]int, error) {
 	out := make([]int, n)
 	grid := make([]row, n)
-	err := exec.ForEach(workers, n, func(i int) error {
+	_, err := exec.Map(workers, n, func(i int) (int, error) {
 		local := scale * i // reads of captures are fine
 		out[i] = local     // index-disjoint by the task index
 		grid[i].v = local  // field of a task-indexed element
 		grid[i].w = local + 1
-		return nil
+		return 0, nil
 	})
 	return out, err
 }
@@ -34,12 +34,12 @@ func Sweep(workers, n int) error {
 	sum := 0
 	last := 0
 	out := make([]int, n+1)
-	err := exec.ForEach(workers, n, func(i int) error {
+	_, err := exec.Map(workers, n, func(i int) (int, error) {
 		sum += i        // want "write to captured sum"
 		last = i        // want "write to captured last"
 		out[i+1] = i    // want "write to captured out"
 		out[i] = i      // disjoint: fine
-		return nil
+		return 0, nil
 	})
 	_ = last
 	return err
@@ -55,14 +55,14 @@ import (
 	"` + Module + `/internal/exec"
 )
 
-func Sweep(workers, n int, rng *rand.Rand, total *float64) error {
+func Sweep(workers, n int, rng *rand.Rand, total *float64) ([]int, error) {
 	counts := map[int]int{}
 	var rows []int
-	return exec.ForEach(workers, n, func(i int) error {
+	return exec.Map(workers, n, func(i int) (int, error) {
 		counts[i] = i            // want "map write to captured counts"
 		rows = append(rows, i)   // want "append to captured slice rows"
 		*total += rng.Float64()  // want "write through captured pointer total" "captured *math/rand.Rand rng"
-		return nil
+		return 0, nil
 	})
 }
 `})
@@ -92,10 +92,10 @@ func Sweep(workers, n int) ([]int, []error, error) {
 		runFixture(t, analyzerByName(t, "poolshare"), execStub, fixturePkg{pkg, `package fixture
 import "` + Module + `/internal/exec"
 
-func task(i int) error { return nil }
+func task(i int) (int, error) { return i, nil }
 
-func Sweep(workers, n int) error {
-	return exec.ForEach(workers, n, task) // want "task function passed to exec.ForEach is not a closure literal"
+func Sweep(workers, n int) ([]int, error) {
+	return exec.Map(workers, n, task) // want "task function passed to exec.Map is not a closure literal"
 }
 `})
 	})
@@ -136,12 +136,12 @@ func Sweep(workers, n int, seed int64) ([]float64, error) {
 		runFixture(t, analyzerByName(t, "poolshare"), execStub, fixturePkg{pkg, `package fixture
 import "` + Module + `/internal/exec"
 
-func Sweep(workers, n int) error {
+func Sweep(workers, n int) ([]int, error) {
 	hits := 0
-	return exec.ForEach(workers, n, func(i int) error {
+	return exec.Map(workers, n, func(i int) (int, error) {
 		//lint:allow poolshare guarded by a mutex in the real call site shape under test
 		hits++
-		return nil
+		return 0, nil
 	})
 }
 `})

@@ -78,14 +78,6 @@ func MapAll[T any](workers, n int, fn func(i int) (T, error)) ([]T, []error, err
 	}
 	return out, nil, nil
 }
-func ForEach(workers, n int, fn func(i int) error) error {
-	for i := 0; i < n; i++ {
-		if err := fn(i); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 `,
 }
 

@@ -8,9 +8,6 @@
 //     simulator here quantifies exactly that overhead.
 //   - TDMA as the coordinated alternative (the paper leaves better real-time
 //     MACs to future work; TDMA is the natural ablation baseline).
-//   - An OFDMA frame scheduler for the satellite→users downlink, where
-//     "existing satellite providers have employed OFDM" and one satellite
-//     serves many ground users at once.
 //
 // The CSMA/CA and TDMA models are slot-based discrete simulations with
 // deterministic seeded arrivals, so every experiment is reproducible.

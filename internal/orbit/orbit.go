@@ -52,25 +52,19 @@ func Circular(altitudeKm, inclinationDeg, raanDeg, meanAnomalyDeg float64) Eleme
 // Validate reports whether the element set describes a bound orbit that does
 // not intersect the Earth.
 func (e Elements) Validate() error {
-	if e.SemiMajorAxisKm <= 0 {
-		return fmt.Errorf("orbit: semi-major axis %.1f km must be positive", e.SemiMajorAxisKm)
+	if !(e.SemiMajorAxisKm > 0) || math.IsInf(e.SemiMajorAxisKm, 1) {
+		return fmt.Errorf("orbit: semi-major axis %.1f km must be positive and finite", e.SemiMajorAxisKm)
 	}
-	if e.Eccentricity < 0 || e.Eccentricity >= 1 {
+	if !(e.Eccentricity >= 0 && e.Eccentricity < 1) {
 		return fmt.Errorf("orbit: eccentricity %.4f outside [0,1)", e.Eccentricity)
 	}
-	if perigee := e.SemiMajorAxisKm * (1 - e.Eccentricity); perigee <= geo.EarthRadiusKm {
+	if perigee := e.SemiMajorAxisKm * (1 - e.Eccentricity); !(perigee > geo.EarthRadiusKm) {
 		return fmt.Errorf("orbit: perigee %.1f km is inside the Earth", perigee)
 	}
-	if e.InclinationDeg < 0 || e.InclinationDeg > 180 {
+	if !(e.InclinationDeg >= 0 && e.InclinationDeg <= 180) {
 		return fmt.Errorf("orbit: inclination %.2f° outside [0,180]", e.InclinationDeg)
 	}
 	return nil
-}
-
-// AltitudeKm returns the orbit's altitude above the surface at perigee; for
-// circular orbits this is the constant altitude.
-func (e Elements) AltitudeKm() float64 {
-	return e.SemiMajorAxisKm*(1-e.Eccentricity) - geo.EarthRadiusKm
 }
 
 // MeanMotionRadS returns the mean motion n = sqrt(μ/a³) in rad/s.

@@ -32,6 +32,11 @@ func TestValidate(t *testing.T) {
 		{SemiMajorAxisKm: 6000},                      // inside Earth
 		{SemiMajorAxisKm: 7000, Eccentricity: 0.2},   // perigee inside Earth (5600 km)
 		{SemiMajorAxisKm: 7151, InclinationDeg: 190}, // bad inclination
+		{SemiMajorAxisKm: 7151, InclinationDeg: -1},
+		{SemiMajorAxisKm: math.NaN()},
+		{SemiMajorAxisKm: math.Inf(1)},
+		{SemiMajorAxisKm: 7151, Eccentricity: math.NaN()},
+		{SemiMajorAxisKm: 7151, InclinationDeg: math.NaN()},
 	}
 	for i, e := range bad {
 		if err := e.Validate(); err == nil {

@@ -65,7 +65,16 @@ func momentumAt(e Elements, t, dt float64) geo.Vec3 {
 	p0 := e.PositionECI(t - dt)
 	p1 := e.PositionECI(t + dt)
 	v := p1.Sub(p0).Scale(1 / (2 * dt))
-	return e.PositionECI(t).Cross(v)
+	return cross(e.PositionECI(t), v)
+}
+
+// cross returns the cross product a × b.
+func cross(a, b geo.Vec3) geo.Vec3 {
+	return geo.Vec3{
+		X: a.Y*b.Z - a.Z*b.Y,
+		Y: a.Z*b.X - a.X*b.Z,
+		Z: a.X*b.Y - a.Y*b.X,
+	}
 }
 
 // TestECIAndECEFConsistent checks the frames agree on radius and z (the

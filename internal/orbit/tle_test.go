@@ -2,10 +2,132 @@ package orbit
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
+
+	"github.com/openspace-project/openspace/internal/geo"
 )
+
+// TLE parsing errors.
+var (
+	ErrTLELineLength = errors.New("orbit: tle: line must be 69 characters")
+	ErrTLEChecksum   = errors.New("orbit: tle: checksum mismatch")
+	ErrTLELineNumber = errors.New("orbit: tle: wrong line number")
+	ErrTLEField      = errors.New("orbit: tle: malformed field")
+)
+
+// ParseTLE, FormatTLE's oracle, parses the two data lines (and an
+// optional preceding name). Checksums are verified; the mean motion is
+// converted to a semi-major axis via Kepler's third law. A record is accepted only if FormatTLE can
+// write it back: printable ASCII, and every field in the range its
+// columns hold.
+func ParseTLE(name, line1, line2 string) (*TLE, error) {
+	line1 = strings.TrimRight(line1, "\r\n")
+	line2 = strings.TrimRight(line2, "\r\n")
+	if len(line1) != 69 || len(line2) != 69 {
+		return nil, ErrTLELineLength
+	}
+	if line1[0] != '1' {
+		return nil, fmt.Errorf("%w: line 1 starts with %q", ErrTLELineNumber, line1[0])
+	}
+	if line2[0] != '2' {
+		return nil, fmt.Errorf("%w: line 2 starts with %q", ErrTLELineNumber, line2[0])
+	}
+	for i, l := range []string{line1, line2} {
+		// FormatTLE pads by rune, so only single-byte text writes back.
+		for k := 0; k < len(l); k++ {
+			if l[k] < ' ' || l[k] > '~' {
+				return nil, fmt.Errorf("%w: line %d byte %d is not printable ASCII", ErrTLEField, i+1, k+1)
+			}
+		}
+		want, err := strconv.Atoi(l[68:69])
+		if err != nil {
+			return nil, fmt.Errorf("%w: line %d checksum digit", ErrTLEField, i+1)
+		}
+		if got := tleChecksum(l); got != want {
+			return nil, fmt.Errorf("%w: line %d has %d, want %d", ErrTLEChecksum, i+1, want, got)
+		}
+	}
+	t := &TLE{Name: strings.TrimSpace(name)}
+	var err error
+	if t.CatalogNum, err = atoiTrim(line1[2:7]); err != nil {
+		return nil, fmt.Errorf("%w: catalog number: %v", ErrTLEField, err)
+	}
+	t.IntlDesig = strings.TrimSpace(line1[9:17])
+	yy, err := atoiTrim(line1[18:20])
+	if err != nil {
+		return nil, fmt.Errorf("%w: epoch year: %v", ErrTLEField, err)
+	}
+	if yy < 57 { // TLE convention: 57–99 → 19xx, 00–56 → 20xx
+		t.EpochYear = 2000 + yy
+	} else {
+		t.EpochYear = 1900 + yy
+	}
+	if t.EpochDay, err = parseFloatTrim(line1[20:32]); err != nil {
+		return nil, fmt.Errorf("%w: epoch day: %v", ErrTLEField, err)
+	}
+
+	e := Elements{}
+	if e.InclinationDeg, err = parseFloatTrim(line2[8:16]); err != nil {
+		return nil, fmt.Errorf("%w: inclination: %v", ErrTLEField, err)
+	}
+	if e.RAANDeg, err = parseFloatTrim(line2[17:25]); err != nil {
+		return nil, fmt.Errorf("%w: raan: %v", ErrTLEField, err)
+	}
+	// Eccentricity has an implied leading decimal point.
+	eccDigits := strings.TrimSpace(line2[26:33])
+	eccInt, err := strconv.ParseUint(eccDigits, 10, 64)
+	if err != nil {
+		return nil, fmt.Errorf("%w: eccentricity: %v", ErrTLEField, err)
+	}
+	e.Eccentricity = float64(eccInt) / 1e7
+	if e.ArgPerigeeDeg, err = parseFloatTrim(line2[34:42]); err != nil {
+		return nil, fmt.Errorf("%w: argument of perigee: %v", ErrTLEField, err)
+	}
+	if e.MeanAnomalyDeg, err = parseFloatTrim(line2[43:51]); err != nil {
+		return nil, fmt.Errorf("%w: mean anomaly: %v", ErrTLEField, err)
+	}
+	if t.MeanMotionRevDay, err = parseFloatTrim(line2[52:63]); err != nil {
+		return nil, fmt.Errorf("%w: mean motion: %v", ErrTLEField, err)
+	}
+	// Accept only what FormatTLE can write back into the same columns.
+	if !(t.EpochDay >= 1 && t.EpochDay < 367) {
+		return nil, fmt.Errorf("%w: epoch day %v outside [1, 367)", ErrTLEField, t.EpochDay)
+	}
+	if !(e.InclinationDeg >= 0 && e.InclinationDeg <= 180) {
+		return nil, fmt.Errorf("%w: inclination %v° outside [0, 180]", ErrTLEField, e.InclinationDeg)
+	}
+	for _, a := range []struct {
+		name string
+		deg  float64
+	}{{"raan", e.RAANDeg}, {"argument of perigee", e.ArgPerigeeDeg}, {"mean anomaly", e.MeanAnomalyDeg}} {
+		if !(a.deg >= 0 && a.deg < 360) {
+			return nil, fmt.Errorf("%w: %s %v° outside [0, 360)", ErrTLEField, a.name, a.deg)
+		}
+	}
+	if !(t.MeanMotionRevDay >= 1e-8 && t.MeanMotionRevDay < 100) {
+		return nil, fmt.Errorf("%w: mean motion %v rev/day outside [1e-8, 100)", ErrTLEField, t.MeanMotionRevDay)
+	}
+	// n [rad/s] = rev/day · 2π / 86400 ; a = (μ/n²)^(1/3).
+	n := t.MeanMotionRevDay * 2 * math.Pi / 86400
+	e.SemiMajorAxisKm = math.Cbrt(geo.EarthMuKm3S2 / (n * n))
+	t.Elements = e
+	if err := e.Validate(); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+func atoiTrim(s string) (int, error) {
+	return strconv.Atoi(strings.TrimSpace(s))
+}
+
+func parseFloatTrim(s string) (float64, error) {
+	return strconv.ParseFloat(strings.TrimSpace(s), 64)
+}
 
 // The canonical ISS reference TLE (Wikipedia's worked example).
 const (
@@ -50,7 +172,7 @@ func TestParseTLEISS(t *testing.T) {
 		t.Errorf("mean anomaly = %v", e.MeanAnomalyDeg)
 	}
 	// 15.72 rev/day → a ≈ 6724 km → ~350 km altitude (the ISS, 2008).
-	if alt := e.AltitudeKm(); alt < 300 || alt > 400 {
+	if alt := e.SemiMajorAxisKm*(1-e.Eccentricity) - geo.EarthRadiusKm; alt < 300 || alt > 400 {
 		t.Errorf("ISS altitude = %v km, want ~350", alt)
 	}
 	// Period consistency: n rev/day ↔ period.

@@ -19,9 +19,6 @@ type ContactWindow struct {
 	SetS  float64
 }
 
-// DurationS returns the window length in seconds.
-func (w ContactWindow) DurationS() float64 { return w.SetS - w.RiseS }
-
 // ContactWindows scans [startS, endS] with coarse steps and refines each
 // rise/set crossing by bisection to within tolS seconds. stepS must be small
 // enough not to skip a whole pass (for LEO, 30 s is safe; passes last
@@ -31,6 +28,8 @@ func (w ContactWindow) DurationS() float64 { return w.SetS - w.RiseS }
 // (§2.2): every provider can compute every other provider's windows from
 // public orbital data. A non-finite bound or step yields no windows, and
 // so does a step too small to advance the sample time.
+//
+//lint:allow unused the cross-package oracle of traffic's TestLitGatewaysMatchContactWindows
 func (e Elements) ContactWindows(from geo.LatLon, startS, endS, stepS, minElevationDeg float64) []ContactWindow {
 	if !(stepS > 0) || !(endS > startS) || math.IsInf(startS, 0) || math.IsInf(endS, 0) || math.IsInf(stepS, 0) {
 		return nil
@@ -89,12 +88,6 @@ func (e Elements) ContactWindows(from geo.LatLon, startS, endS, stepS, minElevat
 		windows = append(windows, cur)
 	}
 	return windows
-}
-
-// RangeKm returns the slant range in kilometres between the satellite and a
-// ground point at time t.
-func (e Elements) RangeKm(from geo.LatLon, t float64) float64 {
-	return e.PositionECEF(t).DistanceKm(from.Vec3(0))
 }
 
 // Footprint returns the satellite's coverage cap at time t for ground

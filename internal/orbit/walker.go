@@ -50,8 +50,11 @@ func (w WalkerConfig) Validate() error {
 	if w.PhasingFactor < 0 || w.PhasingFactor >= w.Planes {
 		return fmt.Errorf("orbit: walker: phasing factor %d outside [0,%d)", w.PhasingFactor, w.Planes)
 	}
-	if w.AltitudeKm <= 100 {
+	if !(w.AltitudeKm > 100) || math.IsInf(w.AltitudeKm, 1) {
 		return fmt.Errorf("orbit: walker: altitude %.1f km is not an orbit", w.AltitudeKm)
+	}
+	if !(w.InclinationDeg >= 0 && w.InclinationDeg <= 180) {
+		return fmt.Errorf("orbit: walker: inclination %.2f° outside [0,180]", w.InclinationDeg)
 	}
 	return nil
 }

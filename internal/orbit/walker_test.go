@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"github.com/openspace-project/openspace/internal/geo"
 )
 
 func TestWalkerValidate(t *testing.T) {
@@ -12,6 +14,11 @@ func TestWalkerValidate(t *testing.T) {
 		{TotalSats: 10, Planes: 3, AltitudeKm: 780},                   // planes don't divide
 		{TotalSats: 12, Planes: 3, PhasingFactor: 3, AltitudeKm: 780}, // F out of range
 		{TotalSats: 12, Planes: 3, AltitudeKm: 50},                    // too low
+		{TotalSats: 12, Planes: 3, AltitudeKm: math.NaN()},
+		{TotalSats: 12, Planes: 3, AltitudeKm: math.Inf(1)},
+		{TotalSats: 12, Planes: 3, AltitudeKm: 780, InclinationDeg: 500},
+		{TotalSats: 12, Planes: 3, AltitudeKm: 780, InclinationDeg: -20},
+		{TotalSats: 12, Planes: 3, AltitudeKm: 780, InclinationDeg: math.NaN()},
 	}
 	for i, w := range bad {
 		if err := w.Validate(); err == nil {
@@ -38,8 +45,8 @@ func TestWalkerBuildStructure(t *testing.T) {
 	raans := map[float64]int{}
 	for _, s := range c.Satellites {
 		raans[s.Elements.RAANDeg]++
-		if s.Elements.AltitudeKm() != 780 {
-			t.Fatalf("satellite %s altitude %v, want 780", s.ID, s.Elements.AltitudeKm())
+		if alt := s.Elements.SemiMajorAxisKm - geo.EarthRadiusKm; alt != 780 {
+			t.Fatalf("satellite %s altitude %v, want 780", s.ID, alt)
 		}
 		if s.Elements.InclinationDeg != 86.4 {
 			t.Fatalf("satellite %s inclination %v", s.ID, s.Elements.InclinationDeg)
@@ -127,8 +134,8 @@ func TestRandomCircular(t *testing.T) {
 		if err := s.Elements.Validate(); err != nil {
 			t.Fatalf("satellite %s invalid: %v", s.ID, err)
 		}
-		if s.Elements.AltitudeKm() != 780 {
-			t.Fatalf("satellite %s altitude %v", s.ID, s.Elements.AltitudeKm())
+		if alt := s.Elements.SemiMajorAxisKm - geo.EarthRadiusKm; alt != 780 {
+			t.Fatalf("satellite %s altitude %v", s.ID, alt)
 		}
 	}
 	// Determinism for a fixed seed.

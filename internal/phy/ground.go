@@ -1,9 +1,6 @@
 package phy
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Atmosphere models the excess loss a satellite–ground radio link suffers on
 // top of free-space loss. ISLs in vacuum have none; ground links see gas
@@ -54,20 +51,6 @@ type GroundLink struct {
 	Space      RFTerminal
 	Ground     RFTerminal
 	Atmosphere Atmosphere
-}
-
-// Validate checks both terminals and that they share a band.
-func (g GroundLink) Validate() error {
-	if err := g.Space.Validate(); err != nil {
-		return err
-	}
-	if err := g.Ground.Validate(); err != nil {
-		return err
-	}
-	if g.Space.Band != g.Ground.Band {
-		return fmt.Errorf("phy: ground link bands differ: %v vs %v", g.Space.Band, g.Ground.Band)
-	}
-	return nil
 }
 
 // Budget evaluates the downlink at the given slant range and elevation.

@@ -41,27 +41,6 @@ func TestClearSkyOrdering(t *testing.T) {
 	}
 }
 
-func TestGroundLinkValidate(t *testing.T) {
-	g := DefaultGroundLink()
-	if err := g.Validate(); err != nil {
-		t.Errorf("default ground link invalid: %v", err)
-	}
-	g.Ground.Band = BandS
-	if g.Validate() == nil {
-		t.Error("mismatched bands should be invalid")
-	}
-	g = DefaultGroundLink()
-	g.Space.TxPowerW = 0
-	if g.Validate() == nil {
-		t.Error("invalid space terminal should fail validation")
-	}
-	g = DefaultGroundLink()
-	g.Ground.NoiseTempK = 0
-	if g.Validate() == nil {
-		t.Error("invalid ground terminal should fail validation")
-	}
-}
-
 func TestGroundLinkBudget(t *testing.T) {
 	g := DefaultGroundLink()
 	// Iridium-style pass: zenith at 780 km.

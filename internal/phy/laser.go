@@ -1,9 +1,6 @@
 package phy
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // LaserTerminal describes an optical inter-satellite link terminal. The
 // paper's reference numbers (§2.1, citing the Tesat ConLCT80) are a cost of
@@ -22,20 +19,6 @@ type LaserTerminal struct {
 	VolumeM3         float64
 	PowerDrawW       float64
 	CostUSD          float64
-}
-
-// Validate reports whether the terminal parameters are physically sensible.
-func (t LaserTerminal) Validate() error {
-	if t.TxPowerW <= 0 {
-		return fmt.Errorf("phy: laser %q: tx power must be positive", t.Name)
-	}
-	if t.ApertureM <= 0 || t.WavelengthM <= 0 {
-		return fmt.Errorf("phy: laser %q: aperture and wavelength must be positive", t.Name)
-	}
-	if t.DataRateBps <= 0 {
-		return fmt.Errorf("phy: laser %q: data rate must be positive", t.Name)
-	}
-	return nil
 }
 
 // antennaGainDB returns the diffraction-limited telescope gain (πD/λ)².

@@ -17,25 +17,6 @@ func TestConLCT80MatchesPaperSpecs(t *testing.T) {
 	if l.VolumeM3 != 0.0234 {
 		t.Errorf("volume = %v, want 0.0234", l.VolumeM3)
 	}
-	if err := l.Validate(); err != nil {
-		t.Errorf("reference terminal invalid: %v", err)
-	}
-}
-
-func TestLaserValidate(t *testing.T) {
-	cases := []func(*LaserTerminal){
-		func(l *LaserTerminal) { l.TxPowerW = 0 },
-		func(l *LaserTerminal) { l.ApertureM = 0 },
-		func(l *LaserTerminal) { l.WavelengthM = -1 },
-		func(l *LaserTerminal) { l.DataRateBps = 0 },
-	}
-	for i, mutate := range cases {
-		l := ConLCT80()
-		mutate(&l)
-		if l.Validate() == nil {
-			t.Errorf("case %d should be invalid", i)
-		}
-	}
 }
 
 func TestLaserBudgetClosesAtISLRange(t *testing.T) {

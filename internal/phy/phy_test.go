@@ -96,30 +96,6 @@ func TestPropagationDelay(t *testing.T) {
 	}
 }
 
-func TestRFTerminalValidate(t *testing.T) {
-	good := []RFTerminal{StandardUHF(), StandardSBand(), GroundKu()}
-	for _, tt := range good {
-		if err := tt.Validate(); err != nil {
-			t.Errorf("%s invalid: %v", tt.Name, err)
-		}
-	}
-	bad := StandardUHF()
-	bad.TxPowerW = 0
-	if bad.Validate() == nil {
-		t.Error("zero power should be invalid")
-	}
-	bad = StandardUHF()
-	bad.BandwidthHz = -1
-	if bad.Validate() == nil {
-		t.Error("negative bandwidth should be invalid")
-	}
-	bad = StandardUHF()
-	bad.NoiseTempK = 0
-	if bad.Validate() == nil {
-		t.Error("zero noise temperature should be invalid")
-	}
-}
-
 func TestRFBudgetMonotonic(t *testing.T) {
 	// SNR and capacity fall with distance.
 	term := StandardSBand()

@@ -1,9 +1,6 @@
 package phy
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // RFTerminal describes a radio terminal used for ISLs or ground links.
 // The paper mandates RF as the minimum hardware requirement for joining
@@ -23,20 +20,6 @@ type RFTerminal struct {
 	PowerDrawW     float64 // DC draw while transmitting
 	CostUSD        float64
 	OmniBroadcast  bool // true if the antenna can broadcast beacons
-}
-
-// Validate reports whether the terminal parameters are physically sensible.
-func (t RFTerminal) Validate() error {
-	if t.TxPowerW <= 0 {
-		return fmt.Errorf("phy: rf %q: tx power %.2f W must be positive", t.Name, t.TxPowerW)
-	}
-	if t.BandwidthHz <= 0 {
-		return fmt.Errorf("phy: rf %q: bandwidth %.0f Hz must be positive", t.Name, t.BandwidthHz)
-	}
-	if t.NoiseTempK <= 0 {
-		return fmt.Errorf("phy: rf %q: noise temperature %.0f K must be positive", t.Name, t.NoiseTempK)
-	}
-	return nil
 }
 
 // Budget evaluates the RF link budget at distanceKm, with extraLossDB of

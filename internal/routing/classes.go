@@ -60,6 +60,3 @@ func (c ServiceClass) Policy() QoSPolicy {
 		return DefaultQoS()
 	}
 }
-
-// MinBpsFor returns the class's bandwidth floor (0 = none).
-func (c ServiceClass) MinBpsFor() float64 { return c.Policy().MinCapacityBps }

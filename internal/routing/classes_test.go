@@ -51,9 +51,9 @@ func TestClassPoliciesDiffer(t *testing.T) {
 		paths[c] = p
 	}
 	// Interactive's bandwidth floor guarantees a fat bottleneck.
-	if paths[ClassInteractive].MinCapacityBps < ClassInteractive.MinBpsFor() {
+	if paths[ClassInteractive].MinCapacityBps < ClassInteractive.Policy().MinCapacityBps {
 		t.Errorf("interactive bottleneck %v below the class floor %v",
-			paths[ClassInteractive].MinCapacityBps, ClassInteractive.MinBpsFor())
+			paths[ClassInteractive].MinCapacityBps, ClassInteractive.Policy().MinCapacityBps)
 	}
 	// Optimality under one's own metric: each class's path must cost no
 	// more (under that class's policy) than any other class's path.

@@ -55,17 +55,6 @@ func (l *EdgeLoad) Commit(p Path, bps float64) {
 	}
 }
 
-// Release undoes a Commit.
-func (l *EdgeLoad) Release(p Path, bps float64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for i := 0; i+1 < len(p.Nodes); i++ {
-		if j := l.ix.Arc(p.Nodes[i], p.Nodes[i+1]); j >= 0 {
-			l.used[j] = max(l.used[j]-bps, 0)
-		}
-	}
-}
-
 // OnDemandRouter computes paths at request time against live load — the
 // paper's second-stage regime for a scaled-up OpenSpace. Each request sees
 // the congestion left by previously admitted flows.
@@ -114,6 +103,3 @@ func (r *OnDemandRouter) Admit(src, dst string, bps float64) (Path, error) {
 	r.load.Commit(p, bps)
 	return p, nil
 }
-
-// Finish releases a previously admitted flow.
-func (r *OnDemandRouter) Finish(p Path, bps float64) { r.load.Release(p, bps) }

@@ -63,8 +63,8 @@ func TestAllocGateEngineStepLoop(t *testing.T) {
 func TestAllocGateSketchAddN(t *testing.T) {
 	allocGate(t)
 	s := DefaultSketch()
-	s.Add(1e-3)
-	s.Add(1e2)
+	s.AddN(1e-3, 1)
+	s.AddN(1e2, 1)
 	vals := []float64{1e-3, 0.02, 0.5, 7, 1e2, 0, math.Inf(1)}
 	step := func() {
 		for i, v := range vals {

@@ -263,24 +263,6 @@ func TestCityUsersNearCities(t *testing.T) {
 	}
 }
 
-func TestHotspotUsers(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	center := WorldCities()[14].Pos // nairobi
-	us := HotspotUsers(center, 100, 200, rng)
-	for _, u := range us {
-		if d := geoDist(u, center); d > 101 {
-			t.Fatalf("hotspot user %v km away", d)
-		}
-	}
-	// Zero spread puts everyone at the centre.
-	exact := HotspotUsers(center, 0, 3, rng)
-	for _, u := range exact {
-		if u != center {
-			t.Fatal("zero spread should not scatter")
-		}
-	}
-}
-
 func TestPoissonArrivals(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	times, err := PoissonArrivals(10, 1000, rng)

@@ -18,8 +18,8 @@ import (
 // materializing per-transfer samples.
 //
 // Zero-count contract (same as Histogram): with no recorded weight,
-// Count, Sum, Mean, Min, Max and Quantile all return 0 — never NaN — so
-// empty traffic classes serialize as zeros in CSVs.
+// Count, Mean, Max and Quantile all return 0 — never NaN — so empty
+// traffic classes serialize as zeros in CSVs.
 //
 // Layout: bucket counts are a dense slice indexed from the lowest bucket
 // seen, grown at either end as new buckets appear, so queries walk the
@@ -43,16 +43,8 @@ type Sketch struct {
 	min, max float64
 }
 
-// NewSketch returns a sketch with the given relative accuracy α in
-// (0, 1); 0.01 means quantiles within 1 % of the true value.
-func NewSketch(alpha float64) (*Sketch, error) {
-	if !(alpha > 0 && alpha < 1) {
-		return nil, fmt.Errorf("sim: sketch accuracy %.3g outside (0,1)", alpha)
-	}
-	return newSketch(alpha), nil
-}
-
-// newSketch builds a sketch for an α already known to be in (0, 1).
+// newSketch builds a sketch with relative accuracy α in (0, 1); 0.01
+// means quantiles within 1 % of the true value.
 func newSketch(alpha float64) *Sketch {
 	gamma := (1 + alpha) / (1 - alpha)
 	return &Sketch{gamma: gamma, logGamma: math.Log(gamma)}
@@ -60,9 +52,6 @@ func newSketch(alpha float64) *Sketch {
 
 // DefaultSketch returns a 1 %-accuracy sketch.
 func DefaultSketch() *Sketch { return newSketch(0.01) }
-
-// Add records one sample.
-func (s *Sketch) Add(v float64) { s.AddN(v, 1) }
 
 // AddN records n samples of value v in O(1). NaN values are ignored;
 // values ≤ 0 are counted but reported as exactly 0 (latencies and byte
@@ -136,23 +125,12 @@ func (s *Sketch) Count() uint64 { return s.total }
 // Buckets returns the number of occupied buckets.
 func (s *Sketch) Buckets() int { return s.occupied }
 
-// Sum returns the exact sum of recorded values, 0 with no samples.
-func (s *Sketch) Sum() float64 { return s.sum }
-
 // Mean returns the exact arithmetic mean, 0 with no samples.
 func (s *Sketch) Mean() float64 {
 	if s.total == 0 {
 		return 0
 	}
 	return s.sum / float64(s.total)
-}
-
-// Min returns the smallest recorded value (exact), 0 with no samples.
-func (s *Sketch) Min() float64 {
-	if s.total == 0 {
-		return 0
-	}
-	return s.min
 }
 
 // Max returns the largest recorded value (exact), 0 with no samples.

@@ -70,17 +70,6 @@ func CityUsers(n int, scatterKm float64, rng *rand.Rand) []geo.LatLon {
 	return out
 }
 
-// HotspotUsers clusters n users around one point — a disaster zone or an
-// unserved remote region, the deployments the paper's introduction
-// motivates.
-func HotspotUsers(center geo.LatLon, spreadKm float64, n int, rng *rand.Rand) []geo.LatLon {
-	out := make([]geo.LatLon, n)
-	for i := range out {
-		out[i] = scatter(center, spreadKm, rng)
-	}
-	return out
-}
-
 // scatter displaces p by a uniform-in-disk offset of radius radiusKm.
 func scatter(p geo.LatLon, radiusKm float64, rng *rand.Rand) geo.LatLon {
 	if radiusKm <= 0 {

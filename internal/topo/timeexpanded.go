@@ -86,11 +86,3 @@ func (te *TimeExpanded) At(t float64) *Snapshot {
 	}
 	return te.Snaps[idx]
 }
-
-// EndS returns the time of the last snapshot.
-func (te *TimeExpanded) EndS() float64 {
-	if len(te.Snaps) == 0 {
-		return te.StartS
-	}
-	return te.Snaps[len(te.Snaps)-1].TimeS
-}

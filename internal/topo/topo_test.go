@@ -229,8 +229,8 @@ func TestTimeExpanded(t *testing.T) {
 	if len(te.Snaps) != 11 {
 		t.Fatalf("snapshot count %d, want 11", len(te.Snaps))
 	}
-	if te.EndS() != 600 {
-		t.Errorf("EndS = %v", te.EndS())
+	if end := te.Snaps[len(te.Snaps)-1].TimeS; end != 600 {
+		t.Errorf("last snapshot at %v, want 600", end)
 	}
 	// At() selects the right snapshot and clamps.
 	if te.At(-5) != te.Snaps[0] {
@@ -252,9 +252,6 @@ func TestTimeExpanded(t *testing.T) {
 	var empty TimeExpanded
 	if empty.At(0) != nil {
 		t.Error("empty series At should be nil")
-	}
-	if empty.EndS() != 0 {
-		t.Error("empty series EndS should be StartS")
 	}
 }
 

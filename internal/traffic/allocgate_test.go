@@ -14,6 +14,15 @@ func allocGate(t *testing.T) {
 	}
 }
 
+// reset restores every arc to its initial capacity so the same graph can
+// be solved again without rebuilding (TestAllocGateDinic re-solves in a
+// loop to prove the kernel allocates nothing).
+func (g *dinicGraph) reset() {
+	for i := range g.arcs {
+		g.arcs[i].cap = g.arcs[i].orig
+	}
+}
+
 // TestAllocGateDinic pins the //lint:hotpath contract on dinicGraph.solve:
 // once the residual graph is built, re-solving it (reset + phase loop)
 // must touch only the receiver's preallocated scratch.

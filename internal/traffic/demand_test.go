@@ -32,9 +32,20 @@ func demandFixture() ([]orbit.Satellite, []Gateway) {
 	}
 }
 
+// hotspotUsers clusters n users uniformly over a disk of radius spreadKm
+// around center, as a disaster zone or an unserved remote region would.
+func hotspotUsers(center geo.LatLon, spreadKm float64, n int, rng *rand.Rand) []geo.LatLon {
+	out := make([]geo.LatLon, n)
+	for i := range out {
+		d := spreadKm * math.Sqrt(rng.Float64())
+		out[i] = geo.Destination(center, rng.Float64()*360, d)
+	}
+	return out
+}
+
 func TestBuildDemandMatrix(t *testing.T) {
 	sats, gws := demandFixture()
-	users := sim.HotspotUsers(gws[0].Pos, 50, 40, rand.New(rand.NewSource(1)))
+	users := hotspotUsers(gws[0].Pos, 50, 40, rand.New(rand.NewSource(1)))
 	cfg := DefaultDemandConfig()
 	m, err := BuildDemandMatrix(gws, sats, users, cfg, rand.New(rand.NewSource(2)))
 	if err != nil {
@@ -87,7 +98,7 @@ func TestBuildDemandMatrixDeterministic(t *testing.T) {
 func TestBuildDemandMatrixNoVisibility(t *testing.T) {
 	sats, gws := demandFixture()
 	darkOnly := []Gateway{gws[2]}
-	users := sim.HotspotUsers(gws[0].Pos, 50, 10, rand.New(rand.NewSource(5)))
+	users := hotspotUsers(gws[0].Pos, 50, 10, rand.New(rand.NewSource(5)))
 	m, err := BuildDemandMatrix(darkOnly, sats, users, DefaultDemandConfig(), rand.New(rand.NewSource(6)))
 	if err != nil {
 		t.Fatal(err)

@@ -200,15 +200,6 @@ func (g *dinicGraph) solve(s, t int32) float64 {
 	return value
 }
 
-// reset restores every arc to its initial capacity so the same graph can
-// be solved again without rebuilding (the alloc gate re-solves in a loop
-// to prove the kernel allocates nothing).
-func (g *dinicGraph) reset() {
-	for i := range g.arcs {
-		g.arcs[i].cap = g.arcs[i].orig
-	}
-}
-
 // MaxFlow computes the maximum src→dst flow of the network with Dinic's
 // algorithm, returning the flow value, a per-link flow assignment and the
 // minimum cut. Capacities are bps but the solver is unit-agnostic.

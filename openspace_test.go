@@ -5,10 +5,7 @@ import (
 	"go/doc"
 	"go/parser"
 	"go/token"
-	"io/fs"
 	"path/filepath"
-	"sort"
-	"strings"
 	"testing"
 )
 
@@ -225,116 +222,5 @@ func TestExamplesCheckOutput(t *testing.T) {
 		if ex.Output == "" && !ex.EmptyOutput {
 			t.Errorf("Example%s has no // Output: comment, so go test never runs it", ex.Name)
 		}
-	}
-}
-
-// TestFacadeNamesAreUsed keeps the facade to what its programs name. Every
-// top-level name in openspace.go must appear as openspace.Name in a program
-// under cmd/ or in a root test file (the Examples in example_test.go call
-// the facade that way), unqualified in a root test file, or in another
-// facade declaration (QuickFederation returns *Network); an alias nothing
-// names is API no program reaches.
-func TestFacadeNamesAreUsed(t *testing.T) {
-	fset := token.NewFileSet()
-	facade, err := parser.ParseFile(fset, "openspace.go", nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	declared := map[*ast.Ident]bool{}
-	declare := func(id *ast.Ident) {
-		names = append(names, id.Name)
-		declared[id] = true
-	}
-	for _, decl := range facade.Decls {
-		switch d := decl.(type) {
-		case *ast.FuncDecl:
-			if d.Recv == nil {
-				declare(d.Name)
-			}
-		case *ast.GenDecl:
-			for _, spec := range d.Specs {
-				switch s := spec.(type) {
-				case *ast.TypeSpec:
-					declare(s.Name)
-				case *ast.ValueSpec:
-					for _, n := range s.Names {
-						declare(n)
-					}
-				}
-			}
-		}
-	}
-
-	used := map[string]bool{}
-	// markUnqualified records the bare identifiers of f, leaving out the
-	// names it declares, selector fields (topo.Snapshot) and composite-
-	// literal keys (Snapshot: s), which name something else.
-	markUnqualified := func(f *ast.File, skip map[*ast.Ident]bool) {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch e := n.(type) {
-			case *ast.SelectorExpr:
-				skip[e.Sel] = true
-			case *ast.KeyValueExpr:
-				if k, ok := e.Key.(*ast.Ident); ok {
-					skip[k] = true
-				}
-			case *ast.Ident:
-				if !skip[e] {
-					used[e.Name] = true
-				}
-			}
-			return true
-		})
-	}
-	// markQualified records the Name of every openspace.Name in f.
-	markQualified := func(f *ast.File) {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok {
-				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "openspace" {
-					used[sel.Sel.Name] = true
-				}
-			}
-			return true
-		})
-	}
-	markUnqualified(facade, declared)
-	tests, err := filepath.Glob("*_test.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, path := range tests {
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		markUnqualified(f, map[*ast.Ident]bool{})
-		markQualified(f)
-	}
-	err = filepath.WalkDir("cmd", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
-			return err
-		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
-		markQualified(f)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var unused []string
-	for _, n := range names {
-		if !used[n] {
-			unused = append(unused, n)
-		}
-	}
-	sort.Strings(unused)
-	if len(unused) > 0 {
-		t.Errorf("%d names in openspace.go are named by no command, Example, root test or other facade declaration; delete them: %s",
-			len(unused), strings.Join(unused, ", "))
 	}
 }
