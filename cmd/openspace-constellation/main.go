@@ -130,13 +130,10 @@ func generate(o options) (*orbit.Constellation, []orbit.ISLPair, error) {
 		}
 		return m.Build()
 	case o.random > 0:
-		c := orbit.RandomCircular(o.random, o.alt, rand.New(rand.NewSource(o.seed)))
-		for _, s := range c.Satellites {
-			if err := s.Elements.Validate(); err != nil {
-				return nil, nil, fmt.Errorf("%s: %w", s.ID, err)
-			}
+		if err := orbit.ValidateAltitude(o.alt); err != nil {
+			return nil, nil, fmt.Errorf("-random: %w", err)
 		}
-		return c, nil, nil
+		return orbit.RandomCircular(o.random, o.alt, rand.New(rand.NewSource(o.seed))), nil, nil
 	default:
 		w := orbit.WalkerConfig{
 			Name: "custom", TotalSats: o.sats, Planes: o.planes, PhasingFactor: o.phasing,

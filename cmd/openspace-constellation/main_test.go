@@ -32,7 +32,8 @@ func TestFlagValidation(t *testing.T) {
 		{"-incl 500", "inclination 500.00° outside [0,180]"},
 		{"-incl -20", "inclination -20.00° outside [0,180]"},
 		{"-shells 66:6:2:NaN:86.4", "altitude NaN km is not an orbit"},
-		{"-random 40 -alt NaN", "semi-major axis NaN km must be positive and finite"},
+		{"-random 40 -alt NaN", "altitude NaN km is not an orbit"},
+		{"-random 40 -alt 50", "altitude 50.0 km is not an orbit"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.args, func(t *testing.T) {

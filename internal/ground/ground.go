@@ -10,7 +10,8 @@
 //
 //   - Metering: stations "should measure traffic through their gateways from
 //     users associated with different providers" (§3) — the Meter type keeps
-//     the per-provider byte counts that feed the economics ledgers.
+//     each station's per-provider byte counts. The economics ledgers do not
+//     read it: core's delivery path records each transfer in them itself.
 //   - Home priority and visitor tariffs: a loaded station "may prioritize
 //     traffic coming from its users, and may place higher tariffs on
 //     'visitor' traffic" (§2.2) — the two-class Queue serves home traffic

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 
 	"github.com/openspace-project/openspace/internal/geo"
 )
@@ -39,6 +40,15 @@ type WalkerConfig struct {
 	Star           bool    // Star: planes spread over 180°; Delta: over 360°
 }
 
+// ValidateAltitude reports whether altKm is a circular-orbit altitude:
+// finite and above 100 km.
+func ValidateAltitude(altKm float64) error {
+	if !(altKm > 100) || math.IsInf(altKm, 1) {
+		return fmt.Errorf("altitude %.1f km is not an orbit", altKm)
+	}
+	return nil
+}
+
 // Validate reports whether the configuration is well-formed.
 func (w WalkerConfig) Validate() error {
 	if w.TotalSats <= 0 {
@@ -50,8 +60,8 @@ func (w WalkerConfig) Validate() error {
 	if w.PhasingFactor < 0 || w.PhasingFactor >= w.Planes {
 		return fmt.Errorf("orbit: walker: phasing factor %d outside [0,%d)", w.PhasingFactor, w.Planes)
 	}
-	if !(w.AltitudeKm > 100) || math.IsInf(w.AltitudeKm, 1) {
-		return fmt.Errorf("orbit: walker: altitude %.1f km is not an orbit", w.AltitudeKm)
+	if err := ValidateAltitude(w.AltitudeKm); err != nil {
+		return fmt.Errorf("orbit: walker: %w", err)
 	}
 	if !(w.InclinationDeg >= 0 && w.InclinationDeg <= 180) {
 		return fmt.Errorf("orbit: walker: inclination %.2f° outside [0,180]", w.InclinationDeg)
@@ -129,14 +139,14 @@ func CBOReference() WalkerConfig {
 // so that orbit poles are uniform on the sphere; RAAN and phase are uniform.
 // The generator is deterministic for a given rng state.
 func RandomCircular(n int, altitudeKm float64, rng *rand.Rand) *Constellation {
-	c := &Constellation{Name: fmt.Sprintf("random-%d", n), Satellites: make([]Satellite, 0, max(n, 0))}
+	c := &Constellation{Name: "random-" + strconv.Itoa(n), Satellites: make([]Satellite, 0, max(n, 0))}
 	for i := 0; i < n; i++ {
 		// cos(i) uniform in [-1,1] makes the orbit normal uniform on the
 		// sphere, avoiding the polar clustering of uniform-inclination
 		// sampling.
 		incl := degreesAcos(2*rng.Float64() - 1)
 		c.Satellites = append(c.Satellites, Satellite{
-			ID:       fmt.Sprintf("rand-%d", i),
+			ID:       "rand-" + strconv.Itoa(i),
 			Elements: Circular(altitudeKm, incl, rng.Float64()*360, rng.Float64()*360),
 		})
 	}

@@ -3,6 +3,7 @@ package orbit
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/openspace-project/openspace/internal/geo"
@@ -156,5 +157,15 @@ func TestRandomCircular(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds produced identical constellations")
+	}
+	// Names and IDs are part of every snapshot and CSV built from a fleet.
+	ten := RandomCircular(10, 780, rand.New(rand.NewSource(1)))
+	var ids []string
+	for _, s := range ten.Satellites {
+		ids = append(ids, s.ID)
+	}
+	want := []string{"rand-0", "rand-1", "rand-2", "rand-3", "rand-4", "rand-5", "rand-6", "rand-7", "rand-8", "rand-9"}
+	if ten.Name != "random-10" || !slices.Equal(ids, want) {
+		t.Fatalf("fleet %q with IDs %q, want %q with %q", ten.Name, ids, "random-10", want)
 	}
 }

@@ -19,28 +19,25 @@ func allocGate(t *testing.T) {
 }
 
 // TestAllocGateFeasibleISLs pins the //lint:hotpath contract on
-// builder.feasibleISLs: with positions and candidate lists in place, the
-// range/line-of-sight filter and its deterministic sort must reuse the
-// builder's scratch and allocate nothing. The fixture's satellites carry
-// MaxISLs caps, since the sort runs only when some satellite is capped.
+// builder.feasibleISLs: with positions and the spatial index in place, the
+// pair query, the horizon cull, the range/line-of-sight filter and its
+// deterministic sort must reuse the builder's scratch and allocate
+// nothing. The fixture's satellites carry MaxISLs caps, since the sort
+// runs only when some satellite is capped.
 func TestAllocGateFeasibleISLs(t *testing.T) {
 	allocGate(t)
 	b := newBuilder(DefaultConfig(), randomSpecs(128, 3), nil, nil)
 	if !b.capped {
 		t.Fatal("fixture has no MaxISLs cap; the gate would skip the sort")
 	}
-	b.SnapshotAt(0, b.nodes) // fills positions, builds candidate lists, sizes the scratch
-	cands := b.candISL
-	if b.staticMode {
-		cands = b.staticPairs
-	}
-	b.feasibleISLs(cands)
+	b.SnapshotAt(0, b.nodes) // fills positions and the index, sizes the scratch
+	b.feasibleISLs()
 	nWarm := len(b.feasible)
 	if nWarm == 0 {
 		t.Fatal("fixture produced no feasible ISL pairs; gate would be vacuous")
 	}
 	run := func() {
-		b.feasibleISLs(cands)
+		b.feasibleISLs()
 		if got := len(b.feasible); got != nWarm {
 			t.Fatalf("feasible set size changed across runs: %d → %d", nWarm, got)
 		}

@@ -2,7 +2,9 @@ package topo
 
 import (
 	"cmp"
+	"math"
 	"slices"
+	"strings"
 	"sync"
 
 	"github.com/openspace-project/openspace/internal/geo"
@@ -28,6 +30,7 @@ type builder struct {
 	cellKm     float64 // spatial index cell: the widest query, so each reaches one cell out
 	staticMode bool    // Config.StaticISLs wires the ISLs, not the geometric rule
 	capped     bool    // some satellite has a MaxISLs cap, so ISLs are accepted shortest first
+	cullKm2    float64 // R² less this snapshot's horizon-cull margin; see occluded
 
 	// nodes is the node template, sorted by ID, with satellite positions
 	// left for SnapshotAt; satellite i is nodes[rank[i]] and entity k is
@@ -42,10 +45,11 @@ type builder struct {
 type scratch struct {
 	entities    []groundEntity //lint:scratch — grounds then users, flattened
 	satByID     map[string]int //lint:scratch — satellite ID → index, static mode
-	staticPairs [][2]int       //lint:scratch — resolved Config.StaticISLs, static mode
-	rank        []int32        //lint:scratch
+	staticPairs [][2]int32     //lint:scratch — resolved Config.StaticISLs, static mode
+	perm        []int32        //lint:scratch — source index of each node template position
+	rank        []int32        //lint:scratch — node template position of each source index
 	pos         []geo.Vec3     //lint:scratch
-	candISL     [][2]int       //lint:scratch — candidate ISL pairs, geometric mode
+	horizon     []float64      //lint:scratch — satellite i's horizon tangent length √max(|pos[i]|² − R², 0)
 	candGround  [][]int        //lint:scratch — candidate satellites per entity
 	feasible    []feasiblePair //lint:scratch
 	degree      []int          //lint:scratch
@@ -86,6 +90,7 @@ func newBuilder(cfg Config, sats []SatSpec, grounds []GroundSpec, users []UserSp
 func (b *builder) reset(cfg Config, sats []SatSpec, grounds []GroundSpec, users []UserSpec) {
 	*b = builder{cfg: cfg, sats: sats, scratch: b.scratch}
 	b.pos = slices.Grow(b.pos[:0], len(sats))[:len(sats)]
+	b.horizon = slices.Grow(b.horizon[:0], len(sats))[:len(sats)]
 	b.degree = slices.Grow(b.degree[:0], len(sats))[:len(sats)]
 	b.entities = b.entities[:0]
 	for _, g := range grounds {
@@ -128,29 +133,40 @@ func (b *builder) reset(cfg Config, sats []SatSpec, grounds []GroundSpec, users 
 		b.cellKm = b.attachKm
 	}
 
-	nodes := make([]Node, 0, len(sats)+len(b.entities))
-	for i := range sats {
-		sp := &sats[i]
-		nodes = append(nodes, Node{ID: sp.ID, Kind: KindSatellite, Provider: sp.Provider, HasLaser: sp.HasLaser})
+	// Sort source indices (satellites, then entities) by ID, not Nodes, so
+	// each Node is written once, in place. Equal IDs keep source order.
+	n := len(sats) + len(b.entities)
+	b.perm = slices.Grow(b.perm[:0], n)[:n]
+	for p := range b.perm {
+		b.perm[p] = int32(p)
 	}
-	for k := range b.entities {
-		e := &b.entities[k]
+	slices.SortFunc(b.perm, func(x, y int32) int {
+		return cmp.Or(strings.Compare(b.nodeID(x), b.nodeID(y)), cmp.Compare(x, y))
+	})
+	b.nodes = make([]Node, n)
+	b.rank = slices.Grow(b.rank[:0], n)[:n]
+	for r, p := range b.perm {
+		b.rank[p] = int32(r)
+		if int(p) < len(sats) {
+			sp := &sats[p]
+			b.nodes[r] = Node{ID: sp.ID, Kind: KindSatellite, Provider: sp.Provider, HasLaser: sp.HasLaser}
+			continue
+		}
+		e := &b.entities[int(p)-len(sats)]
 		kind := KindGroundStation
 		if e.kind == LinkAccess {
 			kind = KindUser
 		}
-		nodes = append(nodes, Node{ID: e.id, Kind: kind, Provider: e.provider, Pos: e.pos})
+		b.nodes[r] = Node{ID: e.id, Kind: kind, Provider: e.provider, Pos: e.pos}
 	}
-	slices.SortFunc(nodes, byID)
-	ix := Index{Nodes: nodes}
-	b.nodes = nodes
-	b.rank = slices.Grow(b.rank[:0], len(nodes))[:len(nodes)]
-	for i := range sats {
-		b.rank[i], _ = ix.Lookup(sats[i].ID)
+}
+
+// nodeID is the ID of source index p: satellite p, or entity p − len(sats).
+func (b *builder) nodeID(p int32) string {
+	if int(p) < len(b.sats) {
+		return b.sats[p].ID
 	}
-	for k := range b.entities {
-		b.rank[len(sats)+k], _ = ix.Lookup(b.entities[k].id)
-	}
+	return b.entities[int(p)-len(b.sats)].id
 }
 
 // release drops the deployment's references and returns the builder,
@@ -183,28 +199,44 @@ func (b *builder) resolveStaticISLs(plan []orbit.ISLPair) {
 		if i > j {
 			i, j = j, i
 		}
-		pairs = append(pairs, [2]int{i, j})
+		pairs = append(pairs, [2]int32{int32(i), int32(j)})
 	}
-	slices.SortFunc(pairs, func(p, q [2]int) int { return cmp.Or(p[0]-q[0], p[1]-q[1]) })
+	slices.SortFunc(pairs, func(p, q [2]int32) int { return cmp.Or(cmp.Compare(p[0], q[0]), cmp.Compare(p[1], q[1])) })
 	b.staticPairs = slices.Compact(pairs)
 }
 
-// refreshCandidates rebuilds the candidate lists from a spatial index
-// over the satellite positions in b.pos. Each query runs at its exact
-// feasibility radius plus a kilometre of float margin (attachKm carries
-// its own). The cells are as wide as the wider query the mode runs, so
-// neither query reaches more than one cell out, even with ISLs switched
-// off. With no positive ISL range no pair is feasible, so the pair query
-// is skipped: under ground-sized cells it would list most of the N² pairs.
+// horizons sets each satellite's horizon tangent length from its
+// position, and the snapshot's cull bound (see occluded).
+func (b *builder) horizons() {
+	const r2 = geo.EarthRadiusKm * geo.EarthRadiusKm
+	maxR2 := 0.0
+	for i, p := range b.pos {
+		pp := p.Dot(p)
+		b.horizon[i] = math.Sqrt(max(pp-r2, 0))
+		maxR2 = max(maxR2, pp) // NaN if any position is, which disables the cull
+	}
+	b.cullKm2 = r2 - horizonMargin*maxR2
+}
+
+// horizonMargin is the horizon cull's margin, as a fraction of the
+// snapshot's largest squared orbit radius M. Rounding moves the cull's
+// inequality, and the tangent condition LineOfSight decides, by at most
+// about 2e-7·M, most of it where a tangent length √(r² − R²) is
+// ill-conditioned near the surface: off by up to √(4ε·M), times a
+// partner's tangent length of up to √M. A margin fifty times wider drops
+// only pairs the exact filter drops, with or without fused multiply-adds,
+// and passes on to it only pairs within about 1e-5 rad past the tangent
+// angle at fig2b's 780 km.
+const horizonMargin = 1e-5
+
+// refreshCandidates fills the spatial index over the satellite positions
+// and rebuilds the ground candidate lists from it. The ground query runs
+// at attachKm, which carries its own float margin, and the ISL pair query
+// (islCandidates) at the longest ISL range plus a kilometre. The cells are
+// as wide as the wider query the mode runs, so neither query reaches more
+// than one cell out, even with ISLs switched off.
 func (b *builder) refreshCandidates() {
 	b.ix.fill(b.pos, b.cellKm)
-	if !b.staticMode {
-		b.candISL = b.candISL[:0]
-		if b.maxISLKm > 0 {
-			b.candISL = b.ix.pairsWithin(b.maxISLKm+1, b.candISL)
-		}
-	}
-
 	if cap(b.candGround) < len(b.entities) {
 		b.candGround = make([][]int, len(b.entities))
 	}
@@ -221,6 +253,7 @@ func (b *builder) SnapshotAt(t float64, nodes []Node) *Snapshot {
 	for i := range b.sats {
 		b.pos[i] = b.sats[i].Elements.PositionECEF(t)
 	}
+	b.horizons()
 	b.refreshCandidates()
 
 	for i := range b.sats {
@@ -231,11 +264,7 @@ func (b *builder) SnapshotAt(t float64, nodes []Node) *Snapshot {
 	// accepted greedily under per-satellite degree caps, shortest first
 	// when a cap can refuse one — identical to filtering all N² pairs, at
 	// a fraction of the scan.
-	cands := b.candISL
-	if b.staticMode {
-		cands = b.staticPairs
-	}
-	b.feasibleISLs(cands)
+	b.feasibleISLs()
 	n := len(b.feasible) // bounds the links collected below
 	for _, w := range b.candGround {
 		n += len(w)
@@ -297,10 +326,42 @@ func (b *builder) link(u, v int32, kind LinkKind, distKm, capBps float64, cross 
 // field through the receiver they already hold.
 //
 //lint:hotpath
-func (b *builder) feasibleISLs(cands [][2]int) {
+func (b *builder) feasibleISLs() {
 	b.feasible = b.feasible[:0]
-	for _, p := range cands {
-		i, j := p[0], p[1]
+	b.islCandidates(b.filterISLs)
+	if b.capped {
+		slices.SortFunc(b.feasible, cmpFeasible)
+	}
+}
+
+// islCandidates visits every candidate ISL pair once, as the pairs
+// (i, j) for j in js, all j > i: the resolved wiring plan in static mode,
+// one pair per call, else every pair the spatial index cannot rule out at
+// the longest ISL range plus a kilometre. With no positive ISL range no
+// pair is feasible, so the pair query is skipped: under ground-sized
+// cells it would visit most of the N² pairs.
+func (b *builder) islCandidates(visit func(i int, js []int32)) {
+	switch {
+	case b.staticMode:
+		for k := range b.staticPairs {
+			p := &b.staticPairs[k]
+			visit(int(p[0]), p[1:])
+		}
+	case b.maxISLKm > 0:
+		b.ix.pairsWithin(b.maxISLKm+1, visit)
+	}
+}
+
+// filterISLs appends to b.feasible each candidate pair (i, j), j in js,
+// that is within its class range and in line of sight. The horizon cull
+// rejects most occluded pairs before their distance and the exact test
+// are computed.
+func (b *builder) filterISLs(i int, js []int32) {
+	for _, j32 := range js {
+		j := int(j32)
+		if b.occluded(i, j) {
+			continue
+		}
 		d := b.pos[i].DistanceKm(b.pos[j])
 		maxRange := b.cfg.ISLRangeKm
 		if b.sats[i].HasLaser && b.sats[j].HasLaser && b.cfg.LaserRangeKm > maxRange {
@@ -311,9 +372,17 @@ func (b *builder) feasibleISLs(cands [][2]int) {
 		}
 		b.feasible = append(b.feasible, feasiblePair{i: i, j: j, d: d})
 	}
-	if b.capped {
-		slices.SortFunc(b.feasible, cmpFeasible)
-	}
+}
+
+// occluded reports that the Earth certainly blocks the line between
+// satellites i and j. Two points at radii r_i, r_j ≥ R see each other
+// exactly when their central angle is at most acos(R/r_i) + acos(R/r_j),
+// which, with tangent lengths t = √(r² − R²), is p_i·p_j ≥ R² − t_i·t_j; a
+// point below the surface sees nothing. The test is that inequality less
+// horizonMargin's rounding allowance, so it rejects only pairs
+// LineOfSight rejects; false means the exact filter decides.
+func (b *builder) occluded(i, j int) bool {
+	return b.pos[i].Dot(b.pos[j]) < b.cullKm2-b.horizon[i]*b.horizon[j]
 }
 
 // cmpFeasible orders candidate ISLs by distance, ties broken by the

@@ -2,6 +2,8 @@ package topo
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -260,6 +262,99 @@ func TestBuildPoolReuse(t *testing.T) {
 	for _, err := range errs {
 		if err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestHorizonCullKeepsEverySightLine holds the builder's horizon cull to
+// geo.LineOfSight: it must never reject a pair the exact test accepts. The
+// pairs are 10⁶ random ones at altitudes from 200 km to 36 000 km, half
+// at one altitude and half mixed; 2·10⁵ within ±1e-9 rad of the tangent
+// angle θ_i + θ_j, where rounding decides, some from endpoints grazing
+// the surface; and 10⁵ coincident or below-surface endpoints. Each pair
+// is culled under the margin of its own larger radius, the narrowest any
+// fleet holding it gets. So that the test cannot pass vacuously, the cull
+// must also reject every pair 1e-3 rad past the tangent angle and all but
+// a sliver of the random pairs LineOfSight rejects.
+func TestHorizonCullKeepsEverySightLine(t *testing.T) {
+	const re = geo.EarthRadiusKm
+	rng := rand.New(rand.NewSource(1))
+	b := &builder{scratch: scratch{pos: make([]geo.Vec3, 2), horizon: make([]float64, 2)}}
+	cull := func(p, q geo.Vec3) bool {
+		b.pos[0], b.pos[1] = p, q
+		b.horizons()
+		return b.occluded(0, 1)
+	}
+	check := func(kind string, p, q geo.Vec3) (culled bool) {
+		culled = cull(p, q)
+		if culled && geo.LineOfSight(p, q) {
+			t.Fatalf("%s pair %v, %v (altitudes %g, %g km): culled, but LineOfSight accepts it",
+				kind, p, q, p.AltitudeKm(), q.AltitudeKm())
+		}
+		return culled
+	}
+	unit := func() geo.Vec3 {
+		for {
+			v := geo.Vec3{X: rng.NormFloat64(), Y: rng.NormFloat64(), Z: rng.NormFloat64()}
+			if n := v.Norm(); n > 1e-3 {
+				return v.Scale(1 / n)
+			}
+		}
+	}
+	alt := func() float64 { return 200 + rng.Float64()*(36000-200) }
+
+	blocked, culled := 0, 0
+	for n := 0; n < 1_000_000; n++ {
+		ai, aj := alt(), alt()
+		if n%2 == 0 {
+			aj = ai
+		}
+		p, q := unit().Scale(re+ai), unit().Scale(re+aj)
+		if check("random", p, q) {
+			culled++
+		}
+		if !geo.LineOfSight(p, q) {
+			blocked++
+		}
+	}
+	if blocked == 0 || float64(culled) < 0.999*float64(blocked) {
+		t.Fatalf("cull rejected %d of the %d random pairs LineOfSight rejects, want at least 99.9%%", culled, blocked)
+	}
+
+	for n := 0; n < 200_000; n++ {
+		ri, rj := re+alt(), re+alt()
+		switch n % 4 {
+		case 0:
+			rj = ri
+		case 1:
+			ri = re + math.Pow(10, -9*rng.Float64()) // grazing: 1 nm to 1 km up
+		}
+		u := unit()
+		v := unit()
+		v = v.Sub(u.Scale(u.Dot(v)))
+		v = v.Scale(1 / v.Norm())
+		at := func(theta float64) geo.Vec3 { return u.Scale(rj * math.Cos(theta)).Add(v.Scale(rj * math.Sin(theta))) }
+		tangent := math.Acos(re/ri) + math.Acos(re/rj)
+		check("near-tangent", u.Scale(ri), at(tangent+(2*rng.Float64()-1)*1e-9))
+		if n%4 != 1 && !cull(u.Scale(ri), at(tangent+1e-3)) {
+			t.Fatalf("pair at radii %g, %g km 1e-3 rad past the tangent angle %g not culled", ri, rj, tangent)
+		}
+	}
+
+	for n := 0; n < 100_000; n++ {
+		p := unit().Scale(re + (rng.Float64()*2-1)*1000) // within 1 000 km of the surface, either side
+		switch n % 4 {
+		case 0:
+			check("coincident", p, p)
+		case 1:
+			q := unit().Scale(re)
+			check("coincident surface", q, q)
+		default:
+			q := unit().Scale(re + alt())
+			if n%2 == 0 {
+				q = p.Add(unit().Scale(rng.Float64() * 10)) // a close neighbour
+			}
+			check("near-surface", p, q)
 		}
 	}
 }

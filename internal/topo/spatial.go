@@ -95,27 +95,28 @@ func (ix *satIndex) neighbours(base [3]int32, r int32) {
 	}
 }
 
-// pairsWithin appends to dst every unordered index pair (i < j) whose
-// separation can be ≤ rKm: all pairs co-resident within reach cells.
-// Each pair is listed exactly once, from its lower index; the
+// pairsWithin visits every unordered index pair (i < j) whose separation
+// can be ≤ rKm: all pairs co-resident within reach cells. Each call
+// visit(i, js) stands for the pairs (i, j), j in js, one run per
+// neighbouring cell, so the visitor's loop, not a call, is paid per pair.
+// Each pair is visited exactly once, from its lower index; the
 // neighbourhood is looked up once per occupied cell. The order is
 // deterministic but carries no meaning: the builder sorts the feasible
 // pairs by a total order.
-func (ix *satIndex) pairsWithin(rKm float64, dst [][2]int) [][2]int {
+func (ix *satIndex) pairsWithin(rKm float64, visit func(i int, js []int32)) {
 	r := ix.reach(rKm)
 	for s, k := range ix.keys {
 		ix.neighbours(k, r)
 		for _, i := range ix.members[ix.off[s]:ix.off[s+1]] {
 			for _, t := range ix.near {
-				for _, j := range ix.members[ix.off[t]:ix.off[t+1]] {
-					if j > i {
-						dst = append(dst, [2]int{int(i), int(j)})
-					}
+				// A cell's members ascend, so i's partners are a suffix.
+				js := ix.members[ix.off[t]:ix.off[t+1]]
+				if lo, _ := slices.BinarySearch(js, i+1); lo < len(js) {
+					visit(int(i), js[lo:])
 				}
 			}
 		}
 	}
-	return dst
 }
 
 // within appends to dst every satellite index whose distance to p can be

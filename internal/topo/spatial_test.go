@@ -110,12 +110,14 @@ type namedConfig struct {
 }
 
 // TestIndexCandidatesMatchBruteForce is the property test of the spatial
-// index: across ISL ranges, constellation sizes, seeds, and timestamps,
-// filtering the builder's candidate lists, queried at its own radii and
-// cell size, must yield exactly the brute-force feasible set, for both the
-// ISL pair scan and the ground attach scan. Neither query may reach more
-// than one cell out: 1 km cells under a 2 000 km ground query would visit
-// about 10¹⁰ cells per ground entity.
+// index: across ISL ranges (fig2b's 10⁹ km all-pairs rule among them),
+// constellation sizes, seeds, and timestamps, filtering the builder's
+// candidates, queried at its own radii and cell size, must yield exactly
+// the brute-force feasible set, for both the ISL pair query and the
+// ground attach scan; so must the builder's own ISL filter, horizon cull
+// included. Neither query may reach more than one cell out: 1 km cells
+// under a 2 000 km ground query would visit about 10¹⁰ cells per ground
+// entity.
 func TestIndexCandidatesMatchBruteForce(t *testing.T) {
 	grounds := []GroundSpec{
 		{ID: "london", Pos: geo.LatLon{Lat: 51.51, Lon: -0.13}},
@@ -123,7 +125,9 @@ func TestIndexCandidatesMatchBruteForce(t *testing.T) {
 		{ID: "svalbard", Pos: geo.LatLon{Lat: 78.22, Lon: 15.63}}, // high latitude stresses polar crowding
 		{ID: "quito", Pos: geo.LatLon{Lat: 0.35, Lon: -78.52}},
 	}
-	for _, nc := range islRangeConfigs() {
+	fig2b := DefaultConfig()
+	fig2b.ISLRangeKm, fig2b.MinElevationDeg = 1e9, 0
+	for _, nc := range append(islRangeConfigs(), namedConfig{"fig2b", fig2b}) {
 		for _, n := range []int{3, 25, 80, 220} {
 			for _, seed := range []int64{1, 7, 42} {
 				for _, tS := range []float64{0, 137.5, 4000} {
@@ -136,6 +140,7 @@ func TestIndexCandidatesMatchBruteForce(t *testing.T) {
 					for i := range specs {
 						b.pos[i] = specs[i].Elements.PositionECEF(tS)
 					}
+					b.horizons()
 					ix := satIndex{cellKm: b.cellKm}
 					if rg, risl := ix.reach(b.attachKm), ix.reach(b.maxISLKm+1); rg > 1 || risl > 1 {
 						t.Fatalf("%s n=%d seed=%d: %.0f km cells, ground query reaches %d cells, ISL query %d",
@@ -144,9 +149,24 @@ func TestIndexCandidatesMatchBruteForce(t *testing.T) {
 					b.refreshCandidates()
 
 					want := bruteFeasibleISLs(cfg, specs, b.pos)
-					got := filterFeasible(cfg, specs, b.pos, b.candISL)
+					var cands [][2]int
+					b.islCandidates(func(i int, js []int32) {
+						for _, j := range js {
+							cands = append(cands, [2]int{i, int(j)})
+						}
+					})
+					got := filterFeasible(cfg, specs, b.pos, cands)
 					if !pairSetsEqual(got, want) {
 						t.Fatalf("%s n=%d seed=%d t=%v: index feasible set %d pairs, brute force %d",
+							nc.name, n, seed, tS, len(got), len(want))
+					}
+					b.feasibleISLs()
+					got = got[:0]
+					for _, p := range b.feasible {
+						got = append(got, [2]int{p.i, p.j})
+					}
+					if !pairSetsEqual(got, want) {
+						t.Fatalf("%s n=%d seed=%d t=%v: builder feasible set %d pairs, brute force %d",
 							nc.name, n, seed, tS, len(got), len(want))
 					}
 
@@ -168,11 +188,11 @@ func TestIndexCandidatesMatchBruteForce(t *testing.T) {
 	}
 }
 
-// TestISLsOffListsNoPairs builds with both ISL ranges 0: the builder must
-// list no candidate pair, the snapshot must hold no ISL, and its ground
-// and access links must be those of a build with ISLs on. A twin of one
-// satellite, the one pair a zero range could admit, links only with ISLs
-// on.
+// TestISLsOffListsNoPairs builds with both ISL ranges 0: the builder's
+// pair query must visit no pair, the snapshot must hold no ISL, and its
+// ground and access links must be those of a build with ISLs on. A twin
+// of one satellite, the one pair a zero range could admit, links only
+// with ISLs on.
 func TestISLsOffListsNoPairs(t *testing.T) {
 	grounds := []GroundSpec{
 		{ID: "london", Pos: geo.LatLon{Lat: 51.51, Lon: -0.13}},
@@ -198,8 +218,10 @@ func TestISLsOffListsNoPairs(t *testing.T) {
 	for _, tS := range []float64{0, 137.5, 4000} {
 		b := newBuilder(off, specs, grounds, users)
 		offSnap := b.SnapshotAt(tS, b.nodes)
-		if len(b.candISL) != 0 {
-			t.Fatalf("t=%v: %d candidate ISL pairs with ISLs off, want 0", tS, len(b.candISL))
+		visited := 0
+		b.islCandidates(func(_ int, js []int32) { visited += len(js) })
+		if visited != 0 {
+			t.Fatalf("t=%v: %d candidate ISL pairs visited with ISLs off, want 0", tS, visited)
 		}
 		offGround, offISLs := groundLinks(offSnap)
 		if offISLs != 0 {
